@@ -2,20 +2,24 @@
 distance laws, association probabilities, interference Laplace transforms,
 SINR coverage and average rate.
 
+All deployments share one path.  What sets the integrated network (a)
+apart from the two-tier Sub-6GHz baseline (d) is data: the per-tier
+``LinkBudget`` records of ``association.link_budgets`` (weights, budgets,
+exponents, Nakagami orders, noise, the candidate law and the cluster
+interference kernel, and whether the tiers share a band).
+
 Conventions used throughout:
 
-* The LoS-thinned member distance law collapses to a noncentral chi-square
-  CDF: F_SL(r) = p_los * RiceCDF(min(r, R_B)), because the LoS probability
-  is constant inside the ball and zero outside.
+* The candidate member distance law collapses to a noncentral chi-square
+  CDF.  In (a) only LoS members inside the ball may serve:
+  F_SL(r) = p_los * RiceCDF(min(r, R_B)), because the LoS probability is
+  constant inside the ball and zero outside.  In (d) every member may.
 * The intra-cluster interference intensity is (n_members - 1) times the
-  *radial* member distance density (LoS part excluded below the serving
-  distance, NLoS part unrestricted).  A `literal` evaluation mode keeps the
-  alternative form with an explicit 2*pi*r Jacobian for comparison; the
-  radial form is the one that is dimensionally consistent and matches
-  Monte Carlo.
+  *radial* member density of each kernel segment (in (a) the LoS part is
+  excluded below the serving distance, the NLoS part is unrestricted).
 * The inter-cluster transform treats interfering clusters as carrying a
   Poisson member count with mean n_bs, which makes the per-cluster factor
-  exp(-n_bs * ...); a convention flag switches to n_bs - 1.
+  exp(-n_bs * ...).
 * Semi-infinite integrals are mapped to [0, 1) by r -> a + c*u/(1-u) with
   a per-integrand scale c; nested tolerances are tightened one order per
   level of nesting.
@@ -24,7 +28,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -33,14 +37,14 @@ from scipy.interpolate import CubicSpline
 from scipy.special import binom, hyp2f1, i0e
 from scipy.stats import ncx2
 
-from .association import Tier, tier_exponent, tier_weight
-from .geometry import rician_distance_density
-from .params import SystemParams
-from .quadrature import (IntegrationResult, QuadSpec, integrate_adaptive,
-                         integrate_semi_infinite)
+from .association import ClusterLaw, boundary_map, link_budgets
+from .geometry import rice_pdf
+from .params import ScenarioKind, SystemParams
+from .quadrature import QuadSpec, integrate_adaptive, integrate_semi_infinite
 
 DEFAULT_SPEC = QuadSpec(rel_tol=1e-6, abs_tol=1e-14)
 OUTER_SPEC = QuadSpec(rel_tol=1e-5, abs_tol=1e-9)
+INTEGRATED = ScenarioKind.INTEGRATED
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -88,31 +92,54 @@ def _rice_cdf(r, v0: float, sigma: float):
     hi = np.maximum(r, lo)
     half = 0.5 * (hi - lo)
     nodes = lo + half[..., None] * (_GL_NODES + 1.0)
-    dens = _rice_pdf_b(nodes, v0, sigma)
+    dens = rice_pdf(nodes, v0, sigma)
     out = half * np.sum(_GL_WEIGHTS * dens, axis=-1)
     out = np.clip(out, 0.0, 1.0)
     return out if out.ndim else float(out)
 
 
+def _cells(params: SystemParams, scenario: ScenarioKind = INTEGRATED
+           ) -> ClusterLaw:
+    return link_budgets(params, scenario)[1].cluster
+
+
+def _candidate_cdf(r, v0: float, law: ClusterLaw):
+    """CDF of one member's distance, counting only members that may serve."""
+    if law.los_ball is None:
+        return _rice_cdf(r, v0, law.spread)
+    capped = np.minimum(r, law.los_ball)
+    return law.los_prob * np.asarray(_rice_cdf(capped, v0, law.spread))
+
+
+def _candidate_pdf(r, v0: float, law: ClusterLaw):
+    dens = rice_pdf(r, v0, law.spread)
+    if law.los_ball is None:
+        return dens
+    return np.where(r < law.los_ball, law.los_prob * dens, 0.0)
+
+
+def _nearest_macro_pdf(x, lam: float):
+    """Density 2*pi*lam*x*exp(-pi*lam*x^2) of the nearest PPP point."""
+    return 2.0 * math.pi * lam * x * np.exp(-math.pi * lam * np.square(x))
+
+
+def _nearest_candidate_pdf(x, v0: float, law: ClusterLaw):
+    """Density n*(1-F)^(n-1)*f of the nearest of the n candidate members."""
+    n = law.members
+    bar = 1.0 - _candidate_cdf(x, v0, law)
+    return n * bar ** (n - 1) * _candidate_pdf(x, v0, law)
+
+
 def f_sl(r, v0: float, params: SystemParams):
     """LoS-thinned member distance density (integrates to F_SL(R_B))."""
-    r = np.asarray(r, dtype=float)
-    dens = rician_distance_density(r, v0, params.sigma_bs_m)
-    out = np.where(r < params.r_los_ball_m, params.p_los * dens, 0.0)
+    out = _candidate_pdf(np.asarray(r, dtype=float), v0, _cells(params))
     return out if out.ndim else float(out)
 
 
 def F_sl(r, v0: float, params: SystemParams):
     """CDF of the LoS member distance; saturates at p_los*RiceCDF(R_B)."""
-    r = np.asarray(r, dtype=float)
-    capped = np.minimum(r, params.r_los_ball_m)
-    out = params.p_los * np.asarray(_rice_cdf(capped, v0, params.sigma_bs_m))
+    out = _candidate_cdf(np.asarray(r, dtype=float), v0, _cells(params))
     return out if out.ndim else float(out)
-
-
-def _F_sl_max(v0: float, params: SystemParams) -> float:
-    return params.p_los * _rice_cdf(params.r_los_ball_m, v0,
-                                    params.sigma_bs_m)
 
 
 def rayleigh_pdf(v, sigma: float):
@@ -128,32 +155,17 @@ def serving_distance_laws(r, v0: float, params: SystemParams) -> dict:
     r = np.asarray(r, dtype=float)
     if np.any(r < 0) or v0 < 0:
         raise ValueError("distances must be nonnegative")
-    fsl = f_sl(r, v0, params)
-    Fsl = F_sl(r, v0, params)
+    law = _cells(params)
+    fsl = _candidate_pdf(r, v0, law)
+    Fsl = _candidate_cdf(r, v0, law)
     lam = params.lambda1
     F_r1 = 1.0 - np.exp(-math.pi * lam * np.square(r))
-    f_r1 = 2.0 * math.pi * lam * r * np.exp(-math.pi * lam * np.square(r))
-    n = params.n_bs
-    bar = 1.0 - Fsl
-    F_r2 = 1.0 - bar ** n
-    f_r2 = n * bar ** (n - 1) * fsl if n >= 1 else np.zeros_like(r)
+    f_r1 = _nearest_macro_pdf(r, lam)
+    F_r2 = 1.0 - (1.0 - Fsl) ** law.members
+    f_r2 = (_nearest_candidate_pdf(r, v0, law) if law.members >= 1
+            else np.zeros_like(r))
     return {"F_SL": Fsl, "f_SL": fsl, "F_R1": F_r1, "f_R1": f_r1,
             "F_R2": F_r2, "f_R2": f_r2}
-
-
-def _delta12(r, params: SystemParams):
-    """Map a Sub-6GHz distance to the mmWave distance of equal metric."""
-    w1 = tier_weight(Tier.SUB6, params)
-    w2 = tier_weight(Tier.MMWAVE, params)
-    a1, a2 = params.alpha1, params.alpha_los
-    return (w2 / w1) ** (1.0 / a2) * np.asarray(r, dtype=float) ** (a1 / a2)
-
-
-def _delta21(r, params: SystemParams):
-    w1 = tier_weight(Tier.SUB6, params)
-    w2 = tier_weight(Tier.MMWAVE, params)
-    a1, a2 = params.alpha1, params.alpha_los
-    return (w1 / w2) ** (1.0 / a1) * np.asarray(r, dtype=float) ** (a2 / a1)
 
 
 def _r1_upper(params: SystemParams) -> float:
@@ -166,41 +178,62 @@ def _r1_upper(params: SystemParams) -> float:
 # association probabilities
 # ---------------------------------------------------------------------------
 
+def _serving_reach(k: int, v0: float, params: SystemParams,
+                   scenario: ScenarioKind) -> float:
+    """Distance beyond which tier k has no candidate (or its density mass
+    is < 1e-15); 0 when the tier has no candidate at all."""
+    if k == 1:
+        return _r1_upper(params) if params.lambda1 > 0 else 0.0
+    law = _cells(params, scenario)
+    if law.density == 0 or law.members == 0 or law.los_prob == 0:
+        return 0.0
+    return v0 + 9.0 * law.spread if law.los_ball is None else law.los_ball
+
+
+def _serving_density(k: int, v0: float, params: SystemParams,
+                     scenario: ScenarioKind) -> Callable:
+    """Density in x that tier k's candidate sits at distance x and wins
+    the association, given offset v0; it integrates over x to the
+    conditional association probability."""
+    macro, cells = link_budgets(params, scenario)
+    law = cells.cluster
+    lam = params.lambda1
+    if k == 1:
+        def density(x):
+            bar = 1.0 - _candidate_cdf(boundary_map(macro, cells, x), v0, law)
+            return _nearest_macro_pdf(x, lam) * bar ** law.members
+    else:
+        def density(x):
+            d21 = boundary_map(cells, macro, x)
+            return (_nearest_candidate_pdf(x, v0, law)
+                    * np.exp(-math.pi * lam * np.square(d21)))
+    return density
+
+
 def conditional_assoc_prob(k: int, v0: float, params: SystemParams,
-                           spec: QuadSpec = DEFAULT_SPEC) -> float:
+                           spec: QuadSpec = DEFAULT_SPEC,
+                           scenario: ScenarioKind = INTEGRATED) -> float:
     """Probability of serving-tier k given the UE sits at distance v0 from
     its hotspot center."""
     if k not in (1, 2):
         raise ValueError("tier index must be 1 or 2")
     if v0 < 0:
         raise ValueError("v0 must be nonnegative")
-    n = params.n_bs
-    if k == 2:
-        if params.lambda_p == 0 or n == 0 or params.p_los == 0:
-            return 0.0
-        lam = params.lambda1
-
-        def f(r):
-            bar = 1.0 - F_sl(r, v0, params)
-            d21 = _delta21(r, params)
-            return (n * bar ** (n - 1) * f_sl(r, v0, params)
-                    * np.exp(-math.pi * lam * np.square(d21)))
-
-        res = integrate_adaptive(f, 0.0, params.r_los_ball_m, spec)
-        return min(max(res.value, 0.0), 1.0)
-
-    # k == 1
-    if params.lambda1 == 0:
-        return 0.0
-
-    def g(r):
-        bar = 1.0 - F_sl(_delta12(r, params), v0, params)
-        lam = params.lambda1
-        f_r1 = 2.0 * math.pi * lam * r * np.exp(-math.pi * lam * np.square(r))
-        return f_r1 * bar ** n
-
-    res = integrate_adaptive(g, 0.0, _r1_upper(params), spec)
+    res = integrate_adaptive(_serving_density(k, v0, params, scenario), 0.0,
+                             _serving_reach(k, v0, params, scenario), spec)
     return min(max(res.value, 0.0), 1.0)
+
+
+def _offset_average(g: Callable[[float], float], params: SystemParams,
+                    spec: QuadSpec):
+    """Integral of g(v0) against the Rayleigh-distributed UE-to-center
+    distance v0."""
+    def f(v0):
+        v0 = np.atleast_1d(np.asarray(v0, dtype=float))
+        vals = np.array([g(v) for v in v0.tolist()])
+        return rayleigh_pdf(v0, params.sigma_ue_m) * vals
+
+    return integrate_adaptive(f, 0.0, 8.5 * params.sigma_ue_m, spec)
 
 
 def assoc_prob(k: int, params: SystemParams,
@@ -209,15 +242,8 @@ def assoc_prob(k: int, params: SystemParams,
     """Tier association probability, averaged over the Rayleigh-distributed
     UE-to-center distance."""
     inner = spec.tighter()
-
-    def f(v0):
-        v0 = np.atleast_1d(v0)
-        vals = [conditional_assoc_prob(k, float(v), params, inner)
-                for v in v0]
-        return rayleigh_pdf(v0, params.sigma_ue_m) * np.asarray(vals)
-
-    hi = 8.5 * params.sigma_ue_m
-    res = integrate_adaptive(f, 0.0, hi, spec)
+    res = _offset_average(
+        lambda v: conditional_assoc_prob(k, v, params, inner), params, spec)
     value = min(max(res.value, 0.0), 1.0)
     if with_report:
         return AnalyticReport(value, res.est_error, res.evaluations)
@@ -232,17 +258,7 @@ def conditional_distance_pdf(k: int, x, v0: float, params: SystemParams,
         raise ValueError(f"conditional distance density undefined: "
                          f"tier {k} has zero association probability")
     x = np.asarray(x, dtype=float)
-    n = params.n_bs
-    lam = params.lambda1
-    if k == 1:
-        bar = 1.0 - F_sl(_delta12(x, params), v0, params)
-        f_r1 = 2.0 * math.pi * lam * x * np.exp(-math.pi * lam * np.square(x))
-        out = f_r1 * bar ** n / a
-    else:
-        bar = 1.0 - F_sl(x, v0, params)
-        d21 = _delta21(x, params)
-        out = (n * bar ** (n - 1) * f_sl(x, v0, params)
-               * np.exp(-math.pi * lam * np.square(d21)) / a)
+    out = _serving_density(k, v0, params, INTEGRATED)(x) / a
     return out if out.ndim else float(out)
 
 
@@ -290,152 +306,66 @@ def laplace_I1(s, v0: float, x, params: SystemParams):
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise ValueError("s must be nonnegative")
-    b1 = params.p1_w * params.g1 * params.c1
+    macro = link_budgets(params)[0]
     expo = 2.0 * math.pi * params.lambda1 * _ppp_tail_integral(
-        s, b1, params.alpha1, x)
+        s, macro.budget, macro.alpha, x)
     out = np.exp(-expo)
     return out if out.ndim else float(out)
 
 
-def _mm_kernel(s, r, c: float, alpha: float, order: int,
-               params: SystemParams):
-    """1 - E_G[(1 + s*P2*G*C*r^-alpha)^-N] over the two-level beam gain."""
-    p_m = params.p_main
-    g = params.p2_w * c
-    # unit-mean Nakagami power is Gamma(N, 1/N): E[e^{-zh}] = (1+z/N)^-N
-    t_main = (1.0 + s * g * params.g_main * r ** (-alpha) / order) ** (-order)
-    t_side = (1.0 + s * g * params.g_side * r ** (-alpha) / order) ** (-order)
-    return 1.0 - (p_m * t_main + (1.0 - p_m) * t_side)
-
-
-def _cluster_exponent(s, v0, x, params: SystemParams,
-                      include_nlos: bool = True):
-    """Per-member interference exponent of one mmWave cluster whose center
-    sits at distance v0: the LoS part integrates the thinned radial
-    density from the serving distance x, the NLoS part from zero.
+def _cluster_exponent(s, v0, x, law: ClusterLaw, include_nlos: bool = True):
+    """Per-member interference exponent of one cluster whose center sits
+    at distance v0, seen past the exclusion radius x: the sum over the
+    law's kernel segments of the segment's radial density times its
+    kernel, each on a 64-node Gauss-Legendre rule over its band.
 
     Broadcasts over s, v0 and x.  Multiplying by (n_members - 1) and
     negating the exponent gives the intra-cluster Laplace transform.
     """
-    s = np.asarray(s, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    x = np.asarray(x, dtype=float)
-    s, v0, x = np.broadcast_arrays(s, v0, x)
+    s, v0, x = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                   np.asarray(v0, dtype=float),
+                                   np.asarray(x, dtype=float))
     shape = s.shape
     s = s[..., None]
     v0 = v0[..., None]
     x = x[..., None]
-    sig = params.sigma_bs_m
-    rb = params.r_los_ball_m
-    u = _GL_NODES
-    w = _GL_WEIGHTS
-
+    sig = law.spread
     total = np.zeros(shape + (1,))
-
-    # LoS members: support [x, R_B]
-    lo = np.clip(x, 0.0, rb)
-    half = 0.5 * (rb - lo)
-    r = lo + half * (u + 1.0)
-    dens = params.p_los * _rice_pdf_b(r, v0, sig)
-    ker = _mm_kernel(s, np.maximum(r, 1e-9), params.c_los, params.alpha_los,
-                     params.n_nakagami_los, params)
-    total += half * np.sum(w * dens * ker, axis=-1, keepdims=True)
-
-    if include_nlos:
-        # NLoS members inside the ball: density weight (1 - p_los)
-        half1 = 0.5 * rb
-        r1 = half1 * (u + 1.0)
-        dens1 = (1.0 - params.p_los) * _rice_pdf_b(r1, v0, sig)
-        ker1 = _mm_kernel(s, np.maximum(r1, 1e-9), params.c_nlos,
-                          params.alpha_nlos, params.n_nakagami_nlos, params)
-        total += half1 * np.sum(w * dens1 * ker1, axis=-1, keepdims=True)
-
-        # NLoS members outside the ball: the radial density has effectively
-        # compact support [v0 - 8 sigma, v0 + 8 sigma]
-        lo2 = np.maximum(rb, v0 - 8.0 * sig)
-        hi2 = np.maximum(rb, v0 + 8.0 * sig)
-        half2 = 0.5 * (hi2 - lo2)
-        r2 = lo2 + half2 * (u + 1.0)
-        dens2 = _rice_pdf_b(r2, v0, sig)
-        ker2 = _mm_kernel(s, np.maximum(r2, 1e-9), params.c_nlos,
-                          params.alpha_nlos, params.n_nakagami_nlos, params)
-        total += half2 * np.sum(w * dens2 * ker2, axis=-1, keepdims=True)
-
+    for seg in law.segments:
+        if seg.nlos and not include_nlos:
+            continue
+        lo = np.maximum(x, seg.r_min) if seg.past_serving else seg.r_min
+        hi = seg.r_max
+        if hi == math.inf:
+            lo = np.maximum(lo, v0 - 8.0 * sig)
+            hi = v0 + 8.0 * sig
+        half = 0.5 * (np.maximum(hi, lo) - lo)
+        r = lo + half * (_GL_NODES + 1.0)
+        path = np.maximum(r, 1e-9) ** (-seg.alpha)
+        # unit-mean Nakagami power is Gamma(N, 1/N): E[e^{-zh}] = (1+z/N)^-N
+        s_n = s * (law.power * seg.intercept / seg.order)
+        ker = 1.0
+        for gain, prob in zip(seg.gains, seg.gain_probs):
+            ker = ker - prob * (1.0 + s_n * gain * path) ** (-seg.order)
+        total += seg.share * half * np.sum(
+            _GL_WEIGHTS * rice_pdf(r, v0, sig) * ker, axis=-1, keepdims=True)
     return total[..., 0]
-
-
-def _rice_pdf_b(r, v0, sigma: float):
-    """Broadcasting variant of the member radial density."""
-    s2 = sigma * sigma
-    return (r / s2) * np.exp(-np.square(r - v0) / (2.0 * s2)) * i0e(v0 * r / s2)
 
 
 def laplace_I2_intra(s, v0: float, x: float, n_members: int,
                      params: SystemParams, include_nlos: bool = True,
-                     mode: str = "radial"):
-    """Laplace transform of the intra-cluster mmWave interference given a
-    serving LoS member at distance x and n_members cluster members.
-
-    ``mode='radial'`` (default) uses the radial member density as the
-    process intensity; ``mode='literal'`` keeps an extra 2*pi*r Jacobian,
-    reproducing the printed form of the derivation for comparison.
-    """
+                     scenario: ScenarioKind = INTEGRATED):
+    """Laplace transform of the intra-cluster small-cell interference
+    given a serving member at distance x and n_members cluster members."""
     if n_members < 1:
         raise ValueError("n_members must be >= 1")
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise ValueError("s must be nonnegative")
-    if mode == "radial":
-        expo = (n_members - 1) * _cluster_exponent(s, v0, x, params,
-                                                   include_nlos)
-    elif mode == "literal":
-        expo = (n_members - 1) * _cluster_exponent_literal(
-            s, v0, x, params, include_nlos)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    expo = (n_members - 1) * _cluster_exponent(
+        s, v0, x, _cells(params, scenario), include_nlos)
     out = np.exp(-expo)
     return out if out.ndim else float(out)
-
-
-def _cluster_exponent_literal(s, v0, x, params: SystemParams,
-                              include_nlos: bool):
-    """Printed-form variant: 2*pi * integral f(r) * kernel * r dr with the
-    same LoS/NLoS split.  Not dimensionally consistent; comparison only."""
-    s = np.asarray(s, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    x = np.asarray(x, dtype=float)
-    s, v0, x = np.broadcast_arrays(s, v0, x)
-    shape = s.shape
-    s = s[..., None]
-    v0 = v0[..., None]
-    x = x[..., None]
-    sig = params.sigma_bs_m
-    rb = params.r_los_ball_m
-    u, w = _GL_NODES, _GL_WEIGHTS
-    total = np.zeros(shape + (1,))
-    lo = np.clip(x, 0.0, rb)
-    half = 0.5 * (rb - lo)
-    r = lo + half * (u + 1.0)
-    dens = params.p_los * _rice_pdf_b(r, v0, sig)
-    ker = _mm_kernel(s, np.maximum(r, 1e-9), params.c_los, params.alpha_los,
-                     params.n_nakagami_los, params)
-    total += half * np.sum(w * dens * ker * r, axis=-1, keepdims=True)
-    if include_nlos:
-        half1 = 0.5 * rb
-        r1 = half1 * (u + 1.0)
-        dens1 = (1.0 - params.p_los) * _rice_pdf_b(r1, v0, sig)
-        ker1 = _mm_kernel(s, np.maximum(r1, 1e-9), params.c_nlos,
-                          params.alpha_nlos, params.n_nakagami_nlos, params)
-        total += half1 * np.sum(w * dens1 * ker1 * r1, axis=-1, keepdims=True)
-        lo2 = np.maximum(rb, v0 - 8.0 * sig)
-        hi2 = np.maximum(rb, v0 + 8.0 * sig)
-        half2 = 0.5 * (hi2 - lo2)
-        r2 = lo2 + half2 * (u + 1.0)
-        dens2 = _rice_pdf_b(r2, v0, sig)
-        ker2 = _mm_kernel(s, np.maximum(r2, 1e-9), params.c_nlos,
-                          params.alpha_nlos, params.n_nakagami_nlos, params)
-        total += half2 * np.sum(w * dens2 * ker2 * r2, axis=-1, keepdims=True)
-    return 2.0 * math.pi * total[..., 0]
 
 
 class _InterLaplace:
@@ -449,29 +379,28 @@ class _InterLaplace:
 
     _LN_STEP = 0.5
 
-    def __init__(self, cluster_exponent: Callable, lambda_p: float,
-                 n_factor: int, tail_scale: float,
+    def __init__(self, law: ClusterLaw, include_nlos: bool,
                  spec: QuadSpec = DEFAULT_SPEC):
-        self._expfun = cluster_exponent
-        self._lambda_p = lambda_p
-        self._n = n_factor
-        self._tail_scale = tail_scale
+        self._law = law
+        self._include_nlos = include_nlos
+        self._empty = law.density == 0 or law.members <= 0
         self._spec = spec
         self._ls: list[float] = []
         self._la: list[float] = []
         self._spline = None
 
     def exponent_exact(self, s: float) -> float:
-        if s <= 0.0 or self._lambda_p == 0 or self._n <= 0:
+        law = self._law
+        if s <= 0.0 or self._empty:
             return 0.0
 
         def f(v):
-            e = self._expfun(s, np.asarray(v, dtype=float), 0.0)
-            return -np.expm1(-self._n * e) * np.asarray(v, dtype=float)
+            v = np.asarray(v, dtype=float)
+            e = _cluster_exponent(s, v, 0.0, law, self._include_nlos)
+            return -np.expm1(-law.members * e) * v
 
-        scale = self._tail_scale
-        res = integrate_semi_infinite(f, 0.0, scale, self._spec)
-        return 2.0 * math.pi * self._lambda_p * max(res.value, 0.0)
+        res = integrate_semi_infinite(f, 0.0, law.pgfl_scale, self._spec)
+        return 2.0 * math.pi * law.density * max(res.value, 0.0)
 
     def _ensure(self, ls_min: float, ls_max: float) -> None:
         changed = False
@@ -503,7 +432,7 @@ class _InterLaplace:
         scalar = s.ndim == 0
         s = np.atleast_1d(s).astype(float)
         out = np.ones_like(s)
-        if self._lambda_p == 0 or self._n <= 0:
+        if self._empty:
             return float(out[0]) if scalar else out
         pos = s > 0
         if np.any(pos):
@@ -525,41 +454,30 @@ class _InterLaplace:
 
 
 @lru_cache(maxsize=8)
-def _inter_cache(params: SystemParams, include_nlos: bool,
-                 convention: str) -> _InterLaplace:
-    if convention == "n_plus_one":
-        n_factor = params.n_bs
-    elif convention == "n_minus_one":
-        n_factor = params.n_bs - 1
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-
-    def expfun(s, v, x):
-        return _cluster_exponent(s, v, x, params, include_nlos)
-
-    tail = params.r_los_ball_m + 8.0 * params.sigma_bs_m
-    return _InterLaplace(expfun, params.lambda_p, n_factor, tail)
+def _inter_cache(law: ClusterLaw, include_nlos: bool) -> _InterLaplace:
+    return _InterLaplace(law, include_nlos)
 
 
 def laplace_I2_inter(s, params: SystemParams, include_nlos: bool = True,
-                     convention: str = "n_plus_one"):
-    """Laplace transform of the inter-cluster mmWave interference (PGFL
-    over hotspot centers of the per-cluster transform)."""
+                     scenario: ScenarioKind = INTEGRATED):
+    """Laplace transform of the inter-cluster small-cell interference
+    (PGFL over hotspot centers of the per-cluster transform)."""
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise ValueError("s must be nonnegative")
-    return _inter_cache(params, include_nlos, convention)(s)
+    return _inter_cache(_cells(params, scenario), include_nlos)(s)
 
 
 # ---------------------------------------------------------------------------
 # conditional coverage
 # ---------------------------------------------------------------------------
 
-def _kahan_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Compensated summation along one axis (alternating Alzer terms)."""
-    total = np.zeros(np.delete(np.array(terms.shape), axis))
-    comp = np.zeros_like(total)
-    for t in np.moveaxis(terms, axis, 0):
+def _kahan_sum(terms: np.ndarray) -> np.ndarray:
+    """Compensated summation over the first axis (alternating Alzer
+    terms)."""
+    total = terms[0]
+    comp = 0.0
+    for t in terms[1:]:
         y = t - comp
         acc = total + y
         comp = (acc - total) - y
@@ -576,62 +494,70 @@ def _alzer_terms(n_l: int) -> tuple[np.ndarray, np.ndarray, float]:
     return n, coeff, chi
 
 
-def _cov1_unnorm(tau: float, v0: float, params: SystemParams,
-                 spec: QuadSpec = DEFAULT_SPEC) -> float:
-    """A1c(v0) * C1(tau; v0): Sub-6GHz-served coverage mass."""
-    if params.lambda1 == 0:
-        return 0.0
-    b1 = params.p1_w * params.g1 * params.c1
-    lam = params.lambda1
-    n = params.n_bs
-    sigma2 = params.noise1_w
+def _coverage_integrand(k: int, tau: float, v0: float, params: SystemParams,
+                        scenario: ScenarioKind, include_nlos: bool):
+    """Integrand over the serving distance x of A_k(v0) * C_k(tau; v0):
+    the serving density times the fading tail (Alzer's bound, exact for
+    Rayleigh) averaged over the interference fields tier k hears."""
+    macro, cells = link_budgets(params, scenario)
+    serving, other = ((macro, cells), (cells, macro))[k - 1]
+    law = cells.cluster
+    nvec, coeff, chi = _alzer_terms(serving.order)
+    # a tier hears the other tier's BSs only when the two share a band
+    hears_macro = k == 1 or serving.shared_band
+    hears_cells = k == 2 or serving.shared_band
+    inter = _inter_cache(law, include_nlos) if hears_cells else None
+    density = _serving_density(k, v0, params, scenario)
+    two_pi_lam = 2.0 * math.pi * params.lambda1
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        s = x ** params.alpha1 * tau / b1
-        bar = 1.0 - F_sl(_delta12(x, params), v0, params)
-        f_r1 = 2.0 * math.pi * lam * x * np.exp(-math.pi * lam * np.square(x))
-        lap = np.exp(-2.0 * math.pi * lam
-                     * _ppp_tail_integral(s, b1, params.alpha1, x))
-        return f_r1 * bar ** n * np.exp(-s * sigma2) * lap
+        # the Alzer terms stacked along one flat axis: s, xs are (N * nx,)
+        s = (x ** serving.alpha * tau * chi * nvec[:, None]
+             / serving.budget).ravel()
+        xs = x if len(nvec) == 1 else np.tile(x, len(nvec))
+        lap = np.exp(-s * serving.noise_w)
+        if hears_macro:
+            x1 = xs if k == 1 else boundary_map(serving, other, xs)
+            lap = lap * np.exp(-two_pi_lam * _ppp_tail_integral(
+                s, macro.budget, macro.alpha, x1))
+        if hears_cells:
+            x2 = xs if k == 2 else boundary_map(serving, other, xs)
+            lap = lap * (np.exp(-(law.members - 1) * _cluster_exponent(
+                s, v0, x2, law, include_nlos)) * inter(s))
+        return density(x) * _kahan_sum(
+            coeff[:, None] * lap.reshape(len(nvec), -1))
 
-    res = integrate_adaptive(f, 0.0, _r1_upper(params), spec)
-    return max(res.value, 0.0)
+    return f
+
+
+def _cov1_unnorm(tau: float, v0: float, params: SystemParams,
+                 spec: QuadSpec = DEFAULT_SPEC,
+                 scenario: ScenarioKind = INTEGRATED) -> float:
+    """A1c(v0) * C1(tau; v0): Sub-6GHz-served coverage mass."""
+    f = _coverage_integrand(1, tau, v0, params, scenario, True)
+    reach = _serving_reach(1, v0, params, scenario)
+    return max(integrate_adaptive(f, 0.0, reach, spec).value, 0.0)
 
 
 def _cov2_unnorm(tau: float, v0: float, params: SystemParams,
                  include_nlos: bool = True,
-                 convention: str = "n_plus_one",
-                 spec: QuadSpec = DEFAULT_SPEC) -> float:
-    """A2c(v0) * C2(tau; v0): mmWave-served coverage mass (Alzer
+                 spec: QuadSpec = DEFAULT_SPEC,
+                 scenario: ScenarioKind = INTEGRATED) -> float:
+    """A2c(v0) * C2(tau; v0): small-cell-served coverage mass (Alzer
     approximation of the Nakagami tail)."""
-    if params.lambda_p == 0 or params.n_bs == 0 or params.p_los == 0:
-        return 0.0
-    b2 = params.p2_w * params.g_main * params.c_los
-    lam = params.lambda1
-    n = params.n_bs
-    sigma2 = params.noise2_w
-    nvec, coeff, chi = _alzer_terms(params.n_nakagami_los)
-    inter = _inter_cache(params, include_nlos, convention)
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        bar = 1.0 - F_sl(x, v0, params)
-        w2 = (n * bar ** (n - 1) * f_sl(x, v0, params)
-              * np.exp(-math.pi * lam * np.square(_delta21(x, params))))
-        s = (x[None, :] ** params.alpha_los * tau
-             * chi * nvec[:, None] / b2)                     # (N_L, nx)
-        intra = np.exp(-(n - 1) * _cluster_exponent(
-            s, v0, x[None, :], params, include_nlos))
-        lap = intra * inter(s.ravel()).reshape(s.shape)
-        terms = coeff[:, None] * np.exp(-s * sigma2) * lap
-        return w2 * _kahan_sum(terms, axis=0)
-
-    # at high thresholds the integrand concentrates on the noise-decay
-    # scale; seed the adaptive rule with matching breakpoints
-    x_noise = (b2 / (tau * chi * sigma2)) ** (1.0 / params.alpha_los)
-    rb = params.r_los_ball_m
-    cuts = sorted({0.0, min(4.0 * x_noise, rb), min(32.0 * x_noise, rb), rb})
+    cells = link_budgets(params, scenario)[1]
+    f = _coverage_integrand(2, tau, v0, params, scenario, include_nlos)
+    reach = _serving_reach(2, v0, params, scenario)
+    cuts = [0.0, reach]
+    if cells.cluster.los_ball is not None:
+        # at high thresholds the integrand concentrates on the noise-decay
+        # scale; seed the adaptive rule with matching breakpoints
+        chi = _alzer_terms(cells.order)[2]
+        x_noise = (cells.budget / (tau * chi * cells.noise_w)) \
+            ** (1.0 / cells.alpha)
+        cuts = sorted({0.0, min(4.0 * x_noise, reach),
+                       min(32.0 * x_noise, reach), reach})
     value = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         value += integrate_adaptive(f, lo, hi, spec).value
@@ -651,7 +577,6 @@ def coverage_cond_sub6(tau: float, v0: float, params: SystemParams,
 
 def coverage_cond_mm(tau: float, v0: float, params: SystemParams,
                      include_nlos: bool = True,
-                     convention: str = "n_plus_one",
                      spec: QuadSpec = DEFAULT_SPEC) -> float:
     """SINR coverage given mmWave service and offset v0."""
     if tau <= 0:
@@ -659,13 +584,24 @@ def coverage_cond_mm(tau: float, v0: float, params: SystemParams,
     a = conditional_assoc_prob(2, v0, params, spec)
     if a <= 0:
         raise ValueError("mmWave association probability is zero")
-    return min(_cov2_unnorm(tau, v0, params, include_nlos, convention,
-                            spec) / a, 1.0)
+    return min(_cov2_unnorm(tau, v0, params, include_nlos, spec) / a, 1.0)
+
+
+def _coverage(tau: float, params: SystemParams, scenario: ScenarioKind,
+              include_nlos: bool, spec: QuadSpec):
+    """Coverage of a deployment: both tiers' coverage masses averaged
+    over the Rayleigh-distributed UE-to-center distance."""
+    if tau <= 0:
+        raise ValueError("tau must be positive (linear)")
+    inner = spec.tighter()
+    return _offset_average(
+        lambda v: (_cov1_unnorm(tau, v, params, inner, scenario)
+                   + _cov2_unnorm(tau, v, params, include_nlos, inner,
+                                  scenario)), params, spec)
 
 
 def coverage(tau: float, params: SystemParams,
              include_nlos: bool = True,
-             convention: str = "n_plus_one",
              spec: QuadSpec = OUTER_SPEC,
              with_report: bool = False):
     """Overall SINR coverage probability at linear threshold tau.
@@ -674,20 +610,7 @@ def coverage(tau: float, params: SystemParams,
     whenever its cluster has no LoS member, so the result saturates below
     one even for tau -> 0.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive (linear)")
-    inner = QuadSpec(rel_tol=spec.rel_tol * 0.1, abs_tol=spec.abs_tol * 0.1)
-
-    def f(v0):
-        v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-        vals = np.empty_like(v0)
-        for i, v in enumerate(v0):
-            vals[i] = (_cov1_unnorm(tau, float(v), params, inner)
-                       + _cov2_unnorm(tau, float(v), params, include_nlos,
-                                      convention, inner))
-        return rayleigh_pdf(v0, params.sigma_ue_m) * vals
-
-    res = integrate_adaptive(f, 0.0, 8.5 * params.sigma_ue_m, spec)
+    res = _coverage(tau, params, INTEGRATED, include_nlos, spec)
     value = min(max(res.value, 0.0), 1.0)
     if with_report:
         return AnalyticReport(value, res.est_error, res.evaluations)
@@ -695,129 +618,16 @@ def coverage(tau: float, params: SystemParams,
 
 
 def coverage_no_nlos(tau: float, params: SystemParams,
-                     convention: str = "n_plus_one",
                      spec: QuadSpec = OUTER_SPEC) -> float:
     """Coverage with mmWave NLoS interference neglected (upper bound)."""
-    return coverage(tau, params, include_nlos=False, convention=convention,
-                    spec=spec)
-
-
-# ---------------------------------------------------------------------------
-# two-tier Sub-6GHz baseline (deployment (d))
-# ---------------------------------------------------------------------------
-
-def _d_weights(params: SystemParams) -> tuple[float, float]:
-    """Association weights of the baseline where small cells move to the
-    Sub-6GHz band (omni antennas, Rayleigh fading, macro path loss law)."""
-    w1 = params.bias1 * params.p1_w * params.g1 * params.c1
-    w2 = params.bias2 * params.p2_w * params.g1 * params.c1
-    return w1, w2
-
-
-def _d_cluster_exponent(s, v0, x, params: SystemParams):
-    """Per-member exponent of a Sub-6GHz small-cell cluster: full radial
-    member density (no blockage thinning), Rayleigh kernel."""
-    s = np.asarray(s, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    x = np.asarray(x, dtype=float)
-    s, v0, x = np.broadcast_arrays(s, v0, x)
-    shape = s.shape
-    s = s[..., None]
-    v0 = v0[..., None]
-    x = x[..., None]
-    sig = params.sigma_bs_m
-    b2 = params.p2_w * params.g1 * params.c1
-    u, w = _GL_NODES, _GL_WEIGHTS
-    lo = np.maximum(x, np.maximum(v0 - 8.0 * sig, 0.0))
-    hi = np.maximum(lo, v0 + 8.0 * sig)
-    half = 0.5 * (hi - lo)
-    r = lo + half * (u + 1.0)
-    dens = _rice_pdf_b(r, v0, sig)
-    rr = np.maximum(r, 1e-9)
-    ker = 1.0 - 1.0 / (1.0 + s * b2 * rr ** (-params.alpha1))
-    return (half * np.sum(w * dens * ker, axis=-1, keepdims=True))[..., 0]
-
-
-@lru_cache(maxsize=8)
-def _inter_cache_d(params: SystemParams, convention: str) -> _InterLaplace:
-    n_factor = params.n_bs if convention == "n_plus_one" else params.n_bs - 1
-
-    def expfun(s, v, x):
-        return _d_cluster_exponent(s, v, x, params)
-
-    return _InterLaplace(expfun, params.lambda_p, n_factor,
-                         8.0 * params.sigma_bs_m + 1.0)
+    return coverage(tau, params, include_nlos=False, spec=spec)
 
 
 def coverage_two_tier_sub6(tau: float, params: SystemParams,
-                           convention: str = "n_plus_one",
                            spec: QuadSpec = OUTER_SPEC) -> float:
     """Coverage of the baseline two-tier network with both tiers on the
     Sub-6GHz band (cross-tier interference, Rayleigh fading)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive (linear)")
-    w1, w2 = _d_weights(params)
-    alpha = params.alpha1
-    b1 = params.p1_w * params.g1 * params.c1
-    b2 = params.p2_w * params.g1 * params.c1
-    lam = params.lambda1
-    lam_p = params.lambda_p
-    n = params.n_bs
-    sig_ue = params.sigma_ue_m
-    sig_bs = params.sigma_bs_m
-    sigma2 = params.noise1_w
-    ratio12 = (w2 / w1) ** (1.0 / alpha)
-    ratio21 = (w1 / w2) ** (1.0 / alpha)
-    inter = _inter_cache_d(params, convention)
-    inner = QuadSpec(rel_tol=spec.rel_tol * 0.1, abs_tol=spec.abs_tol * 0.1)
-
-    def rice_cdf(r, v0):
-        return _rice_cdf(r, v0, sig_bs)
-
-    def cov1(v0: float) -> float:
-        if lam == 0:
-            return 0.0
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            s = x ** alpha * tau / b1
-            bar = 1.0 - rice_cdf(ratio12 * x, v0)
-            f_r1 = (2.0 * math.pi * lam * x
-                    * np.exp(-math.pi * lam * np.square(x)))
-            lap1 = np.exp(-2.0 * math.pi * lam
-                          * _ppp_tail_integral(s, b1, alpha, x))
-            intra = np.exp(-(n - 1) * _d_cluster_exponent(
-                s, v0, ratio12 * x, params))
-            return (f_r1 * bar ** n * np.exp(-s * sigma2) * lap1 * intra
-                    * inter(s))
-
-        return integrate_adaptive(f, 0.0, _r1_upper(params), inner).value
-
-    def cov2(v0: float) -> float:
-        if lam_p == 0 or n == 0:
-            return 0.0
-
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            s = x ** alpha * tau / b2
-            bar = 1.0 - rice_cdf(x, v0)
-            dens = rician_distance_density(x, v0, sig_bs)
-            w2x = (n * bar ** (n - 1) * dens
-                   * np.exp(-math.pi * lam * np.square(ratio21 * x)))
-            lap1 = np.exp(-2.0 * math.pi * lam
-                          * _ppp_tail_integral(s, b1, alpha, ratio21 * x))
-            intra = np.exp(-(n - 1) * _d_cluster_exponent(s, v0, x, params))
-            return w2x * np.exp(-s * sigma2) * lap1 * intra * inter(s)
-
-        hi = v0 + 9.0 * sig_bs
-        return integrate_adaptive(f, 0.0, hi, inner).value
-
-    def f_outer(v0):
-        v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-        vals = np.array([cov1(float(v)) + cov2(float(v)) for v in v0])
-        return rayleigh_pdf(v0, sig_ue) * vals
-
-    res = integrate_adaptive(f_outer, 0.0, 8.5 * sig_ue, spec)
+    res = _coverage(tau, params, ScenarioKind.TWO_TIER_SUB6, True, spec)
     return min(max(res.value, 0.0), 1.0)
 
 
@@ -825,33 +635,8 @@ def assoc_prob_two_tier_sub6(k: int, v0: float,
                              params: SystemParams,
                              spec: QuadSpec = DEFAULT_SPEC) -> float:
     """Conditional association probability of the baseline deployment."""
-    w1, w2 = _d_weights(params)
-    alpha = params.alpha1
-    lam = params.lambda1
-    n = params.n_bs
-    sig_bs = params.sigma_bs_m
-    ratio12 = (w2 / w1) ** (1.0 / alpha)
-    ratio21 = (w1 / w2) ** (1.0 / alpha)
-    if k == 2:
-        if params.lambda_p == 0 or n == 0:
-            return 0.0
-
-        def f(r):
-            bar = 1.0 - _rice_cdf(r, v0, sig_bs)
-            dens = rician_distance_density(r, v0, sig_bs)
-            return (n * bar ** (n - 1) * dens
-                    * np.exp(-math.pi * lam * np.square(ratio21 * r)))
-
-        return integrate_adaptive(f, 0.0, v0 + 9.0 * sig_bs, spec).value
-    if lam == 0:
-        return 0.0
-
-    def g(r):
-        bar = 1.0 - _rice_cdf(ratio12 * r, v0, sig_bs)
-        f_r1 = 2.0 * math.pi * lam * r * np.exp(-math.pi * lam * np.square(r))
-        return f_r1 * bar ** n
-
-    return integrate_adaptive(g, 0.0, _r1_upper(params), spec).value
+    return conditional_assoc_prob(k, v0, params, spec,
+                                  ScenarioKind.TWO_TIER_SUB6)
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +644,6 @@ def assoc_prob_two_tier_sub6(k: int, v0: float,
 # ---------------------------------------------------------------------------
 
 def avg_rate(params: SystemParams, include_nlos: bool = True,
-             convention: str = "n_plus_one",
              spec: QuadSpec = QuadSpec(rel_tol=1e-3, abs_tol=1e-6),
              tail_tol: float = 1e-5,
              with_report: bool = False):
@@ -869,7 +653,7 @@ def avg_rate(params: SystemParams, include_nlos: bool = True,
     A triple-nested quadrature; the default tolerance is deliberately
     looser than the coverage path (0.1% beats the Monte Carlo noise this
     is compared against by an order of magnitude)."""
-    inner = QuadSpec(rel_tol=spec.rel_tol, abs_tol=1e-10)
+    inner = replace(spec, abs_tol=1e-10)
     evaluations = 0
 
     def rho_integral(unnorm: Callable[[float], float], n_nodes: int) -> float:
@@ -897,7 +681,7 @@ def avg_rate(params: SystemParams, include_nlos: bool = True,
                 lambda t: _cov1_unnorm(t, float(v0), params, inner), n_rho)
             r2 = rho_integral(
                 lambda t: _cov2_unnorm(t, float(v0), params, include_nlos,
-                                       convention, inner), n_rho)
+                                       inner), n_rho)
             vals[i] = params.w1_hz * r1 + params.w2_hz * r2
         dens = rayleigh_pdf(v0s, params.sigma_ue_m)
         return float(0.5 * hi * np.sum(w * dens * vals))

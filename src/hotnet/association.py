@@ -1,8 +1,11 @@
-"""Strongest-bias association rule and the tier-boundary distance maps.
+"""Per-tier link budgets, the strongest-bias association rule and the
+tier-boundary distance maps.
 
 Candidates are the nearest Sub-6GHz BS anywhere and the nearest LoS mmWave
 BS of the typical UE's own cluster; other mmWave BSs act only as
 interferers.  The per-tier weight is ``B_k P_k G_k N_k ell_k(r)``.
+``link_budgets`` holds every tier constant of each deployment in one
+place; the analytic and Monte Carlo engines both read it.
 """
 
 from __future__ import annotations
@@ -10,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
 from .channel import MIN_LINK_DISTANCE_M
 from .geometry import NetworkRealization
-from .params import SystemParams
+from .params import ScenarioKind, SystemParams
 
 
 class Tier(IntEnum):
@@ -30,17 +34,112 @@ class AssociationOutcome:
     serving_index: tuple  # ("sub6", i) or ("mm", cluster_idx, member_idx)
 
 
+@dataclass(frozen=True)
+class KernelSegment:
+    """Cluster members of one propagation class inside the distance band
+    ``[r_min, r_max)``, and the interference kernel
+    ``1 - E_G[(1 + s P G C r^-alpha / N)^-N]`` they contribute over the
+    gain levels ``gains`` drawn with ``gain_probs``.
+
+    With ``past_serving`` the band starts at the exclusion radius (no
+    member of this class is nearer than the serving candidate); an
+    unbounded band is cut to ``v0 +- 8 sigma``, where the density lives.
+    """
+
+    share: float                    # fraction of the member density
+    r_min: float
+    r_max: float
+    past_serving: bool
+    nlos: bool                      # dropped when NLoS is neglected
+    intercept: float
+    alpha: float
+    order: int
+    gains: tuple[float, ...]
+    gain_probs: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class ClusterLaw:
+    """The clustered tier's members: hotspot density, member count and
+    spread, the candidates (LoS with probability ``los_prob`` inside
+    ``los_ball``, or every member when ``los_ball`` is None), and the
+    interference kernel of a member."""
+
+    density: float                  # hotspot centers per m^2
+    members: int
+    spread: float
+    los_prob: float
+    los_ball: float | None
+    power: float                    # transmit power of a member
+    segments: tuple[KernelSegment, ...]
+    pgfl_scale: float               # decay length of the PGFL integrand
+
+
+@dataclass(frozen=True)
+class LinkBudget:
+    """One tier of one deployment: association weight, serving budget
+    ``b = P G C``, path-loss exponent, Nakagami order, noise and bandwidth
+    of the serving link.  ``cluster`` is None for the macro PPP tier.
+    Only tiers that share a band interfere with each other."""
+
+    weight: float
+    budget: float
+    alpha: float
+    order: int
+    noise_w: float
+    bandwidth_hz: float
+    shared_band: bool
+    cluster: ClusterLaw | None = None
+
+
+@lru_cache(maxsize=64)
+def link_budgets(params: SystemParams,
+                 scenario: ScenarioKind = ScenarioKind.INTEGRATED
+                 ) -> tuple[LinkBudget, LinkBudget]:
+    """The (macro, small-cell) records of a deployment, indexed by
+    ``tier - 1``.
+
+    Deployments (a)-(c) put the small cells on the mmWave band: LoS-thinned
+    candidates, sectored beams and LoS/NLoS Nakagami links.  In (d) they
+    share the Sub-6GHz band: omni antennas, Rayleigh fading and the macro
+    path-loss law, and every member is a candidate.
+    """
+    p = params
+    shared = scenario is ScenarioKind.TWO_TIER_SUB6
+    macro = LinkBudget(p.bias1 * p.p1_w * p.g1 * p.c1, p.p1_w * p.g1 * p.c1,
+                       p.alpha1, 1, p.noise1_w, p.w1_hz, shared)
+    if shared:
+        segments = (KernelSegment(1.0, 0.0, math.inf, True, False, p.c1,
+                                  p.alpha1, 1, (p.g1,), (1.0,)),)
+        law = ClusterLaw(p.lambda_p, p.n_bs, p.sigma_bs_m, 1.0, None,
+                         p.p2_w, segments, 8.0 * p.sigma_bs_m + 1.0)
+        return macro, LinkBudget(p.bias2 * p.p2_w * p.g1 * p.c1,
+                                 p.p2_w * p.g1 * p.c1, p.alpha1, 1,
+                                 p.noise1_w, p.w1_hz, shared, law)
+    rb = p.r_los_ball_m
+    beams = ((p.g_main, p.g_side), (p.p_main, 1.0 - p.p_main))
+    los = (p.c_los, p.alpha_los, p.n_nakagami_los, *beams)
+    nlos = (p.c_nlos, p.alpha_nlos, p.n_nakagami_nlos, *beams)
+    segments = (KernelSegment(p.p_los, 0.0, rb, True, False, *los),
+                KernelSegment(1.0 - p.p_los, 0.0, rb, False, True, *nlos),
+                KernelSegment(1.0, rb, math.inf, False, True, *nlos))
+    law = ClusterLaw(p.lambda_p, p.n_bs, p.sigma_bs_m, p.p_los, rb, p.p2_w,
+                     segments, rb + 8.0 * p.sigma_bs_m)
+    # the association weight carries the LoS Nakagami order
+    weight = p.bias2 * p.p2_w * p.g_main * p.n_nakagami_los * p.c_los
+    return macro, LinkBudget(weight, p.p2_w * p.g_main * p.c_los,
+                             p.alpha_los, p.n_nakagami_los, p.noise2_w,
+                             p.w2_hz, shared, law)
+
+
 def tier_weight(tier: Tier, params: SystemParams) -> float:
     """Distance-independent part of the association metric, intercept
     included."""
-    if tier is Tier.SUB6:
-        return (params.bias1 * params.p1_w * params.g1 * 1.0 * params.c1)
-    return (params.bias2 * params.p2_w * params.g_main
-            * params.n_nakagami_los * params.c_los)
+    return link_budgets(params)[tier - 1].weight
 
 
 def tier_exponent(tier: Tier, params: SystemParams) -> float:
-    return params.alpha1 if tier is Tier.SUB6 else params.alpha_los
+    return link_budgets(params)[tier - 1].alpha
 
 
 def biased_metric(tier: Tier, r, params: SystemParams):
@@ -48,6 +147,12 @@ def biased_metric(tier: Tier, r, params: SystemParams):
     r = np.maximum(np.asarray(r, dtype=float), MIN_LINK_DISTANCE_M)
     out = tier_weight(tier, params) * r ** (-tier_exponent(tier, params))
     return out if out.ndim else float(out)
+
+
+def boundary_map(src: LinkBudget, dst: LinkBudget, r):
+    """Unchecked kernel of ``delta`` on the two tiers' records."""
+    return ((dst.weight / src.weight) ** (1.0 / dst.alpha)
+            * r ** (src.alpha / dst.alpha))
 
 
 def delta(from_tier: Tier, to_tier: Tier, r, params: SystemParams):
@@ -61,11 +166,8 @@ def delta(from_tier: Tier, to_tier: Tier, r, params: SystemParams):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("r must be nonnegative")
-    w_from = tier_weight(from_tier, params)
-    w_to = tier_weight(to_tier, params)
-    a_from = tier_exponent(from_tier, params)
-    a_to = tier_exponent(to_tier, params)
-    out = (w_to / w_from) ** (1.0 / a_to) * r ** (a_from / a_to)
+    budgets = link_budgets(params)
+    out = boundary_map(budgets[from_tier - 1], budgets[to_tier - 1], r)
     return out if out.ndim else float(out)
 
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .association import Tier, associate, biased_metric, tier_weight
+from .association import LinkBudget, Tier, link_budgets
 from .geometry import (NetworkRealization, sample_ppp, sample_thomas_cluster,
                        sample_typical_offset)
 from .params import ScenarioKind, SystemParams
@@ -90,21 +90,23 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
-def _sub6_interference(dists: np.ndarray, params: SystemParams,
-                       rng: np.random.Generator) -> float:
-    """Rayleigh-faded Sub-6GHz aggregate from BSs at the given distances."""
+def _rayleigh_interference(dists: np.ndarray, tier: LinkBudget,
+                           rng: np.random.Generator) -> float:
+    """Rayleigh-faded Sub-6GHz aggregate from BSs of the given tier at the
+    given distances."""
     if len(dists) == 0:
         return 0.0
-    b1 = params.p1_w * params.g1 * params.c1
     d = np.maximum(dists, 1.0)
-    return float(np.sum(b1 * d ** (-params.alpha1) * rng.exponential(size=len(d))))
+    return float(np.sum(tier.budget * d ** (-tier.alpha)
+                        * rng.exponential(size=len(d))))
 
 
 def _sub6_tail_mean(params: SystemParams, radius: float) -> float:
     """Expected Sub-6GHz interference from beyond the truncation disk."""
-    b1 = params.p1_w * params.g1 * params.c1
-    a = params.alpha1
-    return 2.0 * math.pi * params.lambda1 * b1 * radius ** (2.0 - a) / (a - 2.0)
+    macro = link_budgets(params)[0]
+    a = macro.alpha
+    return (2.0 * math.pi * params.lambda1 * macro.budget
+            * radius ** (2.0 - a) / (a - 2.0))
 
 
 def _mm_interference(dists: np.ndarray, los: np.ndarray,
@@ -126,8 +128,6 @@ def _mm_interference(dists: np.ndarray, los: np.ndarray,
 def _mm_tail_mean(params: SystemParams, radius: float) -> float:
     """Expected mmWave interference beyond the truncation disk (all NLoS
     out there; clusters enter with their mean member count)."""
-    if params.alpha_nlos <= 2.0:
-        return 0.0
     b = params.p2_w * params.mean_interferer_gain * params.c_nlos
     a = params.alpha_nlos
     return (2.0 * math.pi * params.lambda_p * params.n_bs * b
@@ -146,23 +146,21 @@ def sinr_of_realization(realization: NetworkRealization,
     the network beyond the realization window.
     """
     x = outcome.serving_distance
+    macro, cells = link_budgets(params)
     if outcome.tier == Tier.SUB6:
-        b1 = params.p1_w * params.g1 * params.c1
         h = rng.gamma(1, 1.0) if serving_fading is None else serving_fading
-        sig = b1 * max(x, 1.0) ** (-params.alpha1) * h
+        sig = macro.budget * max(x, 1.0) ** (-macro.alpha) * h
         d = np.linalg.norm(realization.sub6_points, axis=1)
         d = np.delete(d, outcome.serving_index[1])
-        interference = _sub6_interference(d, params, rng)
+        interference = _rayleigh_interference(d, macro, rng)
         if far_field_tail:
             interference += _sub6_tail_mean(params, realization.window_radius)
-        noise = params.noise1_w
-        bw = params.w1_hz
+        serving = macro
     else:
-        n_l = params.n_nakagami_los
+        n_l = cells.order
         h = (rng.gamma(n_l, 1.0 / n_l) if serving_fading is None
              else serving_fading)
-        b2 = params.p2_w * params.g_main * params.c_los
-        sig = b2 * max(x, 1.0) ** (-params.alpha_los) * h
+        sig = cells.budget * max(x, 1.0) ** (-cells.alpha) * h
         _, ci, mi = outcome.serving_index
         dd, ll = [], []
         for k, cl in enumerate(realization.clusters):
@@ -179,19 +177,31 @@ def sinr_of_realization(realization: NetworkRealization,
         interference = _mm_interference(d, l, params, rng)
         if far_field_tail:
             interference += _mm_tail_mean(params, realization.window_radius)
-        noise = params.noise2_w
-        bw = params.w2_hz
-    snr = sig / noise
-    sinr = sig / (noise + interference)
-    return TrialResult(int(outcome.tier), float(x),
-                       float(realization.typical_offset_v0),
-                       float(sinr), float(snr),
-                       float(bw * math.log2(1.0 + sinr)))
+        serving = cells
+    return _trial_result(int(outcome.tier), serving, x,
+                         realization.typical_offset_v0, sig, interference)
+
+
+def _trial_result(tier: int, serving: LinkBudget, x: float, v0: float,
+                  sig: float, interference: float) -> TrialResult:
+    """SINR/SNR/rate of a served trial over the serving tier's link."""
+    snr = sig / serving.noise_w
+    sinr = sig / (serving.noise_w + interference)
+    return TrialResult(tier, float(x), float(v0), float(sinr), float(snr),
+                       float(serving.bandwidth_hz * math.log2(1.0 + sinr)))
 
 
 # ---------------------------------------------------------------------------
 # trial engine
 # ---------------------------------------------------------------------------
+
+def _metric(tier: LinkBudget, r: float) -> float:
+    """Biased average received power of a candidate at distance ``r``;
+    -1 when the tier offers no candidate (``r`` infinite)."""
+    if r == math.inf:
+        return -1.0
+    return tier.weight * max(r, 1.0) ** (-tier.alpha)
+
 
 def _sample_interfering_members(params: SystemParams, radius: float,
                                 rng: np.random.Generator):
@@ -210,8 +220,10 @@ def _sample_interfering_members(params: SystemParams, radius: float,
 
 
 def _run_trial_integrated(params: SystemParams, scenario: ScenarioKind,
+                          budgets: tuple[LinkBudget, LinkBudget],
                           rng: np.random.Generator) -> TrialResult:
     """One trial of deployments (a), (b) or (c)."""
+    macro, cells = budgets
     radius = min(params.window_radius_m, params.truncation_radius_m)
     with_sub6 = scenario is not ScenarioKind.MMWAVE_ONLY
     with_mm = scenario is not ScenarioKind.SUB6_ONLY
@@ -239,16 +251,15 @@ def _run_trial_integrated(params: SystemParams, scenario: ScenarioKind,
         if los0.any():
             r2 = float(d0[los0].min())
 
-    m1 = biased_metric(Tier.SUB6, r1, params) if r1 < math.inf else -1.0
-    m2 = biased_metric(Tier.MMWAVE, r2, params) if r2 < math.inf else -1.0
+    m1 = _metric(macro, r1)
+    m2 = _metric(cells, r2)
     if m1 < 0 and m2 < 0:
         return TrialResult(TIER_NONE, math.nan, v0, 0.0, 0.0, 0.0)
 
     if m2 > m1:
         # mmWave-served: intra (own cluster minus serving) + inter clusters
-        n_l = params.n_nakagami_los
-        b2 = params.p2_w * params.g_main * params.c_los
-        sig = (b2 * max(r2, 1.0) ** (-params.alpha_los)
+        n_l = cells.order
+        sig = (cells.budget * max(r2, 1.0) ** (-cells.alpha)
                * rng.gamma(n_l, 1.0 / n_l))
         keep = np.ones(params.n_bs, dtype=bool)
         keep[int(np.argmin(np.where(los0, d0, np.inf)))] = False
@@ -258,34 +269,23 @@ def _run_trial_integrated(params: SystemParams, scenario: ScenarioKind,
                      & (d_inter < params.r_los_ball_m))
         interference += _mm_interference(d_inter, los_inter, params, rng)
         interference += _mm_tail_mean(params, radius)
-        noise = params.noise2_w
-        snr = sig / noise
-        sinr = sig / (noise + interference)
-        return TrialResult(int(Tier.MMWAVE), r2, v0, sinr, snr,
-                           params.w2_hz * math.log2(1.0 + sinr))
+        return _trial_result(int(Tier.MMWAVE), cells, r2, v0, sig,
+                             interference)
 
-    b1 = params.p1_w * params.g1 * params.c1
-    sig = b1 * max(r1, 1.0) ** (-params.alpha1) * rng.exponential()
+    sig = macro.budget * max(r1, 1.0) ** (-macro.alpha) * rng.exponential()
     others = np.delete(d_sub6, int(np.argmin(d_sub6)))
-    interference = (_sub6_interference(others, params, rng)
+    interference = (_rayleigh_interference(others, macro, rng)
                     + _sub6_tail_mean(params, radius))
-    noise = params.noise1_w
-    snr = sig / noise
-    sinr = sig / (noise + interference)
-    return TrialResult(int(Tier.SUB6), r1, v0, sinr, snr,
-                       params.w1_hz * math.log2(1.0 + sinr))
+    return _trial_result(int(Tier.SUB6), macro, r1, v0, sig, interference)
 
 
 def _run_trial_two_tier(params: SystemParams,
+                        budgets: tuple[LinkBudget, LinkBudget],
                         rng: np.random.Generator) -> TrialResult:
     """One trial of deployment (d): clustered small cells share the
     Sub-6GHz band (omni antennas, Rayleigh fading, macro path loss law)."""
     radius = min(params.window_radius_m, params.truncation_radius_m)
-    alpha = params.alpha1
-    b1 = params.p1_w * params.g1 * params.c1
-    b2 = params.p2_w * params.g1 * params.c1
-    w1 = params.bias1 * b1
-    w2 = params.bias2 * b2
+    macro, cells = budgets
 
     v0 = sample_typical_offset(params.sigma_ue_m, rng)
     psi = rng.uniform(0.0, 2.0 * math.pi)
@@ -300,37 +300,32 @@ def _run_trial_two_tier(params: SystemParams,
 
     d_inter = _sample_interfering_members(params, radius, rng)
 
-    m1 = w1 * max(r1, 1.0) ** (-alpha) if r1 < math.inf else -1.0
-    m2 = w2 * max(r2, 1.0) ** (-alpha) if r2 < math.inf else -1.0
+    m1 = _metric(macro, r1)
+    m2 = _metric(cells, r2)
     if m1 < 0 and m2 < 0:
         return TrialResult(TIER_NONE, math.nan, v0, 0.0, 0.0, 0.0)
 
     if m2 > m1:
-        tier, x, b_serve = int(Tier.MMWAVE), r2, b2
+        tier, x, serving = int(Tier.MMWAVE), r2, cells
         scells = np.concatenate((np.delete(d0, int(np.argmin(d0))), d_inter))
         macros = d_sub6
     else:
-        tier, x, b_serve = int(Tier.SUB6), r1, b1
+        tier, x, serving = int(Tier.SUB6), r1, macro
         scells = np.concatenate((d0, d_inter))
         macros = np.delete(d_sub6, int(np.argmin(d_sub6)))
 
-    sig = b_serve * max(x, 1.0) ** (-alpha) * rng.exponential()
-    interference = _sub6_interference(macros, params, rng)
-    if len(scells):
-        d = np.maximum(scells, 1.0)
-        interference += float(np.sum(
-            b2 * d ** (-alpha) * rng.exponential(size=len(d))))
+    sig = serving.budget * max(x, 1.0) ** (-serving.alpha) * rng.exponential()
+    interference = _rayleigh_interference(macros, macro, rng)
+    interference += _rayleigh_interference(scells, cells, rng)
     interference += _sub6_tail_mean(params, radius)
-    interference += (2.0 * math.pi * params.lambda_p * params.n_bs * b2
-                     * radius ** (2.0 - alpha) / (alpha - 2.0))
-    noise = params.noise1_w
-    snr = sig / noise
-    sinr = sig / (noise + interference)
-    return TrialResult(tier, x, v0, sinr, snr,
-                       params.w1_hz * math.log2(1.0 + sinr))
+    a = cells.alpha
+    interference += (2.0 * math.pi * params.lambda_p * params.n_bs
+                     * cells.budget * radius ** (2.0 - a) / (a - 2.0))
+    return _trial_result(tier, serving, x, v0, sig, interference)
 
 
 def _run_assoc_only(params: SystemParams, scenario: ScenarioKind,
+                    budgets: tuple[LinkBudget, LinkBudget],
                     n_trials: int, seed: int) -> TrialTable:
     """Vectorized fast path when only tier/serving-distance statistics are
     needed: no interference, no fading (sinr/snr/rate reported as NaN)."""
@@ -344,29 +339,24 @@ def _run_assoc_only(params: SystemParams, scenario: ScenarioKind,
     else:
         r1 = np.full(n_trials, np.inf)
 
-    two_tier = scenario is ScenarioKind.TWO_TIER_SUB6
+    macro, cells = budgets
+    law = cells.cluster
     r2 = np.full(n_trials, np.inf)
     if scenario is not ScenarioKind.SUB6_ONLY and params.n_bs > 0:
         off = rng.normal(0.0, params.sigma_bs_m, (n_trials, params.n_bs, 2))
         off[:, :, 0] += v0[:, None]
         d = np.linalg.norm(off, axis=2)
-        if not two_tier:
-            los = ((rng.random((n_trials, params.n_bs)) < params.p_los)
-                   & (d < params.r_los_ball_m))
+        if law.los_ball is not None:
+            los = ((rng.random((n_trials, params.n_bs)) < law.los_prob)
+                   & (d < law.los_ball))
             d = np.where(los, d, np.inf)
         r2 = d.min(axis=1)
 
-    if two_tier:
-        w1 = params.bias1 * params.p1_w * params.g1 * params.c1
-        w2 = params.bias2 * params.p2_w * params.g1 * params.c1
-        a1 = a2 = params.alpha1
-    else:
-        w1 = tier_weight(Tier.SUB6, params)
-        w2 = tier_weight(Tier.MMWAVE, params)
-        a1, a2 = params.alpha1, params.alpha_los
     with np.errstate(divide="ignore"):
-        m1 = np.where(np.isinf(r1), -1.0, w1 * np.maximum(r1, 1.0) ** (-a1))
-        m2 = np.where(np.isinf(r2), -1.0, w2 * np.maximum(r2, 1.0) ** (-a2))
+        m1 = np.where(np.isinf(r1), -1.0,
+                      macro.weight * np.maximum(r1, 1.0) ** (-macro.alpha))
+        m2 = np.where(np.isinf(r2), -1.0,
+                      cells.weight * np.maximum(r2, 1.0) ** (-cells.alpha))
 
     tier = np.where(m2 > m1, int(Tier.MMWAVE), int(Tier.SUB6))
     tier = np.where((m1 < 0) & (m2 < 0), TIER_NONE, tier)
@@ -382,8 +372,9 @@ def run_trials(params: SystemParams, scenario: ScenarioKind, n_trials: int,
     """Run ``n_trials`` independent trials of the given deployment."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    budgets = link_budgets(params, scenario)
     if assoc_only:
-        return _run_assoc_only(params, scenario, n_trials, seed)
+        return _run_assoc_only(params, scenario, budgets, n_trials, seed)
 
     tier = np.empty(n_trials, dtype=np.int8)
     dist = np.empty(n_trials)
@@ -394,9 +385,9 @@ def run_trials(params: SystemParams, scenario: ScenarioKind, n_trials: int,
     for i in range(n_trials):
         rng = _trial_rng(seed, i)
         if scenario is ScenarioKind.TWO_TIER_SUB6:
-            res = _run_trial_two_tier(params, rng)
+            res = _run_trial_two_tier(params, budgets, rng)
         else:
-            res = _run_trial_integrated(params, scenario, rng)
+            res = _run_trial_integrated(params, scenario, budgets, rng)
         tier[i] = res.tier
         dist[i] = res.serving_distance
         v0[i] = res.v0

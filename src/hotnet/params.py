@@ -93,8 +93,11 @@ class SystemParams:
             raise ValueError("n_bs must be nonnegative")
         if self.sigma_bs_m <= 0 or self.sigma_ue_m <= 0:
             raise ValueError("cluster spreads must be positive")
-        if self.alpha1 <= 2.0:
-            raise ValueError("alpha1 must exceed 2 for interference convergence")
+        if self.alpha1 <= 2.0 or self.alpha_nlos <= 2.0:
+            raise ValueError("alpha1 and alpha_nlos must exceed 2 for "
+                             "interference convergence")
+        if self.alpha_los <= 0.0:
+            raise ValueError("alpha_los must be positive")
         if self.n_nakagami_los < 1 or self.n_nakagami_nlos < 1:
             raise ValueError("Nakagami orders must be >= 1")
         if self.n_nakagami_los > 10:

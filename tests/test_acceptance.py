@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.special import i0
 
 from hotnet import analytic, montecarlo
+from hotnet.geometry import rice_pdf
 from hotnet.params import ScenarioKind, SystemParams
 from hotnet.quadrature import QuadSpec, find_root_monotone
 
@@ -193,7 +194,7 @@ def test_association_partition_of_unity(defaults):
 
 def test_density_normalizations(defaults):
     for v0 in (0.0, 120.0, 400.0):
-        val, _ = quad(analytic._rice_pdf_b, 0.0, v0 + 12 * defaults.sigma_bs_m,
+        val, _ = quad(rice_pdf, 0.0, v0 + 12 * defaults.sigma_bs_m,
                       args=(v0, defaults.sigma_bs_m), limit=300)
         assert abs(val - 1.0) < 1e-5
     for k, hi in ((1, analytic._r1_upper(defaults)),

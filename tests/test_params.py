@@ -63,6 +63,9 @@ def test_mean_interferer_gain_is_beam_average():
     dict(n_bs=-2),
     dict(sigma_bs_m=0.0),
     dict(alpha1=2.0),
+    dict(alpha_nlos=2.0),
+    dict(alpha_nlos=1.8),
+    dict(alpha_los=0.0),
     dict(n_nakagami_los=0),
     dict(n_nakagami_los=11),
     dict(theta_b_deg=0.0),
