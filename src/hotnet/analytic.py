@@ -34,13 +34,13 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import binom, hyp2f1, i0e
-from scipy.stats import ncx2
+from scipy.special import binom, chndtr, hyp2f1, i0e
 
 from .association import ClusterLaw, boundary_map, link_budgets
 from .geometry import rice_pdf
 from .params import ScenarioKind, SystemParams
-from .quadrature import QuadSpec, integrate_adaptive, integrate_semi_infinite
+from .quadrature import (QuadSpec, integrate_adaptive, integrate_batch,
+                         integrate_semi_infinite)
 
 DEFAULT_SPEC = QuadSpec(rel_tol=1e-6, abs_tol=1e-14)
 OUTER_SPEC = QuadSpec(rel_tol=1e-5, abs_tol=1e-9)
@@ -51,9 +51,28 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 @dataclass
 class AnalyticReport:
+    """A value with its provenance: the outer integral's error estimate,
+    the integrand evaluations of every integral behind the value (nested
+    ones included), and how many of those integrals reported
+    ``converged=False``."""
     value: float
     est_error: float
     evaluations: int
+    unconverged: int
+
+
+@dataclass
+class _Tally:
+    """Work and failures of the integrals behind one analytic value."""
+    evaluations: int = 0
+    unconverged: int = 0
+
+    def add(self, results) -> np.ndarray:
+        """Counts ``results`` in and returns their values."""
+        for res in results:
+            self.evaluations += res.evaluations
+            self.unconverged += not res.converged
+        return np.array([res.value for res in results])
 
 
 # ---------------------------------------------------------------------------
@@ -73,28 +92,34 @@ def j_factor(t):
     return out if out.ndim else float(out)
 
 
-def _rice_cdf(r, v0: float, sigma: float):
+def _rice_cdf(r, v0, sigma: float):
     """CDF of the member distance |c + g| with |c| = v0 and isotropic
     normal scatter of spread sigma (noncentral chi-square, 2 dof).
+    Broadcasts over r and v0.
 
-    For large v0/sigma the ncx2 implementation overflows internally, so
-    the CDF is then integrated from the exponentially scaled density."""
-    r = np.asarray(r, dtype=float)
-    a = v0 / sigma
-    if a <= 25.0:
+    For large v0/sigma the noncentral chi-square CDF overflows
+    internally, so there the CDF is integrated from the exponentially
+    scaled density."""
+    r, v0 = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                np.asarray(v0, dtype=float))
+    out = np.empty(r.shape)
+    ncx = v0 / sigma <= 25.0
+    if np.any(ncx):
+        rn, vn = r[ncx], v0[ncx]
         # everything beyond v0 + 9*sigma carries < 1e-16 of the mass;
-        # clipping there also keeps the ncx2 argument in its stable range
-        r_eff = np.minimum(r, v0 + 9.0 * sigma)
-        q = np.square(r_eff / sigma)
-        out = np.where(r >= v0 + 9.0 * sigma, 1.0, ncx2.cdf(q, 2, a * a))
-        return out if out.ndim else float(out)
-    lo = max(v0 - 9.0 * sigma, 0.0)
-    hi = np.maximum(r, lo)
-    half = 0.5 * (hi - lo)
-    nodes = lo + half[..., None] * (_GL_NODES + 1.0)
-    dens = rice_pdf(nodes, v0, sigma)
-    out = half * np.sum(_GL_WEIGHTS * dens, axis=-1)
-    out = np.clip(out, 0.0, 1.0)
+        # clipping there also keeps the chndtr argument in its stable range
+        cap = vn + 9.0 * sigma
+        q = np.square(np.minimum(rn, cap) / sigma)
+        out[ncx] = np.where(rn >= cap, 1.0,
+                            chndtr(q, 2.0, np.square(vn / sigma)))
+    if not np.all(ncx):
+        rg, vg = r[~ncx], v0[~ncx]
+        lo = np.maximum(vg - 9.0 * sigma, 0.0)
+        half = 0.5 * (np.maximum(rg, lo) - lo)
+        nodes = lo[:, None] + half[:, None] * (_GL_NODES + 1.0)
+        dens = rice_pdf(nodes, vg[:, None], sigma)
+        out[~ncx] = np.clip(half * np.sum(_GL_WEIGHTS * dens, axis=-1),
+                            0.0, 1.0)
     return out if out.ndim else float(out)
 
 
@@ -178,36 +203,53 @@ def _r1_upper(params: SystemParams) -> float:
 # association probabilities
 # ---------------------------------------------------------------------------
 
-def _serving_reach(k: int, v0: float, params: SystemParams,
-                   scenario: ScenarioKind) -> float:
+def _serving_reach(k: int, v0, params: SystemParams,
+                   scenario: ScenarioKind) -> np.ndarray:
     """Distance beyond which tier k has no candidate (or its density mass
-    is < 1e-15); 0 when the tier has no candidate at all."""
-    if k == 1:
-        return _r1_upper(params) if params.lambda1 > 0 else 0.0
+    is < 1e-15), for each offset of v0; 0 when the tier has no candidate
+    at all."""
+    v0 = np.asarray(v0, dtype=float)
     law = _cells(params, scenario)
-    if law.density == 0 or law.members == 0 or law.los_prob == 0:
-        return 0.0
-    return v0 + 9.0 * law.spread if law.los_ball is None else law.los_ball
+    if k == 1:
+        reach = _r1_upper(params) if params.lambda1 > 0 else 0.0
+    elif law.density == 0 or law.members == 0 or law.los_prob == 0:
+        reach = 0.0
+    else:
+        reach = v0 + 9.0 * law.spread if law.los_ball is None \
+            else law.los_ball
+    return np.broadcast_to(reach, v0.shape)
 
 
-def _serving_density(k: int, v0: float, params: SystemParams,
+def _serving_density(k: int, params: SystemParams,
                      scenario: ScenarioKind) -> Callable:
-    """Density in x that tier k's candidate sits at distance x and wins
-    the association, given offset v0; it integrates over x to the
-    conditional association probability."""
+    """Density ``density(x, v0)`` that tier k's candidate sits at distance
+    x and wins the association, given offset v0 (elementwise); it
+    integrates over x to the conditional association probability."""
+    if k not in (1, 2):
+        raise ValueError("tier index must be 1 or 2")
     macro, cells = link_budgets(params, scenario)
     law = cells.cluster
     lam = params.lambda1
     if k == 1:
-        def density(x):
+        def density(x, v0):
             bar = 1.0 - _candidate_cdf(boundary_map(macro, cells, x), v0, law)
             return _nearest_macro_pdf(x, lam) * bar ** law.members
     else:
-        def density(x):
+        def density(x, v0):
             d21 = boundary_map(cells, macro, x)
             return (_nearest_candidate_pdf(x, v0, law)
                     * np.exp(-math.pi * lam * np.square(d21)))
     return density
+
+
+def _assoc_masses(k: int, v0, params: SystemParams, scenario: ScenarioKind,
+                  spec: QuadSpec, tally: _Tally) -> np.ndarray:
+    """Conditional association probability of tier k at each offset of
+    the 1-D array v0, every offset's integral in one batched pass."""
+    density = _serving_density(k, params, scenario)
+    res = integrate_batch(lambda x, j: density(x, v0[j]), np.zeros(v0.shape),
+                          _serving_reach(k, v0, params, scenario), spec)
+    return np.clip(tally.add(res), 0.0, 1.0)
 
 
 def conditional_assoc_prob(k: int, v0: float, params: SystemParams,
@@ -215,25 +257,35 @@ def conditional_assoc_prob(k: int, v0: float, params: SystemParams,
                            scenario: ScenarioKind = INTEGRATED) -> float:
     """Probability of serving-tier k given the UE sits at distance v0 from
     its hotspot center."""
-    if k not in (1, 2):
-        raise ValueError("tier index must be 1 or 2")
     if v0 < 0:
         raise ValueError("v0 must be nonnegative")
-    res = integrate_adaptive(_serving_density(k, v0, params, scenario), 0.0,
-                             _serving_reach(k, v0, params, scenario), spec)
-    return min(max(res.value, 0.0), 1.0)
+    return float(_assoc_masses(k, np.array([v0], dtype=float), params,
+                               scenario, spec, _Tally())[0])
 
 
-def _offset_average(g: Callable[[float], float], params: SystemParams,
-                    spec: QuadSpec):
+def _offset_average(g: Callable, params: SystemParams,
+                    spec: QuadSpec) -> AnalyticReport:
     """Integral of g(v0) against the Rayleigh-distributed UE-to-center
-    distance v0."""
-    def f(v0):
-        v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-        vals = np.array([g(v) for v in v0.tolist()])
-        return rayleigh_pdf(v0, params.sigma_ue_m) * vals
+    distance v0.
 
-    return integrate_adaptive(f, 0.0, 8.5 * params.sigma_ue_m, spec)
+    ``g(v0, tally)`` maps a 1-D array of offsets to the array of inner
+    values and counts its integrals into ``tally``; the report counts
+    them together with the outer integral.  Its value is not clipped."""
+    tally = _Tally()
+
+    def f(v0):
+        return rayleigh_pdf(v0, params.sigma_ue_m) * g(v0, tally)
+
+    res = integrate_adaptive(f, 0.0, 8.5 * params.sigma_ue_m, spec)
+    tally.add([res])
+    return AnalyticReport(res.value, res.est_error, tally.evaluations,
+                          tally.unconverged)
+
+
+def _probability(report: AnalyticReport, with_report: bool):
+    """The report's value clipped to [0, 1], or the clipped report."""
+    value = min(max(report.value, 0.0), 1.0)
+    return replace(report, value=value) if with_report else value
 
 
 def assoc_prob(k: int, params: SystemParams,
@@ -242,12 +294,10 @@ def assoc_prob(k: int, params: SystemParams,
     """Tier association probability, averaged over the Rayleigh-distributed
     UE-to-center distance."""
     inner = spec.tighter()
-    res = _offset_average(
-        lambda v: conditional_assoc_prob(k, v, params, inner), params, spec)
-    value = min(max(res.value, 0.0), 1.0)
-    if with_report:
-        return AnalyticReport(value, res.est_error, res.evaluations)
-    return value
+    report = _offset_average(
+        lambda v, tally: _assoc_masses(k, v, params, INTEGRATED, inner,
+                                       tally), params, spec)
+    return _probability(report, with_report)
 
 
 def conditional_distance_pdf(k: int, x, v0: float, params: SystemParams,
@@ -258,7 +308,7 @@ def conditional_distance_pdf(k: int, x, v0: float, params: SystemParams,
         raise ValueError(f"conditional distance density undefined: "
                          f"tier {k} has zero association probability")
     x = np.asarray(x, dtype=float)
-    out = _serving_density(k, v0, params, INTEGRATED)(x) / a
+    out = _serving_density(k, params, INTEGRATED)(x, v0) / a
     return out if out.ndim else float(out)
 
 
@@ -494,11 +544,12 @@ def _alzer_terms(n_l: int) -> tuple[np.ndarray, np.ndarray, float]:
     return n, coeff, chi
 
 
-def _coverage_integrand(k: int, tau: float, v0: float, params: SystemParams,
+def _coverage_integrand(k: int, params: SystemParams,
                         scenario: ScenarioKind, include_nlos: bool):
-    """Integrand over the serving distance x of A_k(v0) * C_k(tau; v0):
-    the serving density times the fading tail (Alzer's bound, exact for
-    Rayleigh) averaged over the interference fields tier k hears."""
+    """Integrand ``f(x, tau, v0)`` over the serving distance x of
+    A_k(v0) * C_k(tau; v0) (elementwise in x, tau and v0): the serving
+    density times the fading tail (Alzer's bound, exact for Rayleigh)
+    averaged over the interference fields tier k hears."""
     macro, cells = link_budgets(params, scenario)
     serving, other = ((macro, cells), (cells, macro))[k - 1]
     law = cells.cluster
@@ -507,11 +558,10 @@ def _coverage_integrand(k: int, tau: float, v0: float, params: SystemParams,
     hears_macro = k == 1 or serving.shared_band
     hears_cells = k == 2 or serving.shared_band
     inter = _inter_cache(law, include_nlos) if hears_cells else None
-    density = _serving_density(k, v0, params, scenario)
+    density = _serving_density(k, params, scenario)
     two_pi_lam = 2.0 * math.pi * params.lambda1
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
+    def f(x, tau, v0):
         # the Alzer terms stacked along one flat axis: s, xs are (N * nx,)
         s = (x ** serving.alpha * tau * chi * nvec[:, None]
              / serving.budget).ravel()
@@ -523,21 +573,54 @@ def _coverage_integrand(k: int, tau: float, v0: float, params: SystemParams,
                 s, macro.budget, macro.alpha, x1))
         if hears_cells:
             x2 = xs if k == 2 else boundary_map(serving, other, xs)
+            v0s = v0 if len(nvec) == 1 else np.tile(v0, len(nvec))
             lap = lap * (np.exp(-(law.members - 1) * _cluster_exponent(
-                s, v0, x2, law, include_nlos)) * inter(s))
-        return density(x) * _kahan_sum(
+                s, v0s, x2, law, include_nlos)) * inter(s))
+        return density(x, v0) * _kahan_sum(
             coeff[:, None] * lap.reshape(len(nvec), -1))
 
     return f
+
+
+def _coverage_masses(k: int, tau, v0, params: SystemParams,
+                     scenario: ScenarioKind, include_nlos: bool,
+                     spec: QuadSpec, tally: _Tally) -> np.ndarray:
+    """A_k(v0) * C_k(tau; v0), the coverage mass tier k serves, for each
+    pair of the broadcast 1-D arrays tau and v0, with every pair's
+    integral in one batched pass.  A pair is integrated in segments of
+    the serving distance; its mass is their sum in order."""
+    tau, v0 = np.broadcast_arrays(np.asarray(tau, dtype=float),
+                                  np.asarray(v0, dtype=float))
+    serving = link_budgets(params, scenario)[k - 1]
+    reach = _serving_reach(k, v0, params, scenario)
+    if k == 2 and serving.cluster.los_ball is not None:
+        # at high thresholds the integrand concentrates on the noise-decay
+        # scale; seed the adaptive rule with matching breakpoints (empty
+        # segments integrate to an exact 0)
+        chi = _alzer_terms(serving.order)[2]
+        x_noise = (serving.budget / (tau * chi * serving.noise_w)) \
+            ** (1.0 / serving.alpha)
+        near = np.minimum(4.0 * x_noise, reach)
+        far = np.minimum(32.0 * x_noise, reach)
+        cuts = np.stack([np.zeros(tau.shape), near, far, reach], axis=-1)
+    else:
+        cuts = np.stack([np.zeros(tau.shape), reach], axis=-1)
+    pair = np.repeat(np.arange(tau.size), cuts.shape[1] - 1)
+    seg_tau, seg_v0 = tau[pair], v0[pair]
+    f = _coverage_integrand(k, params, scenario, include_nlos)
+    res = integrate_batch(lambda x, j: f(x, seg_tau[j], seg_v0[j]),
+                          cuts[:, :-1].ravel(), cuts[:, 1:].ravel(), spec)
+    mass = np.zeros(tau.size)
+    np.add.at(mass, pair, tally.add(res))
+    return np.maximum(mass, 0.0)
 
 
 def _cov1_unnorm(tau: float, v0: float, params: SystemParams,
                  spec: QuadSpec = DEFAULT_SPEC,
                  scenario: ScenarioKind = INTEGRATED) -> float:
     """A1c(v0) * C1(tau; v0): Sub-6GHz-served coverage mass."""
-    f = _coverage_integrand(1, tau, v0, params, scenario, True)
-    reach = _serving_reach(1, v0, params, scenario)
-    return max(integrate_adaptive(f, 0.0, reach, spec).value, 0.0)
+    return float(_coverage_masses(1, [tau], [v0], params, scenario, True,
+                                  spec, _Tally())[0])
 
 
 def _cov2_unnorm(tau: float, v0: float, params: SystemParams,
@@ -546,22 +629,8 @@ def _cov2_unnorm(tau: float, v0: float, params: SystemParams,
                  scenario: ScenarioKind = INTEGRATED) -> float:
     """A2c(v0) * C2(tau; v0): small-cell-served coverage mass (Alzer
     approximation of the Nakagami tail)."""
-    cells = link_budgets(params, scenario)[1]
-    f = _coverage_integrand(2, tau, v0, params, scenario, include_nlos)
-    reach = _serving_reach(2, v0, params, scenario)
-    cuts = [0.0, reach]
-    if cells.cluster.los_ball is not None:
-        # at high thresholds the integrand concentrates on the noise-decay
-        # scale; seed the adaptive rule with matching breakpoints
-        chi = _alzer_terms(cells.order)[2]
-        x_noise = (cells.budget / (tau * chi * cells.noise_w)) \
-            ** (1.0 / cells.alpha)
-        cuts = sorted({0.0, min(4.0 * x_noise, reach),
-                       min(32.0 * x_noise, reach), reach})
-    value = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        value += integrate_adaptive(f, lo, hi, spec).value
-    return max(value, 0.0)
+    return float(_coverage_masses(2, [tau], [v0], params, scenario,
+                                  include_nlos, spec, _Tally())[0])
 
 
 def coverage_cond_sub6(tau: float, v0: float, params: SystemParams,
@@ -588,16 +657,20 @@ def coverage_cond_mm(tau: float, v0: float, params: SystemParams,
 
 
 def _coverage(tau: float, params: SystemParams, scenario: ScenarioKind,
-              include_nlos: bool, spec: QuadSpec):
+              include_nlos: bool, spec: QuadSpec) -> AnalyticReport:
     """Coverage of a deployment: both tiers' coverage masses averaged
     over the Rayleigh-distributed UE-to-center distance."""
     if tau <= 0:
         raise ValueError("tau must be positive (linear)")
     inner = spec.tighter()
-    return _offset_average(
-        lambda v: (_cov1_unnorm(tau, v, params, inner, scenario)
-                   + _cov2_unnorm(tau, v, params, include_nlos, inner,
-                                  scenario)), params, spec)
+
+    def masses(v0, tally):
+        return (_coverage_masses(1, tau, v0, params, scenario, True, inner,
+                                 tally)
+                + _coverage_masses(2, tau, v0, params, scenario,
+                                   include_nlos, inner, tally))
+
+    return _offset_average(masses, params, spec)
 
 
 def coverage(tau: float, params: SystemParams,
@@ -610,11 +683,8 @@ def coverage(tau: float, params: SystemParams,
     whenever its cluster has no LoS member, so the result saturates below
     one even for tau -> 0.
     """
-    res = _coverage(tau, params, INTEGRATED, include_nlos, spec)
-    value = min(max(res.value, 0.0), 1.0)
-    if with_report:
-        return AnalyticReport(value, res.est_error, res.evaluations)
-    return value
+    return _probability(_coverage(tau, params, INTEGRATED, include_nlos,
+                                  spec), with_report)
 
 
 def coverage_no_nlos(tau: float, params: SystemParams,
@@ -627,8 +697,8 @@ def coverage_two_tier_sub6(tau: float, params: SystemParams,
                            spec: QuadSpec = OUTER_SPEC) -> float:
     """Coverage of the baseline two-tier network with both tiers on the
     Sub-6GHz band (cross-tier interference, Rayleigh fading)."""
-    res = _coverage(tau, params, ScenarioKind.TWO_TIER_SUB6, True, spec)
-    return min(max(res.value, 0.0), 1.0)
+    return _probability(_coverage(tau, params, ScenarioKind.TWO_TIER_SUB6,
+                                  True, spec), False)
 
 
 def assoc_prob_two_tier_sub6(k: int, v0: float,
@@ -654,40 +724,44 @@ def avg_rate(params: SystemParams, include_nlos: bool = True,
     looser than the coverage path (0.1% beats the Monte Carlo noise this
     is compared against by an order of magnitude)."""
     inner = replace(spec, abs_tol=1e-10)
-    evaluations = 0
+    tally = _Tally()
+    # candidate truncation points of the spectral-efficiency axis: 2, 3,
+    # 4.5, ... up to the first one past 40
+    brackets = [2.0]
+    while brackets[-1] < 40.0:
+        brackets.append(brackets[-1] * 1.5)
 
-    def rho_integral(unnorm: Callable[[float], float], n_nodes: int) -> float:
+    def rho_integral(k: int, v0: float, n_nodes: int) -> float:
         # the spectral-efficiency integrand is smooth and monotone, so a
         # fixed Gauss-Legendre rule on [0, hi] suffices once the
-        # truncation point hi is bracketed
-        nonlocal evaluations
-        hi = 2.0
-        while unnorm(2.0 ** hi - 1.0) > tail_tol and hi < 40.0:
-            evaluations += 1
-            hi *= 1.5
+        # truncation point hi is bracketed: the first candidate whose
+        # coverage mass is within tail_tol, else the last one
+        def masses(rhos):
+            return _coverage_masses(k, [2.0 ** r - 1.0 for r in rhos], v0,
+                                    params, INTEGRATED, include_nlos, inner,
+                                    tally)
+
+        probes = masses(brackets[:-1])
+        hi = next((h for h, m in zip(brackets, probes) if m <= tail_tol),
+                  brackets[-1])
         u, w = np.polynomial.legendre.leggauss(n_nodes)
         rho = 0.5 * hi * (u + 1.0)
-        vals = np.array([unnorm(2.0 ** float(r) - 1.0) for r in rho])
-        evaluations += n_nodes
-        return float(0.5 * hi * np.sum(w * vals))
+        return float(0.5 * hi * np.sum(w * masses(rho.tolist())))
 
     def total(n_rho: int, n_v0: int) -> float:
         u, w = np.polynomial.legendre.leggauss(n_v0)
         hi = 6.5 * params.sigma_ue_m
         v0s = 0.5 * hi * (u + 1.0)
         vals = np.empty(n_v0)
-        for i, v0 in enumerate(v0s):
-            r1 = rho_integral(
-                lambda t: _cov1_unnorm(t, float(v0), params, inner), n_rho)
-            r2 = rho_integral(
-                lambda t: _cov2_unnorm(t, float(v0), params, include_nlos,
-                                       inner), n_rho)
-            vals[i] = params.w1_hz * r1 + params.w2_hz * r2
+        for i, v0 in enumerate(v0s.tolist()):
+            vals[i] = (params.w1_hz * rho_integral(1, v0, n_rho)
+                       + params.w2_hz * rho_integral(2, v0, n_rho))
         dens = rayleigh_pdf(v0s, params.sigma_ue_m)
         return float(0.5 * hi * np.sum(w * dens * vals))
 
     value = total(32, 24)
     if with_report:
         coarse = total(16, 12)
-        return AnalyticReport(value, abs(value - coarse), evaluations)
+        return AnalyticReport(value, abs(value - coarse), tally.evaluations,
+                              tally.unconverged)
     return value

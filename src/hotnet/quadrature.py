@@ -1,8 +1,14 @@
 """Adaptive 1-D integration (Gauss-Kronrod 7/15) and monotone root finding.
 
-Integrands must accept numpy arrays; panels are evaluated in batches so
-vectorized integrands pay the numpy call overhead once per refinement
-sweep, not once per node.
+One refinement loop, ``integrate_batch``, integrates many integrands at
+once, each over its own interval and each refined and stopped on its own,
+so an elementwise integrand gets exactly the result a lone integration
+would give.  Integrands must accept numpy arrays: the panels of all
+unfinished integrands go through the integrand in shared calls of at
+most ``_CHUNK`` panels, so a vectorized integrand pays the numpy call
+overhead once per chunk of a refinement sweep, not once per node or per
+integrand.
+``integrate_adaptive`` is the one-integrand case.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ _WG = np.array([
     0.381830050505119, 0.0, 0.279705391489277, 0.0,
     0.129484966168870, 0.0,
 ])
+# Panels per integrand call: bounds the size of the integrand's
+# temporaries (480 nodes) whatever the number of integrands.
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -67,79 +76,138 @@ class IntegrationResult:
         return self.value
 
 
-def _panel_batch(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Gauss-Kronrod estimates for a batch of panels [lo_i, hi_i]."""
+def _panel_batch(f: Callable, lo: np.ndarray, hi: np.ndarray,
+                 owner: np.ndarray):
+    """Gauss-Kronrod estimates for the panels [lo_i, hi_i] of integrands
+    owner_i, passed to ``f`` at most ``_CHUNK`` panels per call.
+
+    Each panel's weighted sums are reduced along its own row (not by a
+    BLAS product, whose rounding depends on the row count), so a panel's
+    estimate does not depend on which panels share its call.
+    """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = mid[:, None] + half[:, None] * _XK[None, :]
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    k15 = half * (fx @ _WK)
-    g7 = half * (fx @ _WG)
+    j = np.broadcast_to(owner[:, None], x.shape)
+    fx = np.empty(x.shape)
+    for start in range(0, len(lo), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        fx[rows] = np.asarray(f(x[rows].ravel(), j[rows].ravel()),
+                              dtype=float).reshape(fx[rows].shape)
+    k15 = half * np.sum(fx * _WK, axis=1)
+    g7 = half * np.sum(fx * _WG, axis=1)
     err = np.abs(k15 - g7)
     return k15, err
 
 
-def integrate_adaptive(f: Callable, a: float, b: float,
-                       spec: QuadSpec = QuadSpec()) -> IntegrationResult:
-    """Integrate ``f`` over [a, b] by recursive panel bisection.
-
-    Returns the best estimate with ``converged=False`` (never raises) when
-    the tolerance cannot be met within the panel/depth budget.
-    """
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("bounds must be finite; use integrate_semi_infinite")
-    if a > b:
-        raise ValueError("need a <= b")
-    if a == b:
-        return IntegrationResult(0.0, 0.0, 0, True)
-
-    lo = np.array([a], dtype=float)
-    hi = np.array([b], dtype=float)
-    vals, errs = _panel_batch(f, lo, hi)
-    evaluations = 15
-    # heap of (-err, lo, hi, val, err, depth)
-    heap = [(-errs[0], a, b, vals[0], errs[0], 0)]
-    total = vals[0]
-    total_err = errs[0]
-
-    while True:
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= tol:
-            return IntegrationResult(float(total), float(total_err),
-                                     evaluations, True)
-        if len(heap) >= spec.max_panels:
-            break
-        # split the worst panels (up to 16 at a time, batched)
-        batch = []
-        while heap and len(batch) < 16:
-            batch.append(heapq.heappop(heap))
-        splittable = [p for p in batch if p[5] < spec.max_depth]
-        stuck = [p for p in batch if p[5] >= spec.max_depth]
-        if not splittable:
-            for p in stuck:
-                heapq.heappush(heap, p)
-            break
-        mids = [(0.5 * (p[1] + p[2])) for p in splittable]
-        lo = np.array([p[1] for p in splittable] + mids)
-        hi = np.array(mids + [p[2] for p in splittable])
-        vals, errs = _panel_batch(f, lo, hi)
-        evaluations += 15 * len(lo)
-        n = len(splittable)
-        for i, p in enumerate(splittable):
-            total += vals[i] + vals[n + i] - p[3]
-            total_err += errs[i] + errs[n + i] - p[4]
-            depth = p[5] + 1
-            heapq.heappush(heap, (-errs[i], lo[i], hi[i], vals[i], errs[i], depth))
-            heapq.heappush(heap, (-errs[n + i], lo[n + i], hi[n + i],
-                                  vals[n + i], errs[n + i], depth))
-        for p in stuck:
-            heapq.heappush(heap, p)
-
+def _settle(heap: list, evaluations: int, spec: QuadSpec
+            ) -> IntegrationResult:
+    """Result of an integrand whose refinement stopped on its budget."""
     total = sum(p[3] for p in heap)
     total_err = sum(p[4] for p in heap)
     converged = total_err <= max(spec.abs_tol, spec.rel_tol * abs(total))
     return IntegrationResult(float(total), float(total_err), evaluations,
                              bool(converged))
+
+
+def integrate_batch(f: Callable, a, b, spec: QuadSpec = QuadSpec()
+                    ) -> list[IntegrationResult]:
+    """Integrate J integrands, integrand j over its own [a_j, b_j].
+
+    ``f(x, j)`` evaluates integrand ``j[i]`` at node ``x[i]`` (two 1-D
+    arrays of equal length).  Every integrand is refined on its own, by
+    recursive panel bisection: its own panel heap, its 16 worst panels
+    split per sweep, its own depth and panel budget and stopping test.
+    Only the calls of ``f`` are shared: each sweep passes the new panels
+    of all unfinished integrands through ``f`` together.
+
+    Returns one result per integrand, with ``converged=False`` (never
+    raises) where the tolerance cannot be met within the budget.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("a and b must be 1-D and of equal length")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("bounds must be finite; use integrate_semi_infinite")
+    if np.any(a > b):
+        raise ValueError("need a <= b")
+
+    results = [IntegrationResult(0.0, 0.0, 0, True) if lo == hi else None
+               for lo, hi in zip(a.tolist(), b.tolist())]
+    todo = np.flatnonzero(a < b)
+    vals, errs = _panel_batch(f, a[todo], b[todo], todo)
+    # per unfinished integrand: [heap of (-err, lo, hi, val, err, depth),
+    # total, total error, evaluations]
+    state = {j: [[(-errs[i], a[j], b[j], vals[i], errs[i], 0)],
+                 vals[i], errs[i], 15]
+             for i, j in enumerate(todo.tolist())}
+
+    while state:
+        lo: list = []
+        hi: list = []
+        splits = []
+        for j, (heap, total, total_err, evaluations) in list(state.items()):
+            tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+            if total_err <= tol:
+                results[j] = IntegrationResult(float(total), float(total_err),
+                                               evaluations, True)
+                del state[j]
+                continue
+            if len(heap) >= spec.max_panels:
+                results[j] = _settle(heap, evaluations, spec)
+                del state[j]
+                continue
+            # split the worst panels (up to 16 at a time, batched)
+            batch = []
+            while heap and len(batch) < 16:
+                batch.append(heapq.heappop(heap))
+            splittable = [p for p in batch if p[5] < spec.max_depth]
+            stuck = [p for p in batch if p[5] >= spec.max_depth]
+            if not splittable:
+                for p in stuck:
+                    heapq.heappush(heap, p)
+                results[j] = _settle(heap, evaluations, spec)
+                del state[j]
+                continue
+            mids = [(0.5 * (p[1] + p[2])) for p in splittable]
+            splits.append((j, splittable, stuck, len(lo)))
+            lo += [p[1] for p in splittable] + mids
+            hi += mids + [p[2] for p in splittable]
+        if not splits:
+            break
+        owner = np.concatenate([np.full(2 * len(sp), j)
+                                for j, sp, _, _ in splits])
+        lo, hi = np.array(lo), np.array(hi)
+        vals, errs = _panel_batch(f, lo, hi, owner)
+        for j, splittable, stuck, at in splits:
+            st = state[j]
+            heap = st[0]
+            n = len(splittable)
+            for i, p in enumerate(splittable):
+                left, right = at + i, at + n + i
+                st[1] += vals[left] + vals[right] - p[3]
+                st[2] += errs[left] + errs[right] - p[4]
+                depth = p[5] + 1
+                heapq.heappush(heap, (-errs[left], lo[left], hi[left],
+                                      vals[left], errs[left], depth))
+                heapq.heappush(heap, (-errs[right], lo[right], hi[right],
+                                      vals[right], errs[right], depth))
+            st[3] += 30 * n
+            for p in stuck:
+                heapq.heappush(heap, p)
+    return results
+
+
+def integrate_adaptive(f: Callable, a: float, b: float,
+                       spec: QuadSpec = QuadSpec()) -> IntegrationResult:
+    """Integrate ``f(x)`` over [a, b] by recursive panel bisection: the
+    one-integrand case of ``integrate_batch``.
+
+    Returns the best estimate with ``converged=False`` (never raises) when
+    the tolerance cannot be met within the panel/depth budget.
+    """
+    return integrate_batch(lambda x, j: f(x), a, b, spec)[0]
 
 
 def integrate_semi_infinite(f: Callable, a: float, scale: float,

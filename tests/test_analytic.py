@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import i0
+from scipy.stats import ncx2
 
 from hotnet import analytic
 from hotnet.association import link_budgets
 from hotnet.geometry import rice_pdf, sample_thomas_cluster
 from hotnet.params import ScenarioKind, SystemParams
-from hotnet.quadrature import QuadSpec
+from hotnet.quadrature import QuadSpec, integrate_adaptive
 
 P = SystemParams()
 
@@ -58,6 +59,23 @@ def test_rice_cdf_matches_density_integral(v0, sigma):
                        limit=400)
         assert analytic._rice_cdf(r, v0, sigma) == pytest.approx(
             want, abs=1e-8)
+
+
+def test_rice_cdf_is_the_noncentral_chi_square_cdf():
+    # unit spread: q = r^2 in [0, 100], noncentrality v0^2 up to 625
+    r = np.sqrt(np.linspace(0.0, 100.0, 401))[:, None]
+    v0 = np.linspace(0.0, 25.0, 101)[None, :]
+    got = analytic._rice_cdf(r, v0, 1.0)
+    assert np.max(np.abs(got - ncx2.cdf(r ** 2, 2, v0 ** 2))) <= 1e-15
+
+
+def test_rice_cdf_takes_offsets_per_element():
+    # offsets on both sides of the v0/sigma = 25 switch to quadrature
+    sigma = 20.0
+    v0 = np.array([0.0, 130.0, 480.0, 520.0, 2600.0, 499.0])
+    r = np.array([15.0, 100.0, 470.0, 560.0, 2590.0, 700.0])
+    want = [analytic._rice_cdf(ri, vi, sigma) for ri, vi in zip(r, v0)]
+    assert analytic._rice_cdf(r, v0, sigma).tolist() == want
 
 
 def test_rice_cdf_far_tail_saturates():
@@ -310,6 +328,52 @@ def test_coverage_frozen_values():
     assert analytic.coverage(10.0, P) == pytest.approx(0.450580, abs=5e-4)
 
 
+def loop_coverage_mass(k, tau, v0, scenario, include_nlos, spec):
+    """One tier's coverage mass at one (tau, v0) pair, each serving-distance
+    segment in its own integrate_adaptive call: the per-pair loop the
+    batched pass replaces, kept as its reference."""
+    f = analytic._coverage_integrand(k, P, scenario, include_nlos)
+    reach = float(analytic._serving_reach(k, v0, P, scenario))
+    serving = link_budgets(P, scenario)[k - 1]
+    cuts = [0.0, reach]
+    if k == 2 and serving.cluster.los_ball is not None:
+        chi = analytic._alzer_terms(serving.order)[2]
+        x_noise = (serving.budget / (tau * chi * serving.noise_w)) \
+            ** (1.0 / serving.alpha)
+        cuts = sorted({0.0, min(4.0 * x_noise, reach),
+                       min(32.0 * x_noise, reach), reach})
+    value = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        value += integrate_adaptive(
+            lambda x: f(x, np.full(x.shape, tau), np.full(x.shape, v0)),
+            lo, hi, spec).value
+    return max(value, 0.0)
+
+
+@pytest.mark.parametrize("deployment", ["a", "d"])
+@pytest.mark.parametrize("include_nlos", [True, False])
+def test_batched_coverage_mass_matches_per_pair_loop(deployment,
+                                                     include_nlos):
+    # the (a) noise breakpoints lie beyond the LoS ball up to about 24 dB;
+    # at 30 dB one and at 50 dB both fall inside it
+    scenario = MEMBER_LINKS[deployment]["scenario"]
+    spec = analytic.OUTER_SPEC.tighter()
+    v0 = np.array([0.0, 40.0, 150.0, 420.0, 1100.0])
+    for tau_db in (-10.0, 0.0, 20.0, 30.0, 50.0):
+        tau = 10.0 ** (tau_db / 10.0)
+        for k in (1, 2):
+            got = analytic._coverage_masses(k, tau, v0, P, scenario,
+                                            include_nlos, spec,
+                                            analytic._Tally())
+            want = [loop_coverage_mass(k, tau, v, scenario, include_nlos,
+                                       spec) for v in v0]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_avg_rate_frozen_value():
+    assert analytic.avg_rate(P) == pytest.approx(2457725963.59, rel=1e-6)
+
+
 def test_coverage_nonincreasing_and_bounded():
     taus = 10.0 ** (np.array([-10.0, -5.0, 0.0, 5.0, 10.0]) / 10.0)
     vals = [analytic.coverage(t, P) for t in taus]
@@ -352,16 +416,43 @@ def test_report_variant_returns_diagnostics():
     assert rep.evaluations > 0
 
 
+@pytest.mark.parametrize("entry", [
+    lambda **kw: analytic.coverage(1.0, P, **kw),
+    lambda **kw: analytic.assoc_prob(2, P, **kw),
+], ids=["coverage", "assoc_prob"])
+def test_report_counts_nested_integrals(entry, monkeypatch):
+    outer = []
+    real = analytic.integrate_adaptive
+
+    def spy(f, a, b, spec):
+        outer.append(real(f, a, b, spec))
+        return outer[-1]
+
+    monkeypatch.setattr(analytic, "integrate_adaptive", spy)
+    rep = entry(with_report=True)
+    assert rep.unconverged == 0
+    # the inner integrals' evaluations are counted with the outer ones
+    assert rep.evaluations > outer[0].evaluations
+    starved = entry(spec=QuadSpec(max_panels=2), with_report=True)
+    assert starved.unconverged > 0
+
+
 def test_nested_specs_keep_caller_limits(monkeypatch):
     # inner integrals tighten the tolerances but keep the panel budget
     seen = []
     real = analytic.integrate_adaptive
+    real_batch = analytic.integrate_batch
 
     def spy(f, a, b, spec):
         seen.append(spec)
         return real(f, a, b, spec)
 
+    def spy_batch(f, a, b, spec):
+        seen.append(spec)
+        return real_batch(f, a, b, spec)
+
     monkeypatch.setattr(analytic, "integrate_adaptive", spy)
+    monkeypatch.setattr(analytic, "integrate_batch", spy_batch)
     spec = QuadSpec(1e-3, 1e-6, max_panels=50)
     for entry in (analytic.coverage, analytic.coverage_two_tier_sub6):
         seen.clear()

@@ -1,5 +1,6 @@
 """Adaptive Gauss-Kronrod integration and the monotone root finder."""
 
+import heapq
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotnet.quadrature import (QuadSpec, find_root_monotone,
-                               integrate_adaptive, integrate_semi_infinite)
+from hotnet import quadrature
+from hotnet.quadrature import (IntegrationResult, QuadSpec,
+                               find_root_monotone, integrate_adaptive,
+                               integrate_batch, integrate_semi_infinite)
 
 TIGHT = QuadSpec(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -104,3 +107,130 @@ def test_tighter_spec_scales_tolerances():
     t = spec.tighter(0.1)
     assert t.rel_tol == pytest.approx(1e-5)
     assert t.abs_tol == pytest.approx(1e-9)
+
+
+# ---------------------------------------------------------------------------
+# integrate_batch against the one-integrand refinement loop
+# ---------------------------------------------------------------------------
+
+def loop_reference(f, a, b, spec, calls):
+    """One integrand refined on its own: the heap loop integrate_batch
+    runs per integrand, kept here as the reference.  Appends the number
+    of integrand calls it made to ``calls``."""
+    def _panel_batch(f, lo, hi):
+        calls[-1] += 1
+        return quadrature._panel_batch(lambda x, j: f(x), lo, hi,
+                                       np.zeros(len(lo), dtype=int))
+
+    calls.append(0)
+    if a == b:
+        return IntegrationResult(0.0, 0.0, 0, True)
+
+    lo = np.array([a], dtype=float)
+    hi = np.array([b], dtype=float)
+    vals, errs = _panel_batch(f, lo, hi)
+    evaluations = 15
+    # heap of (-err, lo, hi, val, err, depth)
+    heap = [(-errs[0], a, b, vals[0], errs[0], 0)]
+    total = vals[0]
+    total_err = errs[0]
+
+    while True:
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        if total_err <= tol:
+            return IntegrationResult(float(total), float(total_err),
+                                     evaluations, True)
+        if len(heap) >= spec.max_panels:
+            break
+        # split the worst panels (up to 16 at a time, batched)
+        batch = []
+        while heap and len(batch) < 16:
+            batch.append(heapq.heappop(heap))
+        splittable = [p for p in batch if p[5] < spec.max_depth]
+        stuck = [p for p in batch if p[5] >= spec.max_depth]
+        if not splittable:
+            for p in stuck:
+                heapq.heappush(heap, p)
+            break
+        mids = [(0.5 * (p[1] + p[2])) for p in splittable]
+        lo = np.array([p[1] for p in splittable] + mids)
+        hi = np.array(mids + [p[2] for p in splittable])
+        vals, errs = _panel_batch(f, lo, hi)
+        evaluations += 15 * len(lo)
+        n = len(splittable)
+        for i, p in enumerate(splittable):
+            total += vals[i] + vals[n + i] - p[3]
+            total_err += errs[i] + errs[n + i] - p[4]
+            depth = p[5] + 1
+            heapq.heappush(heap, (-errs[i], lo[i], hi[i], vals[i], errs[i], depth))
+            heapq.heappush(heap, (-errs[n + i], lo[n + i], hi[n + i],
+                                  vals[n + i], errs[n + i], depth))
+        for p in stuck:
+            heapq.heappush(heap, p)
+
+    total = sum(p[3] for p in heap)
+    total_err = sum(p[4] for p in heap)
+    converged = total_err <= max(spec.abs_tol, spec.rel_tol * abs(total))
+    return IntegrationResult(float(total), float(total_err), evaluations,
+                             bool(converged))
+
+
+# (integrand, a, b): a zero-width interval, two oscillations that run out
+# of panels (together more than one 32-panel chunk pending per sweep), a
+# singularity that gets stuck at the depth limit, and smooth integrands
+# on unequal bounds
+BATCH_CASES = [
+    (np.exp, 2.0, 2.0),
+    (lambda x: np.sin(40.0 * x) * np.exp(-0.1 * x), 0.0, 30.0),
+    (lambda x: np.cos(25.0 * x ** 2), -20.0, 20.0),
+    (lambda x: np.abs(x) ** -0.99, 1e-12, 1.0),
+    (lambda x: 3.0 * x ** 2, 0.0, 2.0),
+    (lambda x: np.exp(-0.5 * ((x - 0.3) / 1e-3) ** 2), 0.0, 1.0),
+    (lambda x: np.exp(-x) * np.cos(5 * x), -3.0, 10.0),
+]
+BATCH_SPEC = QuadSpec(rel_tol=1e-12, abs_tol=1e-14, max_depth=10,
+                      max_panels=300)
+
+
+def test_batch_matches_the_one_integrand_loop():
+    calls: list = []
+    want = [loop_reference(g, a, b, BATCH_SPEC, calls)
+            for g, a, b in BATCH_CASES]
+    sizes = []
+
+    def f(x, j):
+        sizes.append(len(x))
+        out = np.empty(len(x))
+        for k, (g, _, _) in enumerate(BATCH_CASES):
+            out[j == k] = g(x[j == k])
+        return out
+
+    got = integrate_batch(f, [a for _, a, _ in BATCH_CASES],
+                          [b for _, _, b in BATCH_CASES], BATCH_SPEC)
+    assert got == want
+    # the cases cover every way out of the refinement loop
+    assert want[0] == IntegrationResult(0.0, 0.0, 0, True)
+    assert want[1].evaluations >= 15 * BATCH_SPEC.max_panels
+    assert not want[1].converged and not want[2].converged
+    assert not want[3].converged
+    assert want[3].evaluations < 15 * BATCH_SPEC.max_panels
+    assert all(r.converged for r in want[4:])
+    # one call per sweep would be at most max(calls) calls: more means some
+    # sweep was split into chunks, none larger than 32 panels
+    assert len(sizes) > max(calls)
+    assert max(sizes) == 15 * 32
+
+
+def test_adaptive_is_the_one_integrand_batch():
+    for g, a, b in BATCH_CASES:
+        assert integrate_adaptive(g, a, b, BATCH_SPEC) == loop_reference(
+            g, a, b, BATCH_SPEC, [])
+
+
+def test_batch_rejects_bad_bounds():
+    with pytest.raises(ValueError):
+        integrate_batch(lambda x, j: x, [0.0, 1.0], [1.0, 0.5])
+    with pytest.raises(ValueError):
+        integrate_batch(lambda x, j: x, [0.0], [math.inf])
+    with pytest.raises(ValueError):
+        integrate_batch(lambda x, j: x, [0.0, 0.0], [1.0])
