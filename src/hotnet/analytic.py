@@ -36,7 +36,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import binom, chndtr, hyp2f1, i0e
 
-from .association import ClusterLaw, boundary_map, link_budgets
+from .association import (ClusterLaw, KernelSegment, boundary_map,
+                          link_budgets)
 from .geometry import rice_pdf
 from .params import ScenarioKind, SystemParams
 from .quadrature import (QuadSpec, integrate_adaptive, integrate_batch,
@@ -363,42 +364,64 @@ def laplace_I1(s, v0: float, x, params: SystemParams):
     return out if out.ndim else float(out)
 
 
+def _segment_rule(seg: KernelSegment, v0: np.ndarray, x, sigma: float):
+    """Half-width, path loss and Gauss-Legendre-weighted member density
+    on the 64 nodes of ``seg``'s band, for each place (v0, x) of the
+    equally shaped arrays v0 and x (x is unused when the band does not
+    start at the exclusion radius): shapes ``v0.shape + (1,)`` and
+    ``v0.shape + (64,)``."""
+    v0 = v0[..., None]
+    lo = np.maximum(x[..., None], seg.r_min) if seg.past_serving \
+        else seg.r_min
+    hi = seg.r_max
+    if hi == math.inf:
+        lo = np.maximum(lo, v0 - 8.0 * sigma)
+        hi = v0 + 8.0 * sigma
+    half = 0.5 * (np.maximum(hi, lo) - lo)
+    r = lo + half * (_GL_NODES + 1.0)
+    path = np.maximum(r, 1e-9) ** (-seg.alpha)
+    dens = _GL_WEIGHTS * rice_pdf(r, v0, sigma)
+    return (np.broadcast_to(half, v0.shape),
+            np.broadcast_to(path, dens.shape), dens)
+
+
 def _cluster_exponent(s, v0, x, law: ClusterLaw, include_nlos: bool = True):
     """Per-member interference exponent of one cluster whose center sits
     at distance v0, seen past the exclusion radius x: the sum over the
     law's kernel segments of the segment's radial density times its
     kernel, each on a 64-node Gauss-Legendre rule over its band.
 
-    Broadcasts over s, v0 and x.  Multiplying by (n_members - 1) and
-    negating the exponent gives the intra-cluster Laplace transform.
+    v0 and x broadcast to the places; s broadcasts against them and may
+    carry leading axes of its own (e.g. one per Alzer term), which the
+    result keeps.  Each segment's nodes, path loss and member density are
+    evaluated once per place and shared by every s: once per (v0, x) for
+    segments that start at the exclusion radius, once per distinct v0 for
+    the others, whose band does not depend on x.  Only the kernel is
+    evaluated per s.  Multiplying by (n_members - 1) and negating the
+    exponent gives the intra-cluster Laplace transform.
     """
-    s, v0, x = np.broadcast_arrays(np.asarray(s, dtype=float),
-                                   np.asarray(v0, dtype=float),
-                                   np.asarray(x, dtype=float))
-    shape = s.shape
-    s = s[..., None]
-    v0 = v0[..., None]
-    x = x[..., None]
+    v0, x = np.broadcast_arrays(np.asarray(v0, dtype=float),
+                                np.asarray(x, dtype=float))
+    s = np.asarray(s, dtype=float)[..., None]
     sig = law.spread
-    total = np.zeros(shape + (1,))
+    total = np.zeros(np.broadcast_shapes(s.shape, v0.shape + (1,)))
+    offsets, at = np.unique(v0, return_inverse=True)
+    at = at.reshape(v0.shape)
     for seg in law.segments:
         if seg.nlos and not include_nlos:
             continue
-        lo = np.maximum(x, seg.r_min) if seg.past_serving else seg.r_min
-        hi = seg.r_max
-        if hi == math.inf:
-            lo = np.maximum(lo, v0 - 8.0 * sig)
-            hi = v0 + 8.0 * sig
-        half = 0.5 * (np.maximum(hi, lo) - lo)
-        r = lo + half * (_GL_NODES + 1.0)
-        path = np.maximum(r, 1e-9) ** (-seg.alpha)
+        if seg.past_serving:
+            half, path, dens = _segment_rule(seg, v0, x, sig)
+        else:
+            half, path, dens = (a[at] for a in _segment_rule(
+                seg, offsets, None, sig))
         # unit-mean Nakagami power is Gamma(N, 1/N): E[e^{-zh}] = (1+z/N)^-N
         s_n = s * (law.power * seg.intercept / seg.order)
         ker = 1.0
         for gain, prob in zip(seg.gains, seg.gain_probs):
             ker = ker - prob * (1.0 + s_n * gain * path) ** (-seg.order)
-        total += seg.share * half * np.sum(
-            _GL_WEIGHTS * rice_pdf(r, v0, sig) * ker, axis=-1, keepdims=True)
+        total += seg.share * half * np.sum(dens * ker, axis=-1,
+                                           keepdims=True)
     return total[..., 0]
 
 
@@ -562,22 +585,20 @@ def _coverage_integrand(k: int, params: SystemParams,
     two_pi_lam = 2.0 * math.pi * params.lambda1
 
     def f(x, tau, v0):
-        # the Alzer terms stacked along one flat axis: s, xs are (N * nx,)
+        # the Alzer terms along a leading axis: s is (N, nx), and every
+        # term shares the nodes x and offsets v0
         s = (x ** serving.alpha * tau * chi * nvec[:, None]
-             / serving.budget).ravel()
-        xs = x if len(nvec) == 1 else np.tile(x, len(nvec))
+             / serving.budget)
         lap = np.exp(-s * serving.noise_w)
         if hears_macro:
-            x1 = xs if k == 1 else boundary_map(serving, other, xs)
+            x1 = x if k == 1 else boundary_map(serving, other, x)
             lap = lap * np.exp(-two_pi_lam * _ppp_tail_integral(
                 s, macro.budget, macro.alpha, x1))
         if hears_cells:
-            x2 = xs if k == 2 else boundary_map(serving, other, xs)
-            v0s = v0 if len(nvec) == 1 else np.tile(v0, len(nvec))
+            x2 = x if k == 2 else boundary_map(serving, other, x)
             lap = lap * (np.exp(-(law.members - 1) * _cluster_exponent(
-                s, v0s, x2, law, include_nlos)) * inter(s))
-        return density(x, v0) * _kahan_sum(
-            coeff[:, None] * lap.reshape(len(nvec), -1))
+                s, v0, x2, law, include_nlos)) * inter(s))
+        return density(x, v0) * _kahan_sum(coeff[:, None] * lap)
 
     return f
 
@@ -694,11 +715,12 @@ def coverage_no_nlos(tau: float, params: SystemParams,
 
 
 def coverage_two_tier_sub6(tau: float, params: SystemParams,
-                           spec: QuadSpec = OUTER_SPEC) -> float:
+                           spec: QuadSpec = OUTER_SPEC,
+                           with_report: bool = False):
     """Coverage of the baseline two-tier network with both tiers on the
     Sub-6GHz band (cross-tier interference, Rayleigh fading)."""
     return _probability(_coverage(tau, params, ScenarioKind.TWO_TIER_SUB6,
-                                  True, spec), False)
+                                  True, spec), with_report)
 
 
 def assoc_prob_two_tier_sub6(k: int, v0: float,

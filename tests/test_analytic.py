@@ -15,7 +15,7 @@ from scipy.special import i0
 from scipy.stats import ncx2
 
 from hotnet import analytic
-from hotnet.association import link_budgets
+from hotnet.association import boundary_map, link_budgets
 from hotnet.geometry import rice_pdf, sample_thomas_cluster
 from hotnet.params import ScenarioKind, SystemParams
 from hotnet.quadrature import QuadSpec, integrate_adaptive
@@ -308,6 +308,136 @@ def test_laplace_inter_matches_sampled_clusters(deployment):
     assert abs(got - emp) < 4.0 * err + 5e-3
 
 
+def tiled_cluster_exponent(s, v0, x, law, include_nlos=True):
+    """The cluster exponent evaluated per (s, v0, x) element: every element
+    recomputes each segment's nodes, path loss and member density.  The
+    shared-density path must reproduce it bit for bit."""
+    s, v0, x = np.broadcast_arrays(np.asarray(s, dtype=float),
+                                   np.asarray(v0, dtype=float),
+                                   np.asarray(x, dtype=float))
+    shape = s.shape
+    s = s[..., None]
+    v0 = v0[..., None]
+    x = x[..., None]
+    sig = law.spread
+    total = np.zeros(shape + (1,))
+    for seg in law.segments:
+        if seg.nlos and not include_nlos:
+            continue
+        lo = np.maximum(x, seg.r_min) if seg.past_serving else seg.r_min
+        hi = seg.r_max
+        if hi == math.inf:
+            lo = np.maximum(lo, v0 - 8.0 * sig)
+            hi = v0 + 8.0 * sig
+        half = 0.5 * (np.maximum(hi, lo) - lo)
+        r = lo + half * (analytic._GL_NODES + 1.0)
+        path = np.maximum(r, 1e-9) ** (-seg.alpha)
+        # unit-mean Nakagami power is Gamma(N, 1/N): E[e^{-zh}] = (1+z/N)^-N
+        s_n = s * (law.power * seg.intercept / seg.order)
+        ker = 1.0
+        for gain, prob in zip(seg.gains, seg.gain_probs):
+            ker = ker - prob * (1.0 + s_n * gain * path) ** (-seg.order)
+        total += seg.share * half * np.sum(
+            analytic._GL_WEIGHTS * rice_pdf(r, v0, sig) * ker, axis=-1,
+            keepdims=True)
+    return total[..., 0]
+
+
+def tiled_coverage_integrand(k, params, scenario, include_nlos):
+    """The coverage integrand with the Alzer terms tiled along one flat
+    axis, each term evaluating the cluster exponent on its own copy of the
+    nodes and offsets: the reference of the shared-density integrand."""
+    macro, cells = link_budgets(params, scenario)
+    serving, other = ((macro, cells), (cells, macro))[k - 1]
+    law = cells.cluster
+    nvec, coeff, chi = analytic._alzer_terms(serving.order)
+    # a tier hears the other tier's BSs only when the two share a band
+    hears_macro = k == 1 or serving.shared_band
+    hears_cells = k == 2 or serving.shared_band
+    inter = analytic._inter_cache(law, include_nlos) if hears_cells else None
+    density = analytic._serving_density(k, params, scenario)
+    two_pi_lam = 2.0 * math.pi * params.lambda1
+
+    def f(x, tau, v0):
+        # the Alzer terms stacked along one flat axis: s, xs are (N * nx,)
+        s = (x ** serving.alpha * tau * chi * nvec[:, None]
+             / serving.budget).ravel()
+        xs = x if len(nvec) == 1 else np.tile(x, len(nvec))
+        lap = np.exp(-s * serving.noise_w)
+        if hears_macro:
+            x1 = xs if k == 1 else boundary_map(serving, other, xs)
+            lap = lap * np.exp(-two_pi_lam * analytic._ppp_tail_integral(
+                s, macro.budget, macro.alpha, x1))
+        if hears_cells:
+            x2 = xs if k == 2 else boundary_map(serving, other, xs)
+            v0s = v0 if len(nvec) == 1 else np.tile(v0, len(nvec))
+            lap = lap * (np.exp(-(law.members - 1) * tiled_cluster_exponent(
+                s, v0s, x2, law, include_nlos)) * inter(s))
+        return density(x, v0) * analytic._kahan_sum(
+            coeff[:, None] * lap.reshape(len(nvec), -1))
+
+    return f
+
+
+@pytest.mark.parametrize("deployment", ["a", "d"])
+@pytest.mark.parametrize("include_nlos", [True, False])
+@pytest.mark.parametrize("n_terms", [1, 3])
+def test_cluster_exponent_matches_tiled_reference(deployment, include_nlos,
+                                                  n_terms):
+    law = analytic._cells(P, MEMBER_LINKS[deployment]["scenario"])
+    # repeated and distinct offsets; exclusion radii inside and outside
+    # the LoS ball, and one past v0 + 8 sigma, where the (d) band is empty
+    v0 = np.array([0.0, 40.0, 40.0, 150.0, 150.0, 420.0, 1100.0, 40.0])
+    x = np.array([5.0, 30.0, 250.0, 120.0, 900.0, 60.0, 10.0,
+                  40.0 + 8.0 * P.sigma_bs_m + 1.0])
+    # one row of s per Alzer term, each row shares the places (v0, x)
+    s = np.logspace(2.0, 12.0, n_terms * v0.size).reshape(n_terms, -1)
+    got = analytic._cluster_exponent(s, v0, x, law, include_nlos)
+    want = tiled_cluster_exponent(s.ravel(), np.tile(v0, n_terms),
+                                  np.tile(x, n_terms), law, include_nlos)
+    assert got.shape == s.shape
+    np.testing.assert_array_equal(got, want.reshape(s.shape))
+
+
+@pytest.mark.parametrize("deployment", ["a", "d"])
+@pytest.mark.parametrize("include_nlos", [True, False])
+@pytest.mark.parametrize("k", [1, 2])
+def test_coverage_integrand_matches_tiled_reference(deployment,
+                                                    include_nlos, k):
+    # (a) tier 2 has N = 3 Alzer terms, every other tier N = 1; serving
+    # distances reach past the LoS ball, offsets repeat and differ
+    scenario = MEMBER_LINKS[deployment]["scenario"]
+    x = np.linspace(1.0, 600.0, 40)
+    v0 = np.repeat([0.0, 40.0, 150.0, 420.0, 1100.0], 8)
+    tau = np.resize([0.1, 1.0, 100.0], x.size)
+    got = analytic._coverage_integrand(k, P, scenario, include_nlos)
+    want = tiled_coverage_integrand(k, P, scenario, include_nlos)
+    np.testing.assert_array_equal(got(x, tau, v0), want(x, tau, v0))
+
+
+@pytest.mark.parametrize("deployment", ["a", "d"])
+def test_scalar_cluster_exponent_callers_match_tiled_reference(
+        deployment, monkeypatch):
+    scenario = MEMBER_LINKS[deployment]["scenario"]
+    inter = analytic._InterLaplace(analytic._cells(P, scenario), True)
+
+    def evaluate():
+        # scalar s, v0, x; array s; the PGFL integrand: scalar s, array v
+        return (analytic.laplace_I2_intra(3e7, 120.0, 40.0, P.n_bs, P,
+                                          scenario=scenario),
+                analytic.laplace_I2_intra(np.logspace(4.0, 10.0, 7), 120.0,
+                                          250.0, P.n_bs, P,
+                                          scenario=scenario),
+                inter.exponent_exact(1e7))
+
+    got = evaluate()
+    monkeypatch.setattr(analytic, "_cluster_exponent", tiled_cluster_exponent)
+    want = evaluate()
+    assert isinstance(got[0], float)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
 def test_laplace_inter_spline_matches_exact_exponent():
     cache = analytic._inter_cache(link_budgets(P)[1].cluster, True)
     for s in (1e5, 1e7, 1e9):
@@ -419,7 +549,8 @@ def test_report_variant_returns_diagnostics():
 @pytest.mark.parametrize("entry", [
     lambda **kw: analytic.coverage(1.0, P, **kw),
     lambda **kw: analytic.assoc_prob(2, P, **kw),
-], ids=["coverage", "assoc_prob"])
+    lambda **kw: analytic.coverage_two_tier_sub6(1.0, P, **kw),
+], ids=["coverage", "assoc_prob", "coverage_two_tier_sub6"])
 def test_report_counts_nested_integrals(entry, monkeypatch):
     outer = []
     real = analytic.integrate_adaptive
