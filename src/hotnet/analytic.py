@@ -715,12 +715,11 @@ def coverage_no_nlos(tau: float, params: SystemParams,
 
 
 def coverage_two_tier_sub6(tau: float, params: SystemParams,
-                           spec: QuadSpec = OUTER_SPEC,
-                           with_report: bool = False):
+                           spec: QuadSpec = OUTER_SPEC) -> float:
     """Coverage of the baseline two-tier network with both tiers on the
     Sub-6GHz band (cross-tier interference, Rayleigh fading)."""
     return _probability(_coverage(tau, params, ScenarioKind.TWO_TIER_SUB6,
-                                  True, spec), with_report)
+                                  True, spec), False)
 
 
 def assoc_prob_two_tier_sub6(k: int, v0: float,

@@ -549,8 +549,7 @@ def test_report_variant_returns_diagnostics():
 @pytest.mark.parametrize("entry", [
     lambda **kw: analytic.coverage(1.0, P, **kw),
     lambda **kw: analytic.assoc_prob(2, P, **kw),
-    lambda **kw: analytic.coverage_two_tier_sub6(1.0, P, **kw),
-], ids=["coverage", "assoc_prob", "coverage_two_tier_sub6"])
+], ids=["coverage", "assoc_prob"])
 def test_report_counts_nested_integrals(entry, monkeypatch):
     outer = []
     real = analytic.integrate_adaptive
