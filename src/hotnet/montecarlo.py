@@ -1,31 +1,42 @@
-"""Monte Carlo trial engine: sample worlds, associate, draw SINR/SNR/rate.
+"""Monte Carlo trial engine: one pipeline, driven by the ``LinkBudget``
+records, over fixed blocks of ``BLOCK_TRIALS`` trials.
 
-Each trial gets its own RNG stream derived from ``(seed, trial_index)``,
-so trials are reproducible and order-independent (and could run in any
-order or in parallel).  The engine samples lazily: the Sub-6GHz process
-and the typical cluster decide association first; interfering clusters
-are only drawn when a trial actually needs mmWave interference.
+- associate: draw only what association reads (the UE's distance ``v0``
+  to its hotspot center, the nearest macro BS, the own-cluster
+  candidates) and pick the tier.  ``assoc_only`` runs stop here;
+- interfere: draw the serving fading and the interferers each served
+  trial hears, a few trials at a time so that the arrays stay bounded;
+- SINR: signal over noise plus interference, and the Shannon rate.
 
-Interferers are truncated at ``params.truncation_radius_m``; the expected
-interference of the (infinite) network beyond the truncation disk is
-added as a deterministic mean term, which keeps the truncation bias far
-below the Monte Carlo noise floor.
+Block ``b`` draws from ``SeedSequence([seed, b])``, so a table is a
+function of (params, scenario, n_trials, seed) alone, whatever the worker
+count.  A shorter run is a prefix of a longer one up to its last whole
+block; a trailing partial block is drawn afresh.
+
+Interferers are truncated at ``min(window_radius_m, truncation_radius_m)``:
+cluster members beyond it are dropped, and the expected interference of
+the network outside enters as a deterministic mean tail, which keeps the
+truncation bias far below the Monte Carlo noise floor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .association import LinkBudget, Tier, link_budgets
-from .geometry import (NetworkRealization, sample_ppp, sample_thomas_cluster,
-                       sample_typical_offset)
+from .association import (ClusterLaw, KernelSegment, LinkBudget, Tier,
+                          link_budgets)
+from .channel import MIN_LINK_DISTANCE_M
+from .geometry import sample_ppp
 from .params import ScenarioKind, SystemParams
 
 TIER_NONE = 0  # mmWave-only deployment with no LoS candidate in reach
+
+BLOCK_TRIALS = 1024         # trials per random stream
+INTERFERER_CHUNK = 1 << 15  # about the most interferers live at once
 
 
 @dataclass(frozen=True)
@@ -83,318 +94,306 @@ class CoverageCurve:
 
 
 # ---------------------------------------------------------------------------
-# per-trial physics
+# stages on explicit distances, and samplers
 # ---------------------------------------------------------------------------
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, index]))
+class _Source(NamedTuple):
+    """Interfering BSs of one tier: density per m^2, power, segments."""
+
+    density: float
+    power: float
+    segments: tuple[KernelSegment, ...]
 
 
-def _rayleigh_interference(dists: np.ndarray, tier: LinkBudget,
-                           rng: np.random.Generator) -> float:
-    """Rayleigh-faded Sub-6GHz aggregate from BSs of the given tier at the
-    given distances."""
-    if len(dists) == 0:
-        return 0.0
-    d = np.maximum(dists, 1.0)
-    return float(np.sum(tier.budget * d ** (-tier.alpha)
-                        * rng.exponential(size=len(d))))
+def _sources(params: SystemParams, budgets: tuple[LinkBudget, LinkBudget]
+             ) -> tuple[_Source, _Source]:
+    """Interferers of the (macro, small-cell) tiers.  A macro BS is one
+    Rayleigh-faded segment of the macro serving budget."""
+    macro, law = budgets[0], budgets[1].cluster
+    rayleigh = KernelSegment(1.0, 0.0, math.inf, False, False, macro.budget,
+                             macro.alpha, 1, (1.0,), (1.0,))
+    return (_Source(params.lambda1, 1.0, (rayleigh,)),
+            _Source(law.density * law.members, law.power, law.segments))
 
 
-def _sub6_tail_mean(params: SystemParams, radius: float) -> float:
-    """Expected Sub-6GHz interference from beyond the truncation disk."""
-    macro = link_budgets(params)[0]
-    a = macro.alpha
-    return (2.0 * math.pi * params.lambda1 * macro.budget
-            * radius ** (2.0 - a) / (a - 2.0))
+def _pick(probs, u: np.ndarray) -> np.ndarray:
+    """Outcome index of the discrete law ``probs`` for each uniform ``u``."""
+    return np.searchsorted(np.cumsum(probs[:-1]), u, side="right")
 
 
-def _mm_interference(dists: np.ndarray, los: np.ndarray,
-                     params: SystemParams, rng: np.random.Generator) -> float:
-    """mmWave aggregate with random beam orientations and per-class
-    Nakagami fading."""
-    m = len(dists)
-    if m == 0:
-        return 0.0
-    d = np.maximum(dists, 1.0)
-    g = np.where(rng.random(m) < params.p_main, params.g_main, params.g_side)
-    shape = np.where(los, params.n_nakagami_los, params.n_nakagami_nlos)
-    h = rng.gamma(shape, 1.0 / shape)
-    c = np.where(los, params.c_los, params.c_nlos)
-    alpha = np.where(los, params.alpha_los, params.alpha_nlos)
-    return float(np.sum(params.p2_w * g * c * d ** (-alpha) * h))
+def _fading(order: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-mean Nakagami power of integer order: a sum of ``order``
+    standard exponentials over ``order``."""
+    if order == 1:
+        return rng.standard_exponential(m)
+    return rng.standard_exponential((order, m)).sum(axis=0) / order
 
 
-def _mm_tail_mean(params: SystemParams, radius: float) -> float:
-    """Expected mmWave interference beyond the truncation disk (all NLoS
-    out there; clusters enter with their mean member count)."""
-    b = params.p2_w * params.mean_interferer_gain * params.c_nlos
-    a = params.alpha_nlos
-    return (2.0 * math.pi * params.lambda_p * params.n_bs * b
-            * radius ** (2.0 - a) / (a - 2.0))
+def _received(source: _Source, d: np.ndarray, trial: np.ndarray, n: int,
+              rng: np.random.Generator, u=None) -> np.ndarray:
+    """Per-trial sum of the power received from interferers at distances
+    ``d`` (``trial`` indexes each one's trial, out of ``n``).
 
-
-def sinr_of_realization(realization: NetworkRealization,
-                        outcome, params: SystemParams,
-                        rng: np.random.Generator,
-                        serving_fading: Optional[float] = None,
-                        far_field_tail: bool = False) -> TrialResult:
-    """SINR/SNR/rate of the typical UE for one sampled world.
-
-    ``serving_fading`` fixes the serving link's fading power (otherwise a
-    fresh Nakagami draw); ``far_field_tail`` adds the mean interference of
-    the network beyond the realization window.
+    The segments of an interferer's distance band split it by a uniform
+    against their cumulative shares: ``u`` when given, else drawn where a
+    band has several segments.  The segment sets its beam gain levels,
+    Nakagami order and path loss, clamped at 1 m.
     """
-    x = outcome.serving_distance
-    macro, cells = link_budgets(params)
-    if outcome.tier == Tier.SUB6:
-        h = rng.gamma(1, 1.0) if serving_fading is None else serving_fading
-        sig = macro.budget * max(x, 1.0) ** (-macro.alpha) * h
-        d = np.linalg.norm(realization.sub6_points, axis=1)
-        d = np.delete(d, outcome.serving_index[1])
-        interference = _rayleigh_interference(d, macro, rng)
-        if far_field_tail:
-            interference += _sub6_tail_mean(params, realization.window_radius)
-        serving = macro
-    else:
-        n_l = cells.order
-        h = (rng.gamma(n_l, 1.0 / n_l) if serving_fading is None
-             else serving_fading)
-        sig = cells.budget * max(x, 1.0) ** (-cells.alpha) * h
-        _, ci, mi = outcome.serving_index
-        dd, ll = [], []
-        for k, cl in enumerate(realization.clusters):
-            if cl.count == 0:
-                continue
-            d = np.linalg.norm(cl.members, axis=1)
-            mask = np.ones(cl.count, dtype=bool)
-            if k == ci:
-                mask[mi] = False
-            dd.append(d[mask])
-            ll.append(cl.los_mask[mask])
-        d = np.concatenate(dd) if dd else np.empty(0)
-        l = np.concatenate(ll) if ll else np.empty(0, dtype=bool)
-        interference = _mm_interference(d, l, params, rng)
-        if far_field_tail:
-            interference += _mm_tail_mean(params, realization.window_radius)
-        serving = cells
-    return _trial_result(int(outcome.tier), serving, x,
-                         realization.typical_offset_v0, sig, interference)
+    total = np.zeros(n)
+    bands: dict[tuple[float, float], list[KernelSegment]] = {}
+    for s in source.segments:
+        bands.setdefault((s.r_min, s.r_max), []).append(s)
+    for (lo, hi), segs in bands.items():
+        inside = (slice(None) if (lo, hi) == (0.0, math.inf)
+                  else (d >= lo) & (d < hi))
+        dd, tt = d[inside], trial[inside]
+        parts = [(segs[0], dd, tt)]
+        if len(segs) > 1:
+            pick = _pick([s.share for s in segs],
+                         rng.random(len(dd)) if u is None else u[inside])
+            parts = [(s, dd[pick == i], tt[pick == i])
+                     for i, s in enumerate(segs)]
+        for s, ds, ts in parts:
+            m = len(ds)
+            p = np.maximum(ds, MIN_LINK_DISTANCE_M)
+            p **= -s.alpha
+            p *= source.power * s.intercept
+            p *= (np.take(s.gains, _pick(s.gain_probs, rng.random(m)))
+                  if len(s.gains) > 1 else s.gains[0])
+            p *= _fading(s.order, m, rng)
+            total += np.bincount(ts, weights=p, minlength=n)
+    return total
 
 
-def _trial_result(tier: int, serving: LinkBudget, x: float, v0: float,
-                  sig: float, interference: float) -> TrialResult:
-    """SINR/SNR/rate of a served trial over the serving tier's link."""
-    snr = sig / serving.noise_w
+def _tail_mean(source: _Source, radius: float) -> float:
+    """Expected interference from the BSs of a tier beyond ``radius``:
+    its unbounded segments at their mean gain and unit-mean fading."""
+    return sum(2.0 * math.pi * source.density * s.share * source.power
+               * float(np.dot(s.gains, s.gain_probs)) * s.intercept
+               * radius ** (2.0 - s.alpha) / (s.alpha - 2.0)
+               for s in source.segments if s.r_max == math.inf)
+
+
+def _choose(budgets: tuple[LinkBudget, LinkBudget], r1: np.ndarray,
+            r2: np.ndarray) -> np.ndarray:
+    """Tier of the larger biased average power of the candidates at ``r1``
+    and ``r2`` (infinite: no candidate, whose power reads 0).  Ties go to
+    the macro tier; a trial without candidates is ``TIER_NONE``."""
+    macro, cells = budgets
+    m1 = macro.weight * np.maximum(r1, MIN_LINK_DISTANCE_M) ** -macro.alpha
+    m2 = cells.weight * np.maximum(r2, MIN_LINK_DISTANCE_M) ** -cells.alpha
+    tier = np.where(m2 > m1, int(Tier.MMWAVE), int(Tier.SUB6)).astype(np.int8)
+    tier[np.isinf(r1) & np.isinf(r2)] = TIER_NONE
+    return tier
+
+
+def _sinr(serving: LinkBudget, x: np.ndarray, fading: np.ndarray,
+          interference: np.ndarray):
+    """SINR, SNR and rate of serving links at distances ``x`` with the
+    given fading and interference powers."""
+    sig = (serving.budget * np.maximum(x, MIN_LINK_DISTANCE_M)
+           ** -serving.alpha * fading)
     sinr = sig / (serving.noise_w + interference)
-    return TrialResult(tier, float(x), float(v0), float(sinr), float(snr),
-                       float(serving.bandwidth_hz * math.log2(1.0 + sinr)))
+    return (sinr, sig / serving.noise_w,
+            serving.bandwidth_hz * np.log2(1.0 + sinr))
+
+
+def _member_distances(cx: np.ndarray, sigma: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Distances to the origin of members scattered with spread ``sigma``
+    around centers on the positive x-axis at ``cx``.  Rotating a cluster
+    about the origin keeps its members' distances, so no angle is drawn."""
+    z = rng.standard_normal((2, len(cx)))
+    return np.hypot(cx + sigma * z[0], sigma * z[1])
+
+
+def _macro_others(r1: np.ndarray, radius: float, density: float,
+                  rng: np.random.Generator):
+    """Distances and trial index of the macro BSs past the nearest one at
+    ``r1``: a PPP on the annulus ``[r1, radius]``, empty for an infinite
+    ``r1`` (no macro BS inside the disk)."""
+    r1 = np.where(np.isfinite(r1), r1, radius)
+    counts = rng.poisson(density * math.pi * (radius ** 2 - r1 ** 2))
+    trial = np.repeat(np.arange(len(r1)), counts)
+    inner = r1[trial] ** 2
+    return (np.sqrt(inner + (radius ** 2 - inner) * rng.random(len(trial))),
+            trial)
+
+
+def _cluster_members(law: ClusterLaw, radius: float, enlarged: float,
+                     n: int, rng: np.random.Generator):
+    """Distances and trial index of the interfering clusters' members
+    inside ``radius``, for ``n`` trials.  The centers are one PPP of ``n``
+    times the hotspot density on the disk of radius ``enlarged``, each
+    given to a uniformly drawn trial (so each trial gets an independent
+    PPP) and rotated onto the positive x-axis.  Members beyond ``radius``
+    are dropped before anything else is drawn for them (the mean tail
+    counts them), first by their x offset alone."""
+    centers = sample_ppp(n * law.density, enlarged, rng)
+    owner = rng.integers(0, n, len(centers))
+    counts = rng.poisson(law.members, len(centers))
+    x = np.repeat(np.hypot(centers[:, 0], centers[:, 1]), counts)
+    x += rng.normal(0.0, law.spread, len(x))
+    trial = np.repeat(owner, counts)
+    near = np.abs(x) <= radius
+    x, trial = x[near], trial[near]
+    d = np.hypot(x, rng.normal(0.0, law.spread, len(x)))
+    keep = d <= radius
+    return d[keep], trial[keep]
 
 
 # ---------------------------------------------------------------------------
-# trial engine
+# block pipeline
 # ---------------------------------------------------------------------------
 
-def _metric(tier: LinkBudget, r: float) -> float:
-    """Biased average received power of a candidate at distance ``r``;
-    -1 when the tier offers no candidate (``r`` infinite)."""
-    if r == math.inf:
-        return -1.0
-    return tier.weight * max(r, 1.0) ** (-tier.alpha)
+class _Run(NamedTuple):
+    """Constants of one ``run_trials`` call."""
+
+    budgets: tuple[LinkBudget, LinkBudget]
+    sources: tuple[_Source, _Source]
+    sigma_ue: float
+    radius: float             # truncation disk of every interferer
+    enlarged: float           # disk of the interfering cluster centers
 
 
-def _sample_interfering_members(params: SystemParams, radius: float,
-                                rng: np.random.Generator):
-    """Distances of all members of the interfering clusters, flattened."""
-    enlarged = radius + 6.0 * max(params.sigma_bs_m, params.sigma_ue_m)
-    centers = sample_ppp(params.lambda_p, enlarged, rng)
-    if len(centers) == 0:
-        return np.empty(0)
-    counts = rng.poisson(params.n_bs, size=len(centers))
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0)
-    pts = (np.repeat(centers, counts, axis=0)
-           + rng.normal(0.0, params.sigma_bs_m, size=(total, 2)))
-    return np.linalg.norm(pts, axis=1)
+class _Block(NamedTuple):
+    """What the associate stage drew for a block of trials."""
+
+    v0: np.ndarray
+    r1: np.ndarray            # nearest macro distance, inf if none
+    own: np.ndarray           # (n, members) distances, NaN until drawn
+    own_u: np.ndarray | None  # (n, members) class uniforms (LoS labels)
+    cand: np.ndarray          # (n, members) candidate distances, else inf
+    tier: np.ndarray
+    x: np.ndarray             # serving distance, NaN when unserved
 
 
-def _run_trial_integrated(params: SystemParams, scenario: ScenarioKind,
-                          budgets: tuple[LinkBudget, LinkBudget],
-                          rng: np.random.Generator) -> TrialResult:
-    """One trial of deployments (a), (b) or (c)."""
-    macro, cells = budgets
-    radius = min(params.window_radius_m, params.truncation_radius_m)
-    with_sub6 = scenario is not ScenarioKind.MMWAVE_ONLY
-    with_mm = scenario is not ScenarioKind.SUB6_ONLY
-
-    v0 = sample_typical_offset(params.sigma_ue_m, rng)
-    psi = rng.uniform(0.0, 2.0 * math.pi)
-    c0 = v0 * np.array([math.cos(psi), math.sin(psi)])
-
-    r1 = math.inf
-    d_sub6 = np.empty(0)
-    if with_sub6:
-        d_sub6 = np.linalg.norm(sample_ppp(params.lambda1, radius, rng),
-                                axis=1)
-        if len(d_sub6):
-            r1 = float(d_sub6.min())
-
-    r2 = math.inf
-    d0 = np.empty(0)
-    los0 = np.empty(0, dtype=bool)
-    if with_mm and params.n_bs > 0:
-        own = sample_thomas_cluster(c0, params.sigma_bs_m, params.n_bs, rng)
-        d0 = np.linalg.norm(own.members, axis=1)
-        los0 = ((rng.random(params.n_bs) < params.p_los)
-                & (d0 < params.r_los_ball_m))
-        if los0.any():
-            r2 = float(d0[los0].min())
-
-    m1 = _metric(macro, r1)
-    m2 = _metric(cells, r2)
-    if m1 < 0 and m2 < 0:
-        return TrialResult(TIER_NONE, math.nan, v0, 0.0, 0.0, 0.0)
-
-    if m2 > m1:
-        # mmWave-served: intra (own cluster minus serving) + inter clusters
-        n_l = cells.order
-        sig = (cells.budget * max(r2, 1.0) ** (-cells.alpha)
-               * rng.gamma(n_l, 1.0 / n_l))
-        keep = np.ones(params.n_bs, dtype=bool)
-        keep[int(np.argmin(np.where(los0, d0, np.inf)))] = False
-        interference = _mm_interference(d0[keep], los0[keep], params, rng)
-        d_inter = _sample_interfering_members(params, radius, rng)
-        los_inter = ((rng.random(len(d_inter)) < params.p_los)
-                     & (d_inter < params.r_los_ball_m))
-        interference += _mm_interference(d_inter, los_inter, params, rng)
-        interference += _mm_tail_mean(params, radius)
-        return _trial_result(int(Tier.MMWAVE), cells, r2, v0, sig,
-                             interference)
-
-    sig = macro.budget * max(r1, 1.0) ** (-macro.alpha) * rng.exponential()
-    others = np.delete(d_sub6, int(np.argmin(d_sub6)))
-    interference = (_rayleigh_interference(others, macro, rng)
-                    + _sub6_tail_mean(params, radius))
-    return _trial_result(int(Tier.SUB6), macro, r1, v0, sig, interference)
+def _associate(run: _Run, n: int, rng: np.random.Generator) -> _Block:
+    """Draw what association reads and pick each trial's serving tier.
+    The own hotspot center sits at ``(v0, 0)``.  LoS labels come first,
+    then positions of the labelled members only: the others wait until a
+    trial needs them as interferers."""
+    law = run.budgets[1].cluster
+    v0 = rng.rayleigh(run.sigma_ue, n)
+    r1 = np.full(n, np.inf)
+    lam = run.sources[0].density
+    if lam > 0:
+        # the nearest point of a PPP: pi lambda r1^2 ~ Exp(1)
+        r1 = np.sqrt(rng.standard_exponential(n) / (math.pi * lam))
+        r1[r1 > run.radius] = np.inf
+    own_u, drawn = None, np.ones((n, law.members), dtype=bool)
+    if law.los_ball is not None:
+        own_u = rng.random(drawn.shape)
+        drawn = own_u < law.los_prob
+    own = np.full(drawn.shape, np.nan)
+    own[drawn] = _member_distances(v0[drawn.nonzero()[0]], law.spread, rng)
+    cand = (own if law.los_ball is None
+            else np.where(own < law.los_ball, own, np.inf))
+    r2 = cand.min(axis=1, initial=np.inf)
+    tier = _choose(run.budgets, r1, r2)
+    x = np.maximum(np.where(tier == int(Tier.MMWAVE), r2, r1),
+                   MIN_LINK_DISTANCE_M)
+    x[tier == TIER_NONE] = np.nan
+    return _Block(v0, r1, own, own_u, cand, tier, x)
 
 
-def _run_trial_two_tier(params: SystemParams,
-                        budgets: tuple[LinkBudget, LinkBudget],
-                        rng: np.random.Generator) -> TrialResult:
-    """One trial of deployment (d): clustered small cells share the
-    Sub-6GHz band (omni antennas, Rayleigh fading, macro path loss law)."""
-    radius = min(params.window_radius_m, params.truncation_radius_m)
-    macro, cells = budgets
-
-    v0 = sample_typical_offset(params.sigma_ue_m, rng)
-    psi = rng.uniform(0.0, 2.0 * math.pi)
-    c0 = v0 * np.array([math.cos(psi), math.sin(psi)])
-
-    d_sub6 = np.linalg.norm(sample_ppp(params.lambda1, radius, rng), axis=1)
-    r1 = float(d_sub6.min()) if len(d_sub6) else math.inf
-
-    own = sample_thomas_cluster(c0, params.sigma_bs_m, params.n_bs, rng)
-    d0 = np.linalg.norm(own.members, axis=1) if params.n_bs else np.empty(0)
-    r2 = float(d0.min()) if len(d0) else math.inf
-
-    d_inter = _sample_interfering_members(params, radius, rng)
-
-    m1 = _metric(macro, r1)
-    m2 = _metric(cells, r2)
-    if m1 < 0 and m2 < 0:
-        return TrialResult(TIER_NONE, math.nan, v0, 0.0, 0.0, 0.0)
-
-    if m2 > m1:
-        tier, x, serving = int(Tier.MMWAVE), r2, cells
-        scells = np.concatenate((np.delete(d0, int(np.argmin(d0))), d_inter))
-        macros = d_sub6
-    else:
-        tier, x, serving = int(Tier.SUB6), r1, macro
-        scells = np.concatenate((d0, d_inter))
-        macros = np.delete(d_sub6, int(np.argmin(d_sub6)))
-
-    sig = serving.budget * max(x, 1.0) ** (-serving.alpha) * rng.exponential()
-    interference = _rayleigh_interference(macros, macro, rng)
-    interference += _rayleigh_interference(scells, cells, rng)
-    interference += _sub6_tail_mean(params, radius)
-    a = cells.alpha
-    interference += (2.0 * math.pi * params.lambda_p * params.n_bs
-                     * cells.budget * radius ** (2.0 - a) / (a - 2.0))
-    return _trial_result(tier, serving, x, v0, sig, interference)
+def _macro_interference(run: _Run, r1: np.ndarray, serves: bool,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Macro interference at trials with nearest macro distances ``r1``;
+    the nearest macro BS interferes too unless it ``serves``."""
+    src = run.sources[0]
+    out = np.full(len(r1), _tail_mean(src, run.radius))
+    per_trial = src.density * math.pi * run.radius ** 2
+    step = max(1, int(INTERFERER_CHUNK / max(per_trial, 1.0)))
+    for i in range(0, len(r1), step):
+        part = r1[i:i + step]
+        d, trial = _macro_others(part, run.radius, src.density, rng)
+        if not serves:
+            lit = np.flatnonzero(np.isfinite(part))
+            d, trial = (np.concatenate((d, part[lit])),
+                        np.concatenate((trial, lit)))
+        out[i:i + step] += _received(src, d, trial, len(part), rng)
+    return out
 
 
-def _run_assoc_only(params: SystemParams, scenario: ScenarioKind,
-                    budgets: tuple[LinkBudget, LinkBudget],
-                    n_trials: int, seed: int) -> TrialTable:
-    """Vectorized fast path when only tier/serving-distance statistics are
-    needed: no interference, no fading (sinr/snr/rate reported as NaN)."""
-    rng = _trial_rng(seed, 0)
-    v0 = rng.rayleigh(params.sigma_ue_m, n_trials)
+def _cluster_interference(run: _Run, block: _Block, idx: np.ndarray,
+                          serves: bool,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Small-cell interference at the trials ``idx``: the own cluster,
+    less its nearest candidate when that ``serves``, and the interfering
+    clusters."""
+    src, law = run.sources[1], run.budgets[1].cluster
+    n = len(idx)
+    out = np.full(n, _tail_mean(src, run.radius))
+    own = block.own[idx]
+    missing = np.isnan(own)
+    own[missing] = _member_distances(block.v0[idx][missing.nonzero()[0]],
+                                     law.spread, rng)
+    keep = np.ones(own.shape, dtype=bool)
+    if serves:
+        keep[np.arange(n), block.cand[idx].argmin(axis=1)] = False
+    u = None if block.own_u is None else block.own_u[idx][keep]
+    out += _received(src, own[keep], keep.nonzero()[0], n, rng, u)
+    per_trial = src.density * math.pi * run.enlarged ** 2
+    step = max(1, int(INTERFERER_CHUNK / max(per_trial, 1.0)))
+    for i in range(0, n, step):
+        m = min(step, n - i)
+        d, trial = _cluster_members(law, run.radius, run.enlarged, m, rng)
+        out[i:i + m] += _received(src, d, trial, m, rng)
+    return out
 
-    with_sub6 = scenario is not ScenarioKind.MMWAVE_ONLY
-    if with_sub6 and params.lambda1 > 0:
-        # nearest-point distance of a PPP: pi*lambda*r1^2 ~ Exp(1)
-        r1 = np.sqrt(rng.exponential(size=n_trials) / (math.pi * params.lambda1))
-    else:
-        r1 = np.full(n_trials, np.inf)
 
-    macro, cells = budgets
-    law = cells.cluster
-    r2 = np.full(n_trials, np.inf)
-    if scenario is not ScenarioKind.SUB6_ONLY and params.n_bs > 0:
-        off = rng.normal(0.0, params.sigma_bs_m, (n_trials, params.n_bs, 2))
-        off[:, :, 0] += v0[:, None]
-        d = np.linalg.norm(off, axis=2)
-        if law.los_ball is not None:
-            los = ((rng.random((n_trials, params.n_bs)) < law.los_prob)
-                   & (d < law.los_ball))
-            d = np.where(los, d, np.inf)
-        r2 = d.min(axis=1)
-
-    with np.errstate(divide="ignore"):
-        m1 = np.where(np.isinf(r1), -1.0,
-                      macro.weight * np.maximum(r1, 1.0) ** (-macro.alpha))
-        m2 = np.where(np.isinf(r2), -1.0,
-                      cells.weight * np.maximum(r2, 1.0) ** (-cells.alpha))
-
-    tier = np.where(m2 > m1, int(Tier.MMWAVE), int(Tier.SUB6))
-    tier = np.where((m1 < 0) & (m2 < 0), TIER_NONE, tier)
-    dist = np.where(tier == int(Tier.MMWAVE), r2, r1)
-    dist = np.where(tier == TIER_NONE, np.nan, np.maximum(dist, 1.0))
-    nan = np.full(n_trials, np.nan)
-    return TrialTable(tier.astype(np.int8), dist, v0, nan.copy(), nan.copy(),
-                      nan.copy())
+def _interfere(run: _Run, block: _Block, rng: np.random.Generator):
+    """SINR, SNR and rate of a block's trials; unserved ones read 0."""
+    out = np.zeros((3, len(block.tier)))
+    for k, serving in enumerate(run.budgets, start=1):
+        idx = np.flatnonzero(block.tier == k)
+        if len(idx) == 0:
+            continue
+        fading = _fading(serving.order, len(idx), rng)
+        # a tier hears the other one only when they share a band
+        interference = np.zeros(len(idx))
+        if k == 1 or serving.shared_band:
+            interference += _macro_interference(run, block.r1[idx], k == 1,
+                                                rng)
+        if k == 2 or serving.shared_band:
+            interference += _cluster_interference(run, block, idx, k == 2,
+                                                  rng)
+        out[:, idx] = _sinr(serving, block.x[idx], fading, interference)
+    return out
 
 
 def run_trials(params: SystemParams, scenario: ScenarioKind, n_trials: int,
                seed: int, assoc_only: bool = False) -> TrialTable:
-    """Run ``n_trials`` independent trials of the given deployment."""
+    """Run ``n_trials`` independent trials of the given deployment.
+
+    With ``assoc_only`` the pipeline stops after association: ``tier``,
+    ``serving_distance`` and ``v0`` equal those of the full run with the
+    same seed, and ``sinr``, ``snr`` and ``rate`` are NaN.
+    """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    # (b) and (c) are (a) without the small cells or the macro BSs
+    if scenario is ScenarioKind.SUB6_ONLY:
+        params = params.replace(n_bs=0)
+    elif scenario is ScenarioKind.MMWAVE_ONLY:
+        params = params.replace(lambda1_per_km2=0.0)
     budgets = link_budgets(params, scenario)
-    if assoc_only:
-        return _run_assoc_only(params, scenario, budgets, n_trials, seed)
-
-    tier = np.empty(n_trials, dtype=np.int8)
-    dist = np.empty(n_trials)
-    v0 = np.empty(n_trials)
-    sinr = np.empty(n_trials)
-    snr = np.empty(n_trials)
-    rate = np.empty(n_trials)
-    for i in range(n_trials):
-        rng = _trial_rng(seed, i)
-        if scenario is ScenarioKind.TWO_TIER_SUB6:
-            res = _run_trial_two_tier(params, budgets, rng)
-        else:
-            res = _run_trial_integrated(params, scenario, budgets, rng)
-        tier[i] = res.tier
-        dist[i] = res.serving_distance
-        v0[i] = res.v0
-        sinr[i] = res.sinr
-        snr[i] = res.snr
-        rate[i] = res.rate
-    return TrialTable(tier, dist, v0, sinr, snr, rate)
+    radius = min(params.window_radius_m, params.truncation_radius_m)
+    run = _Run(budgets, _sources(params, budgets), params.sigma_ue_m, radius,
+               radius + 6.0 * max(params.sigma_bs_m, params.sigma_ue_m))
+    table = TrialTable(np.empty(n_trials, dtype=np.int8),
+                       *np.full((5, n_trials), np.nan))
+    for b, start in enumerate(range(0, n_trials, BLOCK_TRIALS)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
+        sl = slice(start, start + BLOCK_TRIALS)
+        block = _associate(run, min(BLOCK_TRIALS, n_trials - start), rng)
+        table.tier[sl], table.serving_distance[sl] = block.tier, block.x
+        table.v0[sl] = block.v0
+        if not assoc_only:
+            table.sinr[sl], table.snr[sl], table.rate[sl] = _interfere(
+                run, block, rng)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,11 @@ class SystemParams:
             raise ValueError("r_los_ball_m must be positive")
         if self.lambda1_per_km2 < 0 or self.lambda_p_per_km2 < 0:
             raise ValueError("densities must be nonnegative")
+        for name in ("n_bs", "n_nakagami_los", "n_nakagami_nlos"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be a whole number")
+            object.__setattr__(self, name, int(value))
         if self.n_bs < 0:
             raise ValueError("n_bs must be nonnegative")
         if self.sigma_bs_m <= 0 or self.sigma_ue_m <= 0:

@@ -130,6 +130,26 @@ def test_run_same_seed_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_run_mc_csv_independent_of_worker_count(tmp_path, monkeypatch):
+    # full trials (coverage) and association-only ones (assoc_prob)
+    path = _write(tmp_path, BASE_CONFIG.replace(
+        "metrics = assoc_prob", "metrics = assoc_prob, coverage"))
+    outs = []
+    for workers in (None, "2"):
+        if workers is None:
+            monkeypatch.delenv("HOTNET_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("HOTNET_WORKERS", workers)
+        out = tmp_path / f"workers-{workers}"
+        rc = main(["run", "--config", str(path), "--mode", "mc",
+                   "--out", str(out), "--seed", "3", "--trials", "600",
+                   "--no-figures"])
+        assert rc == 0
+        outs.append([(out / f"{m}.csv").read_bytes()
+                     for m in ("assoc_prob", "coverage")])
+    assert outs[0] == outs[1]
+
+
 def test_run_both_mode_adds_analytic_and_diff(tmp_path):
     path = _write(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"

@@ -85,18 +85,36 @@ def test_member_distance_density_reduces_to_rayleigh_at_origin():
                                rtol=1e-12)
 
 
+def _cumulative_cdf(x, v0, sigma, nodes=8):
+    """CDF of the member distance at each of ``x``: one Gauss-Legendre
+    panel between consecutive sorted points, summed cumulatively."""
+    order = np.argsort(x)
+    edges = np.concatenate(([0.0], np.asarray(x, dtype=float)[order]))
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    pdf = rician_distance_density(mid[:, None] + half[:, None] * t, v0, sigma)
+    out = np.empty(len(order))
+    out[order] = np.cumsum(half * (pdf @ w))
+    return out
+
+
+def test_cumulative_cdf_matches_quad():
+    v0, sigma = 220.0, 100.0
+    x = np.random.default_rng(3).uniform(0.0, 700.0, 2000)
+    x[:4] = [1.0, 120.0, 220.0, 650.0]
+    got = _cumulative_cdf(x, v0, sigma)
+    for xi, gi in zip(x[:4], got[:4]):
+        want = quad(rician_distance_density, 0.0, xi, args=(v0, sigma),
+                    limit=200, epsabs=1e-13, epsrel=1e-13)[0]
+        assert gi == pytest.approx(want, abs=1e-9)
+
+
 def test_member_distance_density_matches_sampled_distances():
     rng = np.random.default_rng(17)
     v0, sigma = 220.0, 100.0
     cl = sample_thomas_cluster(np.array([v0, 0.0]), sigma, 100_000, rng)
     d = np.linalg.norm(cl.members, axis=1)
-
-    def cdf(x):
-        x = np.atleast_1d(x)
-        return np.array([quad(rician_distance_density, 0.0, xi,
-                              args=(v0, sigma), limit=200)[0] for xi in x])
-
-    stat = kstest(d, cdf)
+    stat = kstest(d, lambda x: _cumulative_cdf(x, v0, sigma))
     assert stat.pvalue > 1e-3
 
 

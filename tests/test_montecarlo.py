@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from hotnet import montecarlo as mc
-from hotnet.association import AssociationOutcome, Tier
-from hotnet.geometry import ClusterRealization, NetworkRealization
+from hotnet.association import Tier, link_budgets
 from hotnet.params import ScenarioKind, SystemParams
 
 P = SystemParams()
@@ -60,66 +59,110 @@ def test_run_trials_validates_count():
         mc.run_trials(P, ScenarioKind.INTEGRATED, 0, seed=1)
 
 
+@pytest.mark.parametrize("scenario", list(ScenarioKind))
+def test_assoc_only_is_the_full_run_stopped_after_association(scenario):
+    # a count past one block that is not a multiple of the block size
+    n = mc.BLOCK_TRIALS + 37
+    full = mc.run_trials(P, scenario, n, seed=21)
+    fast = mc.run_trials(P, scenario, n, seed=21, assoc_only=True)
+    np.testing.assert_array_equal(fast.tier, full.tier)
+    np.testing.assert_array_equal(fast.serving_distance,
+                                  full.serving_distance)
+    np.testing.assert_array_equal(fast.v0, full.v0)
+    assert np.all(np.isnan(fast.sinr) & np.isnan(fast.snr)
+                  & np.isnan(fast.rate))
+
+
+def test_whole_blocks_are_a_prefix_of_longer_runs():
+    n = mc.BLOCK_TRIALS
+    short = mc.run_trials(P, ScenarioKind.TWO_TIER_SUB6, n, seed=4)
+    long = mc.run_trials(P, ScenarioKind.TWO_TIER_SUB6, n + 5, seed=4)
+    for field in ("tier", "serving_distance", "v0", "sinr", "snr", "rate"):
+        np.testing.assert_array_equal(getattr(short, field),
+                                      getattr(long, field)[:n])
+
+
+@pytest.mark.parametrize("scenario", list(ScenarioKind))
+def test_single_trial_runs(scenario):
+    t = mc.run_trials(P, scenario, 1, seed=2)
+    assert len(t) == 1
+    if t.served[0]:
+        assert 0.0 < t.sinr[0] <= t.snr[0]
+        assert t.rate[0] > 0.0
+
+
+def test_no_macro_tier_leaves_only_small_cells():
+    q = P.replace(lambda1_per_km2=0.0)
+    t = mc.run_trials(q, ScenarioKind.INTEGRATED, 500, seed=6)
+    assert set(np.unique(t.tier)) == {mc.TIER_NONE, int(Tier.MMWAVE)}
+    d = mc.run_trials(q, ScenarioKind.TWO_TIER_SUB6, 300, seed=6)
+    assert np.all(d.tier == int(Tier.MMWAVE))
+    assert np.all(d.sinr < d.snr)
+
+
 # ---------------------------------------------------------------------------
-# per-trial physics against a hand-built world
+# the engine's stages against hand-built distances
 # ---------------------------------------------------------------------------
 
-def _fixed_world(sub6_xy, mm_xy=None, mm_los=None, v0=100.0):
-    sub6 = np.asarray(sub6_xy, dtype=float).reshape(-1, 2)
-    clusters = []
-    if mm_xy is not None:
-        mm = np.asarray(mm_xy, dtype=float).reshape(-1, 2)
-        clusters.append(ClusterRealization(
-            center=np.array([v0, 0.0]), members=mm,
-            los_mask=np.asarray(mm_los, dtype=bool)))
-    return NetworkRealization(sub6_points=sub6, clusters=clusters,
-                              typical_offset_v0=v0, window_radius=3000.0)
+BUDGETS = link_budgets(P, ScenarioKind.INTEGRATED)
+MACRO_SRC, CELL_SRC = mc._sources(P, BUDGETS)
+NO_OTHERS = (np.empty(0), np.empty(0, dtype=int))
 
 
 def test_sub6_sinr_exact_single_bs():
     # one Sub-6GHz BS at 100 m, unit fading, no interferers: SINR is
     # P1*G1*C1*100^-alpha1 / noise, and SNR coincides
-    world = _fixed_world([[100.0, 0.0]])
-    out = AssociationOutcome(Tier.SUB6, 100.0, ("sub6", 0))
     rng = np.random.default_rng(0)
-    res = mc.sinr_of_realization(world, out, P, rng, serving_fading=1.0)
+    interference = mc._received(MACRO_SRC, *NO_OTHERS, 1, rng)
+    sinr, snr, rate = mc._sinr(BUDGETS[0], np.array([100.0]), np.ones(1),
+                               interference)
     want = P.p1_w * P.g1 * P.c1 * 100.0 ** (-P.alpha1) / P.noise1_w
-    assert res.sinr == pytest.approx(want, rel=1e-12)
-    assert res.snr == pytest.approx(want, rel=1e-12)
-    assert res.rate == pytest.approx(P.w1_hz * math.log2(1.0 + want),
-                                     rel=1e-12)
+    assert sinr[0] == pytest.approx(want, rel=1e-12)
+    assert snr[0] == pytest.approx(want, rel=1e-12)
+    assert rate[0] == pytest.approx(P.w1_hz * math.log2(1.0 + want),
+                                    rel=1e-12)
 
 
 def test_mm_sinr_exact_single_member():
-    world = _fixed_world([[5000.0, 0.0]], [[50.0, 0.0]], [True], v0=60.0)
-    out = AssociationOutcome(Tier.MMWAVE, 50.0, ("mm", 0, 0))
-    rng = np.random.default_rng(0)
-    res = mc.sinr_of_realization(world, out, P, rng, serving_fading=1.0)
+    # a far Sub-6GHz BS (5000 m) and one LoS member of the own cluster at
+    # 50 m: the member serves, and the macro BS does not interfere on the
+    # mmWave band (no other cluster exists)
+    q = P.replace(n_bs=1, lambda_p_per_km2=0.0)
+    budgets = link_budgets(q)
+    # a 6 km truncation disk, so that the macro BS lies inside it
+    run = mc._Run(budgets, mc._sources(q, budgets), q.sigma_ue_m, 6000.0,
+                  6900.0)
+    r1, r2 = np.array([5000.0]), np.array([50.0])
+    tier = mc._choose(budgets, r1, r2)
+    assert tier[0] == 2
+    block = mc._Block(np.array([60.0]), r1, r2[:, None], np.zeros((1, 1)),
+                      r2[:, None], tier, r2)
+    sinr, snr, _ = mc._interfere(run, block, np.random.default_rng(0))
+    assert sinr[0] == snr[0]
+    _, snr, _ = mc._sinr(budgets[1], r2, np.ones(1), np.zeros(1))
     sig = P.p2_w * P.g_main * P.c_los * 50.0 ** (-P.alpha_los)
-    # the far Sub-6GHz BS does not interfere on the mmWave band
-    assert res.snr == pytest.approx(sig / P.noise2_w, rel=1e-12)
-    assert res.tier == 2
+    assert snr[0] == pytest.approx(sig / P.noise2_w, rel=1e-12)
 
 
 def test_sub6_interferer_reduces_sinr_not_snr():
-    world = _fixed_world([[100.0, 0.0], [150.0, 0.0]])
-    out = AssociationOutcome(Tier.SUB6, 100.0, ("sub6", 0))
+    # serving BS at 100 m, an interferer at 150 m
     rng = np.random.default_rng(3)
-    res = mc.sinr_of_realization(world, out, P, rng, serving_fading=1.0)
+    interference = mc._received(MACRO_SRC, np.array([150.0]), np.array([0]),
+                                1, rng)
+    sinr, snr, _ = mc._sinr(BUDGETS[0], np.array([100.0]), np.ones(1),
+                            interference)
     want_snr = P.p1_w * P.g1 * P.c1 * 100.0 ** (-P.alpha1) / P.noise1_w
-    assert res.snr == pytest.approx(want_snr, rel=1e-12)
-    assert res.sinr < res.snr
+    assert snr[0] == pytest.approx(want_snr, rel=1e-12)
+    assert sinr[0] < snr[0]
 
 
 def test_far_field_tail_only_lowers_sinr():
-    world = _fixed_world([[100.0, 0.0]])
-    out = AssociationOutcome(Tier.SUB6, 100.0, ("sub6", 0))
-    a = mc.sinr_of_realization(world, out, P, np.random.default_rng(1),
-                               serving_fading=1.0)
-    b = mc.sinr_of_realization(world, out, P, np.random.default_rng(1),
-                               serving_fading=1.0, far_field_tail=True)
-    assert b.sinr < a.sinr
-    assert b.snr == a.snr
+    near = mc._received(MACRO_SRC, *NO_OTHERS, 1, np.random.default_rng(1))
+    a = mc._sinr(BUDGETS[0], np.array([100.0]), np.ones(1), near)
+    b = mc._sinr(BUDGETS[0], np.array([100.0]), np.ones(1),
+                 near + mc._tail_mean(MACRO_SRC, 3000.0))
+    assert b[0][0] < a[0][0]
+    assert b[1][0] == a[1][0]
 
 
 def test_sinr_never_exceeds_snr_in_full_runs():
@@ -129,11 +172,39 @@ def test_sinr_never_exceeds_snr_in_full_runs():
 
 
 def test_mean_interference_tails_positive():
-    assert mc._sub6_tail_mean(P, 3000.0) > 0.0
-    assert mc._mm_tail_mean(P, 3000.0) > 0.0
+    assert mc._tail_mean(MACRO_SRC, 3000.0) > 0.0
+    assert mc._tail_mean(CELL_SRC, 3000.0) > 0.0
     # both shrink with the truncation radius
-    assert mc._sub6_tail_mean(P, 6000.0) < mc._sub6_tail_mean(P, 3000.0)
-    assert mc._mm_tail_mean(P, 6000.0) < mc._mm_tail_mean(P, 3000.0)
+    assert mc._tail_mean(MACRO_SRC, 6000.0) < mc._tail_mean(MACRO_SRC, 3000.0)
+    assert mc._tail_mean(CELL_SRC, 6000.0) < mc._tail_mean(CELL_SRC, 3000.0)
+
+
+def test_tail_means_match_closed_forms():
+    # macro PPP and far NLoS cluster members at their mean beam gain
+    r = 3000.0
+    sub6 = (2.0 * math.pi * P.lambda1 * P.p1_w * P.g1 * P.c1
+            * r ** (2.0 - P.alpha1) / (P.alpha1 - 2.0))
+    mm = (2.0 * math.pi * P.lambda_p * P.n_bs * P.p2_w
+          * P.mean_interferer_gain * P.c_nlos
+          * r ** (2.0 - P.alpha_nlos) / (P.alpha_nlos - 2.0))
+    assert mc._tail_mean(MACRO_SRC, r) == pytest.approx(sub6, rel=1e-12)
+    assert mc._tail_mean(CELL_SRC, r) == pytest.approx(mm, rel=1e-12)
+
+
+def test_interfering_members_stop_at_truncation_radius():
+    # members beyond R enter only through the mean tail, so the summed
+    # inter-cluster interferers number lambda_p * n_bs * pi R^2 a trial
+    rng = np.random.default_rng(31)
+    radius = 3000.0
+    enlarged = radius + 6.0 * max(P.sigma_bs_m, P.sigma_ue_m)
+    law = BUDGETS[1].cluster
+    n = 300
+    d, trial = mc._cluster_members(law, radius, enlarged, n, rng)
+    assert d.max() <= radius
+    counts = np.bincount(trial, minlength=n)
+    want = P.lambda_p * P.n_bs * math.pi * radius ** 2
+    stderr = counts.std(ddof=1) / math.sqrt(n)
+    assert abs(counts.mean() - want) < 4.0 * stderr
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +228,11 @@ def test_mmwave_only_scenario_has_unserved_trials():
 def test_zero_cluster_size_serves_sub6_only():
     t = mc.run_trials(P.replace(n_bs=0), ScenarioKind.INTEGRATED, 300, seed=4)
     assert np.all(t.tier == int(Tier.SUB6))
+    d = mc.run_trials(P.replace(n_bs=0), ScenarioKind.TWO_TIER_SUB6, 300,
+                      seed=4)
+    assert np.all(d.tier == int(Tier.SUB6))
+    # no small cell anywhere: (d) then interferes like (b)
+    assert np.all(d.sinr < d.snr)
 
 
 def test_two_tier_scenario_runs_and_serves_both():

@@ -73,10 +73,19 @@ def test_mean_interferer_gain_is_beam_average():
     dict(g_main_dbi=-5.0, g_side_dbi=0.0),
     dict(w1_hz=0.0),
     dict(truncation_radius_m=-1.0),
+    dict(n_bs=2.5),
+    dict(n_nakagami_los=2.5),
+    dict(n_nakagami_nlos=1.5),
 ])
 def test_validation_rejects(changes):
     with pytest.raises(ValueError):
         SystemParams(**changes)
+
+
+def test_whole_number_counts_are_stored_as_int():
+    p = SystemParams(n_bs=4.0, n_nakagami_los=2.0)
+    assert p == SystemParams(n_bs=4, n_nakagami_los=2)
+    assert type(p.n_bs) is int and type(p.n_nakagami_los) is int
 
 
 def test_replace_returns_new_frozen_record():
