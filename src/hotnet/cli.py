@@ -157,7 +157,7 @@ def _analytic_percentile(params: SystemParams, scenario: ScenarioKind,
         return find_root_monotone(
             lambda t_db: _analytic_coverage(10.0 ** (t_db / 10.0), params,
                                             scenario),
-            target, (-40.0, 60.0), tol=0.05)
+            target, (-40.0, 60.0), tol=0.01)
     except ValueError:
         return math.nan
 

@@ -83,6 +83,10 @@ class SystemParams:
     truncation_radius_m: float = 3_000.0
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, so it is rejected here first
+        for fld in fields(self):
+            if not math.isfinite(getattr(self, fld.name)):
+                raise ValueError(f"{fld.name} must be finite")
         if not (0.0 <= self.p_los <= 1.0):
             raise ValueError("p_los must be a probability")
         if self.r_los_ball_m <= 0:

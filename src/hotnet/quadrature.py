@@ -9,6 +9,13 @@ most ``_CHUNK`` panels, so a vectorized integrand pays the numpy call
 overhead once per chunk of a refinement sweep, not once per node or per
 integrand.
 ``integrate_adaptive`` is the one-integrand case.
+
+A sweep splits only the panels an integrand's error needs: its worst
+panels, in order, until the panels left hold at most ``_LEFT_SHARE`` of
+its tolerance, so the split ones have the rest to shrink into (the rule
+of SciPy's ``quad_vec``).  That is one panel when one holds the excess,
+as in QUADPACK's QAG, and at most 16, so one integrand's new panels fill
+at most one ``_CHUNK`` call and its panel budget is overrun by at most 16.
 """
 
 from __future__ import annotations
@@ -46,6 +53,9 @@ _WG = np.array([
 # Panels per integrand call: bounds the size of the integrand's
 # temporaries (480 nodes) whatever the number of integrands.
 _CHUNK = 32
+# A sweep stops taking panels to split once the panels it leaves hold at
+# most this share of the tolerance.
+_LEFT_SHARE = 1.0 / 8.0
 
 
 @dataclass(frozen=True)
@@ -116,10 +126,14 @@ def integrate_batch(f: Callable, a, b, spec: QuadSpec = QuadSpec()
 
     ``f(x, j)`` evaluates integrand ``j[i]`` at node ``x[i]`` (two 1-D
     arrays of equal length).  Every integrand is refined on its own, by
-    recursive panel bisection: its own panel heap, its 16 worst panels
-    split per sweep, its own depth and panel budget and stopping test.
-    Only the calls of ``f`` are shared: each sweep passes the new panels
-    of all unfinished integrands through ``f`` together.
+    recursive panel bisection: its own panel heap, its own depth and panel
+    budget and stopping test ``err <= max(abs_tol, rel_tol*|value|)``.
+    Each sweep bisects its worst panels until those left hold at most
+    ``_LEFT_SHARE`` of that tolerance: at least one panel, and at most 16,
+    which caps one sweep's new panels at one ``_CHUNK`` call and bounds
+    the waste when the error is spread over many panels.  Only the calls
+    of ``f`` are shared: each sweep passes the new panels of all
+    unfinished integrands through ``f`` together.
 
     Returns one result per integrand, with ``converged=False`` (never
     raises) where the tolerance cannot be met within the budget.
@@ -158,10 +172,13 @@ def integrate_batch(f: Callable, a, b, spec: QuadSpec = QuadSpec()
                 results[j] = _settle(heap, evaluations, spec)
                 del state[j]
                 continue
-            # split the worst panels (up to 16 at a time, batched)
-            batch = []
-            while heap and len(batch) < 16:
+            # split the worst panels: at least one, at most 16, and no
+            # more once the panels left hold at most _LEFT_SHARE of tol
+            batch = [heapq.heappop(heap)]
+            left = total_err - batch[0][4]
+            while heap and len(batch) < 16 and left > _LEFT_SHARE * tol:
                 batch.append(heapq.heappop(heap))
+                left -= batch[-1][4]
             splittable = [p for p in batch if p[5] < spec.max_depth]
             stuck = [p for p in batch if p[5] >= spec.max_depth]
             if not splittable:
@@ -234,10 +251,13 @@ def integrate_semi_infinite(f: Callable, a: float, scale: float,
 def find_root_monotone(f: Callable[[float], float], target: float,
                        bracket: tuple[float, float], tol: float = 1e-9,
                        max_iter: int = 200) -> float:
-    """Solve ``f(x) = target`` for nonincreasing ``f`` by bisection.
+    """Solve ``f(x) = target`` for nonincreasing ``f`` to within ``tol``
+    in x, by bracketing false-position steps with the Illinois rule.
 
-    Requires ``f(lo) >= target >= f(hi)``.  On a flat segment any point of
-    the segment may be returned.
+    Requires ``f(lo) >= target >= f(hi)``.  Stops once the bracket is at
+    most ``tol`` wide (a test on x only, whatever the scale of f) and
+    returns the secant root of the final bracket, which lies inside it.
+    On a flat segment any point of the segment may be returned.
     """
     lo, hi = bracket
     if lo > hi:
@@ -247,13 +267,29 @@ def find_root_monotone(f: Callable[[float], float], target: float,
         raise ValueError(
             f"bracket does not straddle target: f({lo})={flo}, f({hi})={fhi}, "
             f"target={target}")
+    glo, ghi = flo - target, fhi - target
+    # wlo, whi: the end values the steps use; the Illinois rule halves the
+    # one at the end that stayed put twice running, so both ends close in
+    wlo, whi, moved = glo, ghi, 0
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm - target) <= tol or (hi - lo) <= tol * max(1.0, abs(mid)):
-            return mid
-        if fm >= target:
-            lo = mid
+        if glo == 0.0:
+            return lo
+        if ghi == 0.0:
+            return hi
+        if hi - lo <= tol:
+            break
+        # a step at least tol/2 inside the bracket always shrinks it
+        x = lo + (hi - lo) * wlo / (wlo - whi)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        gx = f(x) - target
+        if gx >= 0.0:
+            lo, glo, wlo = x, gx, gx
+            if moved == 1:
+                whi *= 0.5
+            moved = 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, ghi, whi = x, gx, gx
+            if moved == -1:
+                wlo *= 0.5
+            moved = -1
+    return lo + (hi - lo) * glo / (glo - ghi)

@@ -567,6 +567,14 @@ def test_report_counts_nested_integrals(entry, monkeypatch):
     assert starved.unconverged > 0
 
 
+def test_coverage_spends_evaluations_where_the_error_is():
+    # a sweep splits only the panels holding the excess error; splitting
+    # 16 panels per sweep spends about 95k evaluations here
+    rep = analytic.coverage(1.0, P, with_report=True)
+    assert rep.unconverged == 0
+    assert rep.evaluations < 20_000
+
+
 def test_nested_specs_keep_caller_limits(monkeypatch):
     # inner integrals tighten the tolerances but keep the panel budget
     seen = []

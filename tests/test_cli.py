@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from hotnet import cli
 from hotnet.cli import ConfigError, main, parse_config
+from hotnet.params import ScenarioKind, SystemParams
 
 BASE_CONFIG = """\
 # small association sweep
@@ -184,3 +187,14 @@ def test_run_strict_flags_unobtainable_cells(tmp_path, capsys):
                "--out", str(out), "--strict", "--no-figures"])
     assert rc == 1
     assert "could not be evaluated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", [0.5, 0.95], ids=["median", "edge"])
+def test_analytic_percentile_is_the_coverage_root(target):
+    # the percentile cell solves coverage(tau) = target in dB, to 0.01 dB
+    params, scenario = SystemParams(), ScenarioKind.INTEGRATED
+    root = brentq(lambda t_db: cli._analytic_coverage(
+        10.0 ** (t_db / 10.0), params, scenario) - target,
+        -40.0, 60.0, xtol=1e-4)
+    got = cli._analytic_percentile(params, scenario, target)
+    assert abs(got - root) <= 0.01

@@ -76,6 +76,14 @@ def test_mean_interferer_gain_is_beam_average():
     dict(n_bs=2.5),
     dict(n_nakagami_los=2.5),
     dict(n_nakagami_nlos=1.5),
+    dict(sigma_bs_m=math.nan),
+    dict(sigma_bs_m=math.inf),
+    dict(lambda1_per_km2=math.nan),
+    dict(lambda1_per_km2=math.inf),
+    dict(p2_dbm=math.nan),
+    dict(p2_dbm=-math.inf),
+    dict(bias2_db=math.inf),
+    dict(n_bs=math.nan),
 ])
 def test_validation_rejects(changes):
     with pytest.raises(ValueError):

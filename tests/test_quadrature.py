@@ -43,6 +43,22 @@ def test_narrow_spike_needs_subdivision():
     assert res.value == pytest.approx(math.sqrt(2.0 * math.pi) * s, rel=1e-8)
 
 
+def test_final_sweep_splits_only_the_panels_in_error():
+    # a narrow bump on a smooth integrand: once the panels away from the
+    # bump are settled, a sweep splits the few panels around it, not 16
+    sizes = []
+
+    def f(x):
+        sizes.append(len(x))
+        return np.cos(x) + np.exp(-0.5 * ((x - 1.1) / 0.02) ** 2)
+
+    res = integrate_adaptive(f, 0.0, 5.0, TIGHT)
+    assert res.converged
+    assert res.value == pytest.approx(
+        math.sin(5.0) + math.sqrt(2.0 * math.pi) * 0.02, rel=1e-12)
+    assert sizes[-1] < 15 * 2 * 16
+
+
 def test_error_estimate_brackets_truth():
     res = integrate_adaptive(lambda x: np.exp(-x) * np.cos(5 * x), 0.0, 10.0,
                              QuadSpec(rel_tol=1e-6, abs_tol=1e-12))
@@ -142,10 +158,13 @@ def loop_reference(f, a, b, spec, calls):
                                      evaluations, True)
         if len(heap) >= spec.max_panels:
             break
-        # split the worst panels (up to 16 at a time, batched)
-        batch = []
-        while heap and len(batch) < 16:
+        # split the worst panels: at least one, at most 16, and no more
+        # once the panels left hold at most an eighth of tol
+        batch = [heapq.heappop(heap)]
+        left = total_err - batch[0][4]
+        while heap and len(batch) < 16 and left > tol / 8:
             batch.append(heapq.heappop(heap))
+            left -= batch[-1][4]
         splittable = [p for p in batch if p[5] < spec.max_depth]
         stuck = [p for p in batch if p[5] >= spec.max_depth]
         if not splittable:
