@@ -33,7 +33,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import binom, chndtr, hyp2f1, i0e
 
 from .association import (ClusterLaw, KernelSegment, boundary_map,
@@ -441,89 +440,118 @@ def laplace_I2_intra(s, v0: float, x: float, n_members: int,
     return out if out.ndim else float(out)
 
 
-class _InterLaplace:
-    """Lazy log-log spline of the inter-cluster Laplace transform.
+# derivative at node p (row p) of the quartic through five equally spaced
+# knots, per knot spacing: row 2 is the 4th-order central difference, the
+# others the one-sided forms used next to a clamp
+_FD5 = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                 [-3.0, -10.0, 18.0, -6.0, 1.0],
+                 [1.0, -8.0, 0.0, 8.0, -1.0],
+                 [-1.0, 6.0, -18.0, 10.0, 3.0],
+                 [3.0, -16.0, 36.0, -48.0, 25.0]]) / 12.0
 
-    The exact exponent A(s) = 2*pi*lambda_p * int [1 - exp(-n*E(s,v))] v dv
-    is sampled on a geometric grid of s and interpolated; the grid extends
-    on demand.  Values with A > 46 are clamped to 0, A < 1e-9 to 1 (both
-    indistinguishable at double precision in the transform itself).
+
+class _InterLaplace:
+    """Inter-cluster Laplace transform exp(-A(s)) of one cluster law; the
+    exact exponent A(s) = 2*pi*lambda_p * int [1 - exp(-n*E(s,v))] v dv is
+    interpolated, so that a value is a pure function of s.
+
+    * Lattice: knot k holds ln A at ln s = k/2.  Knots are computed once,
+      on first need, as one contiguous run grown by walking outward.
+    * Stencil: between knots k and k+1, ln A is the cubic Hermite
+      interpolant in ln s with 4th-order central-difference slopes, so a
+      value depends only on knots k-2..k+3.
+    * Clamps (A increases with s): the transform is 0 from the first knot
+      with A >= 46 and 1 below the last knot with A <= 1e-9.  Next to a
+      clamp the slopes take one-sided 5-knot differences.
     """
 
     _LN_STEP = 0.5
+    _LN_A_MIN = math.log(1e-9)
+    _LN_A_MAX = math.log(46.0)
 
-    def __init__(self, law: ClusterLaw, include_nlos: bool,
-                 spec: QuadSpec = DEFAULT_SPEC):
+    def __init__(self, law: ClusterLaw, include_nlos: bool):
         self._law = law
         self._include_nlos = include_nlos
         self._empty = law.density == 0 or law.members <= 0
-        self._spec = spec
-        self._ls: list[float] = []
-        self._la: list[float] = []
-        self._spline = None
+        self._k0 = 0                    # lattice index of the run's first knot
+        self._la: list[float] = []      # ln A on the run
+        self._coef = np.zeros((1, 4))   # see _fit
 
     def exponent_exact(self, s: float) -> float:
         law = self._law
-        if s <= 0.0 or self._empty:
-            return 0.0
 
         def f(v):
             v = np.asarray(v, dtype=float)
             e = _cluster_exponent(s, v, 0.0, law, self._include_nlos)
             return -np.expm1(-law.members * e) * v
 
-        res = integrate_semi_infinite(f, 0.0, law.pgfl_scale, self._spec)
+        res = integrate_semi_infinite(f, 0.0, law.pgfl_scale, DEFAULT_SPEC)
         return 2.0 * math.pi * law.density * max(res.value, 0.0)
 
-    def _ensure(self, ls_min: float, ls_max: float) -> None:
-        changed = False
-        if not self._ls:
-            mid = 0.5 * (ls_min + ls_max)
-            self._insert(mid)
-            changed = True
-        while self._ls[0] > ls_min and self._la[0] > math.log(1e-9):
-            self._insert(self._ls[0] - self._LN_STEP)
-            changed = True
-        while self._ls[-1] < ls_max and self._la[-1] < math.log(46.0):
-            self._insert(self._ls[-1] + self._LN_STEP)
-            changed = True
-        if changed or self._spline is None:
-            if len(self._ls) >= 2:
-                self._spline = CubicSpline(self._ls, self._la)
-            else:
-                self._spline = None
+    def _knot(self, k: int) -> float:
+        return math.log(max(self.exponent_exact(math.exp(k * self._LN_STEP)),
+                            1e-300))
 
-    def _insert(self, ls: float) -> None:
-        a = self.exponent_exact(math.exp(ls))
-        la = math.log(max(a, 1e-300))
-        idx = int(np.searchsorted(self._ls, ls))
-        self._ls.insert(idx, ls)
-        self._la.insert(idx, la)
+    def _walk(self, k_lo: int, k_hi: int) -> bool:
+        """Extends the run over knots k_lo..k_hi, stopping at a clamp;
+        returns whether it grew."""
+        la = self._la
+        n = len(la)
+        if not la:
+            self._k0 = (k_lo + k_hi) // 2
+            la.append(self._knot(self._k0))
+        while self._k0 > k_lo and la[0] > self._LN_A_MIN:
+            self._k0 -= 1
+            la.insert(0, self._knot(self._k0))
+        while self._k0 + len(la) <= k_hi and la[-1] < self._LN_A_MAX:
+            la.append(self._knot(self._k0 + len(la)))
+        return len(la) > n
+
+    def _fit(self) -> tuple[int, int]:
+        """Fits the cubic of every cell between the stencil edges, the
+        clamp knots or else the ends of the run, and returns the edges'
+        lattice indices.  Row i holds the cell of knot k0 - 1 + i; a row
+        outside the edges holds the clamp, ln A = -inf below and +inf
+        above."""
+        la = np.array(self._la)
+        lo = max(int(np.searchsorted(la, self._LN_A_MIN, "right")) - 1, 0)
+        hi = min(int(np.searchsorted(la, self._LN_A_MAX)), la.size - 1)
+        coef = np.zeros((la.size + 1, 4))
+        coef[:lo + 1, 0], coef[hi + 1:, 0] = -np.inf, np.inf
+        y = la[lo:hi + 1]
+        # fewer knots lie between the edges only while no queried cell does
+        if y.size >= 5:
+            j = np.arange(y.size)
+            first = np.clip(j - 2, 0, y.size - 5)
+            d = np.sum(_FD5[j - first] * y[first[:, None] + np.arange(5)],
+                       axis=1)
+            dy, d0, d1 = np.diff(y), d[:-1], d[1:]
+            coef[lo + 1:hi + 1] = np.stack(
+                [y[:-1], d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy],
+                axis=1)
+        self._coef = coef
+        return self._k0 + lo, self._k0 + hi
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s).astype(float)
-        out = np.ones_like(s)
-        if self._empty:
-            return float(out[0]) if scalar else out
+        out = np.ones(s.shape)
         pos = s > 0
-        if np.any(pos):
-            ls = np.log(s[pos])
-            self._ensure(float(ls.min()), float(ls.max()))
-            if self._spline is None:
-                a = np.array([self.exponent_exact(float(v)) for v in s[pos]])
-            else:
-                lo, hi = self._ls[0], self._ls[-1]
-                la = self._spline(np.clip(ls, lo, hi))
-                a = np.exp(la)
-                # beyond the sampled range the exponent is clamped
-                a[ls > hi] = np.where(self._la[-1] >= math.log(46.0),
-                                      100.0, a[ls > hi])
-                a[ls < lo] = np.where(self._la[0] <= math.log(1e-9),
-                                      0.0, a[ls < lo])
-            out[pos] = np.exp(-a)
-        return float(out[0]) if scalar else out
+        if not self._empty and np.any(pos):
+            u = np.log(s[pos]) / self._LN_STEP
+            k = np.floor(u)
+            k_min, k_max = int(k.min()), int(k.max())
+            need = (k_min - 2, k_max + 3)
+            while self._walk(*need):
+                lo, hi = self._fit()
+                if k_min < hi and k_max >= lo:
+                    # next to a clamp the stencils reach 4 knots inward
+                    need = (min(need[0], hi - 4), max(need[1], lo + 4))
+            c = self._coef[np.clip(k - (self._k0 - 1), 0,
+                                   len(self._la)).astype(np.intp)]
+            t = u - k
+            out[pos] = np.exp(-np.exp(
+                ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]))
+        return out if out.ndim else float(out)
 
 
 @lru_cache(maxsize=8)
@@ -636,24 +664,6 @@ def _coverage_masses(k: int, tau, v0, params: SystemParams,
     return np.maximum(mass, 0.0)
 
 
-def _cov1_unnorm(tau: float, v0: float, params: SystemParams,
-                 spec: QuadSpec = DEFAULT_SPEC,
-                 scenario: ScenarioKind = INTEGRATED) -> float:
-    """A1c(v0) * C1(tau; v0): Sub-6GHz-served coverage mass."""
-    return float(_coverage_masses(1, [tau], [v0], params, scenario, True,
-                                  spec, _Tally())[0])
-
-
-def _cov2_unnorm(tau: float, v0: float, params: SystemParams,
-                 include_nlos: bool = True,
-                 spec: QuadSpec = DEFAULT_SPEC,
-                 scenario: ScenarioKind = INTEGRATED) -> float:
-    """A2c(v0) * C2(tau; v0): small-cell-served coverage mass (Alzer
-    approximation of the Nakagami tail)."""
-    return float(_coverage_masses(2, [tau], [v0], params, scenario,
-                                  include_nlos, spec, _Tally())[0])
-
-
 def coverage_cond_sub6(tau: float, v0: float, params: SystemParams,
                        spec: QuadSpec = DEFAULT_SPEC) -> float:
     """SINR coverage given Sub-6GHz service and offset v0."""
@@ -662,7 +672,9 @@ def coverage_cond_sub6(tau: float, v0: float, params: SystemParams,
     a = conditional_assoc_prob(1, v0, params, spec)
     if a <= 0:
         raise ValueError("Sub-6GHz association probability is zero")
-    return min(_cov1_unnorm(tau, v0, params, spec) / a, 1.0)
+    mass = _coverage_masses(1, [tau], [v0], params, INTEGRATED, True, spec,
+                            _Tally())[0]
+    return min(mass / a, 1.0)
 
 
 def coverage_cond_mm(tau: float, v0: float, params: SystemParams,
@@ -674,7 +686,9 @@ def coverage_cond_mm(tau: float, v0: float, params: SystemParams,
     a = conditional_assoc_prob(2, v0, params, spec)
     if a <= 0:
         raise ValueError("mmWave association probability is zero")
-    return min(_cov2_unnorm(tau, v0, params, include_nlos, spec) / a, 1.0)
+    mass = _coverage_masses(2, [tau], [v0], params, INTEGRATED, include_nlos,
+                            spec, _Tally())[0]
+    return min(mass / a, 1.0)
 
 
 def _coverage(tau: float, params: SystemParams, scenario: ScenarioKind,

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import analytic, montecarlo
-from .params import ScenarioKind, SystemParams
+from .params import ScenarioKind, SystemParams, scenario_params
 from .quadrature import QuadSpec, find_root_monotone
 
 SWEEP_VARIABLES = ("n_bs", "eta", "bias_ratio_db", "v0", "tau_db")
@@ -141,11 +141,6 @@ def _params_at(base: SystemParams, sweep: SweepSpec, value) -> SystemParams:
 def _analytic_coverage(tau: float, params: SystemParams,
                        scenario: ScenarioKind,
                        spec: QuadSpec = _SWEEP_SPEC) -> float:
-    if scenario is ScenarioKind.SUB6_ONLY:
-        return analytic.coverage(tau, params.replace(n_bs=0), spec=spec)
-    if scenario is ScenarioKind.MMWAVE_ONLY:
-        return analytic.coverage(tau, params.replace(lambda1_per_km2=0.0),
-                                 spec=spec)
     if scenario is ScenarioKind.TWO_TIER_SUB6:
         return analytic.coverage_two_tier_sub6(tau, params, spec=spec)
     return analytic.coverage(tau, params, spec=spec)
@@ -165,6 +160,7 @@ def _analytic_percentile(params: SystemParams, scenario: ScenarioKind,
 def _analytic_metric(metric: str, params: SystemParams,
                      sweep: SweepSpec, value) -> float:
     scenario = sweep.scenario
+    params = scenario_params(params, scenario)
     if sweep.variable == "v0":
         v0 = float(value)
         if metric == "assoc_prob":

@@ -31,7 +31,7 @@ from .association import (ClusterLaw, KernelSegment, LinkBudget, Tier,
                           link_budgets)
 from .channel import MIN_LINK_DISTANCE_M
 from .geometry import sample_ppp
-from .params import ScenarioKind, SystemParams
+from .params import ScenarioKind, SystemParams, scenario_params
 
 TIER_NONE = 0  # mmWave-only deployment with no LoS candidate in reach
 
@@ -373,11 +373,7 @@ def run_trials(params: SystemParams, scenario: ScenarioKind, n_trials: int,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    # (b) and (c) are (a) without the small cells or the macro BSs
-    if scenario is ScenarioKind.SUB6_ONLY:
-        params = params.replace(n_bs=0)
-    elif scenario is ScenarioKind.MMWAVE_ONLY:
-        params = params.replace(lambda1_per_km2=0.0)
+    params = scenario_params(params, scenario)
     budgets = link_budgets(params, scenario)
     radius = min(params.window_radius_m, params.truncation_radius_m)
     run = _Run(budgets, _sources(params, budgets), params.sigma_ue_m, radius,

@@ -7,6 +7,10 @@ an independent numerical or sampled oracle.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,6 +448,54 @@ def test_laplace_inter_spline_matches_exact_exponent():
         exact = math.exp(-cache.exponent_exact(s))
         interp = float(analytic.laplace_I2_inter(s, P))
         assert interp == pytest.approx(exact, abs=2e-4)
+
+
+@pytest.mark.parametrize("deployment", ["a", "d"])
+def test_laplace_inter_interpolation_error_mid_cell(deployment):
+    # halfway between two lattice knots (ln s = k/2), where the
+    # interpolant is farthest from them, wherever it is not clamped
+    inter = analytic._InterLaplace(
+        analytic._cells(P, MEMBER_LINKS[deployment]["scenario"]), True)
+    errors = []
+    for s in np.exp(np.arange(2.25, 40.0, 0.5)):
+        a = inter.exponent_exact(s)
+        if 1e-9 <= a <= 46.0:
+            errors.append(abs(inter(s) - math.exp(-a)))
+    assert len(errors) >= 20
+    assert max(errors) <= 2e-5
+
+
+@pytest.mark.parametrize("params, tau, before", [
+    (P, 0.1, [(P, 10.0), (P, 1.0), (P, 100.0)]),
+    # the bias moves the association, not the cluster law, so both
+    # parameter sets share one inter-cluster transform
+    (P.replace(bias2_db=10.0), 10.0, [(P, 10.0)]),
+], ids=["thresholds", "bias"])
+def test_coverage_independent_of_evaluation_order(params, tau, before):
+    analytic._inter_cache.cache_clear()
+    fresh = analytic.coverage(tau, params)
+    analytic._inter_cache.cache_clear()
+    for p, t in before:
+        analytic.coverage(t, p)
+    assert analytic.coverage(tau, params) == fresh
+
+
+def test_avg_rate_same_on_second_call():
+    analytic._inter_cache.cache_clear()
+    assert analytic.avg_rate(P) == analytic.avg_rate(P)
+
+
+def test_library_imports_no_scipy_interpolate():
+    # the inter-cluster transform interpolates on its own lattice; every
+    # process would pay for importing scipy.interpolate otherwise
+    src = Path(analytic.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    code = ("import sys, hotnet.analytic, hotnet.montecarlo, hotnet.cli\n"
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from hotnet import cli
+from hotnet import analytic, cli
 from hotnet.cli import ConfigError, main, parse_config
 from hotnet.params import ScenarioKind, SystemParams
 
@@ -133,23 +133,35 @@ def test_run_same_seed_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_run_mc_csv_independent_of_worker_count(tmp_path, monkeypatch):
-    # full trials (coverage) and association-only ones (assoc_prob)
-    path = _write(tmp_path, BASE_CONFIG.replace(
-        "metrics = assoc_prob", "metrics = assoc_prob, coverage"))
+# mc: full trials (coverage) and association-only ones (assoc_prob);
+# analytic: thresholds whose coverage shares one inter-cluster transform
+WORKER_RUNS = {
+    "mc": (BASE_CONFIG.replace("metrics = assoc_prob",
+                               "metrics = assoc_prob, coverage"),
+           ("assoc_prob", "coverage")),
+    "analytic": ("scenario = a\nsweep_grid = 10, 0, 20\nmetrics = coverage\n"
+                 "bias2_db = 0\n", ("coverage",)),
+}
+
+
+@pytest.mark.parametrize("mode", ["mc", "analytic"])
+def test_run_mc_csv_independent_of_worker_count(tmp_path, monkeypatch, mode):
+    text, metrics = WORKER_RUNS[mode]
+    path = _write(tmp_path, text)
     outs = []
     for workers in (None, "2"):
         if workers is None:
             monkeypatch.delenv("HOTNET_WORKERS", raising=False)
         else:
             monkeypatch.setenv("HOTNET_WORKERS", workers)
+        # forked workers would inherit the transforms built so far
+        analytic._inter_cache.cache_clear()
         out = tmp_path / f"workers-{workers}"
-        rc = main(["run", "--config", str(path), "--mode", "mc",
+        rc = main(["run", "--config", str(path), "--mode", mode,
                    "--out", str(out), "--seed", "3", "--trials", "600",
                    "--no-figures"])
         assert rc == 0
-        outs.append([(out / f"{m}.csv").read_bytes()
-                     for m in ("assoc_prob", "coverage")])
+        outs.append([(out / f"{m}.csv").read_bytes() for m in metrics])
     assert outs[0] == outs[1]
 
 
@@ -187,6 +199,24 @@ def test_run_strict_flags_unobtainable_cells(tmp_path, capsys):
                "--out", str(out), "--strict", "--no-figures"])
     assert rc == 1
     assert "could not be evaluated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["b", "c"])
+def test_run_both_mode_assoc_prob_of_single_band_deployments(tmp_path,
+                                                             scenario):
+    # (b) has no small cells and (c) no macro BSs, in both paths
+    cfg = (f"scenario = {scenario}\nsweep_grid = 0\nmetrics = assoc_prob\n"
+           "bias2_db = 0\n")
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(path), "--mode", "both",
+               "--out", str(out), "--seed", "3", "--trials", "4000",
+               "--no-figures"])
+    assert rc == 0
+    data = np.genfromtxt(out / "assoc_prob.csv", delimiter=",", names=True)
+    if scenario == "b":
+        assert data["analytic"] == 0.0
+    assert data["abs_diff"] <= 4.0 * data["mc_stderr"] + 0.01
 
 
 @pytest.mark.parametrize("target", [0.5, 0.95], ids=["median", "edge"])
