@@ -7,7 +7,7 @@ expressions — so the two can be cross-validated.
 """
 
 from .params import ScenarioKind, SystemParams, db_to_linear, dbm_to_watts, linear_to_db
-from .association import AssociationOutcome, Tier, associate, biased_metric, delta
+from .association import AssociationOutcome, Tier, associate, biased_metric
 from .quadrature import IntegrationResult, QuadSpec, integrate_adaptive, integrate_semi_infinite
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "Tier",
     "associate",
     "biased_metric",
-    "delta",
     "IntegrationResult",
     "QuadSpec",
     "integrate_adaptive",

@@ -35,8 +35,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import binom, chndtr, hyp2f1, i0e
 
-from .association import (ClusterLaw, KernelSegment, boundary_map,
-                          link_budgets)
+from .association import ClusterLaw, boundary_map, link_budgets
 from .geometry import rice_pdf
 from .params import ScenarioKind, SystemParams
 from .quadrature import (QuadSpec, integrate_adaptive, integrate_batch,
@@ -155,42 +154,10 @@ def _nearest_candidate_pdf(x, v0: float, law: ClusterLaw):
     return n * bar ** (n - 1) * _candidate_pdf(x, v0, law)
 
 
-def f_sl(r, v0: float, params: SystemParams):
-    """LoS-thinned member distance density (integrates to F_SL(R_B))."""
-    out = _candidate_pdf(np.asarray(r, dtype=float), v0, _cells(params))
-    return out if out.ndim else float(out)
-
-
-def F_sl(r, v0: float, params: SystemParams):
-    """CDF of the LoS member distance; saturates at p_los*RiceCDF(R_B)."""
-    out = _candidate_cdf(np.asarray(r, dtype=float), v0, _cells(params))
-    return out if out.ndim else float(out)
-
-
 def rayleigh_pdf(v, sigma: float):
     v = np.asarray(v, dtype=float)
     out = (v / sigma ** 2) * np.exp(-np.square(v) / (2.0 * sigma ** 2))
     return out if out.ndim else float(out)
-
-
-def serving_distance_laws(r, v0: float, params: SystemParams) -> dict:
-    """Distance laws of the two candidate serving BSs: the nearest
-    Sub-6GHz BS (R1) and the nearest intra-cluster LoS mmWave BS (R2),
-    plus the single-member LoS law (S_L) they derive from."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0) or v0 < 0:
-        raise ValueError("distances must be nonnegative")
-    law = _cells(params)
-    fsl = _candidate_pdf(r, v0, law)
-    Fsl = _candidate_cdf(r, v0, law)
-    lam = params.lambda1
-    F_r1 = 1.0 - np.exp(-math.pi * lam * np.square(r))
-    f_r1 = _nearest_macro_pdf(r, lam)
-    F_r2 = 1.0 - (1.0 - Fsl) ** law.members
-    f_r2 = (_nearest_candidate_pdf(r, v0, law) if law.members >= 1
-            else np.zeros_like(r))
-    return {"F_SL": Fsl, "f_SL": fsl, "F_R1": F_r1, "f_R1": f_r1,
-            "F_R2": F_r2, "f_R2": f_r2}
 
 
 def _r1_upper(params: SystemParams) -> float:
@@ -363,25 +330,19 @@ def laplace_I1(s, v0: float, x, params: SystemParams):
     return out if out.ndim else float(out)
 
 
-def _segment_rule(seg: KernelSegment, v0: np.ndarray, x, sigma: float):
-    """Half-width, path loss and Gauss-Legendre-weighted member density
-    on the 64 nodes of ``seg``'s band, for each place (v0, x) of the
-    equally shaped arrays v0 and x (x is unused when the band does not
-    start at the exclusion radius): shapes ``v0.shape + (1,)`` and
-    ``v0.shape + (64,)``."""
+def _band_rule(lo, hi: float, v0: np.ndarray, sigma: float):
+    """Half-width, nodes and Gauss-Legendre-weighted member density of the
+    64-node rule on the band ``[lo, hi)`` for each offset of v0 (``lo`` is
+    a scalar or broadcasts against ``v0[..., None]``); an unbounded band is
+    cut to ``v0 +- 8 sigma``, where the density lives."""
     v0 = v0[..., None]
-    lo = np.maximum(x[..., None], seg.r_min) if seg.past_serving \
-        else seg.r_min
-    hi = seg.r_max
     if hi == math.inf:
         lo = np.maximum(lo, v0 - 8.0 * sigma)
         hi = v0 + 8.0 * sigma
     half = 0.5 * (np.maximum(hi, lo) - lo)
     r = lo + half * (_GL_NODES + 1.0)
-    path = np.maximum(r, 1e-9) ** (-seg.alpha)
     dens = _GL_WEIGHTS * rice_pdf(r, v0, sigma)
-    return (np.broadcast_to(half, v0.shape),
-            np.broadcast_to(path, dens.shape), dens)
+    return np.broadcast_to(half, v0.shape), r, dens
 
 
 def _cluster_exponent(s, v0, x, law: ClusterLaw, include_nlos: bool = True):
@@ -392,12 +353,15 @@ def _cluster_exponent(s, v0, x, law: ClusterLaw, include_nlos: bool = True):
 
     v0 and x broadcast to the places; s broadcasts against them and may
     carry leading axes of its own (e.g. one per Alzer term), which the
-    result keeps.  Each segment's nodes, path loss and member density are
-    evaluated once per place and shared by every s: once per (v0, x) for
-    segments that start at the exclusion radius, once per distinct v0 for
-    the others, whose band does not depend on x.  Only the kernel is
-    evaluated per s.  Multiplying by (n_members - 1) and negating the
-    exponent gives the intra-cluster Laplace transform.
+    result keeps.  Each band's nodes and member density, and each
+    segment's path loss, are evaluated once per place and shared by every
+    s: once per (v0, x) for a band that starts at the exclusion radius,
+    once per distinct v0 for a band that does not depend on x.  A band
+    that would start at x is one of these where no x passes its start,
+    as at x = 0 in the PGFL integrand; every segment on such a band
+    shares its nodes and density.  Only the kernel is evaluated per s.
+    Multiplying by (n_members - 1) and negating the exponent gives the
+    intra-cluster Laplace transform.
     """
     v0, x = np.broadcast_arrays(np.asarray(v0, dtype=float),
                                 np.asarray(x, dtype=float))
@@ -406,14 +370,24 @@ def _cluster_exponent(s, v0, x, law: ClusterLaw, include_nlos: bool = True):
     total = np.zeros(np.broadcast_shapes(s.shape, v0.shape + (1,)))
     offsets, at = np.unique(v0, return_inverse=True)
     at = at.reshape(v0.shape)
+    fixed = {}      # band -> half-width, nodes (per offset), density
     for seg in law.segments:
         if seg.nlos and not include_nlos:
             continue
-        if seg.past_serving:
-            half, path, dens = _segment_rule(seg, v0, x, sig)
+        if seg.past_serving and np.any(x > seg.r_min):
+            half, r, dens = _band_rule(np.maximum(x[..., None], seg.r_min),
+                                       seg.r_max, v0, sig)
+            path = np.maximum(r, 1e-9) ** (-seg.alpha)
         else:
-            half, path, dens = (a[at] for a in _segment_rule(
-                seg, offsets, None, sig))
+            band = (seg.r_min, seg.r_max)
+            if band not in fixed:
+                half, r, dens = _band_rule(seg.r_min, seg.r_max, offsets,
+                                           sig)
+                fixed[band] = half[at], r, dens[at]
+            half, r, dens = fixed[band]
+            # path loss per distinct offset, then gathered to the places
+            path = np.broadcast_to(np.maximum(r, 1e-9) ** (-seg.alpha),
+                                   (len(offsets), r.shape[-1]))[at]
         # unit-mean Nakagami power is Gamma(N, 1/N): E[e^{-zh}] = (1+z/N)^-N
         s_n = s * (law.power * seg.intercept / seg.order)
         ker = 1.0
@@ -662,33 +636,6 @@ def _coverage_masses(k: int, tau, v0, params: SystemParams,
     mass = np.zeros(tau.size)
     np.add.at(mass, pair, tally.add(res))
     return np.maximum(mass, 0.0)
-
-
-def coverage_cond_sub6(tau: float, v0: float, params: SystemParams,
-                       spec: QuadSpec = DEFAULT_SPEC) -> float:
-    """SINR coverage given Sub-6GHz service and offset v0."""
-    if tau <= 0:
-        raise ValueError("tau must be positive (linear)")
-    a = conditional_assoc_prob(1, v0, params, spec)
-    if a <= 0:
-        raise ValueError("Sub-6GHz association probability is zero")
-    mass = _coverage_masses(1, [tau], [v0], params, INTEGRATED, True, spec,
-                            _Tally())[0]
-    return min(mass / a, 1.0)
-
-
-def coverage_cond_mm(tau: float, v0: float, params: SystemParams,
-                     include_nlos: bool = True,
-                     spec: QuadSpec = DEFAULT_SPEC) -> float:
-    """SINR coverage given mmWave service and offset v0."""
-    if tau <= 0:
-        raise ValueError("tau must be positive (linear)")
-    a = conditional_assoc_prob(2, v0, params, spec)
-    if a <= 0:
-        raise ValueError("mmWave association probability is zero")
-    mass = _coverage_masses(2, [tau], [v0], params, INTEGRATED, include_nlos,
-                            spec, _Tally())[0]
-    return min(mass / a, 1.0)
 
 
 def _coverage(tau: float, params: SystemParams, scenario: ScenarioKind,

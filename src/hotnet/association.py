@@ -132,43 +132,20 @@ def link_budgets(params: SystemParams,
                              p.w2_hz, shared, law)
 
 
-def tier_weight(tier: Tier, params: SystemParams) -> float:
-    """Distance-independent part of the association metric, intercept
-    included."""
-    return link_budgets(params)[tier - 1].weight
-
-
-def tier_exponent(tier: Tier, params: SystemParams) -> float:
-    return link_budgets(params)[tier - 1].alpha
-
-
 def biased_metric(tier: Tier, r, params: SystemParams):
     """Bias-averaged received power of a candidate at distance ``r``."""
+    budget = link_budgets(params)[tier - 1]
     r = np.maximum(np.asarray(r, dtype=float), MIN_LINK_DISTANCE_M)
-    out = tier_weight(tier, params) * r ** (-tier_exponent(tier, params))
+    out = budget.weight * r ** (-budget.alpha)
     return out if out.ndim else float(out)
 
 
 def boundary_map(src: LinkBudget, dst: LinkBudget, r):
-    """Unchecked kernel of ``delta`` on the two tiers' records."""
+    """Boundary distance map: the ``dst`` tier's candidate at
+    ``boundary_map(src, dst, r)`` has the same biased metric as the ``src``
+    tier's candidate at ``r``; ``boundary_map(dst, src, .)`` inverts it."""
     return ((dst.weight / src.weight) ** (1.0 / dst.alpha)
             * r ** (src.alpha / dst.alpha))
-
-
-def delta(from_tier: Tier, to_tier: Tier, r, params: SystemParams):
-    """Boundary distance map: the other tier's candidate at ``delta(r)``
-    has the same biased metric as this tier's candidate at ``r``.
-
-    ``delta(2, 1, .)`` is the exact inverse of ``delta(1, 2, .)``.
-    """
-    if from_tier == to_tier:
-        return np.asarray(r, dtype=float) * 1.0
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("r must be nonnegative")
-    budgets = link_budgets(params)
-    out = boundary_map(budgets[from_tier - 1], budgets[to_tier - 1], r)
-    return out if out.ndim else float(out)
 
 
 def associate(realization: NetworkRealization,

@@ -1,77 +1,6 @@
-"""Per-link physics: blockage, path loss, small-scale fading, antenna gains.
-
-Path loss is clamped at 1 m so the power law never exceeds its 1 m
-intercept.  All functions accept scalars or numpy arrays.
-"""
-
-from __future__ import annotations
-
-from enum import Enum
-
-import numpy as np
-
-from .params import SystemParams, noise_power_w  # noqa: F401  (re-exported)
+"""The one link constant outside ``association.link_budgets``, whose
+records hold every other one (intercepts, exponents, Nakagami orders,
+beam gains and LoS thinning).  Path loss is clamped at 1 m, so the power
+law never exceeds its intercept."""
 
 MIN_LINK_DISTANCE_M = 1.0
-
-
-class LinkClass(Enum):
-    SUB6 = "sub6"
-    MM_LOS = "mm_los"
-    MM_NLOS = "mm_nlos"
-
-
-def los_probability(r, params: SystemParams):
-    """LoS probability of a mmWave link of length ``r``: ``p_los`` inside
-    the (open) LoS ball, zero outside."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("distance must be nonnegative")
-    out = np.where(r < params.r_los_ball_m, params.p_los, 0.0)
-    return out if out.ndim else float(out)
-
-
-def _pathloss_constants(link: LinkClass, params: SystemParams) -> tuple[float, float]:
-    if link is LinkClass.SUB6:
-        return params.c1, params.alpha1
-    if link is LinkClass.MM_LOS:
-        return params.c_los, params.alpha_los
-    if link is LinkClass.MM_NLOS:
-        return params.c_nlos, params.alpha_nlos
-    raise ValueError(f"unknown link class {link!r}")
-
-
-def path_loss(link: LinkClass, r, params: SystemParams):
-    """Distance-dependent channel gain ``C_k * r**-alpha_k`` (linear)."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("path loss is undefined at r <= 0")
-    c, alpha = _pathloss_constants(link, params)
-    r = np.maximum(r, MIN_LINK_DISTANCE_M)
-    out = c * r ** (-alpha)
-    return out if out.ndim else float(out)
-
-
-def nakagami_order(link: LinkClass, params: SystemParams) -> int:
-    if link is LinkClass.SUB6:
-        return 1
-    if link is LinkClass.MM_LOS:
-        return params.n_nakagami_los
-    return params.n_nakagami_nlos
-
-
-def sample_fading_power(link: LinkClass, params: SystemParams,
-                        rng: np.random.Generator, size=None):
-    """Unit-mean Nakagami fading power: Gamma(N_k, 1/N_k).  The Sub-6GHz
-    tier uses N=1, i.e. Rayleigh (exponential power)."""
-    n = nakagami_order(link, params)
-    return rng.gamma(shape=n, scale=1.0 / n, size=size)
-
-
-def interferer_antenna_gain(params: SystemParams, rng: np.random.Generator,
-                            size=None):
-    """Beamforming gain of a randomly oriented mmWave interferer: main lobe
-    with probability theta_b/(2*pi), side lobe otherwise.  The serving link
-    is always aligned and uses the main-lobe gain."""
-    aligned = rng.random(size) < params.p_main
-    return np.where(aligned, params.g_main, params.g_side)

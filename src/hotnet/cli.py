@@ -119,18 +119,24 @@ def parse_config(path) -> RunConfig:
         grid = [float(tok) for tok in grid_text.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"{path}: bad sweep_grid: {exc}") from None
-    if variable == "n_bs":
-        grid = [int(g) for g in grid]
     metrics = [tok for tok in raw.pop("metrics", "coverage")
                .replace(",", " ").split()]
     tau_db = float(raw.pop("tau_db", "0"))
     sweep = SweepSpec(scenario, variable, grid, metrics, tau_db)
+    for value in grid:
+        try:
+            _params_at(params, sweep, value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: sweep_grid value {value:g} of "
+                              f"{variable}: {exc}") from None
+    if variable == "n_bs":
+        sweep.grid = [int(g) for g in grid]
     return RunConfig(params, sweep, warnings)
 
 
 def _params_at(base: SystemParams, sweep: SweepSpec, value) -> SystemParams:
     if sweep.variable == "n_bs":
-        return base.replace(n_bs=int(value))
+        return base.replace(n_bs=value)
     if sweep.variable == "eta":
         return base.replace(sigma_bs_m=float(value) * base.sigma_ue_m)
     if sweep.variable == "bias_ratio_db":

@@ -85,8 +85,11 @@ def sample_typical_offset(sigma_ue: float, rng: np.random.Generator) -> float:
 
 
 def rice_pdf(r, v0, sigma: float):
-    """Unchecked broadcasting kernel of ``rician_distance_density``, for
-    integrands that evaluate it on quadrature nodes.
+    """Radial density of |c + g| where g is isotropic normal with spread
+    ``sigma`` and ``|c| = v0``: the distance from the origin to a cluster
+    member whose parent sits at distance ``v0``.  Reduces to the Rayleigh
+    density at v0=0.  Unchecked and broadcasting, for integrands that
+    evaluate it on quadrature nodes.
 
     Evaluated in exponentially scaled form so large ``v0*r/sigma**2``
     arguments do not overflow:
@@ -95,23 +98,6 @@ def rice_pdf(r, v0, sigma: float):
     """
     s2 = sigma * sigma
     return (r / s2) * np.exp(-np.square(r - v0) / (2.0 * s2)) * i0e(v0 * r / s2)
-
-
-def rician_distance_density(r, v0: float, sigma: float):
-    """Radial density of |c + g| where g is isotropic normal with spread
-    ``sigma`` and ``|c| = v0``: the distance from the origin to a cluster
-    member whose parent sits at distance ``v0``.  Reduces to the Rayleigh
-    density at v0=0.
-    """
-    if v0 < 0:
-        raise ValueError("v0 must be nonnegative")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("r must be nonnegative")
-    out = rice_pdf(r, v0, sigma)
-    return out if out.ndim else float(out)
 
 
 def sample_network(params: SystemParams, rng: np.random.Generator,

@@ -31,7 +31,8 @@ from .association import (ClusterLaw, KernelSegment, LinkBudget, Tier,
                           link_budgets)
 from .channel import MIN_LINK_DISTANCE_M
 from .geometry import sample_ppp
-from .params import ScenarioKind, SystemParams, scenario_params
+from .params import (ScenarioKind, SystemParams, linear_to_db,
+                     scenario_params)
 
 TIER_NONE = 0  # mmWave-only deployment with no LoS candidate in reach
 
@@ -490,7 +491,7 @@ def conditional_metrics(results: TrialTable, v0_bins) -> list[dict]:
                     np.mean(results.serving_distance[served]))
             sinr = np.where(results.served[sel], results.sinr[sel], 0.0)
             med = float(np.median(sinr))
-            row["median_sinr_db"] = (10.0 * math.log10(med) if med > 0
+            row["median_sinr_db"] = (linear_to_db(med) if med > 0
                                      else -math.inf)
             row["median_rate"] = float(np.median(
                 np.where(results.served[sel], results.rate[sel], 0.0)))

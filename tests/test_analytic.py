@@ -89,31 +89,38 @@ def test_rice_cdf_far_tail_saturates():
 
 def test_los_distance_law_consistency():
     v0 = 180.0
+    law = analytic._cells(P)
     # density integrates to the CDF and the CDF saturates at the ball
-    val, _ = quad(analytic.f_sl, 0.0, P.r_los_ball_m, args=(v0, P), limit=200)
-    assert val == pytest.approx(analytic.F_sl(P.r_los_ball_m, v0, P),
-                                abs=1e-9)
-    assert analytic.F_sl(1e4, v0, P) == analytic.F_sl(P.r_los_ball_m, v0, P)
-    assert analytic.f_sl(P.r_los_ball_m + 1.0, v0, P) == 0.0
+    val, _ = quad(analytic._candidate_pdf, 0.0, P.r_los_ball_m,
+                  args=(v0, law), limit=200)
+    edge = analytic._candidate_cdf(P.r_los_ball_m, v0, law)
+    assert val == pytest.approx(float(edge), abs=1e-9)
+    assert analytic._candidate_cdf(1e4, v0, law) == edge
+    assert analytic._candidate_pdf(P.r_los_ball_m + 1.0, v0, law) == 0.0
 
 
 def test_serving_distance_laws_are_proper():
+    # the candidate (S_L) and nearest-candidate (R2) laws of the small
+    # cells, and the nearest Sub-6GHz BS (R1)
     v0 = 140.0
+    law = analytic._cells(P)
     r = np.linspace(0.0, 600.0, 601)
-    laws = analytic.serving_distance_laws(r, v0, P)
-    for key in ("F_SL", "F_R1", "F_R2"):
-        f = laws[key]
+    cdf_sl = analytic._candidate_cdf(r, v0, law)
+    cdf_r2 = 1.0 - (1.0 - cdf_sl) ** law.members
+    for f in (cdf_sl, cdf_r2):
         assert np.all(np.diff(f) >= -1e-12)
         assert np.all((f >= 0.0) & (f <= 1.0))
-    # R1 is the nearest point of a PPP: closed-form CDF
-    want = 1.0 - np.exp(-math.pi * P.lambda1 * r ** 2)
-    np.testing.assert_allclose(laws["F_R1"], want, rtol=1e-12)
-    # f_R2 integrates to F_R2 at the ball edge
-    val, _ = quad(lambda x: analytic.serving_distance_laws(x, v0, P)["f_R2"],
-                  0.0, P.r_los_ball_m, limit=200)
-    assert val == pytest.approx(
-        float(analytic.serving_distance_laws(P.r_los_ball_m, v0, P)["F_R2"]),
-        abs=1e-8)
+    # R1 is the nearest point of a PPP: its density integrates to the
+    # closed-form CDF
+    for x in (50.0, 150.0, 600.0):
+        val, _ = quad(analytic._nearest_macro_pdf, 0.0, x,
+                      args=(P.lambda1,), limit=200)
+        assert val == pytest.approx(
+            1.0 - math.exp(-math.pi * P.lambda1 * x ** 2), abs=1e-10)
+    # the R2 density integrates to its CDF at the ball edge
+    val, _ = quad(analytic._nearest_candidate_pdf, 0.0, P.r_los_ball_m,
+                  args=(v0, law), limit=200)
+    assert val == pytest.approx(float(cdf_r2[200]), abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +403,14 @@ def test_cluster_exponent_matches_tiled_reference(deployment, include_nlos,
                   40.0 + 8.0 * P.sigma_bs_m + 1.0])
     # one row of s per Alzer term, each row shares the places (v0, x)
     s = np.logspace(2.0, 12.0, n_terms * v0.size).reshape(n_terms, -1)
-    got = analytic._cluster_exponent(s, v0, x, law, include_nlos)
-    want = tiled_cluster_exponent(s.ravel(), np.tile(v0, n_terms),
-                                  np.tile(x, n_terms), law, include_nlos)
-    assert got.shape == s.shape
-    np.testing.assert_array_equal(got, want.reshape(s.shape))
+    # and x = 0 at every place, as in the PGFL integrand: there the (a)
+    # LoS band is the in-ball NLoS band, and the two share its nodes
+    for x in (x, np.zeros(x.shape)):
+        got = analytic._cluster_exponent(s, v0, x, law, include_nlos)
+        want = tiled_cluster_exponent(s.ravel(), np.tile(v0, n_terms),
+                                      np.tile(x, n_terms), law, include_nlos)
+        assert got.shape == s.shape
+        np.testing.assert_array_equal(got, want.reshape(s.shape))
 
 
 @pytest.mark.parametrize("deployment", ["a", "d"])
@@ -440,6 +450,23 @@ def test_scalar_cluster_exponent_callers_match_tiled_reference(
     assert isinstance(got[0], float)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+
+
+def test_pgfl_integrand_evaluates_each_rice_node_once(monkeypatch):
+    # in (a) the LoS band [0, R_B] of the x = 0 PGFL integrand is the
+    # in-ball NLoS band, so one exponent needs two bands' Rice nodes, not
+    # three: 2 bands x 64 nodes x 165 offsets at the defaults
+    elements = []
+
+    def counting(r, v0, sigma):
+        out = rice_pdf(r, v0, sigma)
+        elements.append(out.size)
+        return out
+
+    monkeypatch.setattr(analytic, "rice_pdf", counting)
+    inter = analytic._InterLaplace(analytic._cells(P), True)
+    assert inter.exponent_exact(1e7) > 0.0
+    assert sum(elements) <= 21_120
 
 
 def test_laplace_inter_spline_matches_exact_exponent():
@@ -564,11 +591,17 @@ def test_coverage_nonincreasing_and_bounded():
 
 
 def test_conditional_coverage_pieces_bounded():
-    for v0 in (30.0, 150.0, 400.0):
-        c1 = analytic.coverage_cond_sub6(1.0, v0, P)
-        c2 = analytic.coverage_cond_mm(1.0, v0, P)
-        assert 0.0 <= c1 <= 1.0
-        assert 0.0 <= c2 <= 1.0
+    # a tier cannot cover more users than it serves: each coverage mass
+    # lies between 0 and the tier's association probability
+    v0 = np.array([30.0, 150.0, 400.0])
+    for k in (1, 2):
+        mass = analytic._coverage_masses(k, 1.0, v0, P,
+                                         ScenarioKind.INTEGRATED, True,
+                                         analytic.DEFAULT_SPEC,
+                                         analytic._Tally())
+        assoc = [analytic.conditional_assoc_prob(k, v, P) for v in v0]
+        assert np.all(mass > 0.0)
+        assert np.all(mass <= assoc)
 
 
 def test_no_nlos_variant_upper_bounds_coverage():

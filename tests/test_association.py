@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hotnet import montecarlo as mc
 from hotnet.association import (AssociationOutcome, Tier, associate,
-                                biased_metric, delta, tier_weight)
+                                biased_metric, boundary_map, link_budgets)
 from hotnet.geometry import ClusterRealization, NetworkRealization
 from hotnet.params import SystemParams
 
 P = SystemParams()
+MACRO, CELLS = link_budgets(P)
 
 
 def _net(sub6_xy, mm_xy, mm_los, v0=100.0):
@@ -23,8 +25,7 @@ def _net(sub6_xy, mm_xy, mm_los, v0=100.0):
 
 
 def test_tier_weights_include_intercepts():
-    w1 = tier_weight(Tier.SUB6, P)
-    w2 = tier_weight(Tier.MMWAVE, P)
+    w1, w2 = MACRO.weight, CELLS.weight
     assert w1 == pytest.approx(P.bias1 * P.p1_w * P.g1 * P.c1, rel=1e-12)
     assert w2 == pytest.approx(P.bias2 * P.p2_w * P.g_main
                                * P.n_nakagami_los * P.c_los, rel=1e-12)
@@ -45,17 +46,18 @@ def test_biased_metric_clamps_below_one_meter():
        st.floats(min_value=-20.0, max_value=60.0))
 @settings(max_examples=60, deadline=None)
 def test_boundary_maps_are_inverse_pair(r, bias_db):
-    p = P.replace(bias2_db=bias_db)
-    fwd = delta(Tier.SUB6, Tier.MMWAVE, r, p)
-    back = delta(Tier.MMWAVE, Tier.SUB6, fwd, p)
+    macro, cells = link_budgets(P.replace(bias2_db=bias_db))
+    fwd = boundary_map(macro, cells, r)
+    back = boundary_map(cells, macro, fwd)
     assert back == pytest.approx(r, rel=1e-9)
 
 
 @given(st.floats(min_value=1.0, max_value=2000.0))
 @settings(max_examples=60, deadline=None)
 def test_boundary_map_equalizes_metrics(r):
-    # a mmWave candidate at delta(r) ties with a Sub-6GHz candidate at r
-    d = delta(Tier.SUB6, Tier.MMWAVE, r, P)
+    # a mmWave candidate at boundary_map(r) ties with a Sub-6GHz
+    # candidate at r
+    d = boundary_map(MACRO, CELLS, r)
     if d >= 1.0:  # below 1 m the metric clamp breaks the power law
         m1 = biased_metric(Tier.SUB6, r, P)
         m2 = biased_metric(Tier.MMWAVE, d, P)
@@ -63,12 +65,8 @@ def test_boundary_map_equalizes_metrics(r):
 
 
 def test_boundary_map_identity_on_same_tier():
-    assert delta(Tier.SUB6, Tier.SUB6, 123.0, P) == 123.0
-
-
-def test_boundary_map_rejects_negative_distance():
-    with pytest.raises(ValueError):
-        delta(Tier.SUB6, Tier.MMWAVE, -1.0, P)
+    for budget in (MACRO, CELLS):
+        assert boundary_map(budget, budget, 123.0) == 123.0
 
 
 def test_associate_picks_nearest_sub6_when_no_los():
@@ -119,12 +117,15 @@ def test_tie_breaks_toward_sub6():
     # boundary so its metric does not exceed the Sub-6GHz one
     r1 = 200.0
     m1 = biased_metric(Tier.SUB6, r1, P)
-    r2 = delta(Tier.SUB6, Tier.MMWAVE, r1, P)
+    r2 = boundary_map(MACRO, CELLS, r1)
     while biased_metric(Tier.MMWAVE, r2, P) > m1:
         r2 = np.nextafter(r2, np.inf)
     net = _net([[r1, 0.0]], [[r2, 0.0]], [True])
     out = associate(net, P)
     assert out.tier is Tier.SUB6
+    # the Monte Carlo engine breaks the same tie the same way
+    tier = mc._choose((MACRO, CELLS), np.array([r1]), np.array([r2]))
+    assert tier[0] == Tier.SUB6
 
 
 def test_associate_requires_sub6_point():

@@ -1,30 +1,65 @@
-"""Blockage, path loss, fading and antenna-gain primitives."""
+"""The link laws as both engines use them: LoS-ball thinning, intercepts
+and exponents, Nakagami fading, sectored beams and the 1 m clamp, read
+from the ``association.link_budgets`` records and checked on the Monte
+Carlo and analytic kernels that consume them."""
+
+from dataclasses import replace
+from enum import Enum
 
 import numpy as np
 import pytest
 
-from hotnet.channel import (LinkClass, MIN_LINK_DISTANCE_M,
-                            interferer_antenna_gain, los_probability,
-                            nakagami_order, path_loss, sample_fading_power)
-from hotnet.params import SystemParams
+from hotnet import analytic
+from hotnet import montecarlo as mc
+from hotnet.association import link_budgets
+from hotnet.channel import MIN_LINK_DISTANCE_M
+from hotnet.geometry import rice_pdf
+from hotnet.params import ScenarioKind, SystemParams
 
 P = SystemParams()
 
 
+class LinkClass(Enum):
+    """The model's three link classes, each named by the deployment and
+    kernel segment of its records: Sub-6GHz links are the small cells of
+    (d), mmWave LoS and NLoS links those of (a) inside the LoS ball."""
+
+    SUB6 = (ScenarioKind.TWO_TIER_SUB6, 0)
+    MM_LOS = (ScenarioKind.INTEGRATED, 0)
+    MM_NLOS = (ScenarioKind.INTEGRATED, 1)
+
+    @property
+    def segment(self):
+        scenario, i = self.value
+        return link_budgets(P, scenario)[1].cluster.segments[i]
+
+
 def test_los_probability_is_thinned_indicator():
-    r = np.array([0.0, 50.0, 199.999, 200.0, 500.0])
-    out = los_probability(r, P)
-    np.testing.assert_allclose(out, [0.2, 0.2, 0.2, 0.0, 0.0])
+    law = link_budgets(P)[1].cluster
+    assert (law.los_prob, law.los_ball) == (P.p_los, P.r_los_ball_m)
+    v0 = 150.0
+    r = np.array([1.0, 50.0, 199.999, 200.0, 500.0])
+    np.testing.assert_allclose(analytic._candidate_pdf(r, v0, law),
+                               np.array([0.2, 0.2, 0.2, 0.0, 0.0])
+                               * rice_pdf(r, v0, law.spread), rtol=1e-15)
+    # the Monte Carlo candidates: members labelled LoS with probability
+    # p_los that lie inside the ball
+    budgets = link_budgets(P)
+    run = mc._Run(budgets, mc._sources(P, budgets), P.sigma_ue_m, 2000.0,
+                  3000.0)
+    block = mc._associate(run, 4000, np.random.default_rng(3))
+    los = block.own_u < P.p_los
+    assert np.mean(los) == pytest.approx(P.p_los, abs=0.003)
+    np.testing.assert_array_equal(np.isfinite(block.cand),
+                                  los & (block.own < P.r_los_ball_m))
 
 
 def test_los_probability_boundary_is_open():
     # exactly at the ball radius the link is blocked
-    assert los_probability(P.r_los_ball_m, P) == 0.0
-
-
-def test_los_probability_rejects_negative():
-    with pytest.raises(ValueError):
-        los_probability(-1.0, P)
+    law = link_budgets(P)[1].cluster
+    for v0 in (0.0, 150.0, 400.0):
+        assert analytic._candidate_pdf(P.r_los_ball_m, v0, law) == 0.0
+        assert analytic._candidate_pdf(P.r_los_ball_m - 1e-9, v0, law) > 0.0
 
 
 @pytest.mark.parametrize("link,c,alpha", [
@@ -33,40 +68,61 @@ def test_los_probability_rejects_negative():
     (LinkClass.MM_NLOS, P.c_nlos, P.alpha_nlos),
 ])
 def test_path_loss_power_law(link, c, alpha):
+    seg = link.segment
+    assert (seg.intercept, seg.alpha) == (c, alpha)
+    # one interferer of this class at unit power and gain: the Monte Carlo
+    # engine receives the power law times the fading it draws
+    lone = mc._Source(1.0, 1.0, (replace(seg, share=1.0, gains=(1.0,),
+                                         gain_probs=(1.0,)),))
     for r in (1.0, 10.0, 123.4):
-        assert path_loss(link, r, P) == pytest.approx(c * r ** (-alpha),
-                                                      rel=1e-12)
+        got = mc._received(lone, np.array([r]), np.array([0]), 1,
+                           np.random.default_rng(9))
+        h = mc._fading(seg.order, 1, np.random.default_rng(9))
+        assert got[0] == pytest.approx(c * r ** (-alpha) * h[0], rel=1e-12)
+    # the macro tier's serving budget carries the Sub-6GHz law
+    macro = link_budgets(P)[0]
+    assert macro.budget == P.p1_w * P.g1 * P.c1
+    assert macro.alpha == P.alpha1
 
 
 def test_path_loss_clamped_below_one_meter():
-    assert path_loss(LinkClass.SUB6, 0.01, P) == path_loss(
-        LinkClass.SUB6, MIN_LINK_DISTANCE_M, P)
-
-
-def test_path_loss_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        path_loss(LinkClass.SUB6, 0.0, P)
+    for source in mc._sources(P, link_budgets(P)):
+        near, at_1m = (mc._received(source, np.array([d]), np.array([0]), 1,
+                                    np.random.default_rng(21))
+                       for d in (0.01, MIN_LINK_DISTANCE_M))
+        assert near[0] > 0.0
+        assert near[0] == at_1m[0]
 
 
 def test_nakagami_orders():
-    assert nakagami_order(LinkClass.SUB6, P) == 1
-    assert nakagami_order(LinkClass.MM_LOS, P) == P.n_nakagami_los
-    assert nakagami_order(LinkClass.MM_NLOS, P) == P.n_nakagami_nlos
+    macro, cells = link_budgets(P)
+    assert (macro.order, cells.order) == (1, P.n_nakagami_los)
+    assert [s.order for s in cells.cluster.segments] == [
+        P.n_nakagami_los, P.n_nakagami_nlos, P.n_nakagami_nlos]
+    assert LinkClass.SUB6.segment.order == 1
+    assert LinkClass.MM_LOS.segment.order == P.n_nakagami_los
+    assert LinkClass.MM_NLOS.segment.order == P.n_nakagami_nlos
+    assert all(b.order == 1
+               for b in link_budgets(P, ScenarioKind.TWO_TIER_SUB6))
 
 
 @pytest.mark.parametrize("link", list(LinkClass))
 def test_fading_power_has_unit_mean_and_right_variance(link):
     rng = np.random.default_rng(12345)
-    h = sample_fading_power(link, P, rng, size=200_000)
-    n = nakagami_order(link, P)
+    n = link.segment.order
+    h = mc._fading(n, 200_000, rng)
     # Gamma(n, 1/n): mean 1, variance 1/n
     assert np.mean(h) == pytest.approx(1.0, abs=0.01)
     assert np.var(h) == pytest.approx(1.0 / n, rel=0.03)
 
 
 def test_interferer_gain_two_level_pattern():
-    rng = np.random.default_rng(7)
-    g = interferer_antenna_gain(P, rng, size=100_000)
+    for seg in link_budgets(P)[1].cluster.segments:
+        assert seg.gains == (P.g_main, P.g_side)
+        assert seg.gain_probs == (P.p_main, 1.0 - P.p_main)
+    seg = LinkClass.MM_LOS.segment
+    pick = mc._pick(seg.gain_probs, np.random.default_rng(7).random(100_000))
+    g = np.take(seg.gains, pick)
     assert set(np.unique(g)) == {P.g_side, P.g_main}
     frac_main = np.mean(g == P.g_main)
     assert frac_main == pytest.approx(P.p_main, abs=0.003)

@@ -98,6 +98,32 @@ def test_validate_command_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("variable, grid, reason", [
+    ("eta", "1, -1", "sweep_grid value -1 of eta: cluster spreads must be "
+                     "positive"),
+    ("n_bs", "-1", "sweep_grid value -1 of n_bs: n_bs must be nonnegative"),
+    ("n_bs", "2.5, 6", "sweep_grid value 2.5 of n_bs: n_bs must be a whole "
+                       "number"),
+], ids=["negative_eta", "negative_n_bs", "fractional_n_bs"])
+def test_invalid_grid_point_rejected_before_running(tmp_path, capsys,
+                                                    command, variable, grid,
+                                                    reason):
+    path = _write(tmp_path, f"sweep_variable = {variable}\n"
+                            f"sweep_grid = {grid}\nmetrics = assoc_prob\n")
+    with pytest.raises(ConfigError, match=reason):
+        parse_config(path)
+    out = tmp_path / "out"
+    args = ["--out", str(out), "--mode", "mc"] if command == "run" else []
+    rc = main([command, "--config", str(path), *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:")
+    assert reason in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
+
+
 def test_run_missing_config_fails_cleanly(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.cfg"),
                "--out", str(tmp_path / "out")])

@@ -5,9 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest, rayleigh
 
-from hotnet.geometry import (rician_distance_density, sample_network,
-                             sample_ppp, sample_thomas_cluster,
-                             sample_typical_offset)
+from hotnet.geometry import (rice_pdf, sample_network, sample_ppp,
+                             sample_thomas_cluster, sample_typical_offset)
 from hotnet.params import SystemParams
 
 P = SystemParams()
@@ -72,7 +71,7 @@ def test_typical_offset_is_rayleigh():
 @pytest.mark.parametrize("v0", [0.0, 50.0, 150.0, 800.0, 5000.0])
 def test_member_distance_density_normalizes(v0):
     sigma = 100.0
-    val, _ = quad(rician_distance_density, 0.0, v0 + 12.0 * sigma,
+    val, _ = quad(rice_pdf, 0.0, v0 + 12.0 * sigma,
                   args=(v0, sigma), limit=200)
     assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -81,7 +80,7 @@ def test_member_distance_density_reduces_to_rayleigh_at_origin():
     r = np.linspace(0.0, 500.0, 64)
     sigma = 100.0
     want = (r / sigma ** 2) * np.exp(-0.5 * (r / sigma) ** 2)
-    np.testing.assert_allclose(rician_distance_density(r, 0.0, sigma), want,
+    np.testing.assert_allclose(rice_pdf(r, 0.0, sigma), want,
                                rtol=1e-12)
 
 
@@ -92,7 +91,7 @@ def _cumulative_cdf(x, v0, sigma, nodes=8):
     edges = np.concatenate(([0.0], np.asarray(x, dtype=float)[order]))
     t, w = np.polynomial.legendre.leggauss(nodes)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-    pdf = rician_distance_density(mid[:, None] + half[:, None] * t, v0, sigma)
+    pdf = rice_pdf(mid[:, None] + half[:, None] * t, v0, sigma)
     out = np.empty(len(order))
     out[order] = np.cumsum(half * (pdf @ w))
     return out
@@ -104,7 +103,7 @@ def test_cumulative_cdf_matches_quad():
     x[:4] = [1.0, 120.0, 220.0, 650.0]
     got = _cumulative_cdf(x, v0, sigma)
     for xi, gi in zip(x[:4], got[:4]):
-        want = quad(rician_distance_density, 0.0, xi, args=(v0, sigma),
+        want = quad(rice_pdf, 0.0, xi, args=(v0, sigma),
                     limit=200, epsabs=1e-13, epsrel=1e-13)[0]
         assert gi == pytest.approx(want, abs=1e-9)
 
