@@ -162,7 +162,7 @@ def rayleigh_pdf(v, sigma: float):
 
 def _r1_upper(params: SystemParams) -> float:
     """Radius beyond which the nearest-Sub-6GHz density mass is < 1e-15."""
-    lam = max(params.lambda1, 1e-12)
+    lam = max(link_budgets(params)[0].density, 1e-12)
     return math.sqrt(36.0 / (math.pi * lam))
 
 
@@ -176,9 +176,10 @@ def _serving_reach(k: int, v0, params: SystemParams,
     is < 1e-15), for each offset of v0; 0 when the tier has no candidate
     at all."""
     v0 = np.asarray(v0, dtype=float)
-    law = _cells(params, scenario)
+    macro, cells = link_budgets(params, scenario)
+    law = cells.cluster
     if k == 1:
-        reach = _r1_upper(params) if params.lambda1 > 0 else 0.0
+        reach = _r1_upper(params) if macro.density > 0 else 0.0
     elif law.density == 0 or law.members == 0 or law.los_prob == 0:
         reach = 0.0
     else:
@@ -196,7 +197,7 @@ def _serving_density(k: int, params: SystemParams,
         raise ValueError("tier index must be 1 or 2")
     macro, cells = link_budgets(params, scenario)
     law = cells.cluster
-    lam = params.lambda1
+    lam = macro.density
     if k == 1:
         def density(x, v0):
             bar = 1.0 - _candidate_cdf(boundary_map(macro, cells, x), v0, law)
@@ -257,12 +258,13 @@ def _probability(report: AnalyticReport, with_report: bool):
 
 def assoc_prob(k: int, params: SystemParams,
                spec: QuadSpec = DEFAULT_SPEC,
-               with_report: bool = False):
+               with_report: bool = False,
+               scenario: ScenarioKind = INTEGRATED):
     """Tier association probability, averaged over the Rayleigh-distributed
     UE-to-center distance."""
     inner = spec.tighter()
     report = _offset_average(
-        lambda v, tally: _assoc_masses(k, v, params, INTEGRATED, inner,
+        lambda v, tally: _assoc_masses(k, v, params, scenario, inner,
                                        tally), params, spec)
     return _probability(report, with_report)
 
@@ -324,7 +326,7 @@ def laplace_I1(s, v0: float, x, params: SystemParams):
     if np.any(s < 0):
         raise ValueError("s must be nonnegative")
     macro = link_budgets(params)[0]
-    expo = 2.0 * math.pi * params.lambda1 * _ppp_tail_integral(
+    expo = 2.0 * math.pi * macro.density * _ppp_tail_integral(
         s, macro.budget, macro.alpha, x)
     out = np.exp(-expo)
     return out if out.ndim else float(out)
@@ -584,7 +586,7 @@ def _coverage_integrand(k: int, params: SystemParams,
     hears_cells = k == 2 or serving.shared_band
     inter = _inter_cache(law, include_nlos) if hears_cells else None
     density = _serving_density(k, params, scenario)
-    two_pi_lam = 2.0 * math.pi * params.lambda1
+    two_pi_lam = 2.0 * math.pi * macro.density
 
     def f(x, tau, v0):
         # the Alzer terms along a leading axis: s is (N, nx), and every
@@ -658,14 +660,15 @@ def _coverage(tau: float, params: SystemParams, scenario: ScenarioKind,
 def coverage(tau: float, params: SystemParams,
              include_nlos: bool = True,
              spec: QuadSpec = OUTER_SPEC,
-             with_report: bool = False):
+             with_report: bool = False,
+             scenario: ScenarioKind = INTEGRATED):
     """Overall SINR coverage probability at linear threshold tau.
 
-    With ``lambda1 == 0`` (mmWave-only deployment) the UE is uncovered
-    whenever its cluster has no LoS member, so the result saturates below
-    one even for tau -> 0.
+    Without macro BSs (deployment (c), or ``lambda1 == 0``) the UE is
+    uncovered whenever its cluster has no LoS member, so the result
+    saturates below one even for tau -> 0.
     """
-    return _probability(_coverage(tau, params, INTEGRATED, include_nlos,
+    return _probability(_coverage(tau, params, scenario, include_nlos,
                                   spec), with_report)
 
 
@@ -683,22 +686,14 @@ def coverage_two_tier_sub6(tau: float, params: SystemParams,
                                   True, spec), False)
 
 
-def assoc_prob_two_tier_sub6(k: int, v0: float,
-                             params: SystemParams,
-                             spec: QuadSpec = DEFAULT_SPEC) -> float:
-    """Conditional association probability of the baseline deployment."""
-    return conditional_assoc_prob(k, v0, params, spec,
-                                  ScenarioKind.TWO_TIER_SUB6)
-
-
 # ---------------------------------------------------------------------------
 # rate
 # ---------------------------------------------------------------------------
 
 def avg_rate(params: SystemParams, include_nlos: bool = True,
              spec: QuadSpec = QuadSpec(rel_tol=1e-3, abs_tol=1e-6),
-             tail_tol: float = 1e-5,
-             with_report: bool = False):
+             with_report: bool = False,
+             scenario: ScenarioKind = INTEGRATED):
     """Average achievable rate in bits/s: per-tier bandwidth times the
     integrated conditional coverage over the spectral-efficiency axis.
 
@@ -706,6 +701,7 @@ def avg_rate(params: SystemParams, include_nlos: bool = True,
     looser than the coverage path (0.1% beats the Monte Carlo noise this
     is compared against by an order of magnitude)."""
     inner = replace(spec, abs_tol=1e-10)
+    bandwidths = [b.bandwidth_hz for b in link_budgets(params, scenario)]
     tally = _Tally()
     # candidate truncation points of the spectral-efficiency axis: 2, 3,
     # 4.5, ... up to the first one past 40
@@ -717,14 +713,14 @@ def avg_rate(params: SystemParams, include_nlos: bool = True,
         # the spectral-efficiency integrand is smooth and monotone, so a
         # fixed Gauss-Legendre rule on [0, hi] suffices once the
         # truncation point hi is bracketed: the first candidate whose
-        # coverage mass is within tail_tol, else the last one
+        # coverage mass is within 1e-5, else the last one
         def masses(rhos):
             return _coverage_masses(k, [2.0 ** r - 1.0 for r in rhos], v0,
-                                    params, INTEGRATED, include_nlos, inner,
+                                    params, scenario, include_nlos, inner,
                                     tally)
 
         probes = masses(brackets[:-1])
-        hi = next((h for h, m in zip(brackets, probes) if m <= tail_tol),
+        hi = next((h for h, m in zip(brackets, probes) if m <= 1e-5),
                   brackets[-1])
         u, w = np.polynomial.legendre.leggauss(n_nodes)
         rho = 0.5 * hi * (u + 1.0)
@@ -736,8 +732,8 @@ def avg_rate(params: SystemParams, include_nlos: bool = True,
         v0s = 0.5 * hi * (u + 1.0)
         vals = np.empty(n_v0)
         for i, v0 in enumerate(v0s.tolist()):
-            vals[i] = (params.w1_hz * rho_integral(1, v0, n_rho)
-                       + params.w2_hz * rho_integral(2, v0, n_rho))
+            vals[i] = (bandwidths[0] * rho_integral(1, v0, n_rho)
+                       + bandwidths[1] * rho_integral(2, v0, n_rho))
         dens = rayleigh_pdf(v0s, params.sigma_ue_m)
         return float(0.5 * hi * np.sum(w * dens * vals))
 

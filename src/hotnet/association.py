@@ -79,7 +79,8 @@ class ClusterLaw:
 class LinkBudget:
     """One tier of one deployment: association weight, serving budget
     ``b = P G C``, path-loss exponent, Nakagami order, noise and bandwidth
-    of the serving link.  ``cluster`` is None for the macro PPP tier.
+    of the serving link.  The macro PPP tier has a ``density`` and no
+    ``cluster``; the small-cell tier's density lives in its ``cluster``.
     Only tiers that share a band interfere with each other."""
 
     weight: float
@@ -89,6 +90,7 @@ class LinkBudget:
     noise_w: float
     bandwidth_hz: float
     shared_band: bool
+    density: float = 0.0            # macro BSs per m^2
     cluster: ClusterLaw | None = None
 
 
@@ -97,17 +99,23 @@ def link_budgets(params: SystemParams,
                  scenario: ScenarioKind = ScenarioKind.INTEGRATED
                  ) -> tuple[LinkBudget, LinkBudget]:
     """The (macro, small-cell) records of a deployment, indexed by
-    ``tier - 1``.
+    ``tier - 1``.  This is the one place that reads the deployment; both
+    engines read only the records.
 
+    (b) is (a) without small cells and (c) is (a) without macro BSs.
     Deployments (a)-(c) put the small cells on the mmWave band: LoS-thinned
     candidates, sectored beams and LoS/NLoS Nakagami links.  In (d) they
     share the Sub-6GHz band: omni antennas, Rayleigh fading and the macro
     path-loss law, and every member is a candidate.
     """
+    if scenario is ScenarioKind.SUB6_ONLY:
+        return link_budgets(params.replace(n_bs=0))
+    if scenario is ScenarioKind.MMWAVE_ONLY:
+        return link_budgets(params.replace(lambda1_per_km2=0.0))
     p = params
     shared = scenario is ScenarioKind.TWO_TIER_SUB6
     macro = LinkBudget(p.bias1 * p.p1_w * p.g1 * p.c1, p.p1_w * p.g1 * p.c1,
-                       p.alpha1, 1, p.noise1_w, p.w1_hz, shared)
+                       p.alpha1, 1, p.noise1_w, p.w1_hz, shared, p.lambda1)
     if shared:
         segments = (KernelSegment(1.0, 0.0, math.inf, True, False, p.c1,
                                   p.alpha1, 1, (p.g1,), (1.0,)),)
@@ -115,7 +123,7 @@ def link_budgets(params: SystemParams,
                          p.p2_w, segments, 8.0 * p.sigma_bs_m + 1.0)
         return macro, LinkBudget(p.bias2 * p.p2_w * p.g1 * p.c1,
                                  p.p2_w * p.g1 * p.c1, p.alpha1, 1,
-                                 p.noise1_w, p.w1_hz, shared, law)
+                                 p.noise1_w, p.w1_hz, shared, cluster=law)
     rb = p.r_los_ball_m
     beams = ((p.g_main, p.g_side), (p.p_main, 1.0 - p.p_main))
     los = (p.c_los, p.alpha_los, p.n_nakagami_los, *beams)
@@ -129,7 +137,7 @@ def link_budgets(params: SystemParams,
     weight = p.bias2 * p.p2_w * p.g_main * p.n_nakagami_los * p.c_los
     return macro, LinkBudget(weight, p.p2_w * p.g_main * p.c_los,
                              p.alpha_los, p.n_nakagami_los, p.noise2_w,
-                             p.w2_hz, shared, law)
+                             p.w2_hz, shared, cluster=law)
 
 
 def biased_metric(tier: Tier, r, params: SystemParams):

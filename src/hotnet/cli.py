@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import analytic, montecarlo
-from .params import ScenarioKind, SystemParams, scenario_params
+from .params import ScenarioKind, SystemParams
 from .quadrature import QuadSpec, find_root_monotone
 
 SWEEP_VARIABLES = ("n_bs", "eta", "bias_ratio_db", "v0", "tau_db")
@@ -135,6 +135,8 @@ def parse_config(path) -> RunConfig:
 
 
 def _params_at(base: SystemParams, sweep: SweepSpec, value) -> SystemParams:
+    if sweep.variable == "v0" and value < 0:
+        raise ValueError("v0 must be nonnegative")
     if sweep.variable == "n_bs":
         return base.replace(n_bs=value)
     if sweep.variable == "eta":
@@ -144,20 +146,13 @@ def _params_at(base: SystemParams, sweep: SweepSpec, value) -> SystemParams:
     return base  # v0 / tau_db sweeps evaluate at fixed params
 
 
-def _analytic_coverage(tau: float, params: SystemParams,
-                       scenario: ScenarioKind,
-                       spec: QuadSpec = _SWEEP_SPEC) -> float:
-    if scenario is ScenarioKind.TWO_TIER_SUB6:
-        return analytic.coverage_two_tier_sub6(tau, params, spec=spec)
-    return analytic.coverage(tau, params, spec=spec)
-
-
 def _analytic_percentile(params: SystemParams, scenario: ScenarioKind,
                          target: float) -> float:
     try:
         return find_root_monotone(
-            lambda t_db: _analytic_coverage(10.0 ** (t_db / 10.0), params,
-                                            scenario),
+            lambda t_db: analytic.coverage(10.0 ** (t_db / 10.0), params,
+                                           spec=_SWEEP_SPEC,
+                                           scenario=scenario),
             target, (-40.0, 60.0), tol=0.01)
     except ValueError:
         return math.nan
@@ -165,32 +160,29 @@ def _analytic_percentile(params: SystemParams, scenario: ScenarioKind,
 
 def _analytic_metric(metric: str, params: SystemParams,
                      sweep: SweepSpec, value) -> float:
+    """The closed-form value of one cell; NaN for a metric without one
+    (``snr_coverage``, ``edge_rate``, ``median_rate``,
+    ``mean_serving_distance``, and all but ``assoc_prob`` in a v0 sweep)."""
     scenario = sweep.scenario
-    params = scenario_params(params, scenario)
     if sweep.variable == "v0":
-        v0 = float(value)
         if metric == "assoc_prob":
-            if scenario is ScenarioKind.TWO_TIER_SUB6:
-                return analytic.assoc_prob_two_tier_sub6(2, v0, params)
-            return analytic.conditional_assoc_prob(2, v0, params)
+            return analytic.conditional_assoc_prob(2, float(value), params,
+                                                   scenario=scenario)
         return math.nan
     tau = 10.0 ** ((float(value) if sweep.variable == "tau_db"
                     else sweep.tau_db) / 10.0)
     if metric == "assoc_prob":
-        if scenario is ScenarioKind.TWO_TIER_SUB6:
-            return math.nan
-        return analytic.assoc_prob(2, params)
+        return analytic.assoc_prob(2, params, scenario=scenario)
     if metric == "coverage":
-        return _analytic_coverage(tau, params, scenario)
+        return analytic.coverage(tau, params, spec=_SWEEP_SPEC,
+                                 scenario=scenario)
     if metric == "median_sinr":
         return _analytic_percentile(params, scenario, 0.5)
     if metric == "edge_sinr":
         return _analytic_percentile(params, scenario, 0.95)
     if metric == "avg_rate":
-        if scenario is ScenarioKind.INTEGRATED:
-            return analytic.avg_rate(params)
-        return math.nan
-    return math.nan  # snr_coverage / rate percentiles / distances: MC side
+        return analytic.avg_rate(params, scenario=scenario)
+    return math.nan
 
 
 def _mc_metric(metric: str, table: montecarlo.TrialTable,
@@ -329,21 +321,28 @@ def _render_figures(paths: list[Path], sweep: SweepSpec) -> None:
         plt.close(fig)
 
 
+def _resolved(cfg: RunConfig) -> list[str]:
+    """The resolved sweep and parameters as ``key = value`` lines, in
+    config syntax."""
+    sweep = cfg.sweep
+    return ([f"scenario = {sweep.scenario.value}",
+             f"sweep_variable = {sweep.variable}",
+             f"sweep_grid = {' '.join(_fmt(g) for g in sweep.grid)}",
+             f"metrics = {' '.join(sweep.metrics)}",
+             f"tau_db = {_fmt(sweep.tau_db)}"]
+            + [f"{key} = {_fmt(val)}"
+               for key, val in cfg.params.as_dict().items()])
+
+
 def _write_manifest(out_dir: Path, cfg: RunConfig, mode: str, seed: int,
                     trials: int) -> None:
     import scipy
 
     from . import __version__
     lines = [f"mode = {mode}", f"seed = {seed}", f"trials = {trials}",
-             f"scenario = {cfg.sweep.scenario.value}",
-             f"sweep_variable = {cfg.sweep.variable}",
-             f"sweep_grid = {' '.join(_fmt(g) for g in cfg.sweep.grid)}",
-             f"metrics = {' '.join(cfg.sweep.metrics)}",
              f"hotnet_version = {__version__}",
              f"numpy_version = {np.__version__}",
-             f"scipy_version = {scipy.__version__}"]
-    for key, val in cfg.params.as_dict().items():
-        lines.append(f"{key} = {_fmt(val)}")
+             f"scipy_version = {scipy.__version__}", *_resolved(cfg)]
     (out_dir / "run_manifest.txt").write_text("\n".join(lines) + "\n",
                                               newline="\n")
 
@@ -394,12 +393,7 @@ def cmd_validate(args) -> int:
         return 2
     for w in cfg.warnings:
         print(f"warning: {w}")
-    print(f"scenario = {cfg.sweep.scenario.value}")
-    print(f"sweep_variable = {cfg.sweep.variable}")
-    print(f"sweep_grid = {' '.join(_fmt(g) for g in cfg.sweep.grid)}")
-    print(f"metrics = {' '.join(cfg.sweep.metrics)}")
-    for key, val in cfg.params.as_dict().items():
-        print(f"{key} = {_fmt(val)}")
+    print("\n".join(_resolved(cfg)))
     return 0
 
 

@@ -31,8 +31,7 @@ from .association import (ClusterLaw, KernelSegment, LinkBudget, Tier,
                           link_budgets)
 from .channel import MIN_LINK_DISTANCE_M
 from .geometry import sample_ppp
-from .params import (ScenarioKind, SystemParams, linear_to_db,
-                     scenario_params)
+from .params import ScenarioKind, SystemParams, linear_to_db
 
 TIER_NONE = 0  # mmWave-only deployment with no LoS candidate in reach
 
@@ -40,20 +39,9 @@ BLOCK_TRIALS = 1024         # trials per random stream
 INTERFERER_CHUNK = 1 << 15  # about the most interferers live at once
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    tier: int                 # 1, 2 or TIER_NONE
-    serving_distance: float
-    v0: float
-    sinr: float
-    snr: float
-    rate: float
-
-
 @dataclass
 class TrialTable:
-    """Column-wise store of trial results; behaves as a sequence of
-    ``TrialResult`` rows."""
+    """Column-wise store of trial results, one array per quantity."""
 
     tier: np.ndarray
     serving_distance: np.ndarray
@@ -64,11 +52,6 @@ class TrialTable:
 
     def __len__(self) -> int:
         return len(self.tier)
-
-    def __getitem__(self, i: int) -> TrialResult:
-        return TrialResult(int(self.tier[i]), float(self.serving_distance[i]),
-                           float(self.v0[i]), float(self.sinr[i]),
-                           float(self.snr[i]), float(self.rate[i]))
 
     @property
     def served(self) -> np.ndarray:
@@ -113,7 +96,7 @@ def _sources(params: SystemParams, budgets: tuple[LinkBudget, LinkBudget]
     macro, law = budgets[0], budgets[1].cluster
     rayleigh = KernelSegment(1.0, 0.0, math.inf, False, False, macro.budget,
                              macro.alpha, 1, (1.0,), (1.0,))
-    return (_Source(params.lambda1, 1.0, (rayleigh,)),
+    return (_Source(macro.density, 1.0, (rayleigh,)),
             _Source(law.density * law.members, law.power, law.segments))
 
 
@@ -374,7 +357,6 @@ def run_trials(params: SystemParams, scenario: ScenarioKind, n_trials: int,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    params = scenario_params(params, scenario)
     budgets = link_budgets(params, scenario)
     radius = min(params.window_radius_m, params.truncation_radius_m)
     run = _Run(budgets, _sources(params, budgets), params.sigma_ue_m, radius,

@@ -37,16 +37,6 @@ class ScenarioKind(Enum):
     TWO_TIER_SUB6 = "d"
 
 
-def scenario_params(params: SystemParams,
-                    scenario: ScenarioKind) -> SystemParams:
-    """Deployments (b) and (c) are (a) without small cells or macro BSs."""
-    if scenario is ScenarioKind.SUB6_ONLY:
-        return params.replace(n_bs=0)
-    if scenario is ScenarioKind.MMWAVE_ONLY:
-        return params.replace(lambda1_per_km2=0.0)
-    return params
-
-
 @dataclass(frozen=True)
 class SystemParams:
     # spatial model

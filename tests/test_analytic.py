@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.special import i0
 from scipy.stats import ncx2
 
-from hotnet import analytic
+from hotnet import analytic, montecarlo
 from hotnet.association import boundary_map, link_budgets
 from hotnet.geometry import rice_pdf, sample_thomas_cluster
 from hotnet.params import ScenarioKind, SystemParams
@@ -151,6 +151,44 @@ def test_degenerate_tiers():
     assert analytic.conditional_assoc_prob(2, 100.0, P.replace(p_los=0.0)) == 0.0
     assert analytic.conditional_assoc_prob(
         1, 100.0, P.replace(lambda1_per_km2=0.0)) == 0.0
+
+
+@pytest.mark.parametrize("scenario, mapped", [
+    (ScenarioKind.SUB6_ONLY, P.replace(n_bs=0)),
+    (ScenarioKind.MMWAVE_ONLY, P.replace(lambda1_per_km2=0.0)),
+], ids=["b", "c"])
+def test_single_band_deployments_are_integrated_without_a_tier(scenario,
+                                                               mapped):
+    # (b) is (a) without small cells and (c) is (a) without macro BSs, in
+    # every entry point that takes the deployment
+    for k in (1, 2):
+        assert (analytic.conditional_assoc_prob(k, 50.0, P, scenario=scenario)
+                == analytic.conditional_assoc_prob(k, 50.0, mapped))
+    assert (analytic.assoc_prob(2, P, scenario=scenario)
+            == analytic.assoc_prob(2, mapped))
+    assert (analytic.coverage(1.0, P, scenario=scenario)
+            == analytic.coverage(1.0, mapped))
+    s = np.logspace(3.0, 9.0, 7)
+    np.testing.assert_array_equal(
+        analytic.laplace_I2_inter(s, P, scenario=scenario),
+        analytic.laplace_I2_inter(s, mapped))
+
+
+def test_sub6_only_deployment_has_no_mmwave_share():
+    assert analytic.assoc_prob(2, P, scenario=ScenarioKind.SUB6_ONLY) == 0.0
+
+
+def test_two_tier_assoc_prob_matches_the_fixture(table_two_tier):
+    est = montecarlo.estimate_assoc_prob(table_two_tier, 2)
+    got = analytic.assoc_prob(2, P, scenario=ScenarioKind.TWO_TIER_SUB6)
+    assert abs(got - est.value) <= 3.0 * est.stderr
+
+
+def test_two_tier_avg_rate_matches_the_fixture(table_two_tier):
+    # both tiers of (d) serve on the Sub-6GHz bandwidth
+    est = montecarlo.estimate_rate(table_two_tier)
+    got = analytic.avg_rate(P, scenario=ScenarioKind.TWO_TIER_SUB6)
+    assert got == pytest.approx(est.value, rel=0.05)
 
 
 def test_mm_share_decays_with_offset():
@@ -618,9 +656,10 @@ def test_two_tier_variant_frozen_value():
 
 
 def test_two_tier_association_partitions():
+    d = ScenarioKind.TWO_TIER_SUB6
     for v0 in (0.0, 120.0, 320.0):
-        a1 = analytic.assoc_prob_two_tier_sub6(1, v0, P)
-        a2 = analytic.assoc_prob_two_tier_sub6(2, v0, P)
+        a1 = analytic.conditional_assoc_prob(1, v0, P, scenario=d)
+        a2 = analytic.conditional_assoc_prob(2, v0, P, scenario=d)
         assert a1 + a2 == pytest.approx(1.0, abs=1e-5)
 
 

@@ -9,7 +9,7 @@ from hotnet import montecarlo as mc
 from hotnet.association import (AssociationOutcome, Tier, associate,
                                 biased_metric, boundary_map, link_budgets)
 from hotnet.geometry import ClusterRealization, NetworkRealization
-from hotnet.params import SystemParams
+from hotnet.params import ScenarioKind, SystemParams
 
 P = SystemParams()
 MACRO, CELLS = link_budgets(P)
@@ -29,6 +29,15 @@ def test_tier_weights_include_intercepts():
     assert w1 == pytest.approx(P.bias1 * P.p1_w * P.g1 * P.c1, rel=1e-12)
     assert w2 == pytest.approx(P.bias2 * P.p2_w * P.g_main
                                * P.n_nakagami_los * P.c_los, rel=1e-12)
+
+
+@pytest.mark.parametrize("scenario, mapped", [
+    (ScenarioKind.SUB6_ONLY, P.replace(n_bs=0)),
+    (ScenarioKind.MMWAVE_ONLY, P.replace(lambda1_per_km2=0.0)),
+], ids=["b", "c"])
+def test_single_band_deployments_are_integrated_records(scenario, mapped):
+    assert link_budgets(P, scenario) == link_budgets(mapped)
+    assert link_budgets(P, scenario)[0].density == mapped.lambda1
 
 
 def test_biased_metric_decays_with_distance():

@@ -105,7 +105,8 @@ def test_validate_command_rejects_bad_config(tmp_path, capsys):
     ("n_bs", "-1", "sweep_grid value -1 of n_bs: n_bs must be nonnegative"),
     ("n_bs", "2.5, 6", "sweep_grid value 2.5 of n_bs: n_bs must be a whole "
                        "number"),
-], ids=["negative_eta", "negative_n_bs", "fractional_n_bs"])
+    ("v0", "50, -5", "sweep_grid value -5 of v0: v0 must be nonnegative"),
+], ids=["negative_eta", "negative_n_bs", "fractional_n_bs", "negative_v0"])
 def test_invalid_grid_point_rejected_before_running(tmp_path, capsys,
                                                     command, variable, grid,
                                                     reason):
@@ -122,6 +123,23 @@ def test_invalid_grid_point_rejected_before_running(tmp_path, capsys,
     assert reason in captured.err
     assert "Traceback" not in captured.err + captured.out
     assert not out.exists()
+
+
+def test_manifest_and_validate_echo_the_resolved_config(tmp_path, capsys):
+    path = _write(tmp_path, BASE_CONFIG + "tau_db = 5\n")
+    assert main(["validate", "--config", str(path)]) == 0
+    echoed = capsys.readouterr().out.splitlines()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--mode", "mc",
+                 "--out", str(out), "--trials", "200", "--no-figures"]) == 0
+    manifest = (out / "run_manifest.txt").read_text().splitlines()
+    assert "tau_db = 5" in echoed
+    assert "tau_db = 5" in manifest
+    # the echo is itself a config of the same run
+    cfg = parse_config(path)
+    again = parse_config(_write(tmp_path, "\n".join(echoed), "again.cfg"))
+    assert again.sweep == cfg.sweep
+    assert again.params == cfg.params
 
 
 def test_run_missing_config_fails_cleanly(tmp_path, capsys):
@@ -216,9 +234,9 @@ def test_run_renders_figures(tmp_path):
 
 
 def test_run_strict_flags_unobtainable_cells(tmp_path, capsys):
-    # avg_rate has no closed form in the two-tier variant: analytic mode
-    # yields a NaN cell, which --strict turns into a nonzero exit
-    cfg = "scenario = d\nsweep_grid = 0\nmetrics = avg_rate\nbias2_db = 0\n"
+    # the rate percentiles have no closed form: analytic mode yields a NaN
+    # cell, which --strict turns into a nonzero exit
+    cfg = "scenario = d\nsweep_grid = 0\nmetrics = edge_rate\nbias2_db = 0\n"
     path = _write(tmp_path, cfg)
     out = tmp_path / "out"
     rc = main(["run", "--config", str(path), "--mode", "analytic",
@@ -227,10 +245,11 @@ def test_run_strict_flags_unobtainable_cells(tmp_path, capsys):
     assert "could not be evaluated" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scenario", ["b", "c"])
+@pytest.mark.parametrize("scenario", ["b", "c", "d"])
 def test_run_both_mode_assoc_prob_of_single_band_deployments(tmp_path,
                                                              scenario):
-    # (b) has no small cells and (c) no macro BSs, in both paths
+    # (b) has no small cells and (c) no macro BSs, in both paths; (d)
+    # is the two-tier baseline
     cfg = (f"scenario = {scenario}\nsweep_grid = 0\nmetrics = assoc_prob\n"
            "bias2_db = 0\n")
     path = _write(tmp_path, cfg)
@@ -249,8 +268,8 @@ def test_run_both_mode_assoc_prob_of_single_band_deployments(tmp_path,
 def test_analytic_percentile_is_the_coverage_root(target):
     # the percentile cell solves coverage(tau) = target in dB, to 0.01 dB
     params, scenario = SystemParams(), ScenarioKind.INTEGRATED
-    root = brentq(lambda t_db: cli._analytic_coverage(
-        10.0 ** (t_db / 10.0), params, scenario) - target,
-        -40.0, 60.0, xtol=1e-4)
+    root = brentq(lambda t_db: analytic.coverage(
+        10.0 ** (t_db / 10.0), params, spec=cli._SWEEP_SPEC,
+        scenario=scenario) - target, -40.0, 60.0, xtol=1e-4)
     got = cli._analytic_percentile(params, scenario, target)
     assert abs(got - root) <= 0.01

@@ -48,9 +48,6 @@ def test_different_seeds_differ():
 def test_table_row_access():
     t = mc.run_trials(P, ScenarioKind.INTEGRATED, 50, seed=1)
     assert len(t) == 50
-    row = t[7]
-    assert row.tier == t.tier[7]
-    assert row.sinr == t.sinr[7]
     assert t.served.dtype == bool
 
 
@@ -214,6 +211,18 @@ def test_interfering_members_stop_at_truncation_radius():
 def test_sub6_only_scenario_never_serves_mmwave():
     t = mc.run_trials(P, ScenarioKind.SUB6_ONLY, 500, seed=2)
     assert np.all(t.tier == int(Tier.SUB6))
+
+
+@pytest.mark.parametrize("scenario, mapped", [
+    (ScenarioKind.SUB6_ONLY, P.replace(n_bs=0)),
+    (ScenarioKind.MMWAVE_ONLY, P.replace(lambda1_per_km2=0.0)),
+], ids=["b", "c"])
+def test_single_band_deployments_are_integrated_runs(scenario, mapped):
+    # past one block, so a whole and a partial block are compared
+    n = mc.BLOCK_TRIALS + 76
+    _assert_tables_equal(mc.run_trials(P, scenario, n, seed=8),
+                         mc.run_trials(mapped, ScenarioKind.INTEGRATED, n,
+                                       seed=8))
 
 
 def test_mmwave_only_scenario_has_unserved_trials():

@@ -12,6 +12,7 @@ PACKAGE = Path(hotnet.__file__).resolve().parent
 UNREFERENCED = {
     "analytic.conditional_distance_pdf": "acceptance API",
     "analytic.coverage_no_nlos": "acceptance API",
+    "analytic.coverage_two_tier_sub6": "perfbench calls it",
     "analytic.j_factor": "acceptance API",
     "analytic.laplace_I1": "acceptance API",
     "analytic.laplace_I2_inter": "acceptance API",
@@ -46,3 +47,38 @@ def test_every_public_definition_is_used_or_allowlisted():
     assert not unused, f"nothing in the package uses {unused}: use them " \
         f"in the engine or delete them"
     assert not stale, f"allowlisted but now used or gone: {stale}"
+
+
+# The only definitions that may name a deployment other than (a); all other
+# code reads the records ``association.link_budgets`` returns.
+DEPLOYMENT_NAMES = {"SUB6_ONLY", "MMWAVE_ONLY", "TWO_TIER_SUB6"}
+DEPLOYMENT_READERS = {
+    "params.ScenarioKind": "defines the deployments",
+    "association.link_budgets": "maps each deployment to its records",
+    "analytic.coverage_two_tier_sub6": "perfbench calls it",
+}
+
+
+def _deployment_readers() -> set[str]:
+    """Top-level statements of the package that name a deployment other
+    than (a), as ``module.definition`` (``module:line`` for a statement
+    that defines nothing)."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            if names & DEPLOYMENT_NAMES:
+                found.add(f"{path.stem}.{top.name}" if hasattr(top, "name")
+                          else f"{path.stem}:{top.lineno}")
+    return found
+
+
+def test_only_link_budgets_reads_the_deployment():
+    found = _deployment_readers()
+    forked = sorted(found - DEPLOYMENT_READERS.keys())
+    stale = sorted(DEPLOYMENT_READERS.keys() - found)
+    assert not forked, f"{forked} branch on the deployment: read the " \
+        f"association.link_budgets records instead"
+    assert not stale, f"allowlisted but no longer naming a deployment: {stale}"
