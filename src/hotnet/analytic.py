@@ -38,8 +38,8 @@ from scipy.special import binom, chndtr, hyp2f1, i0e
 from .association import ClusterLaw, boundary_map, link_budgets
 from .geometry import rice_pdf
 from .params import ScenarioKind, SystemParams
-from .quadrature import (QuadSpec, integrate_adaptive, integrate_batch,
-                         integrate_semi_infinite)
+from .quadrature import (QuadSpec, half_line, integrate_adaptive,
+                         integrate_batch)
 
 DEFAULT_SPEC = QuadSpec(rel_tol=1e-6, abs_tol=1e-14)
 OUTER_SPEC = QuadSpec(rel_tol=1e-5, abs_tol=1e-9)
@@ -444,6 +444,7 @@ class _InterLaplace:
     _LN_STEP = 0.5
     _LN_A_MIN = math.log(1e-9)
     _LN_A_MAX = math.log(46.0)
+    _PASS = 8
 
     def __init__(self, law: ClusterLaw, include_nlos: bool):
         self._law = law
@@ -452,36 +453,75 @@ class _InterLaplace:
         self._k0 = 0                    # lattice index of the run's first knot
         self._la: list[float] = []      # ln A on the run
         self._coef = np.zeros((1, 4))   # see _fit
+        self.knots = 0                  # knots computed, kept or not
+        self.tally = _Tally()           # their integrals' work and failures
 
-    def exponent_exact(self, s: float) -> float:
+    def _integrals(self, s) -> list:
+        """The PGFL integral behind A at each s, all in one batch: each is
+        refined and stopped on its own, so it equals a lone integral."""
         law = self._law
+        s = np.asarray(s, dtype=float)
 
-        def f(v):
-            v = np.asarray(v, dtype=float)
-            e = _cluster_exponent(s, v, 0.0, law, self._include_nlos)
+        def f(v, j):
+            e = _cluster_exponent(s[j], v, 0.0, law, self._include_nlos)
             return -np.expm1(-law.members * e) * v
 
-        res = integrate_semi_infinite(f, 0.0, law.pgfl_scale, DEFAULT_SPEC)
-        return 2.0 * math.pi * law.density * max(res.value, 0.0)
+        return integrate_batch(half_line(f, 0.0, law.pgfl_scale),
+                               np.zeros(s.size), np.ones(s.size),
+                               DEFAULT_SPEC)
 
-    def _knot(self, k: int) -> float:
-        return math.log(max(self.exponent_exact(math.exp(k * self._LN_STEP)),
-                            1e-300))
+    def _exponent(self, res) -> float:
+        return 2.0 * math.pi * self._law.density * max(res.value, 0.0)
+
+    def exponent_exact(self, s: float) -> float:
+        return self._exponent(self._integrals([s])[0])
+
+    def _side(self, gap: float, room: int) -> int:
+        """Knots a pass computes on one side of the run: none once the
+        side is clamped (``gap``, the distance in ln A to its clamp, is
+        <= 0), else at least ``_PASS`` and at least as many as the clamp
+        is away, within the ``room`` left to the side's end.  ln A moves
+        by at most ``_LN_STEP`` a knot (A is concave with A(0) = 0), so
+        only a pass of ``_PASS`` knots can run past the clamp."""
+        if gap <= 0.0:
+            return 0
+        least = math.ceil(gap / self._LN_STEP) if gap < math.inf else 0
+        return max(min(room, max(least, self._PASS)), 0)
 
     def _walk(self, k_lo: int, k_hi: int) -> bool:
         """Extends the run over knots k_lo..k_hi, stopping at a clamp;
-        returns whether it grew."""
+        returns whether it grew.  An empty run starts at
+        (k_lo + k_hi) // 2.  Each pass computes the next knots of both
+        sides in one batch and keeps them up to each side's first clamp
+        knot."""
         la = self._la
         n = len(la)
         if not la:
             self._k0 = (k_lo + k_hi) // 2
-            la.append(self._knot(self._k0))
-        while self._k0 > k_lo and la[0] > self._LN_A_MIN:
-            self._k0 -= 1
-            la.insert(0, self._knot(self._k0))
-        while self._k0 + len(la) <= k_hi and la[-1] < self._LN_A_MAX:
-            la.append(self._knot(self._k0 + len(la)))
-        return len(la) > n
+        while True:
+            k0, k1 = self._k0, self._k0 + len(la)
+            up = self._side(self._LN_A_MAX - la[-1] if la else math.inf,
+                            k_hi + 1 - k1)
+            down = self._side(la[0] - self._LN_A_MIN if la else math.inf,
+                              k0 - k_lo)
+            if not up and not down:
+                return len(la) > n
+            ks = [*range(k1, k1 + up), *range(k0 - 1, k0 - 1 - down, -1)]
+            # math.exp, as a lone knot takes it: np.exp differs from it in
+            # the last bit at some knots
+            res = self._integrals([math.exp(k * self._LN_STEP) for k in ks])
+            self.knots += len(ks)
+            self.tally.add(res)
+            knots = [math.log(max(self._exponent(r), 1e-300)) for r in res]
+            for y in knots[:up]:
+                if la and la[-1] >= self._LN_A_MAX:
+                    break
+                la.append(y)
+            for y in knots[up:]:
+                if la[0] <= self._LN_A_MIN:
+                    break
+                la.insert(0, y)
+                self._k0 -= 1
 
     def _fit(self) -> tuple[int, int]:
         """Fits the cubic of every cell between the stencil edges, the

@@ -121,7 +121,12 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"{path}: bad sweep_grid: {exc}") from None
     metrics = [tok for tok in raw.pop("metrics", "coverage")
                .replace(",", " ").split()]
-    tau_db = float(raw.pop("tau_db", "0"))
+    try:
+        tau_db = float(raw.pop("tau_db", "0"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad value for tau_db: {exc}") from None
+    if not math.isfinite(tau_db):
+        raise ConfigError(f"{path}: tau_db must be finite")
     sweep = SweepSpec(scenario, variable, grid, metrics, tau_db)
     for value in grid:
         try:
@@ -135,6 +140,8 @@ def parse_config(path) -> RunConfig:
 
 
 def _params_at(base: SystemParams, sweep: SweepSpec, value) -> SystemParams:
+    if not math.isfinite(value):
+        raise ValueError(f"{sweep.variable} must be finite")
     if sweep.variable == "v0" and value < 0:
         raise ValueError("v0 must be nonnegative")
     if sweep.variable == "n_bs":

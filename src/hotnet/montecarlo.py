@@ -89,7 +89,7 @@ class _Source(NamedTuple):
     segments: tuple[KernelSegment, ...]
 
 
-def _sources(params: SystemParams, budgets: tuple[LinkBudget, LinkBudget]
+def _sources(budgets: tuple[LinkBudget, LinkBudget]
              ) -> tuple[_Source, _Source]:
     """Interferers of the (macro, small-cell) tiers.  A macro BS is one
     Rayleigh-faded segment of the macro serving budget."""
@@ -359,7 +359,7 @@ def run_trials(params: SystemParams, scenario: ScenarioKind, n_trials: int,
         raise ValueError("n_trials must be >= 1")
     budgets = link_budgets(params, scenario)
     radius = min(params.window_radius_m, params.truncation_radius_m)
-    run = _Run(budgets, _sources(params, budgets), params.sigma_ue_m, radius,
+    run = _Run(budgets, _sources(budgets), params.sigma_ue_m, radius,
                radius + 6.0 * max(params.sigma_bs_m, params.sigma_ue_m))
     table = TrialTable(np.empty(n_trials, dtype=np.int8),
                        *np.full((5, n_trials), np.nan))

@@ -8,7 +8,8 @@ unfinished integrands go through the integrand in shared calls of at
 most ``_CHUNK`` panels, so a vectorized integrand pays the numpy call
 overhead once per chunk of a refinement sweep, not once per node or per
 integrand.
-``integrate_adaptive`` is the one-integrand case.
+``integrate_adaptive`` is the one-integrand case, and ``half_line`` maps
+integrands over [a, inf) onto [0, 1) for it.
 
 A sweep splits only the panels an integrand's error needs: its worst
 panels, in order, until the panels left hold at most ``_LEFT_SHARE`` of
@@ -227,25 +228,32 @@ def integrate_adaptive(f: Callable, a: float, b: float,
     return integrate_batch(lambda x, j: f(x), a, b, spec)[0]
 
 
-def integrate_semi_infinite(f: Callable, a: float, scale: float,
-                            spec: QuadSpec = QuadSpec()) -> IntegrationResult:
-    """Integrate ``f`` over [a, inf) via the substitution
+def half_line(f: Callable, a: float, scale: float) -> Callable:
+    """The ``integrate_batch`` integrand on [0, 1) whose integrals are
+    those of ``f(r, j)`` over [a, inf), by the substitution
     r = a + scale*u/(1-u), which maps [0, 1) to the half-line.
 
-    ``scale`` should match the decay length of the integrand so the
-    transformed integrand is well resolved.
+    ``scale`` should match the decay length of the integrands so the
+    transformed integrands are well resolved.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
 
-    def g(u):
-        u = np.asarray(u, dtype=float)
+    def g(u, j):
         u = np.minimum(u, 1.0 - 1e-15)
         w = 1.0 - u
         r = a + scale * u / w
-        return np.asarray(f(r), dtype=float) * scale / (w * w)
+        return np.asarray(f(r, j), dtype=float) * scale / (w * w)
 
-    return integrate_adaptive(g, 0.0, 1.0, spec)
+    return g
+
+
+def integrate_semi_infinite(f: Callable, a: float, scale: float,
+                            spec: QuadSpec = QuadSpec()) -> IntegrationResult:
+    """Integrate ``f`` over [a, inf): the one-integrand case of
+    ``half_line``."""
+    g = half_line(lambda r, j: f(r), a, scale)
+    return integrate_adaptive(lambda u: g(u, None), 0.0, 1.0, spec)
 
 
 def find_root_monotone(f: Callable[[float], float], target: float,

@@ -22,7 +22,8 @@ from hotnet import analytic, montecarlo
 from hotnet.association import boundary_map, link_budgets
 from hotnet.geometry import rice_pdf, sample_thomas_cluster
 from hotnet.params import ScenarioKind, SystemParams
-from hotnet.quadrature import QuadSpec, integrate_adaptive
+from hotnet.quadrature import (QuadSpec, integrate_adaptive,
+                               integrate_semi_infinite)
 
 P = SystemParams()
 
@@ -528,6 +529,90 @@ def test_laplace_inter_interpolation_error_mid_cell(deployment):
             errors.append(abs(inter(s) - math.exp(-a)))
     assert len(errors) >= 20
     assert max(errors) <= 2e-5
+
+
+def lone_exponent(inter, s):
+    """A(s) of ``inter``'s law as one lone half-line integral."""
+    law = inter._law
+
+    def f(v):
+        v = np.asarray(v, dtype=float)
+        e = analytic._cluster_exponent(s, v, 0.0, law, inter._include_nlos)
+        return -np.expm1(-law.members * e) * v
+
+    res = integrate_semi_infinite(f, 0.0, law.pgfl_scale,
+                                  analytic.DEFAULT_SPEC)
+    return 2.0 * math.pi * law.density * max(res.value, 0.0)
+
+
+class LoneKnotLaplace(analytic._InterLaplace):
+    """The transform with the reference knot walk: one lone integral per
+    knot, walking outward one knot at a time and stopping at a clamp."""
+
+    def _knot(self, k):
+        return math.log(max(lone_exponent(self, math.exp(k * self._LN_STEP)),
+                            1e-300))
+
+    def _walk(self, k_lo, k_hi):
+        la = self._la
+        n = len(la)
+        if not la:
+            self._k0 = (k_lo + k_hi) // 2
+            la.append(self._knot(self._k0))
+        while self._k0 > k_lo and la[0] > self._LN_A_MIN:
+            self._k0 -= 1
+            la.insert(0, self._knot(self._k0))
+        while self._k0 + len(la) <= k_hi and la[-1] < self._LN_A_MAX:
+            la.append(self._knot(self._k0 + len(la)))
+        return len(la) > n
+
+
+@pytest.mark.parametrize("deployment, include_nlos, eta", [
+    ("a", True, None), ("d", True, None), ("a", False, None),
+    ("a", True, 1.27)], ids=["a", "d", "a_no_nlos", "a_eta_1.27"])
+def test_batched_knot_walk_matches_lone_knots(deployment, include_nlos, eta):
+    params = P if eta is None else P.replace(sigma_bs_m=eta * P.sigma_ue_m)
+    law = analytic._cells(params, MEMBER_LINKS[deployment]["scenario"])
+    batched = analytic._InterLaplace(law, include_nlos)
+    lone = LoneKnotLaplace(law, include_nlos)
+    # a run started mid-range, then grown past both clamps
+    for s in (np.logspace(6.0, 8.0, 5), np.logspace(-2.0, 40.0, 85)):
+        np.testing.assert_array_equal(batched(s), lone(s))
+        assert (batched._k0, batched._la) == (lone._k0, lone._la)
+    assert batched._la[0] <= batched._LN_A_MIN
+    # without NLoS only clusters with LoS members in the ball interfere,
+    # so A saturates below the upper clamp and the run ends at the query
+    assert (batched._la[-1] >= batched._LN_A_MAX) == include_nlos
+    # only a pass that finds a clamp computes knots past it: at most one
+    # such pass of 8 knots a side
+    assert len(batched._la) <= batched.knots <= len(batched._la) + 16
+
+
+@pytest.mark.parametrize("deployment", ["a", "d"])
+@pytest.mark.parametrize("s", [3.3e-1, 1.7e3, 2.2e7, 4.1e11, 6.5e18])
+def test_exponent_exact_is_the_lone_integral(deployment, s):
+    inter = analytic._InterLaplace(
+        analytic._cells(P, MEMBER_LINKS[deployment]["scenario"]), True)
+    assert inter.exponent_exact(s) == lone_exponent(inter, s)
+
+
+@pytest.mark.parametrize("deployment", ["a", "d"])
+@pytest.mark.parametrize("eta", [None, 0.4, 0.7, 1.0, 1.3])
+def test_every_knot_converges(deployment, eta):
+    params = P if eta is None else P.replace(sigma_bs_m=eta * P.sigma_ue_m)
+    inter = analytic._InterLaplace(
+        analytic._cells(params, MEMBER_LINKS[deployment]["scenario"]), True)
+    inter(np.logspace(-2.0, 40.0, 85))
+    assert inter.knots >= len(inter._la) >= 20
+    assert inter.tally.evaluations >= 15 * inter.knots
+    assert inter.tally.unconverged == 0
+
+
+def test_knot_counters_count_unconverged_knots(monkeypatch):
+    monkeypatch.setattr(analytic, "DEFAULT_SPEC", QuadSpec(max_panels=2))
+    inter = analytic._InterLaplace(analytic._cells(P), True)
+    inter(np.logspace(4.0, 10.0, 7))
+    assert 0 < inter.tally.unconverged <= inter.knots
 
 
 @pytest.mark.parametrize("params, tau, before", [

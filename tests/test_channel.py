@@ -45,7 +45,7 @@ def test_los_probability_is_thinned_indicator():
     # the Monte Carlo candidates: members labelled LoS with probability
     # p_los that lie inside the ball
     budgets = link_budgets(P)
-    run = mc._Run(budgets, mc._sources(P, budgets), P.sigma_ue_m, 2000.0,
+    run = mc._Run(budgets, mc._sources(budgets), P.sigma_ue_m, 2000.0,
                   3000.0)
     block = mc._associate(run, 4000, np.random.default_rng(3))
     los = block.own_u < P.p_los
@@ -86,7 +86,7 @@ def test_path_loss_power_law(link, c, alpha):
 
 
 def test_path_loss_clamped_below_one_meter():
-    for source in mc._sources(P, link_budgets(P)):
+    for source in mc._sources(link_budgets(P)):
         near, at_1m = (mc._received(source, np.array([d]), np.array([0]), 1,
                                     np.random.default_rng(21))
                        for d in (0.01, MIN_LINK_DISTANCE_M))

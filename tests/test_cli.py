@@ -106,7 +106,12 @@ def test_validate_command_rejects_bad_config(tmp_path, capsys):
     ("n_bs", "2.5, 6", "sweep_grid value 2.5 of n_bs: n_bs must be a whole "
                        "number"),
     ("v0", "50, -5", "sweep_grid value -5 of v0: v0 must be nonnegative"),
-], ids=["negative_eta", "negative_n_bs", "fractional_n_bs", "negative_v0"])
+    ("v0", "50, nan", "sweep_grid value nan of v0: v0 must be finite"),
+    ("tau_db", "0, nan", "sweep_grid value nan of tau_db: tau_db must be "
+                         "finite"),
+    ("eta", "1, inf", "sweep_grid value inf of eta: eta must be finite"),
+], ids=["negative_eta", "negative_n_bs", "fractional_n_bs", "negative_v0",
+        "nan_v0", "nan_tau_db", "infinite_eta"])
 def test_invalid_grid_point_rejected_before_running(tmp_path, capsys,
                                                     command, variable, grid,
                                                     reason):
@@ -116,6 +121,30 @@ def test_invalid_grid_point_rejected_before_running(tmp_path, capsys,
         parse_config(path)
     out = tmp_path / "out"
     args = ["--out", str(out), "--mode", "mc"] if command == "run" else []
+    rc = main([command, "--config", str(path), *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:")
+    assert reason in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("value, reason", [
+    ("abc", "bad value for tau_db: could not convert string to float"),
+    ("inf", "tau_db must be finite"),
+    ("nan", "tau_db must be finite"),
+], ids=["non_numeric", "infinite", "nan"])
+def test_invalid_tau_db_rejected_before_running(tmp_path, capsys, command,
+                                                value, reason):
+    path = _write(tmp_path, f"tau_db = {value}\nsweep_variable = eta\n"
+                            f"sweep_grid = 1\nmetrics = coverage\n")
+    with pytest.raises(ConfigError, match=reason):
+        parse_config(path)
+    out = tmp_path / "out"
+    args = ["--out", str(out), "--mode", "analytic"] if command == "run" \
+        else []
     rc = main([command, "--config", str(path), *args])
     captured = capsys.readouterr()
     assert rc == 2

@@ -102,7 +102,7 @@ def test_no_macro_tier_leaves_only_small_cells():
 # ---------------------------------------------------------------------------
 
 BUDGETS = link_budgets(P, ScenarioKind.INTEGRATED)
-MACRO_SRC, CELL_SRC = mc._sources(P, BUDGETS)
+MACRO_SRC, CELL_SRC = mc._sources(BUDGETS)
 NO_OTHERS = (np.empty(0), np.empty(0, dtype=int))
 
 
@@ -127,7 +127,7 @@ def test_mm_sinr_exact_single_member():
     q = P.replace(n_bs=1, lambda_p_per_km2=0.0)
     budgets = link_budgets(q)
     # a 6 km truncation disk, so that the macro BS lies inside it
-    run = mc._Run(budgets, mc._sources(q, budgets), q.sigma_ue_m, 6000.0,
+    run = mc._Run(budgets, mc._sources(budgets), q.sigma_ue_m, 6000.0,
                   6900.0)
     r1, r2 = np.array([5000.0]), np.array([50.0])
     tier = mc._choose(budgets, r1, r2)

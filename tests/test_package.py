@@ -20,6 +20,7 @@ UNREFERENCED = {
     "association.associate": "perfbench traces it",
     "geometry.sample_network": "perfbench traces it",
     "montecarlo.conditional_metrics": "acceptance API",
+    "quadrature.integrate_semi_infinite": "perfbench traces it; public API",
 }
 
 

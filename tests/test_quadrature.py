@@ -78,6 +78,25 @@ def test_semi_infinite_shifted_and_scaled():
     assert res.value == pytest.approx(7.0, rel=1e-9)
 
 
+def test_half_line_batch_is_the_lone_semi_infinite_integrals():
+    # one batch over the half-line map gives each integrand exactly what
+    # integrate_semi_infinite gives it alone
+    rates = np.array([0.5, 1.0, 30.0])
+
+    def f(r, j):
+        return np.exp(-rates[j] * (r - 3.0)) * np.cos(r)
+
+    got = integrate_batch(quadrature.half_line(f, 3.0, 2.0), np.zeros(3),
+                          np.ones(3), TIGHT)
+    for j, res in enumerate(got):
+        want = integrate_semi_infinite(
+            lambda r: np.exp(-rates[j] * (r - 3.0)) * np.cos(r), 3.0, 2.0,
+            TIGHT)
+        assert res == want
+    with pytest.raises(ValueError, match="scale"):
+        quadrature.half_line(f, 0.0, 0.0)
+
+
 def test_rayleigh_density_normalizes_on_half_line():
     sigma = 150.0
     res = integrate_semi_infinite(
