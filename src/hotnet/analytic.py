@@ -6,7 +6,10 @@ All deployments share one path.  What sets the integrated network (a)
 apart from the two-tier Sub-6GHz baseline (d) is data: the per-tier
 ``LinkBudget`` records of ``association.link_budgets`` (weights, budgets,
 exponents, Nakagami orders, noise, the candidate law and the cluster
-interference kernel, and whether the tiers share a band).
+interference kernel, and whether the tiers share a band).  Each public
+entry point resolves the records once and passes them down.  A model
+variant is a change of the records: the LoS-only bound of
+``coverage_no_nlos`` is (a) with the NLoS kernel segments dropped.
 
 Conventions used throughout:
 
@@ -35,7 +38,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import binom, chndtr, hyp2f1, i0e
 
-from .association import ClusterLaw, boundary_map, link_budgets
+from .association import ClusterLaw, LinkBudget, boundary_map, link_budgets
 from .geometry import rice_pdf
 from .params import ScenarioKind, SystemParams
 from .quadrature import (QuadSpec, half_line, integrate_adaptive,
@@ -46,6 +49,9 @@ OUTER_SPEC = QuadSpec(rel_tol=1e-5, abs_tol=1e-9)
 INTEGRATED = ScenarioKind.INTEGRATED
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+# (macro, small-cell) records of one deployment, as link_budgets returns them
+_Records = tuple[LinkBudget, LinkBudget]
 
 
 @dataclass
@@ -122,11 +128,6 @@ def _rice_cdf(r, v0, sigma: float):
     return out if out.ndim else float(out)
 
 
-def _cells(params: SystemParams, scenario: ScenarioKind = INTEGRATED
-           ) -> ClusterLaw:
-    return link_budgets(params, scenario)[1].cluster
-
-
 def _candidate_cdf(r, v0: float, law: ClusterLaw):
     """CDF of one member's distance, counting only members that may serve."""
     if law.los_ball is None:
@@ -160,26 +161,20 @@ def rayleigh_pdf(v, sigma: float):
     return out if out.ndim else float(out)
 
 
-def _r1_upper(params: SystemParams) -> float:
-    """Radius beyond which the nearest-Sub-6GHz density mass is < 1e-15."""
-    lam = max(link_budgets(params)[0].density, 1e-12)
-    return math.sqrt(36.0 / (math.pi * lam))
-
-
 # ---------------------------------------------------------------------------
 # association probabilities
 # ---------------------------------------------------------------------------
 
-def _serving_reach(k: int, v0, params: SystemParams,
-                   scenario: ScenarioKind) -> np.ndarray:
+def _serving_reach(k: int, v0, budgets: _Records) -> np.ndarray:
     """Distance beyond which tier k has no candidate (or its density mass
     is < 1e-15), for each offset of v0; 0 when the tier has no candidate
     at all."""
     v0 = np.asarray(v0, dtype=float)
-    macro, cells = link_budgets(params, scenario)
+    macro, cells = budgets
     law = cells.cluster
     if k == 1:
-        reach = _r1_upper(params) if macro.density > 0 else 0.0
+        reach = (math.sqrt(36.0 / (math.pi * max(macro.density, 1e-12)))
+                 if macro.density > 0 else 0.0)
     elif law.density == 0 or law.members == 0 or law.los_prob == 0:
         reach = 0.0
     else:
@@ -188,14 +183,18 @@ def _serving_reach(k: int, v0, params: SystemParams,
     return np.broadcast_to(reach, v0.shape)
 
 
-def _serving_density(k: int, params: SystemParams,
-                     scenario: ScenarioKind) -> Callable:
+def _r1_upper(params: SystemParams) -> float:
+    """Radius beyond which the nearest-Sub-6GHz density mass is < 1e-15."""
+    return float(_serving_reach(1, 0.0, link_budgets(params)))
+
+
+def _serving_density(k: int, budgets: _Records) -> Callable:
     """Density ``density(x, v0)`` that tier k's candidate sits at distance
     x and wins the association, given offset v0 (elementwise); it
     integrates over x to the conditional association probability."""
     if k not in (1, 2):
         raise ValueError("tier index must be 1 or 2")
-    macro, cells = link_budgets(params, scenario)
+    macro, cells = budgets
     law = cells.cluster
     lam = macro.density
     if k == 1:
@@ -210,13 +209,13 @@ def _serving_density(k: int, params: SystemParams,
     return density
 
 
-def _assoc_masses(k: int, v0, params: SystemParams, scenario: ScenarioKind,
-                  spec: QuadSpec, tally: _Tally) -> np.ndarray:
+def _assoc_masses(k: int, v0, budgets: _Records, spec: QuadSpec,
+                  tally: _Tally) -> np.ndarray:
     """Conditional association probability of tier k at each offset of
     the 1-D array v0, every offset's integral in one batched pass."""
-    density = _serving_density(k, params, scenario)
+    density = _serving_density(k, budgets)
     res = integrate_batch(lambda x, j: density(x, v0[j]), np.zeros(v0.shape),
-                          _serving_reach(k, v0, params, scenario), spec)
+                          _serving_reach(k, v0, budgets), spec)
     return np.clip(tally.add(res), 0.0, 1.0)
 
 
@@ -227,14 +226,15 @@ def conditional_assoc_prob(k: int, v0: float, params: SystemParams,
     its hotspot center."""
     if v0 < 0:
         raise ValueError("v0 must be nonnegative")
-    return float(_assoc_masses(k, np.array([v0], dtype=float), params,
-                               scenario, spec, _Tally())[0])
+    return float(_assoc_masses(k, np.array([v0], dtype=float),
+                               link_budgets(params, scenario), spec,
+                               _Tally())[0])
 
 
-def _offset_average(g: Callable, params: SystemParams,
+def _offset_average(g: Callable, sigma_ue: float,
                     spec: QuadSpec) -> AnalyticReport:
-    """Integral of g(v0) against the Rayleigh-distributed UE-to-center
-    distance v0.
+    """Integral of g(v0) against the UE-to-center distance v0, Rayleigh
+    with spread sigma_ue.
 
     ``g(v0, tally)`` maps a 1-D array of offsets to the array of inner
     values and counts its integrals into ``tally``; the report counts
@@ -242,9 +242,9 @@ def _offset_average(g: Callable, params: SystemParams,
     tally = _Tally()
 
     def f(v0):
-        return rayleigh_pdf(v0, params.sigma_ue_m) * g(v0, tally)
+        return rayleigh_pdf(v0, sigma_ue) * g(v0, tally)
 
-    res = integrate_adaptive(f, 0.0, 8.5 * params.sigma_ue_m, spec)
+    res = integrate_adaptive(f, 0.0, 8.5 * sigma_ue, spec)
     tally.add([res])
     return AnalyticReport(res.value, res.est_error, tally.evaluations,
                           tally.unconverged)
@@ -263,9 +263,10 @@ def assoc_prob(k: int, params: SystemParams,
     """Tier association probability, averaged over the Rayleigh-distributed
     UE-to-center distance."""
     inner = spec.tighter()
+    budgets = link_budgets(params, scenario)
     report = _offset_average(
-        lambda v, tally: _assoc_masses(k, v, params, scenario, inner,
-                                       tally), params, spec)
+        lambda v, tally: _assoc_masses(k, v, budgets, inner, tally),
+        params.sigma_ue_m, spec)
     return _probability(report, with_report)
 
 
@@ -277,7 +278,7 @@ def conditional_distance_pdf(k: int, x, v0: float, params: SystemParams,
         raise ValueError(f"conditional distance density undefined: "
                          f"tier {k} has zero association probability")
     x = np.asarray(x, dtype=float)
-    out = _serving_density(k, params, INTEGRATED)(x, v0) / a
+    out = _serving_density(k, link_budgets(params))(x, v0) / a
     return out if out.ndim else float(out)
 
 
@@ -347,7 +348,7 @@ def _band_rule(lo, hi: float, v0: np.ndarray, sigma: float):
     return np.broadcast_to(half, v0.shape), r, dens
 
 
-def _cluster_exponent(s, v0, x, law: ClusterLaw, include_nlos: bool = True):
+def _cluster_exponent(s, v0, x, law: ClusterLaw):
     """Per-member interference exponent of one cluster whose center sits
     at distance v0, seen past the exclusion radius x: the sum over the
     law's kernel segments of the segment's radial density times its
@@ -374,8 +375,6 @@ def _cluster_exponent(s, v0, x, law: ClusterLaw, include_nlos: bool = True):
     at = at.reshape(v0.shape)
     fixed = {}      # band -> half-width, nodes (per offset), density
     for seg in law.segments:
-        if seg.nlos and not include_nlos:
-            continue
         if seg.past_serving and np.any(x > seg.r_min):
             half, r, dens = _band_rule(np.maximum(x[..., None], seg.r_min),
                                        seg.r_max, v0, sig)
@@ -401,7 +400,7 @@ def _cluster_exponent(s, v0, x, law: ClusterLaw, include_nlos: bool = True):
 
 
 def laplace_I2_intra(s, v0: float, x: float, n_members: int,
-                     params: SystemParams, include_nlos: bool = True,
+                     params: SystemParams,
                      scenario: ScenarioKind = INTEGRATED):
     """Laplace transform of the intra-cluster small-cell interference
     given a serving member at distance x and n_members cluster members."""
@@ -411,7 +410,7 @@ def laplace_I2_intra(s, v0: float, x: float, n_members: int,
     if np.any(s < 0):
         raise ValueError("s must be nonnegative")
     expo = (n_members - 1) * _cluster_exponent(
-        s, v0, x, _cells(params, scenario), include_nlos)
+        s, v0, x, link_budgets(params, scenario)[1].cluster)
     out = np.exp(-expo)
     return out if out.ndim else float(out)
 
@@ -446,9 +445,8 @@ class _InterLaplace:
     _LN_A_MAX = math.log(46.0)
     _PASS = 8
 
-    def __init__(self, law: ClusterLaw, include_nlos: bool):
+    def __init__(self, law: ClusterLaw):
         self._law = law
-        self._include_nlos = include_nlos
         self._empty = law.density == 0 or law.members <= 0
         self._k0 = 0                    # lattice index of the run's first knot
         self._la: list[float] = []      # ln A on the run
@@ -463,7 +461,7 @@ class _InterLaplace:
         s = np.asarray(s, dtype=float)
 
         def f(v, j):
-            e = _cluster_exponent(s[j], v, 0.0, law, self._include_nlos)
+            e = _cluster_exponent(s[j], v, 0.0, law)
             return -np.expm1(-law.members * e) * v
 
         return integrate_batch(half_line(f, 0.0, law.pgfl_scale),
@@ -571,18 +569,18 @@ class _InterLaplace:
 
 
 @lru_cache(maxsize=8)
-def _inter_cache(law: ClusterLaw, include_nlos: bool) -> _InterLaplace:
-    return _InterLaplace(law, include_nlos)
+def _inter_cache(law: ClusterLaw) -> _InterLaplace:
+    return _InterLaplace(law)
 
 
-def laplace_I2_inter(s, params: SystemParams, include_nlos: bool = True,
+def laplace_I2_inter(s, params: SystemParams,
                      scenario: ScenarioKind = INTEGRATED):
     """Laplace transform of the inter-cluster small-cell interference
     (PGFL over hotspot centers of the per-cluster transform)."""
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise ValueError("s must be nonnegative")
-    return _inter_cache(_cells(params, scenario), include_nlos)(s)
+    return _inter_cache(link_budgets(params, scenario)[1].cluster)(s)
 
 
 # ---------------------------------------------------------------------------
@@ -611,21 +609,20 @@ def _alzer_terms(n_l: int) -> tuple[np.ndarray, np.ndarray, float]:
     return n, coeff, chi
 
 
-def _coverage_integrand(k: int, params: SystemParams,
-                        scenario: ScenarioKind, include_nlos: bool):
+def _coverage_integrand(k: int, budgets: _Records):
     """Integrand ``f(x, tau, v0)`` over the serving distance x of
     A_k(v0) * C_k(tau; v0) (elementwise in x, tau and v0): the serving
     density times the fading tail (Alzer's bound, exact for Rayleigh)
     averaged over the interference fields tier k hears."""
-    macro, cells = link_budgets(params, scenario)
+    macro, cells = budgets
     serving, other = ((macro, cells), (cells, macro))[k - 1]
     law = cells.cluster
     nvec, coeff, chi = _alzer_terms(serving.order)
     # a tier hears the other tier's BSs only when the two share a band
     hears_macro = k == 1 or serving.shared_band
     hears_cells = k == 2 or serving.shared_band
-    inter = _inter_cache(law, include_nlos) if hears_cells else None
-    density = _serving_density(k, params, scenario)
+    inter = _inter_cache(law) if hears_cells else None
+    density = _serving_density(k, budgets)
     two_pi_lam = 2.0 * math.pi * macro.density
 
     def f(x, tau, v0):
@@ -641,23 +638,22 @@ def _coverage_integrand(k: int, params: SystemParams,
         if hears_cells:
             x2 = x if k == 2 else boundary_map(serving, other, x)
             lap = lap * (np.exp(-(law.members - 1) * _cluster_exponent(
-                s, v0, x2, law, include_nlos)) * inter(s))
+                s, v0, x2, law)) * inter(s))
         return density(x, v0) * _kahan_sum(coeff[:, None] * lap)
 
     return f
 
 
-def _coverage_masses(k: int, tau, v0, params: SystemParams,
-                     scenario: ScenarioKind, include_nlos: bool,
-                     spec: QuadSpec, tally: _Tally) -> np.ndarray:
+def _coverage_masses(k: int, tau, v0, budgets: _Records, spec: QuadSpec,
+                     tally: _Tally) -> np.ndarray:
     """A_k(v0) * C_k(tau; v0), the coverage mass tier k serves, for each
     pair of the broadcast 1-D arrays tau and v0, with every pair's
     integral in one batched pass.  A pair is integrated in segments of
     the serving distance; its mass is their sum in order."""
     tau, v0 = np.broadcast_arrays(np.asarray(tau, dtype=float),
                                   np.asarray(v0, dtype=float))
-    serving = link_budgets(params, scenario)[k - 1]
-    reach = _serving_reach(k, v0, params, scenario)
+    serving = budgets[k - 1]
+    reach = _serving_reach(k, v0, budgets)
     if k == 2 and serving.cluster.los_ball is not None:
         # at high thresholds the integrand concentrates on the noise-decay
         # scale; seed the adaptive rule with matching breakpoints (empty
@@ -672,7 +668,7 @@ def _coverage_masses(k: int, tau, v0, params: SystemParams,
         cuts = np.stack([np.zeros(tau.shape), reach], axis=-1)
     pair = np.repeat(np.arange(tau.size), cuts.shape[1] - 1)
     seg_tau, seg_v0 = tau[pair], v0[pair]
-    f = _coverage_integrand(k, params, scenario, include_nlos)
+    f = _coverage_integrand(k, budgets)
     res = integrate_batch(lambda x, j: f(x, seg_tau[j], seg_v0[j]),
                           cuts[:, :-1].ravel(), cuts[:, 1:].ravel(), spec)
     mass = np.zeros(tau.size)
@@ -680,25 +676,22 @@ def _coverage_masses(k: int, tau, v0, params: SystemParams,
     return np.maximum(mass, 0.0)
 
 
-def _coverage(tau: float, params: SystemParams, scenario: ScenarioKind,
-              include_nlos: bool, spec: QuadSpec) -> AnalyticReport:
+def _coverage(tau: float, budgets: _Records, sigma_ue: float,
+              spec: QuadSpec) -> AnalyticReport:
     """Coverage of a deployment: both tiers' coverage masses averaged
-    over the Rayleigh-distributed UE-to-center distance."""
+    over the UE-to-center distance, Rayleigh with spread sigma_ue."""
     if tau <= 0:
         raise ValueError("tau must be positive (linear)")
     inner = spec.tighter()
 
     def masses(v0, tally):
-        return (_coverage_masses(1, tau, v0, params, scenario, True, inner,
-                                 tally)
-                + _coverage_masses(2, tau, v0, params, scenario,
-                                   include_nlos, inner, tally))
+        return (_coverage_masses(1, tau, v0, budgets, inner, tally)
+                + _coverage_masses(2, tau, v0, budgets, inner, tally))
 
-    return _offset_average(masses, params, spec)
+    return _offset_average(masses, sigma_ue, spec)
 
 
 def coverage(tau: float, params: SystemParams,
-             include_nlos: bool = True,
              spec: QuadSpec = OUTER_SPEC,
              with_report: bool = False,
              scenario: ScenarioKind = INTEGRATED):
@@ -708,29 +701,36 @@ def coverage(tau: float, params: SystemParams,
     uncovered whenever its cluster has no LoS member, so the result
     saturates below one even for tau -> 0.
     """
-    return _probability(_coverage(tau, params, scenario, include_nlos,
-                                  spec), with_report)
+    return _probability(_coverage(tau, link_budgets(params, scenario),
+                                  params.sigma_ue_m, spec), with_report)
 
 
 def coverage_no_nlos(tau: float, params: SystemParams,
                      spec: QuadSpec = OUTER_SPEC) -> float:
-    """Coverage with mmWave NLoS interference neglected (upper bound)."""
-    return coverage(tau, params, include_nlos=False, spec=spec)
+    """Coverage with mmWave NLoS interference neglected (upper bound):
+    the coverage of (a) with the small-cell law stripped of its NLoS
+    kernel segments."""
+    macro, cells = link_budgets(params)
+    law = cells.cluster
+    law = replace(law, segments=tuple(s for s in law.segments if not s.nlos))
+    return _probability(_coverage(tau, (macro, replace(cells, cluster=law)),
+                                  params.sigma_ue_m, spec), False)
 
 
 def coverage_two_tier_sub6(tau: float, params: SystemParams,
                            spec: QuadSpec = OUTER_SPEC) -> float:
     """Coverage of the baseline two-tier network with both tiers on the
     Sub-6GHz band (cross-tier interference, Rayleigh fading)."""
-    return _probability(_coverage(tau, params, ScenarioKind.TWO_TIER_SUB6,
-                                  True, spec), False)
+    budgets = link_budgets(params, ScenarioKind.TWO_TIER_SUB6)
+    return _probability(_coverage(tau, budgets, params.sigma_ue_m, spec),
+                        False)
 
 
 # ---------------------------------------------------------------------------
 # rate
 # ---------------------------------------------------------------------------
 
-def avg_rate(params: SystemParams, include_nlos: bool = True,
+def avg_rate(params: SystemParams,
              spec: QuadSpec = QuadSpec(rel_tol=1e-3, abs_tol=1e-6),
              with_report: bool = False,
              scenario: ScenarioKind = INTEGRATED):
@@ -741,7 +741,8 @@ def avg_rate(params: SystemParams, include_nlos: bool = True,
     looser than the coverage path (0.1% beats the Monte Carlo noise this
     is compared against by an order of magnitude)."""
     inner = replace(spec, abs_tol=1e-10)
-    bandwidths = [b.bandwidth_hz for b in link_budgets(params, scenario)]
+    budgets = link_budgets(params, scenario)
+    bandwidths = [b.bandwidth_hz for b in budgets]
     tally = _Tally()
     # candidate truncation points of the spectral-efficiency axis: 2, 3,
     # 4.5, ... up to the first one past 40
@@ -756,8 +757,7 @@ def avg_rate(params: SystemParams, include_nlos: bool = True,
         # coverage mass is within 1e-5, else the last one
         def masses(rhos):
             return _coverage_masses(k, [2.0 ** r - 1.0 for r in rhos], v0,
-                                    params, scenario, include_nlos, inner,
-                                    tally)
+                                    budgets, inner, tally)
 
         probes = masses(brackets[:-1])
         hi = next((h for h, m in zip(brackets, probes) if m <= 1e-5),

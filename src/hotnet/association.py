@@ -140,9 +140,9 @@ def link_budgets(params: SystemParams,
                              p.w2_hz, shared, cluster=law)
 
 
-def biased_metric(tier: Tier, r, params: SystemParams):
-    """Bias-averaged received power of a candidate at distance ``r``."""
-    budget = link_budgets(params)[tier - 1]
+def biased_metric(budget: LinkBudget, r):
+    """Bias-averaged received power of a candidate of the tier of
+    ``budget`` at distance ``r``, clamped at 1 m."""
     r = np.maximum(np.asarray(r, dtype=float), MIN_LINK_DISTANCE_M)
     out = budget.weight * r ** (-budget.alpha)
     return out if out.ndim else float(out)
@@ -165,10 +165,11 @@ def associate(realization: NetworkRealization,
     """
     if len(realization.sub6_points) == 0:
         raise ValueError("association requires at least one Sub-6GHz BS")
+    macro, cells = link_budgets(params)
     d_sub6 = np.linalg.norm(realization.sub6_points, axis=1)
     i1 = int(np.argmin(d_sub6))
     r1 = float(d_sub6[i1])
-    metric1 = biased_metric(Tier.SUB6, r1, params)
+    metric1 = biased_metric(macro, r1)
 
     best_mm = None
     if realization.clusters:
@@ -183,7 +184,7 @@ def associate(realization: NetworkRealization,
 
     if best_mm is not None:
         i2, r2 = best_mm
-        if biased_metric(Tier.MMWAVE, r2, params) > metric1:
+        if biased_metric(cells, r2) > metric1:
             return AssociationOutcome(Tier.MMWAVE,
                                       max(r2, MIN_LINK_DISTANCE_M),
                                       ("mm", 0, i2))

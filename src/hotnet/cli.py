@@ -69,7 +69,7 @@ class RunConfig:
     warnings: list
 
 
-_PARAM_FIELDS = {f.name: f for f in dataclasses.fields(SystemParams)}
+_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
 _SWEEP_KEYS = ("scenario", "sweep_variable", "sweep_grid", "metrics",
                "tau_db")
 
@@ -94,12 +94,12 @@ def parse_config(path) -> RunConfig:
 
     warnings = []
     kwargs = {}
-    for name, fld in _PARAM_FIELDS.items():
+    # SystemParams stores whole-number fields as int and rejects others
+    for name in _PARAM_FIELDS:
         if name not in raw:
             continue
-        caster = int if fld.type == "int" else float
         try:
-            kwargs[name] = caster(raw.pop(name))
+            kwargs[name] = float(raw.pop(name))
         except ValueError as exc:
             raise ConfigError(f"{path}: bad value for {name}: {exc}") from None
     if "bias2_db" not in kwargs:
@@ -193,7 +193,7 @@ def _analytic_metric(metric: str, params: SystemParams,
 
 
 def _mc_metric(metric: str, table: montecarlo.TrialTable,
-               params: SystemParams, sweep: SweepSpec, value,
+               sweep: SweepSpec, value,
                v0_sel: Optional[np.ndarray] = None):
     """Returns (value, stderr) from a trial table."""
     if v0_sel is not None:
@@ -256,7 +256,7 @@ def _eval_point(job) -> dict:
     for metric in sweep.metrics:
         cell = {"grid": value}
         if table is not None:
-            v, se = _mc_metric(metric, table, params, sweep, value, v0_sel)
+            v, se = _mc_metric(metric, table, sweep, value, v0_sel)
             cell["mc"] = v
             cell["mc_stderr"] = se
         if mode in ("analytic", "both"):
@@ -356,6 +356,10 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, mode: str, seed: int,
 
 def cmd_run(args) -> int:
     try:
+        if args.trials < 1:
+            raise ConfigError("--trials must be >= 1")
+        if args.seed < 0:
+            raise ConfigError("--seed must be nonnegative")
         cfg = parse_config(args.config)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

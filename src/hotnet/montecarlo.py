@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .association import (ClusterLaw, KernelSegment, LinkBudget, Tier,
-                          link_budgets)
+                          biased_metric, link_budgets)
 from .channel import MIN_LINK_DISTANCE_M
 from .geometry import sample_ppp
 from .params import ScenarioKind, SystemParams, linear_to_db
@@ -164,8 +164,7 @@ def _choose(budgets: tuple[LinkBudget, LinkBudget], r1: np.ndarray,
     and ``r2`` (infinite: no candidate, whose power reads 0).  Ties go to
     the macro tier; a trial without candidates is ``TIER_NONE``."""
     macro, cells = budgets
-    m1 = macro.weight * np.maximum(r1, MIN_LINK_DISTANCE_M) ** -macro.alpha
-    m2 = cells.weight * np.maximum(r2, MIN_LINK_DISTANCE_M) ** -cells.alpha
+    m1, m2 = biased_metric(macro, r1), biased_metric(cells, r2)
     tier = np.where(m2 > m1, int(Tier.MMWAVE), int(Tier.SUB6)).astype(np.int8)
     tier[np.isinf(r1) & np.isinf(r2)] = TIER_NONE
     return tier

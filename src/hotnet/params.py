@@ -163,10 +163,6 @@ class SystemParams:
         return self.theta_b_rad / (2.0 * math.pi)
 
     @property
-    def mean_interferer_gain(self) -> float:
-        return self.p_main * self.g_main + (1.0 - self.p_main) * self.g_side
-
-    @property
     def c1(self) -> float:
         return db_to_linear(self.c1_db)
 
@@ -185,10 +181,6 @@ class SystemParams:
     @property
     def bias2(self) -> float:
         return db_to_linear(self.bias2_db)
-
-    @property
-    def bias_ratio(self) -> float:
-        return self.bias2 / self.bias1
 
     @property
     def noise1_w(self) -> float:

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,23 @@ MEMBER_LINKS = {
               ball=math.inf, gains=(P.g1, P.g1),
               cand=(1, P.c1, P.alpha1), other=(1, P.c1, P.alpha1)),
 }
+
+
+def records(params, scenario=ScenarioKind.INTEGRATED, include_nlos=True):
+    """The (macro, small-cell) records the kernels take.  Without NLoS the
+    small-cell law keeps only the kernel segments that are not NLoS."""
+    macro, cells = link_budgets(params, scenario)
+    if include_nlos:
+        return macro, cells
+    law = cells.cluster
+    law = replace(law, segments=tuple(s for s in law.segments if not s.nlos))
+    return macro, replace(cells, cluster=law)
+
+
+def cell_law(params, deployment="a"):
+    """The small-cell law of a deployment of ``MEMBER_LINKS``."""
+    scenario = MEMBER_LINKS[deployment]["scenario"]
+    return link_budgets(params, scenario)[1].cluster
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +108,7 @@ def test_rice_cdf_far_tail_saturates():
 
 def test_los_distance_law_consistency():
     v0 = 180.0
-    law = analytic._cells(P)
+    law = cell_law(P)
     # density integrates to the CDF and the CDF saturates at the ball
     val, _ = quad(analytic._candidate_pdf, 0.0, P.r_los_ball_m,
                   args=(v0, law), limit=200)
@@ -104,7 +122,7 @@ def test_serving_distance_laws_are_proper():
     # the candidate (S_L) and nearest-candidate (R2) laws of the small
     # cells, and the nearest Sub-6GHz BS (R1)
     v0 = 140.0
-    law = analytic._cells(P)
+    law = cell_law(P)
     r = np.linspace(0.0, 600.0, 601)
     cdf_sl = analytic._candidate_cdf(r, v0, law)
     cdf_r2 = 1.0 - (1.0 - cdf_sl) ** law.members
@@ -404,8 +422,10 @@ def tiled_coverage_integrand(k, params, scenario, include_nlos):
     # a tier hears the other tier's BSs only when the two share a band
     hears_macro = k == 1 or serving.shared_band
     hears_cells = k == 2 or serving.shared_band
-    inter = analytic._inter_cache(law, include_nlos) if hears_cells else None
-    density = analytic._serving_density(k, params, scenario)
+    inter = (analytic._inter_cache(
+        records(params, scenario, include_nlos)[1].cluster)
+        if hears_cells else None)
+    density = analytic._serving_density(k, (macro, cells))
     two_pi_lam = 2.0 * math.pi * params.lambda1
 
     def f(x, tau, v0):
@@ -434,7 +454,11 @@ def tiled_coverage_integrand(k, params, scenario, include_nlos):
 @pytest.mark.parametrize("n_terms", [1, 3])
 def test_cluster_exponent_matches_tiled_reference(deployment, include_nlos,
                                                   n_terms):
-    law = analytic._cells(P, MEMBER_LINKS[deployment]["scenario"])
+    # without NLoS the reference skips the NLoS segments, and the kernel is
+    # fed the law without them
+    scenario = MEMBER_LINKS[deployment]["scenario"]
+    law = cell_law(P, deployment)
+    fed = records(P, scenario, include_nlos)[1].cluster
     # repeated and distinct offsets; exclusion radii inside and outside
     # the LoS ball, and one past v0 + 8 sigma, where the (d) band is empty
     v0 = np.array([0.0, 40.0, 40.0, 150.0, 150.0, 420.0, 1100.0, 40.0])
@@ -445,7 +469,7 @@ def test_cluster_exponent_matches_tiled_reference(deployment, include_nlos,
     # and x = 0 at every place, as in the PGFL integrand: there the (a)
     # LoS band is the in-ball NLoS band, and the two share its nodes
     for x in (x, np.zeros(x.shape)):
-        got = analytic._cluster_exponent(s, v0, x, law, include_nlos)
+        got = analytic._cluster_exponent(s, v0, x, fed)
         want = tiled_cluster_exponent(s.ravel(), np.tile(v0, n_terms),
                                       np.tile(x, n_terms), law, include_nlos)
         assert got.shape == s.shape
@@ -463,7 +487,7 @@ def test_coverage_integrand_matches_tiled_reference(deployment,
     x = np.linspace(1.0, 600.0, 40)
     v0 = np.repeat([0.0, 40.0, 150.0, 420.0, 1100.0], 8)
     tau = np.resize([0.1, 1.0, 100.0], x.size)
-    got = analytic._coverage_integrand(k, P, scenario, include_nlos)
+    got = analytic._coverage_integrand(k, records(P, scenario, include_nlos))
     want = tiled_coverage_integrand(k, P, scenario, include_nlos)
     np.testing.assert_array_equal(got(x, tau, v0), want(x, tau, v0))
 
@@ -472,7 +496,7 @@ def test_coverage_integrand_matches_tiled_reference(deployment,
 def test_scalar_cluster_exponent_callers_match_tiled_reference(
         deployment, monkeypatch):
     scenario = MEMBER_LINKS[deployment]["scenario"]
-    inter = analytic._InterLaplace(analytic._cells(P, scenario), True)
+    inter = analytic._InterLaplace(cell_law(P, deployment))
 
     def evaluate():
         # scalar s, v0, x; array s; the PGFL integrand: scalar s, array v
@@ -503,13 +527,13 @@ def test_pgfl_integrand_evaluates_each_rice_node_once(monkeypatch):
         return out
 
     monkeypatch.setattr(analytic, "rice_pdf", counting)
-    inter = analytic._InterLaplace(analytic._cells(P), True)
+    inter = analytic._InterLaplace(cell_law(P))
     assert inter.exponent_exact(1e7) > 0.0
     assert sum(elements) <= 21_120
 
 
 def test_laplace_inter_spline_matches_exact_exponent():
-    cache = analytic._inter_cache(link_budgets(P)[1].cluster, True)
+    cache = analytic._inter_cache(cell_law(P))
     for s in (1e5, 1e7, 1e9):
         exact = math.exp(-cache.exponent_exact(s))
         interp = float(analytic.laplace_I2_inter(s, P))
@@ -520,8 +544,7 @@ def test_laplace_inter_spline_matches_exact_exponent():
 def test_laplace_inter_interpolation_error_mid_cell(deployment):
     # halfway between two lattice knots (ln s = k/2), where the
     # interpolant is farthest from them, wherever it is not clamped
-    inter = analytic._InterLaplace(
-        analytic._cells(P, MEMBER_LINKS[deployment]["scenario"]), True)
+    inter = analytic._InterLaplace(cell_law(P, deployment))
     errors = []
     for s in np.exp(np.arange(2.25, 40.0, 0.5)):
         a = inter.exponent_exact(s)
@@ -531,13 +554,13 @@ def test_laplace_inter_interpolation_error_mid_cell(deployment):
     assert max(errors) <= 2e-5
 
 
-def lone_exponent(inter, s):
-    """A(s) of ``inter``'s law as one lone half-line integral."""
-    law = inter._law
+def lone_exponent(law, s, include_nlos=True):
+    """A(s) of ``law`` as one lone half-line integral of the reference
+    cluster exponent."""
 
     def f(v):
         v = np.asarray(v, dtype=float)
-        e = analytic._cluster_exponent(s, v, 0.0, law, inter._include_nlos)
+        e = tiled_cluster_exponent(s, v, 0.0, law, include_nlos)
         return -np.expm1(-law.members * e) * v
 
     res = integrate_semi_infinite(f, 0.0, law.pgfl_scale,
@@ -549,8 +572,13 @@ class LoneKnotLaplace(analytic._InterLaplace):
     """The transform with the reference knot walk: one lone integral per
     knot, walking outward one knot at a time and stopping at a clamp."""
 
+    def __init__(self, law, include_nlos=True):
+        super().__init__(law)
+        self._include_nlos = include_nlos
+
     def _knot(self, k):
-        return math.log(max(lone_exponent(self, math.exp(k * self._LN_STEP)),
+        s = math.exp(k * self._LN_STEP)
+        return math.log(max(lone_exponent(self._law, s, self._include_nlos),
                             1e-300))
 
     def _walk(self, k_lo, k_hi):
@@ -572,9 +600,12 @@ class LoneKnotLaplace(analytic._InterLaplace):
     ("a", True, 1.27)], ids=["a", "d", "a_no_nlos", "a_eta_1.27"])
 def test_batched_knot_walk_matches_lone_knots(deployment, include_nlos, eta):
     params = P if eta is None else P.replace(sigma_bs_m=eta * P.sigma_ue_m)
-    law = analytic._cells(params, MEMBER_LINKS[deployment]["scenario"])
-    batched = analytic._InterLaplace(law, include_nlos)
-    lone = LoneKnotLaplace(law, include_nlos)
+    scenario = MEMBER_LINKS[deployment]["scenario"]
+    # the reference skips the NLoS segments; the kernel is fed the law
+    # without them
+    batched = analytic._InterLaplace(
+        records(params, scenario, include_nlos)[1].cluster)
+    lone = LoneKnotLaplace(cell_law(params, deployment), include_nlos)
     # a run started mid-range, then grown past both clamps
     for s in (np.logspace(6.0, 8.0, 5), np.logspace(-2.0, 40.0, 85)):
         np.testing.assert_array_equal(batched(s), lone(s))
@@ -591,17 +622,16 @@ def test_batched_knot_walk_matches_lone_knots(deployment, include_nlos, eta):
 @pytest.mark.parametrize("deployment", ["a", "d"])
 @pytest.mark.parametrize("s", [3.3e-1, 1.7e3, 2.2e7, 4.1e11, 6.5e18])
 def test_exponent_exact_is_the_lone_integral(deployment, s):
-    inter = analytic._InterLaplace(
-        analytic._cells(P, MEMBER_LINKS[deployment]["scenario"]), True)
-    assert inter.exponent_exact(s) == lone_exponent(inter, s)
+    law = cell_law(P, deployment)
+    assert analytic._InterLaplace(law).exponent_exact(s) == lone_exponent(
+        law, s)
 
 
 @pytest.mark.parametrize("deployment", ["a", "d"])
 @pytest.mark.parametrize("eta", [None, 0.4, 0.7, 1.0, 1.3])
 def test_every_knot_converges(deployment, eta):
     params = P if eta is None else P.replace(sigma_bs_m=eta * P.sigma_ue_m)
-    inter = analytic._InterLaplace(
-        analytic._cells(params, MEMBER_LINKS[deployment]["scenario"]), True)
+    inter = analytic._InterLaplace(cell_law(params, deployment))
     inter(np.logspace(-2.0, 40.0, 85))
     assert inter.knots >= len(inter._la) >= 20
     assert inter.tally.evaluations >= 15 * inter.knots
@@ -610,7 +640,7 @@ def test_every_knot_converges(deployment, eta):
 
 def test_knot_counters_count_unconverged_knots(monkeypatch):
     monkeypatch.setattr(analytic, "DEFAULT_SPEC", QuadSpec(max_panels=2))
-    inter = analytic._InterLaplace(analytic._cells(P), True)
+    inter = analytic._InterLaplace(cell_law(P))
     inter(np.logspace(4.0, 10.0, 7))
     assert 0 < inter.tally.unconverged <= inter.knots
 
@@ -664,9 +694,10 @@ def loop_coverage_mass(k, tau, v0, scenario, include_nlos, spec):
     """One tier's coverage mass at one (tau, v0) pair, each serving-distance
     segment in its own integrate_adaptive call: the per-pair loop the
     batched pass replaces, kept as its reference."""
-    f = analytic._coverage_integrand(k, P, scenario, include_nlos)
-    reach = float(analytic._serving_reach(k, v0, P, scenario))
-    serving = link_budgets(P, scenario)[k - 1]
+    budgets = records(P, scenario, include_nlos)
+    f = analytic._coverage_integrand(k, budgets)
+    reach = float(analytic._serving_reach(k, v0, budgets))
+    serving = budgets[k - 1]
     cuts = [0.0, reach]
     if k == 2 and serving.cluster.los_ball is not None:
         chi = analytic._alzer_terms(serving.order)[2]
@@ -694,9 +725,9 @@ def test_batched_coverage_mass_matches_per_pair_loop(deployment,
     for tau_db in (-10.0, 0.0, 20.0, 30.0, 50.0):
         tau = 10.0 ** (tau_db / 10.0)
         for k in (1, 2):
-            got = analytic._coverage_masses(k, tau, v0, P, scenario,
-                                            include_nlos, spec,
-                                            analytic._Tally())
+            got = analytic._coverage_masses(
+                k, tau, v0, records(P, scenario, include_nlos), spec,
+                analytic._Tally())
             want = [loop_coverage_mass(k, tau, v, scenario, include_nlos,
                                        spec) for v in v0]
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -718,8 +749,7 @@ def test_conditional_coverage_pieces_bounded():
     # lies between 0 and the tier's association probability
     v0 = np.array([30.0, 150.0, 400.0])
     for k in (1, 2):
-        mass = analytic._coverage_masses(k, 1.0, v0, P,
-                                         ScenarioKind.INTEGRATED, True,
+        mass = analytic._coverage_masses(k, 1.0, v0, link_budgets(P),
                                          analytic.DEFAULT_SPEC,
                                          analytic._Tally())
         assoc = [analytic.conditional_assoc_prob(k, v, P) for v in v0]
@@ -733,6 +763,12 @@ def test_no_nlos_variant_upper_bounds_coverage():
         full = analytic.coverage(tau, P)
         no_nlos = analytic.coverage_no_nlos(tau, P)
         assert no_nlos >= full - 1e-4
+
+
+def test_no_nlos_variant_frozen_value():
+    # coverage of (a) on the small-cell law without its NLoS segments
+    assert analytic.coverage_no_nlos(1.0, P) == pytest.approx(
+        0.6886502302265693, rel=1e-12)
 
 
 def test_two_tier_variant_frozen_value():

@@ -42,13 +42,13 @@ def test_single_band_deployments_are_integrated_records(scenario, mapped):
 
 def test_biased_metric_decays_with_distance():
     r = np.array([10.0, 100.0, 1000.0])
-    for tier in Tier:
-        m = biased_metric(tier, r, P)
+    for budget in (MACRO, CELLS):
+        m = biased_metric(budget, r)
         assert np.all(np.diff(m) < 0)
 
 
 def test_biased_metric_clamps_below_one_meter():
-    assert biased_metric(Tier.SUB6, 0.001, P) == biased_metric(Tier.SUB6, 1.0, P)
+    assert biased_metric(MACRO, 0.001) == biased_metric(MACRO, 1.0)
 
 
 @given(st.floats(min_value=1.0, max_value=2000.0),
@@ -68,8 +68,8 @@ def test_boundary_map_equalizes_metrics(r):
     # candidate at r
     d = boundary_map(MACRO, CELLS, r)
     if d >= 1.0:  # below 1 m the metric clamp breaks the power law
-        m1 = biased_metric(Tier.SUB6, r, P)
-        m2 = biased_metric(Tier.MMWAVE, d, P)
+        m1 = biased_metric(MACRO, r)
+        m2 = biased_metric(CELLS, d)
         assert m2 == pytest.approx(m1, rel=1e-9)
 
 
@@ -110,11 +110,11 @@ def test_associate_matches_metric_comparison():
         net = _net(sub6, mm, los)
         out = associate(net, P)
         r1 = np.linalg.norm(sub6, axis=1).min()
-        m1 = biased_metric(Tier.SUB6, r1, P)
+        m1 = biased_metric(MACRO, r1)
         d = np.linalg.norm(mm, axis=1)
         if los.any():
             r2 = d[los].min()
-            m2 = biased_metric(Tier.MMWAVE, r2, P)
+            m2 = biased_metric(CELLS, r2)
         else:
             m2 = -np.inf
         want = Tier.MMWAVE if m2 > m1 else Tier.SUB6
@@ -125,9 +125,9 @@ def test_tie_breaks_toward_sub6():
     # nudge the mmWave candidate onto (or a hair past) the equal-metric
     # boundary so its metric does not exceed the Sub-6GHz one
     r1 = 200.0
-    m1 = biased_metric(Tier.SUB6, r1, P)
+    m1 = biased_metric(MACRO, r1)
     r2 = boundary_map(MACRO, CELLS, r1)
-    while biased_metric(Tier.MMWAVE, r2, P) > m1:
+    while biased_metric(CELLS, r2) > m1:
         r2 = np.nextafter(r2, np.inf)
     net = _net([[r1, 0.0]], [[r2, 0.0]], [True])
     out = associate(net, P)

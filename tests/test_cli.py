@@ -154,6 +154,37 @@ def test_invalid_tau_db_rejected_before_running(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, reason", [
+    (["--trials", "0"], "--trials must be >= 1"),
+    (["--seed", "-1"], "--seed must be nonnegative"),
+], ids=["zero_trials", "negative_seed"])
+def test_invalid_run_arguments_rejected_before_running(tmp_path, capsys,
+                                                       args, reason):
+    path = _write(tmp_path, BASE_CONFIG)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(path), "--mode", "mc",
+               "--out", str(out), *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:")
+    assert reason in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert not out.exists()
+
+
+def test_whole_number_fields_accept_float_spelling(tmp_path):
+    whole = parse_config(_write(tmp_path, BASE_CONFIG))
+    spelled = parse_config(_write(tmp_path, BASE_CONFIG.replace(
+        "n_bs = 10", "n_bs = 10.0"), name="float.cfg"))
+    assert spelled.params == whole.params
+    assert isinstance(spelled.params.n_bs, int)
+    path = _write(tmp_path, BASE_CONFIG.replace("n_bs = 10", "n_bs = 2.5"),
+                  name="half.cfg")
+    with pytest.raises(ConfigError, match="n_bs must be a whole number"):
+        parse_config(path)
+    assert main(["validate", "--config", str(path)]) == 2
+
+
 def test_manifest_and_validate_echo_the_resolved_config(tmp_path, capsys):
     path = _write(tmp_path, BASE_CONFIG + "tau_db = 5\n")
     assert main(["validate", "--config", str(path)]) == 0

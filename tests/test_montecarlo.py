@@ -181,8 +181,8 @@ def test_tail_means_match_closed_forms():
     r = 3000.0
     sub6 = (2.0 * math.pi * P.lambda1 * P.p1_w * P.g1 * P.c1
             * r ** (2.0 - P.alpha1) / (P.alpha1 - 2.0))
-    mm = (2.0 * math.pi * P.lambda_p * P.n_bs * P.p2_w
-          * P.mean_interferer_gain * P.c_nlos
+    beam = P.p_main * P.g_main + (1.0 - P.p_main) * P.g_side
+    mm = (2.0 * math.pi * P.lambda_p * P.n_bs * P.p2_w * beam * P.c_nlos
           * r ** (2.0 - P.alpha_nlos) / (P.alpha_nlos - 2.0))
     assert mc._tail_mean(MACRO_SRC, r) == pytest.approx(sub6, rel=1e-12)
     assert mc._tail_mean(CELL_SRC, r) == pytest.approx(mm, rel=1e-12)

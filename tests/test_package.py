@@ -24,21 +24,30 @@ UNREFERENCED = {
 }
 
 
+def _public(body) -> list:
+    return [node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def _unreferenced() -> set[str]:
-    """Public module-level functions and classes of the package whose name
-    no expression in the package reads (an import alone does not count)."""
+    """Public module-level functions and classes of the package, and the
+    public methods and properties of its public classes, whose name no
+    expression in the package reads (an import alone does not count)."""
     defined, read = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        defined |= {f"{path.stem}.{node.name}" for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")}
+        for node in _public(tree.body):
+            defined.add(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                defined |= {f"{path.stem}.{node.name}.{member.name}"
+                            for member in _public(node.body)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return {name for name in defined if name.split(".")[1] not in read}
+    return {name for name in defined if name.rsplit(".", 1)[1] not in read}
 
 
 def test_every_public_definition_is_used_or_allowlisted():
@@ -83,3 +92,21 @@ def test_only_link_budgets_reads_the_deployment():
     assert not forked, f"{forked} branch on the deployment: read the " \
         f"association.link_budgets records instead"
     assert not stale, f"allowlisted but no longer naming a deployment: {stale}"
+
+
+# Only the public analytic entry points resolve a deployment's records, and
+# every kernel below them takes the records it is given; these private
+# definitions may call link_budgets too.
+RECORD_READERS = {"_r1_upper": "the acceptance tests call it"}
+
+
+def test_only_analytic_entry_points_read_the_records():
+    tree = ast.parse((PACKAGE / "analytic.py").read_text())
+    readers = {top.name for top in tree.body if hasattr(top, "name")
+               for node in ast.walk(top)
+               if isinstance(node, ast.Name) and node.id == "link_budgets"}
+    kernels = sorted(name for name in readers
+                     if name.startswith("_") and name not in RECORD_READERS)
+    assert not kernels, f"{kernels} call link_budgets: take the records " \
+        f"from the entry point instead"
+    assert {"coverage", "coverage_no_nlos", "avg_rate"} <= readers

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from hotnet.association import link_budgets
 from hotnet.params import (SystemParams, db_to_linear, dbm_to_watts,
                            linear_to_db, noise_power_w)
 
@@ -33,7 +35,7 @@ def test_default_record_is_valid():
     assert p.p1_w == pytest.approx(10.0)
     assert p.p2_w == pytest.approx(1.0)
     assert p.g_main == pytest.approx(db_to_linear(18.0))
-    assert p.bias_ratio == pytest.approx(1.0)
+    assert p.bias2 / p.bias1 == pytest.approx(1.0)
 
 
 def test_noise_power_formula():
@@ -48,10 +50,14 @@ def test_noise_power_formula():
 
 
 def test_mean_interferer_gain_is_beam_average():
+    # the mean gain of an interfering small cell, as the Monte Carlo tail
+    # reads it from each kernel segment of (a)
     p = SystemParams()
     frac = p.theta_b_rad / (2.0 * math.pi)
     want = frac * p.g_main + (1.0 - frac) * p.g_side
-    assert p.mean_interferer_gain == pytest.approx(want, rel=1e-12)
+    for seg in link_budgets(p)[1].cluster.segments:
+        assert np.dot(seg.gains, seg.gain_probs) == pytest.approx(want,
+                                                                  rel=1e-12)
     assert p.p_main == pytest.approx(10.0 / 360.0)
 
 
@@ -110,5 +116,10 @@ def test_as_dict_round_trips():
 
 
 def test_bias_ratio_uses_both_biases():
+    def weight_ratio(p):
+        macro, cells = link_budgets(p)
+        return cells.weight / macro.weight
+
     p = SystemParams(bias1_db=3.0, bias2_db=13.0)
-    assert p.bias_ratio == pytest.approx(10.0)
+    assert weight_ratio(p) == pytest.approx(10.0 * weight_ratio(
+        SystemParams(bias1_db=0.0, bias2_db=0.0)), rel=1e-12)
