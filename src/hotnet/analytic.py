@@ -5,8 +5,8 @@ SINR coverage and average rate.
 All deployments share one path.  What sets the integrated network (a)
 apart from the two-tier Sub-6GHz baseline (d) is data: the per-tier
 ``LinkBudget`` records of ``association.link_budgets`` (weights, budgets,
-exponents, Nakagami orders, noise, the candidate law and the cluster
-interference kernel, and whether the tiers share a band).  Each public
+exponents, Nakagami orders, noise, the candidate law, each tier's
+interference kernel and the tiers it hears).  Each public
 entry point resolves the records once and passes them down.  A model
 variant is a change of the records: the LoS-only bound of
 ``coverage_no_nlos`` is (a) with the NLoS kernel segments dropped.
@@ -319,6 +319,17 @@ def _ppp_tail_integral(s, b: float, alpha: float, x):
     return out
 
 
+def _ppp_laplace(s, x, tier: LinkBudget):
+    """Laplace transform of the interference of the PPP tier ``tier`` past
+    the exclusion radius x, for order-1 (Rayleigh) segments only:
+    exp(-2 pi lambda sum_seg share sum_G p_G tail(s, P C G, alpha, x))."""
+    total = sum(seg.share * sum(
+        prob * _ppp_tail_integral(s, seg.intercept * gain, seg.alpha, x)
+        for gain, prob in zip(seg.gains, seg.gain_probs))
+        for seg in tier.segments)
+    return np.exp(-(2.0 * math.pi * tier.density * total))
+
+
 def laplace_I1(s, v0: float, x, params: SystemParams):
     """Laplace transform of the Sub-6GHz interference seen past a serving
     BS at distance x (v0 is irrelevant for the PPP tier but kept for
@@ -326,10 +337,7 @@ def laplace_I1(s, v0: float, x, params: SystemParams):
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise ValueError("s must be nonnegative")
-    macro = link_budgets(params)[0]
-    expo = 2.0 * math.pi * macro.density * _ppp_tail_integral(
-        s, macro.budget, macro.alpha, x)
-    out = np.exp(-expo)
+    out = _ppp_laplace(s, x, link_budgets(params)[0])
     return out if out.ndim else float(out)
 
 
@@ -390,7 +398,7 @@ def _cluster_exponent(s, v0, x, law: ClusterLaw):
             path = np.broadcast_to(np.maximum(r, 1e-9) ** (-seg.alpha),
                                    (len(offsets), r.shape[-1]))[at]
         # unit-mean Nakagami power is Gamma(N, 1/N): E[e^{-zh}] = (1+z/N)^-N
-        s_n = s * (law.power * seg.intercept / seg.order)
+        s_n = s * (seg.intercept / seg.order)
         ker = 1.0
         for gain, prob in zip(seg.gains, seg.gain_probs):
             ker = ker - prob * (1.0 + s_n * gain * path) ** (-seg.order)
@@ -614,16 +622,11 @@ def _coverage_integrand(k: int, budgets: _Records):
     A_k(v0) * C_k(tau; v0) (elementwise in x, tau and v0): the serving
     density times the fading tail (Alzer's bound, exact for Rayleigh)
     averaged over the interference fields tier k hears."""
-    macro, cells = budgets
-    serving, other = ((macro, cells), (cells, macro))[k - 1]
-    law = cells.cluster
+    serving = budgets[k - 1]
+    law = budgets[1].cluster
     nvec, coeff, chi = _alzer_terms(serving.order)
-    # a tier hears the other tier's BSs only when the two share a band
-    hears_macro = k == 1 or serving.shared_band
-    hears_cells = k == 2 or serving.shared_band
-    inter = _inter_cache(law) if hears_cells else None
+    inter = _inter_cache(law) if 2 in serving.hears else None
     density = _serving_density(k, budgets)
-    two_pi_lam = 2.0 * math.pi * macro.density
 
     def f(x, tau, v0):
         # the Alzer terms along a leading axis: s is (N, nx), and every
@@ -631,14 +634,15 @@ def _coverage_integrand(k: int, budgets: _Records):
         s = (x ** serving.alpha * tau * chi * nvec[:, None]
              / serving.budget)
         lap = np.exp(-s * serving.noise_w)
-        if hears_macro:
-            x1 = x if k == 1 else boundary_map(serving, other, x)
-            lap = lap * np.exp(-two_pi_lam * _ppp_tail_integral(
-                s, macro.budget, macro.alpha, x1))
-        if hears_cells:
-            x2 = x if k == 2 else boundary_map(serving, other, x)
-            lap = lap * (np.exp(-(law.members - 1) * _cluster_exponent(
-                s, v0, x2, law)) * inter(s))
+        for j in serving.hears:
+            heard = budgets[j - 1]
+            # the other tier's BSs lie past the boundary-mapped distance
+            xj = x if j == k else boundary_map(serving, heard, x)
+            if heard.cluster is None:
+                lap = lap * _ppp_laplace(s, xj, heard)
+            else:
+                lap = lap * (np.exp(-(law.members - 1) * _cluster_exponent(
+                    s, v0, xj, law)) * inter(s))
         return density(x, v0) * _kahan_sum(coeff[:, None] * lap)
 
     return f

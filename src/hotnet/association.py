@@ -5,7 +5,8 @@ Candidates are the nearest Sub-6GHz BS anywhere and the nearest LoS mmWave
 BS of the typical UE's own cluster; other mmWave BSs act only as
 interferers.  The per-tier weight is ``B_k P_k G_k N_k ell_k(r)``.
 ``link_budgets`` holds every tier constant of each deployment in one
-place; the analytic and Monte Carlo engines both read it.
+place, with each tier's interference kernel and the tiers it hears; the
+analytic and Monte Carlo engines both read only it.
 """
 
 from __future__ import annotations
@@ -36,22 +37,23 @@ class AssociationOutcome:
 
 @dataclass(frozen=True)
 class KernelSegment:
-    """Cluster members of one propagation class inside the distance band
-    ``[r_min, r_max)``, and the interference kernel
-    ``1 - E_G[(1 + s P G C r^-alpha / N)^-N]`` they contribute over the
+    """Interfering BSs of one propagation class, of either tier, inside
+    the distance band ``[r_min, r_max)``, and the interference kernel
+    ``1 - E_G[(1 + s P C G r^-alpha / N)^-N]`` they contribute over the
     gain levels ``gains`` drawn with ``gain_probs``.
 
-    With ``past_serving`` the band starts at the exclusion radius (no
-    member of this class is nearer than the serving candidate); an
-    unbounded band is cut to ``v0 +- 8 sigma``, where the density lives.
+    With ``past_serving`` the band starts at the exclusion radius (no BS
+    of this class is nearer than the serving candidate); an unbounded band
+    of cluster members is cut to ``v0 +- 8 sigma``, where their density
+    lives.
     """
 
-    share: float                    # fraction of the member density
+    share: float                    # fraction of the BS density
     r_min: float
     r_max: float
     past_serving: bool
     nlos: bool                      # dropped when NLoS is neglected
-    intercept: float
+    intercept: float                # P C: power at 1 m before gain, fading
     alpha: float
     order: int
     gains: tuple[float, ...]
@@ -70,7 +72,6 @@ class ClusterLaw:
     spread: float
     los_prob: float
     los_ball: float | None
-    power: float                    # transmit power of a member
     segments: tuple[KernelSegment, ...]
     pgfl_scale: float               # decay length of the PGFL integrand
 
@@ -79,9 +80,10 @@ class ClusterLaw:
 class LinkBudget:
     """One tier of one deployment: association weight, serving budget
     ``b = P G C``, path-loss exponent, Nakagami order, noise and bandwidth
-    of the serving link.  The macro PPP tier has a ``density`` and no
-    ``cluster``; the small-cell tier's density lives in its ``cluster``.
-    Only tiers that share a band interfere with each other."""
+    of the serving link, and ``hears``: the tiers whose BSs interfere on
+    its band, in draw order.  The macro PPP tier has a ``density`` and the
+    interference ``segments`` of one macro BS, and no ``cluster``; the
+    small-cell tier's density and segments live in its ``cluster``."""
 
     weight: float
     budget: float
@@ -89,8 +91,9 @@ class LinkBudget:
     order: int
     noise_w: float
     bandwidth_hz: float
-    shared_band: bool
+    hears: tuple[int, ...]
     density: float = 0.0            # macro BSs per m^2
+    segments: tuple[KernelSegment, ...] = ()
     cluster: ClusterLaw | None = None
 
 
@@ -114,30 +117,35 @@ def link_budgets(params: SystemParams,
         return link_budgets(params.replace(lambda1_per_km2=0.0))
     p = params
     shared = scenario is ScenarioKind.TWO_TIER_SUB6
+    # a macro BS: one Rayleigh-faded segment of the macro serving budget
+    rayleigh = KernelSegment(1.0, 0.0, math.inf, True, False,
+                             p.p1_w * p.g1 * p.c1, p.alpha1, 1, (1.0,), (1.0,))
     macro = LinkBudget(p.bias1 * p.p1_w * p.g1 * p.c1, p.p1_w * p.g1 * p.c1,
-                       p.alpha1, 1, p.noise1_w, p.w1_hz, shared, p.lambda1)
+                       p.alpha1, 1, p.noise1_w, p.w1_hz,
+                       (1, 2) if shared else (1,), p.lambda1, (rayleigh,))
     if shared:
-        segments = (KernelSegment(1.0, 0.0, math.inf, True, False, p.c1,
-                                  p.alpha1, 1, (p.g1,), (1.0,)),)
+        segments = (KernelSegment(1.0, 0.0, math.inf, True, False,
+                                  p.p2_w * p.c1, p.alpha1, 1, (p.g1,),
+                                  (1.0,)),)
         law = ClusterLaw(p.lambda_p, p.n_bs, p.sigma_bs_m, 1.0, None,
-                         p.p2_w, segments, 8.0 * p.sigma_bs_m + 1.0)
+                         segments, 8.0 * p.sigma_bs_m + 1.0)
         return macro, LinkBudget(p.bias2 * p.p2_w * p.g1 * p.c1,
                                  p.p2_w * p.g1 * p.c1, p.alpha1, 1,
-                                 p.noise1_w, p.w1_hz, shared, cluster=law)
+                                 p.noise1_w, p.w1_hz, (1, 2), cluster=law)
     rb = p.r_los_ball_m
     beams = ((p.g_main, p.g_side), (p.p_main, 1.0 - p.p_main))
-    los = (p.c_los, p.alpha_los, p.n_nakagami_los, *beams)
-    nlos = (p.c_nlos, p.alpha_nlos, p.n_nakagami_nlos, *beams)
+    los = (p.p2_w * p.c_los, p.alpha_los, p.n_nakagami_los, *beams)
+    nlos = (p.p2_w * p.c_nlos, p.alpha_nlos, p.n_nakagami_nlos, *beams)
     segments = (KernelSegment(p.p_los, 0.0, rb, True, False, *los),
                 KernelSegment(1.0 - p.p_los, 0.0, rb, False, True, *nlos),
                 KernelSegment(1.0, rb, math.inf, False, True, *nlos))
-    law = ClusterLaw(p.lambda_p, p.n_bs, p.sigma_bs_m, p.p_los, rb, p.p2_w,
+    law = ClusterLaw(p.lambda_p, p.n_bs, p.sigma_bs_m, p.p_los, rb,
                      segments, rb + 8.0 * p.sigma_bs_m)
     # the association weight carries the LoS Nakagami order
     weight = p.bias2 * p.p2_w * p.g_main * p.n_nakagami_los * p.c_los
     return macro, LinkBudget(weight, p.p2_w * p.g_main * p.c_los,
                              p.alpha_los, p.n_nakagami_los, p.noise2_w,
-                             p.w2_hz, shared, cluster=law)
+                             p.w2_hz, (2,), cluster=law)
 
 
 def biased_metric(budget: LinkBudget, r):

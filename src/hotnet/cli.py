@@ -360,6 +360,10 @@ def cmd_run(args) -> int:
             raise ConfigError("--trials must be >= 1")
         if args.seed < 0:
             raise ConfigError("--seed must be nonnegative")
+        try:
+            workers = int(os.environ.get("HOTNET_WORKERS", "1"))
+        except ValueError:
+            raise ConfigError("HOTNET_WORKERS must be an integer") from None
         cfg = parse_config(args.config)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -371,7 +375,6 @@ def cmd_run(args) -> int:
 
     jobs = [(i, v, cfg.params, cfg.sweep, args.mode, args.seed, args.trials)
             for i, v in enumerate(cfg.sweep.grid)]
-    workers = int(os.environ.get("HOTNET_WORKERS", "1"))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_eval_point, jobs))

@@ -16,8 +16,6 @@ from scipy.special import i0e
 
 from .params import SystemParams
 
-Point2D = np.ndarray  # shape (2,)
-
 
 @dataclass
 class ClusterRealization:
@@ -110,7 +108,7 @@ def sample_network(params: SystemParams, rng: np.random.Generator,
     typical cluster (index 0) has a fixed member count ``n_bs``; the others
     are Poisson with the same mean.  LoS labels are i.i.d. thinning draws.
     """
-    window = min(params.window_radius_m, params.truncation_radius_m)
+    window = params.truncation_radius_m
     v0 = sample_typical_offset(params.sigma_ue_m, rng)
     psi = rng.uniform(0.0, 2.0 * math.pi)
     c0 = v0 * np.array([math.cos(psi), math.sin(psi)])

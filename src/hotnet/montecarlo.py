@@ -13,10 +13,10 @@ function of (params, scenario, n_trials, seed) alone, whatever the worker
 count.  A shorter run is a prefix of a longer one up to its last whole
 block; a trailing partial block is drawn afresh.
 
-Interferers are truncated at ``min(window_radius_m, truncation_radius_m)``:
-cluster members beyond it are dropped, and the expected interference of
-the network outside enters as a deterministic mean tail, which keeps the
-truncation bias far below the Monte Carlo noise floor.
+Interferers are truncated at ``truncation_radius_m``: BSs beyond it are
+dropped, and the expected interference of the network outside enters as
+a deterministic mean tail, which keeps the truncation bias far below the
+Monte Carlo noise floor.
 """
 
 from __future__ import annotations
@@ -81,25 +81,6 @@ class CoverageCurve:
 # stages on explicit distances, and samplers
 # ---------------------------------------------------------------------------
 
-class _Source(NamedTuple):
-    """Interfering BSs of one tier: density per m^2, power, segments."""
-
-    density: float
-    power: float
-    segments: tuple[KernelSegment, ...]
-
-
-def _sources(budgets: tuple[LinkBudget, LinkBudget]
-             ) -> tuple[_Source, _Source]:
-    """Interferers of the (macro, small-cell) tiers.  A macro BS is one
-    Rayleigh-faded segment of the macro serving budget."""
-    macro, law = budgets[0], budgets[1].cluster
-    rayleigh = KernelSegment(1.0, 0.0, math.inf, False, False, macro.budget,
-                             macro.alpha, 1, (1.0,), (1.0,))
-    return (_Source(macro.density, 1.0, (rayleigh,)),
-            _Source(law.density * law.members, law.power, law.segments))
-
-
 def _pick(probs, u: np.ndarray) -> np.ndarray:
     """Outcome index of the discrete law ``probs`` for each uniform ``u``."""
     return np.searchsorted(np.cumsum(probs[:-1]), u, side="right")
@@ -113,10 +94,12 @@ def _fading(order: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_exponential((order, m)).sum(axis=0) / order
 
 
-def _received(source: _Source, d: np.ndarray, trial: np.ndarray, n: int,
-              rng: np.random.Generator, u=None) -> np.ndarray:
-    """Per-trial sum of the power received from interferers at distances
-    ``d`` (``trial`` indexes each one's trial, out of ``n``).
+def _received(segments: tuple[KernelSegment, ...], d: np.ndarray,
+              trial: np.ndarray, n: int, rng: np.random.Generator,
+              u=None) -> np.ndarray:
+    """Per-trial sum of the power received from interferers with kernel
+    ``segments`` at distances ``d`` (``trial`` indexes each one's trial,
+    out of ``n``).
 
     The segments of an interferer's distance band split it by a uniform
     against their cumulative shares: ``u`` when given, else drawn where a
@@ -125,7 +108,7 @@ def _received(source: _Source, d: np.ndarray, trial: np.ndarray, n: int,
     """
     total = np.zeros(n)
     bands: dict[tuple[float, float], list[KernelSegment]] = {}
-    for s in source.segments:
+    for s in segments:
         bands.setdefault((s.r_min, s.r_max), []).append(s)
     for (lo, hi), segs in bands.items():
         inside = (slice(None) if (lo, hi) == (0.0, math.inf)
@@ -141,7 +124,7 @@ def _received(source: _Source, d: np.ndarray, trial: np.ndarray, n: int,
             m = len(ds)
             p = np.maximum(ds, MIN_LINK_DISTANCE_M)
             p **= -s.alpha
-            p *= source.power * s.intercept
+            p *= s.intercept
             p *= (np.take(s.gains, _pick(s.gain_probs, rng.random(m)))
                   if len(s.gains) > 1 else s.gains[0])
             p *= _fading(s.order, m, rng)
@@ -149,13 +132,15 @@ def _received(source: _Source, d: np.ndarray, trial: np.ndarray, n: int,
     return total
 
 
-def _tail_mean(source: _Source, radius: float) -> float:
-    """Expected interference from the BSs of a tier beyond ``radius``:
-    its unbounded segments at their mean gain and unit-mean fading."""
-    return sum(2.0 * math.pi * source.density * s.share * source.power
+def _tail_mean(segments: tuple[KernelSegment, ...], density: float,
+               radius: float) -> float:
+    """Expected interference beyond ``radius`` from interferers of
+    ``density`` per m^2: their unbounded segments at their mean gain and
+    unit-mean fading."""
+    return sum(2.0 * math.pi * density * s.share
                * float(np.dot(s.gains, s.gain_probs)) * s.intercept
                * radius ** (2.0 - s.alpha) / (s.alpha - 2.0)
-               for s in source.segments if s.r_max == math.inf)
+               for s in segments if s.r_max == math.inf)
 
 
 def _choose(budgets: tuple[LinkBudget, LinkBudget], r1: np.ndarray,
@@ -233,7 +218,6 @@ class _Run(NamedTuple):
     """Constants of one ``run_trials`` call."""
 
     budgets: tuple[LinkBudget, LinkBudget]
-    sources: tuple[_Source, _Source]
     sigma_ue: float
     radius: float             # truncation disk of every interferer
     enlarged: float           # disk of the interfering cluster centers
@@ -259,7 +243,7 @@ def _associate(run: _Run, n: int, rng: np.random.Generator) -> _Block:
     law = run.budgets[1].cluster
     v0 = rng.rayleigh(run.sigma_ue, n)
     r1 = np.full(n, np.inf)
-    lam = run.sources[0].density
+    lam = run.budgets[0].density
     if lam > 0:
         # the nearest point of a PPP: pi lambda r1^2 ~ Exp(1)
         r1 = np.sqrt(rng.standard_exponential(n) / (math.pi * lam))
@@ -280,22 +264,26 @@ def _associate(run: _Run, n: int, rng: np.random.Generator) -> _Block:
     return _Block(v0, r1, own, own_u, cand, tier, x)
 
 
-def _macro_interference(run: _Run, r1: np.ndarray, serves: bool,
+def _macro_interference(run: _Run, block: _Block, idx: np.ndarray,
+                        serves: bool,
                         rng: np.random.Generator) -> np.ndarray:
-    """Macro interference at trials with nearest macro distances ``r1``;
-    the nearest macro BS interferes too unless it ``serves``."""
-    src = run.sources[0]
-    out = np.full(len(r1), _tail_mean(src, run.radius))
-    per_trial = src.density * math.pi * run.radius ** 2
+    """Macro interference at the trials ``idx``: the macro BSs past the
+    nearest one, and the nearest one too unless it ``serves``."""
+    macro = run.budgets[0]
+    r1 = block.r1[idx]
+    out = np.full(len(r1), _tail_mean(macro.segments, macro.density,
+                                      run.radius))
+    per_trial = macro.density * math.pi * run.radius ** 2
     step = max(1, int(INTERFERER_CHUNK / max(per_trial, 1.0)))
     for i in range(0, len(r1), step):
         part = r1[i:i + step]
-        d, trial = _macro_others(part, run.radius, src.density, rng)
+        d, trial = _macro_others(part, run.radius, macro.density, rng)
         if not serves:
             lit = np.flatnonzero(np.isfinite(part))
             d, trial = (np.concatenate((d, part[lit])),
                         np.concatenate((trial, lit)))
-        out[i:i + step] += _received(src, d, trial, len(part), rng)
+        out[i:i + step] += _received(macro.segments, d, trial, len(part),
+                                     rng)
     return out
 
 
@@ -305,9 +293,10 @@ def _cluster_interference(run: _Run, block: _Block, idx: np.ndarray,
     """Small-cell interference at the trials ``idx``: the own cluster,
     less its nearest candidate when that ``serves``, and the interfering
     clusters."""
-    src, law = run.sources[1], run.budgets[1].cluster
+    law = run.budgets[1].cluster
+    density = law.density * law.members
     n = len(idx)
-    out = np.full(n, _tail_mean(src, run.radius))
+    out = np.full(n, _tail_mean(law.segments, density, run.radius))
     own = block.own[idx]
     missing = np.isnan(own)
     own[missing] = _member_distances(block.v0[idx][missing.nonzero()[0]],
@@ -316,32 +305,31 @@ def _cluster_interference(run: _Run, block: _Block, idx: np.ndarray,
     if serves:
         keep[np.arange(n), block.cand[idx].argmin(axis=1)] = False
     u = None if block.own_u is None else block.own_u[idx][keep]
-    out += _received(src, own[keep], keep.nonzero()[0], n, rng, u)
-    per_trial = src.density * math.pi * run.enlarged ** 2
+    out += _received(law.segments, own[keep], keep.nonzero()[0], n, rng, u)
+    per_trial = density * math.pi * run.enlarged ** 2
     step = max(1, int(INTERFERER_CHUNK / max(per_trial, 1.0)))
     for i in range(0, n, step):
         m = min(step, n - i)
         d, trial = _cluster_members(law, run.radius, run.enlarged, m, rng)
-        out[i:i + m] += _received(src, d, trial, m, rng)
+        out[i:i + m] += _received(law.segments, d, trial, m, rng)
     return out
 
 
 def _interfere(run: _Run, block: _Block, rng: np.random.Generator):
-    """SINR, SNR and rate of a block's trials; unserved ones read 0."""
+    """SINR, SNR and rate of a block's trials; unserved ones read 0.  A
+    served trial hears the interferers of every tier its serving record
+    lists, drawn in that order."""
     out = np.zeros((3, len(block.tier)))
     for k, serving in enumerate(run.budgets, start=1):
         idx = np.flatnonzero(block.tier == k)
         if len(idx) == 0:
             continue
         fading = _fading(serving.order, len(idx), rng)
-        # a tier hears the other one only when they share a band
         interference = np.zeros(len(idx))
-        if k == 1 or serving.shared_band:
-            interference += _macro_interference(run, block.r1[idx], k == 1,
-                                                rng)
-        if k == 2 or serving.shared_band:
-            interference += _cluster_interference(run, block, idx, k == 2,
-                                                  rng)
+        for j in serving.hears:
+            stage = (_macro_interference if run.budgets[j - 1].cluster is None
+                     else _cluster_interference)
+            interference += stage(run, block, idx, j == k, rng)
         out[:, idx] = _sinr(serving, block.x[idx], fading, interference)
     return out
 
@@ -357,8 +345,8 @@ def run_trials(params: SystemParams, scenario: ScenarioKind, n_trials: int,
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     budgets = link_budgets(params, scenario)
-    radius = min(params.window_radius_m, params.truncation_radius_m)
-    run = _Run(budgets, _sources(budgets), params.sigma_ue_m, radius,
+    radius = params.truncation_radius_m
+    run = _Run(budgets, params.sigma_ue_m, radius,
                radius + 6.0 * max(params.sigma_bs_m, params.sigma_ue_m))
     table = TrialTable(np.empty(n_trials, dtype=np.int8),
                        *np.full((5, n_trials), np.nan))

@@ -75,11 +75,9 @@ class SystemParams:
     bias1_db: float = 0.0
     bias2_db: float = 0.0
 
-    # simulation geometry.  The nominal deployment window is 30 km; the
-    # Monte Carlo engine samples interferers only inside
+    # simulation geometry.  The Monte Carlo engine samples BSs only inside
     # ``truncation_radius_m`` and adds the expected far-field interference
     # of the remaining (infinite) network as a deterministic term.
-    window_radius_m: float = 30_000.0
     truncation_radius_m: float = 3_000.0
 
     def __post_init__(self) -> None:
@@ -118,8 +116,8 @@ class SystemParams:
             raise ValueError("main-lobe gain must dominate side-lobe gain")
         if self.w1_hz <= 0 or self.w2_hz <= 0:
             raise ValueError("bandwidths must be positive")
-        if self.window_radius_m <= 0 or self.truncation_radius_m <= 0:
-            raise ValueError("window radii must be positive")
+        if self.truncation_radius_m <= 0:
+            raise ValueError("truncation_radius_m must be positive")
 
     # ---- linear-scale accessors -------------------------------------
 

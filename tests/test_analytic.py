@@ -401,7 +401,7 @@ def tiled_cluster_exponent(s, v0, x, law, include_nlos=True):
         r = lo + half * (analytic._GL_NODES + 1.0)
         path = np.maximum(r, 1e-9) ** (-seg.alpha)
         # unit-mean Nakagami power is Gamma(N, 1/N): E[e^{-zh}] = (1+z/N)^-N
-        s_n = s * (law.power * seg.intercept / seg.order)
+        s_n = s * (seg.intercept / seg.order)
         ker = 1.0
         for gain, prob in zip(seg.gains, seg.gain_probs):
             ker = ker - prob * (1.0 + s_n * gain * path) ** (-seg.order)
@@ -419,9 +419,9 @@ def tiled_coverage_integrand(k, params, scenario, include_nlos):
     serving, other = ((macro, cells), (cells, macro))[k - 1]
     law = cells.cluster
     nvec, coeff, chi = analytic._alzer_terms(serving.order)
-    # a tier hears the other tier's BSs only when the two share a band
-    hears_macro = k == 1 or serving.shared_band
-    hears_cells = k == 2 or serving.shared_band
+    # the serving record lists the tiers whose BSs interfere on its band
+    hears_macro = 1 in serving.hears
+    hears_cells = 2 in serving.hears
     inter = (analytic._inter_cache(
         records(params, scenario, include_nlos)[1].cluster)
         if hears_cells else None)
@@ -769,6 +769,26 @@ def test_no_nlos_variant_frozen_value():
     # coverage of (a) on the small-cell law without its NLoS segments
     assert analytic.coverage_no_nlos(1.0, P) == pytest.approx(
         0.6886502302265693, rel=1e-12)
+
+
+def test_records_without_interference_segments_give_snr_coverage(
+        table_integrated):
+    # interference is record data: with every kernel segment dropped, the
+    # coverage of (a) is its SNR coverage (20 dB is left out: there the
+    # Alzer bound of the serving tail sits above the fixture)
+    macro, cells = link_budgets(P)
+    silent = (replace(macro, segments=()),
+              replace(cells, cluster=replace(cells.cluster, segments=())))
+    s = np.logspace(2.0, 12.0, 5)
+    assert np.all(analytic._ppp_laplace(s, 50.0, silent[0]) == 1.0)
+    assert np.all(analytic._InterLaplace(silent[1].cluster)(s) == 1.0)
+    curve = montecarlo.estimate_coverage(table_integrated, [0.0, 10.0],
+                                         metric="snr")
+    for tau_db, p, err in zip(curve.thresholds_db, curve.probabilities,
+                              curve.stderr):
+        got = analytic._coverage(10.0 ** (tau_db / 10.0), silent,
+                                 P.sigma_ue_m, analytic.OUTER_SPEC)
+        assert abs(got.value - p) <= 3.0 * err + got.est_error, tau_db
 
 
 def test_two_tier_variant_frozen_value():

@@ -45,8 +45,7 @@ def test_los_probability_is_thinned_indicator():
     # the Monte Carlo candidates: members labelled LoS with probability
     # p_los that lie inside the ball
     budgets = link_budgets(P)
-    run = mc._Run(budgets, mc._sources(budgets), P.sigma_ue_m, 2000.0,
-                  3000.0)
+    run = mc._Run(budgets, P.sigma_ue_m, 2000.0, 3000.0)
     block = mc._associate(run, 4000, np.random.default_rng(3))
     los = block.own_u < P.p_los
     assert np.mean(los) == pytest.approx(P.p_los, abs=0.003)
@@ -68,27 +67,33 @@ def test_los_probability_boundary_is_open():
     (LinkClass.MM_NLOS, P.c_nlos, P.alpha_nlos),
 ])
 def test_path_loss_power_law(link, c, alpha):
+    # a small cell's intercept is its power at 1 m before gain and fading
     seg = link.segment
-    assert (seg.intercept, seg.alpha) == (c, alpha)
-    # one interferer of this class at unit power and gain: the Monte Carlo
-    # engine receives the power law times the fading it draws
-    lone = mc._Source(1.0, 1.0, (replace(seg, share=1.0, gains=(1.0,),
-                                         gain_probs=(1.0,)),))
+    assert (seg.intercept, seg.alpha) == (P.p2_w * c, alpha)
+    # one interferer of this class at unit gain: the Monte Carlo engine
+    # receives the power law times the fading it draws
+    lone = (replace(seg, share=1.0, gains=(1.0,), gain_probs=(1.0,)),)
     for r in (1.0, 10.0, 123.4):
         got = mc._received(lone, np.array([r]), np.array([0]), 1,
                            np.random.default_rng(9))
         h = mc._fading(seg.order, 1, np.random.default_rng(9))
-        assert got[0] == pytest.approx(c * r ** (-alpha) * h[0], rel=1e-12)
-    # the macro tier's serving budget carries the Sub-6GHz law
+        assert got[0] == pytest.approx(P.p2_w * c * r ** (-alpha) * h[0],
+                                       rel=1e-12)
+    # the macro tier's serving budget carries the Sub-6GHz law, and so
+    # does the Rayleigh segment of a macro interferer
     macro = link_budgets(P)[0]
     assert macro.budget == P.p1_w * P.g1 * P.c1
     assert macro.alpha == P.alpha1
+    (seg,) = macro.segments
+    assert (seg.intercept, seg.alpha, seg.order) == (macro.budget,
+                                                     macro.alpha, 1)
 
 
 def test_path_loss_clamped_below_one_meter():
-    for source in mc._sources(link_budgets(P)):
-        near, at_1m = (mc._received(source, np.array([d]), np.array([0]), 1,
-                                    np.random.default_rng(21))
+    macro, cells = link_budgets(P)
+    for segments in (macro.segments, cells.cluster.segments):
+        near, at_1m = (mc._received(segments, np.array([d]), np.array([0]),
+                                    1, np.random.default_rng(21))
                        for d in (0.01, MIN_LINK_DISTANCE_M))
         assert near[0] > 0.0
         assert near[0] == at_1m[0]

@@ -154,12 +154,16 @@ def test_invalid_tau_db_rejected_before_running(tmp_path, capsys, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args, reason", [
-    (["--trials", "0"], "--trials must be >= 1"),
-    (["--seed", "-1"], "--seed must be nonnegative"),
-], ids=["zero_trials", "negative_seed"])
+@pytest.mark.parametrize("args, env, reason", [
+    (["--trials", "0"], {}, "--trials must be >= 1"),
+    (["--seed", "-1"], {}, "--seed must be nonnegative"),
+    ([], {"HOTNET_WORKERS": "two"}, "HOTNET_WORKERS must be an integer"),
+], ids=["zero_trials", "negative_seed", "non_integer_workers"])
 def test_invalid_run_arguments_rejected_before_running(tmp_path, capsys,
-                                                       args, reason):
+                                                       monkeypatch, args,
+                                                       env, reason):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
     path = _write(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"
     rc = main(["run", "--config", str(path), "--mode", "mc",

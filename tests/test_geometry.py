@@ -121,7 +121,7 @@ def test_sample_network_structure():
     rng = np.random.default_rng(42)
     net = sample_network(P, rng)
     assert net.clusters[0].count == P.n_bs
-    assert net.window_radius == min(P.window_radius_m, P.truncation_radius_m)
+    assert net.window_radius == P.truncation_radius_m
     for cl in net.clusters:
         assert cl.los_mask is not None
         assert cl.los_mask.shape == (cl.count,)

@@ -102,7 +102,10 @@ def test_no_macro_tier_leaves_only_small_cells():
 # ---------------------------------------------------------------------------
 
 BUDGETS = link_budgets(P, ScenarioKind.INTEGRATED)
-MACRO_SRC, CELL_SRC = mc._sources(BUDGETS)
+# the interferers of each tier: kernel segments and density per m^2
+MACRO_SEGS, MACRO_DENSITY = BUDGETS[0].segments, BUDGETS[0].density
+LAW = BUDGETS[1].cluster
+CELL_SEGS, CELL_DENSITY = LAW.segments, LAW.density * LAW.members
 NO_OTHERS = (np.empty(0), np.empty(0, dtype=int))
 
 
@@ -110,7 +113,7 @@ def test_sub6_sinr_exact_single_bs():
     # one Sub-6GHz BS at 100 m, unit fading, no interferers: SINR is
     # P1*G1*C1*100^-alpha1 / noise, and SNR coincides
     rng = np.random.default_rng(0)
-    interference = mc._received(MACRO_SRC, *NO_OTHERS, 1, rng)
+    interference = mc._received(MACRO_SEGS, *NO_OTHERS, 1, rng)
     sinr, snr, rate = mc._sinr(BUDGETS[0], np.array([100.0]), np.ones(1),
                                interference)
     want = P.p1_w * P.g1 * P.c1 * 100.0 ** (-P.alpha1) / P.noise1_w
@@ -127,8 +130,7 @@ def test_mm_sinr_exact_single_member():
     q = P.replace(n_bs=1, lambda_p_per_km2=0.0)
     budgets = link_budgets(q)
     # a 6 km truncation disk, so that the macro BS lies inside it
-    run = mc._Run(budgets, mc._sources(budgets), q.sigma_ue_m, 6000.0,
-                  6900.0)
+    run = mc._Run(budgets, q.sigma_ue_m, 6000.0, 6900.0)
     r1, r2 = np.array([5000.0]), np.array([50.0])
     tier = mc._choose(budgets, r1, r2)
     assert tier[0] == 2
@@ -144,7 +146,7 @@ def test_mm_sinr_exact_single_member():
 def test_sub6_interferer_reduces_sinr_not_snr():
     # serving BS at 100 m, an interferer at 150 m
     rng = np.random.default_rng(3)
-    interference = mc._received(MACRO_SRC, np.array([150.0]), np.array([0]),
+    interference = mc._received(MACRO_SEGS, np.array([150.0]), np.array([0]),
                                 1, rng)
     sinr, snr, _ = mc._sinr(BUDGETS[0], np.array([100.0]), np.ones(1),
                             interference)
@@ -154,10 +156,10 @@ def test_sub6_interferer_reduces_sinr_not_snr():
 
 
 def test_far_field_tail_only_lowers_sinr():
-    near = mc._received(MACRO_SRC, *NO_OTHERS, 1, np.random.default_rng(1))
+    near = mc._received(MACRO_SEGS, *NO_OTHERS, 1, np.random.default_rng(1))
     a = mc._sinr(BUDGETS[0], np.array([100.0]), np.ones(1), near)
     b = mc._sinr(BUDGETS[0], np.array([100.0]), np.ones(1),
-                 near + mc._tail_mean(MACRO_SRC, 3000.0))
+                 near + mc._tail_mean(MACRO_SEGS, MACRO_DENSITY, 3000.0))
     assert b[0][0] < a[0][0]
     assert b[1][0] == a[1][0]
 
@@ -169,11 +171,12 @@ def test_sinr_never_exceeds_snr_in_full_runs():
 
 
 def test_mean_interference_tails_positive():
-    assert mc._tail_mean(MACRO_SRC, 3000.0) > 0.0
-    assert mc._tail_mean(CELL_SRC, 3000.0) > 0.0
-    # both shrink with the truncation radius
-    assert mc._tail_mean(MACRO_SRC, 6000.0) < mc._tail_mean(MACRO_SRC, 3000.0)
-    assert mc._tail_mean(CELL_SRC, 6000.0) < mc._tail_mean(CELL_SRC, 3000.0)
+    for segs, density in ((MACRO_SEGS, MACRO_DENSITY),
+                          (CELL_SEGS, CELL_DENSITY)):
+        assert mc._tail_mean(segs, density, 3000.0) > 0.0
+        # it shrinks with the truncation radius
+        assert (mc._tail_mean(segs, density, 6000.0)
+                < mc._tail_mean(segs, density, 3000.0))
 
 
 def test_tail_means_match_closed_forms():
@@ -184,8 +187,10 @@ def test_tail_means_match_closed_forms():
     beam = P.p_main * P.g_main + (1.0 - P.p_main) * P.g_side
     mm = (2.0 * math.pi * P.lambda_p * P.n_bs * P.p2_w * beam * P.c_nlos
           * r ** (2.0 - P.alpha_nlos) / (P.alpha_nlos - 2.0))
-    assert mc._tail_mean(MACRO_SRC, r) == pytest.approx(sub6, rel=1e-12)
-    assert mc._tail_mean(CELL_SRC, r) == pytest.approx(mm, rel=1e-12)
+    assert mc._tail_mean(MACRO_SEGS, MACRO_DENSITY, r) == pytest.approx(
+        sub6, rel=1e-12)
+    assert mc._tail_mean(CELL_SEGS, CELL_DENSITY, r) == pytest.approx(
+        mm, rel=1e-12)
 
 
 def test_interfering_members_stop_at_truncation_radius():

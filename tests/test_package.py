@@ -30,20 +30,33 @@ def _public(body) -> list:
             and not node.name.startswith("_")]
 
 
+def _assigned(body) -> list[str]:
+    """Public names that the assignments of ``body`` bind."""
+    targets = [target for node in body if isinstance(node, ast.Assign)
+               for target in node.targets]
+    targets += [node.target for node in body
+                if isinstance(node, ast.AnnAssign)]
+    return [target.id for target in targets
+            if isinstance(target, ast.Name) and not target.id.startswith("_")]
+
+
 def _unreferenced() -> set[str]:
-    """Public module-level functions and classes of the package, and the
-    public methods and properties of its public classes, whose name no
-    expression in the package reads (an import alone does not count)."""
+    """Public module-level functions, classes and assigned names of the
+    package, and the public methods and properties of its public classes,
+    whose name no expression in the package reads (an import or an
+    assignment alone does not count)."""
     defined, read = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
+        defined |= {f"{path.stem}.{name}" for name in _assigned(tree.body)}
         for node in _public(tree.body):
             defined.add(f"{path.stem}.{node.name}")
             if isinstance(node, ast.ClassDef):
                 defined |= {f"{path.stem}.{node.name}.{member.name}"
                             for member in _public(node.body)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
@@ -110,3 +123,18 @@ def test_only_analytic_entry_points_read_the_records():
     assert not kernels, f"{kernels} call link_budgets: take the records " \
         f"from the entry point instead"
     assert {"coverage", "coverage_no_nlos", "avg_rate"} <= readers
+
+
+def test_interferers_are_built_only_in_the_records():
+    # every interference kernel is record data: only link_budgets builds
+    # a KernelSegment, and both engines read the ones it returns
+    builders = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "KernelSegment" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    builders.add(f"{path.stem}.{getattr(top, 'name', '?')}")
+    assert builders == {"association.link_budgets"}, \
+        f"{sorted(builders)} build kernel segments: read the records instead"
