@@ -183,11 +183,6 @@ def _serving_reach(k: int, v0, budgets: _Records) -> np.ndarray:
     return np.broadcast_to(reach, v0.shape)
 
 
-def _r1_upper(params: SystemParams) -> float:
-    """Radius beyond which the nearest-Sub-6GHz density mass is < 1e-15."""
-    return float(_serving_reach(1, 0.0, link_budgets(params)))
-
-
 def _serving_density(k: int, budgets: _Records) -> Callable:
     """Density ``density(x, v0)`` that tier k's candidate sits at distance
     x and wins the association, given offset v0 (elementwise); it
@@ -736,8 +731,7 @@ def coverage_two_tier_sub6(tau: float, params: SystemParams,
 
 def avg_rate(params: SystemParams,
              spec: QuadSpec = QuadSpec(rel_tol=1e-3, abs_tol=1e-6),
-             with_report: bool = False,
-             scenario: ScenarioKind = INTEGRATED):
+             scenario: ScenarioKind = INTEGRATED) -> float:
     """Average achievable rate in bits/s: per-tier bandwidth times the
     integrated conditional coverage over the spectral-efficiency axis.
 
@@ -754,7 +748,7 @@ def avg_rate(params: SystemParams,
     while brackets[-1] < 40.0:
         brackets.append(brackets[-1] * 1.5)
 
-    def rho_integral(k: int, v0: float, n_nodes: int) -> float:
+    def rho_integral(k: int, v0: float) -> float:
         # the spectral-efficiency integrand is smooth and monotone, so a
         # fixed Gauss-Legendre rule on [0, hi] suffices once the
         # truncation point hi is bracketed: the first candidate whose
@@ -766,24 +760,16 @@ def avg_rate(params: SystemParams,
         probes = masses(brackets[:-1])
         hi = next((h for h, m in zip(brackets, probes) if m <= 1e-5),
                   brackets[-1])
-        u, w = np.polynomial.legendre.leggauss(n_nodes)
+        u, w = np.polynomial.legendre.leggauss(32)
         rho = 0.5 * hi * (u + 1.0)
         return float(0.5 * hi * np.sum(w * masses(rho.tolist())))
 
-    def total(n_rho: int, n_v0: int) -> float:
-        u, w = np.polynomial.legendre.leggauss(n_v0)
-        hi = 6.5 * params.sigma_ue_m
-        v0s = 0.5 * hi * (u + 1.0)
-        vals = np.empty(n_v0)
-        for i, v0 in enumerate(v0s.tolist()):
-            vals[i] = (bandwidths[0] * rho_integral(1, v0, n_rho)
-                       + bandwidths[1] * rho_integral(2, v0, n_rho))
-        dens = rayleigh_pdf(v0s, params.sigma_ue_m)
-        return float(0.5 * hi * np.sum(w * dens * vals))
-
-    value = total(32, 24)
-    if with_report:
-        coarse = total(16, 12)
-        return AnalyticReport(value, abs(value - coarse), tally.evaluations,
-                              tally.unconverged)
-    return value
+    u, w = np.polynomial.legendre.leggauss(24)
+    hi = 6.5 * params.sigma_ue_m
+    v0s = 0.5 * hi * (u + 1.0)
+    vals = np.empty(len(v0s))
+    for i, v0 in enumerate(v0s.tolist()):
+        vals[i] = (bandwidths[0] * rho_integral(1, v0)
+                   + bandwidths[1] * rho_integral(2, v0))
+    dens = rayleigh_pdf(v0s, params.sigma_ue_m)
+    return float(0.5 * hi * np.sum(w * dens * vals))

@@ -20,19 +20,17 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import analytic, montecarlo
-from .params import ScenarioKind, SystemParams
+from .params import ScenarioKind, SystemParams, linear_to_db
 from .quadrature import QuadSpec, find_root_monotone
 
 SWEEP_VARIABLES = ("n_bs", "eta", "bias_ratio_db", "v0", "tau_db")
 METRICS = ("assoc_prob", "coverage", "snr_coverage", "edge_sinr",
            "median_sinr", "edge_rate", "median_rate",
            "mean_serving_distance", "avg_rate")
-_CURVE_GRID_DB = np.arange(-40.0, 60.0 + 0.5, 1.0)
 # analytic root-finds run on a loosened tolerance; sweeps stay tractable
 _SWEEP_SPEC = QuadSpec(rel_tol=3e-3, abs_tol=1e-6)
 
@@ -193,25 +191,21 @@ def _analytic_metric(metric: str, params: SystemParams,
 
 
 def _mc_metric(metric: str, table: montecarlo.TrialTable,
-               sweep: SweepSpec, value,
-               v0_sel: Optional[np.ndarray] = None):
-    """Returns (value, stderr) from a trial table."""
-    if v0_sel is not None:
-        table = montecarlo.TrialTable(
-            table.tier[v0_sel], table.serving_distance[v0_sel],
-            table.v0[v0_sel], table.sinr[v0_sel], table.snr[v0_sel],
-            table.rate[v0_sel])
-        if len(table) == 0:
-            return math.nan, math.nan
+               sweep: SweepSpec, value):
+    """Returns (value, stderr) from a trial table, conditioned already in
+    a v0 sweep.  A percentile is the empirical quantile over all trials,
+    unserved ones read as 0; a SINR percentile that falls on an unserved
+    trial reads NaN."""
+    if len(table) == 0:
+        return math.nan, math.nan
     if metric == "assoc_prob":
         est = montecarlo.estimate_assoc_prob(table, 2)
         return est.value, est.stderr
     if metric == "mean_serving_distance":
-        served = table.served
-        if not served.any():
+        if not table.served.any():
             return math.nan, math.nan
-        d = table.serving_distance[served]
-        return float(np.mean(d)), float(np.std(d, ddof=1) / math.sqrt(len(d)))
+        est = montecarlo.estimate_serving_distance(table)
+        return est.value, est.stderr
     if metric == "avg_rate":
         est = montecarlo.estimate_rate(table)
         return est.value, est.stderr
@@ -220,43 +214,42 @@ def _mc_metric(metric: str, table: montecarlo.TrialTable,
         which = "sinr" if metric == "coverage" else "snr"
         curve = montecarlo.estimate_coverage(table, [tau_db], metric=which)
         return float(curve.probabilities[0]), float(curve.stderr[0])
-    if metric in ("median_sinr", "edge_sinr"):
-        curve = montecarlo.estimate_coverage(table, _CURVE_GRID_DB)
-        target = 50.0 if metric == "median_sinr" else 5.0
-        try:
-            return montecarlo.percentile_metric(curve, target), math.nan
-        except ValueError:
-            return math.nan, math.nan
-    if metric in ("median_rate", "edge_rate"):
-        rates = np.where(table.served, table.rate, 0.0)
-        q = 0.5 if metric == "median_rate" else 0.05
-        return float(np.quantile(rates, q)), math.nan
-    return math.nan, math.nan
+    q = 0.5 if metric.startswith("median") else 0.05
+    if metric.endswith("sinr"):
+        x = montecarlo.estimate_quantile(table, "sinr", q)
+        return (linear_to_db(x) if x > 0 else math.nan), math.nan
+    return montecarlo.estimate_quantile(table, "rate", q), math.nan
 
 
 def _assoc_only_sufficient(metrics) -> bool:
     return set(metrics) <= {"assoc_prob", "mean_serving_distance"}
 
 
-def _eval_point(job) -> dict:
-    """One grid point: returns a row per metric (worker-pool entry)."""
-    (index, value, base, sweep, mode, seed, trials) = job
-    params = _params_at(base, sweep, value)
-    row: dict[str, dict] = {}
+def _eval_group(job) -> list[dict]:
+    """The grid points of one parameter set, all read from one trial table
+    (worker-pool entry)."""
+    (points, params, sweep, mode, seed, trials) = job
     table = None
-    v0_sel = None
     if mode in ("mc", "both"):
-        assoc_only = _assoc_only_sufficient(sweep.metrics)
-        table = montecarlo.run_trials(params, sweep.scenario, trials, seed,
-                                      assoc_only=assoc_only)
-        if sweep.variable == "v0":
-            # bin half-width: a tenth of sigma_UE around the grid point
-            half = 0.1 * params.sigma_ue_m
-            v0_sel = np.abs(table.v0 - float(value)) < half
+        table = montecarlo.run_trials(
+            params, sweep.scenario, trials, seed,
+            assoc_only=_assoc_only_sufficient(sweep.metrics))
+    return [_eval_point(index, value, params, table, sweep, mode)
+            for index, value in points]
+
+
+def _eval_point(index, value, params: SystemParams, table, sweep: SweepSpec,
+                mode: str) -> dict:
+    """One grid point: returns a row per metric."""
+    if table is not None and sweep.variable == "v0":
+        # bin half-width: a tenth of sigma_UE around the grid point
+        table = table.select(np.abs(table.v0 - float(value))
+                             < 0.1 * params.sigma_ue_m)
+    row: dict[str, dict] = {}
     for metric in sweep.metrics:
         cell = {"grid": value}
         if table is not None:
-            v, se = _mc_metric(metric, table, sweep, value, v0_sel)
+            v, se = _mc_metric(metric, table, sweep, value)
             cell["mc"] = v
             cell["mc_stderr"] = se
         if mode in ("analytic", "both"):
@@ -373,13 +366,19 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(i, v, cfg.params, cfg.sweep, args.mode, args.seed, args.trials)
-            for i, v in enumerate(cfg.sweep.grid)]
+    # a v0 or tau_db sweep keeps the parameters: its points share a table
+    groups: dict[SystemParams, list] = {}
+    for i, v in enumerate(cfg.sweep.grid):
+        groups.setdefault(_params_at(cfg.params, cfg.sweep, v),
+                          []).append((i, v))
+    jobs = [(points, params, cfg.sweep, args.mode, args.seed, args.trials)
+            for params, points in groups.items()]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_point, jobs))
+            per_group = list(pool.map(_eval_group, jobs))
     else:
-        rows = [_eval_point(j) for j in jobs]
+        per_group = [_eval_group(j) for j in jobs]
+    rows = [row for group in per_group for row in group]
 
     paths = _write_csv(out_dir, cfg.sweep, args.mode, rows)
     _write_manifest(out_dir, cfg, args.mode, args.seed, args.trials)

@@ -22,7 +22,7 @@ Monte Carlo noise floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +31,7 @@ from .association import (ClusterLaw, KernelSegment, LinkBudget, Tier,
                           biased_metric, link_budgets)
 from .channel import MIN_LINK_DISTANCE_M
 from .geometry import sample_ppp
-from .params import ScenarioKind, SystemParams, linear_to_db
+from .params import ScenarioKind, SystemParams
 
 TIER_NONE = 0  # mmWave-only deployment with no LoS candidate in reach
 
@@ -52,6 +52,11 @@ class TrialTable:
 
     def __len__(self) -> int:
         return len(self.tier)
+
+    def select(self, mask) -> TrialTable:
+        """The trials that ``mask`` picks, in every column."""
+        return TrialTable(*(getattr(self, f.name)[mask]
+                            for f in fields(self)))
 
     @property
     def served(self) -> np.ndarray:
@@ -74,7 +79,6 @@ class CoverageCurve:
     thresholds_db: np.ndarray
     probabilities: np.ndarray
     stderr: np.ndarray
-    conditional: dict = field(default_factory=dict)  # tier -> CoverageCurve
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +370,25 @@ def run_trials(params: SystemParams, scenario: ScenarioKind, n_trials: int,
 # estimators
 # ---------------------------------------------------------------------------
 
+def _served_values(results: TrialTable, metric: str,
+                   allowed: tuple[str, ...]) -> np.ndarray:
+    """Column ``metric`` over all trials, unserved ones read as 0."""
+    if len(results) == 0:
+        raise ValueError("no trials to estimate from")
+    if metric not in allowed:
+        raise ValueError(f"unknown metric {metric!r}")
+    return np.where(results.served, getattr(results, metric), 0.0)
+
+
+def _mean(values: np.ndarray) -> EstimateWithCI:
+    """Sample mean with its standard error."""
+    n = len(values)
+    if n == 0:
+        raise ValueError("no trials to average")
+    return EstimateWithCI(float(np.mean(values)),
+                          float(np.std(values, ddof=1) / math.sqrt(n)), n)
+
+
 def estimate_assoc_prob(results: TrialTable, k: int) -> EstimateWithCI:
     n = len(results)
     if n == 0:
@@ -374,95 +397,32 @@ def estimate_assoc_prob(results: TrialTable, k: int) -> EstimateWithCI:
     return EstimateWithCI(p, math.sqrt(p * (1.0 - p) / n), n)
 
 
-def _empirical_curve(values: np.ndarray, thresholds_db: np.ndarray,
-                     n_total: int) -> tuple[np.ndarray, np.ndarray]:
-    tau = 10.0 ** (thresholds_db / 10.0)
-    probs = np.array([float(np.sum(values > t)) / n_total for t in tau])
-    err = np.sqrt(probs * (1.0 - probs) / n_total)
-    return probs, err
-
-
 def estimate_coverage(results: TrialTable, thresholds_db,
                       metric: str = "sinr") -> CoverageCurve:
-    """Empirical coverage curve with binomial standard errors.
-
-    Unserved trials count as uncovered in the overall curve.  Per-tier
-    conditional curves (normalized by the tier's trial count) are attached
-    under ``conditional``.
-    """
-    if len(results) == 0:
-        raise ValueError("no trials to estimate from")
-    if metric not in ("sinr", "snr"):
-        raise ValueError(f"unknown metric {metric!r}")
+    """Empirical coverage curve with binomial standard errors; unserved
+    trials count as uncovered.  Condition on a tier or an offset by
+    passing ``results.select(mask)``."""
+    values = _served_values(results, metric, ("sinr", "snr"))
+    n = len(results)
     thresholds_db = np.sort(np.asarray(thresholds_db, dtype=float))
-    values = results.sinr if metric == "sinr" else results.snr
-    values = np.where(results.served, values, 0.0)
-    probs, err = _empirical_curve(values, thresholds_db, len(results))
-    curve = CoverageCurve(thresholds_db, probs, err)
-    for k in (int(Tier.SUB6), int(Tier.MMWAVE)):
-        sel = results.tier == k
-        if sel.any():
-            p, e = _empirical_curve(values[sel], thresholds_db,
-                                    int(sel.sum()))
-            curve.conditional[k] = CoverageCurve(thresholds_db, p, e)
-    return curve
+    tau = 10.0 ** (thresholds_db / 10.0)
+    probs = np.array([float(np.sum(values > t)) / n for t in tau])
+    return CoverageCurve(thresholds_db, probs,
+                         np.sqrt(probs * (1.0 - probs) / n))
 
 
-def percentile_metric(curve: CoverageCurve, percentile: float) -> float:
-    """Threshold (dB) at which coverage crosses 1 - percentile/100, by
-    linear interpolation on the empirical curve."""
-    target = 1.0 - percentile / 100.0
-    p = curve.probabilities
-    t = curve.thresholds_db
-    if not (p.max() >= target >= p.min()):
-        raise ValueError(
-            f"coverage curve [{p.min():.3f}, {p.max():.3f}] does not span "
-            f"target probability {target:.3f}")
-    # probabilities are nonincreasing in threshold (up to MC noise)
-    for i in range(len(t) - 1):
-        lo, hi = p[i], p[i + 1]
-        if (lo >= target >= hi) and lo != hi:
-            return float(t[i] + (t[i + 1] - t[i]) * (lo - target) / (lo - hi))
-    idx = int(np.argmin(np.abs(p - target)))
-    return float(t[idx])
+def estimate_quantile(results: TrialTable, metric: str, q: float) -> float:
+    """Empirical ``q``-quantile of ``metric`` (``sinr``, ``snr`` or
+    ``rate``, linear) over all trials, unserved ones read as 0."""
+    return float(np.quantile(
+        _served_values(results, metric, ("sinr", "snr", "rate")), q))
 
 
 def estimate_rate(results: TrialTable) -> EstimateWithCI:
     """Mean rate over all trials (unserved trials contribute zero)."""
-    n = len(results)
-    if n == 0:
-        raise ValueError("no trials")
-    r = np.where(results.served, results.rate, 0.0)
-    return EstimateWithCI(float(np.mean(r)),
-                          float(np.std(r, ddof=1) / math.sqrt(n)), n)
+    return _mean(_served_values(results, "rate", ("rate",)))
 
 
-def conditional_metrics(results: TrialTable, v0_bins) -> list[dict]:
-    """Per-offset-bin summaries: tier shares, mean serving distance and
-    percentile SINR/rate (bins are [lo, hi) edges over v0)."""
-    edges = np.asarray(v0_bins, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("v0_bins must be increasing edge values")
-    out = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (results.v0 >= lo) & (results.v0 < hi)
-        n = int(sel.sum())
-        row = {"v0_lo": float(lo), "v0_hi": float(hi), "n_trials": n,
-               "mm_share": math.nan, "sub6_share": math.nan,
-               "mean_serving_distance": math.nan,
-               "median_sinr_db": math.nan, "median_rate": math.nan}
-        if n:
-            row["mm_share"] = float(np.mean(results.tier[sel] == int(Tier.MMWAVE)))
-            row["sub6_share"] = float(np.mean(results.tier[sel] == int(Tier.SUB6)))
-            served = sel & results.served
-            if served.any():
-                row["mean_serving_distance"] = float(
-                    np.mean(results.serving_distance[served]))
-            sinr = np.where(results.served[sel], results.sinr[sel], 0.0)
-            med = float(np.median(sinr))
-            row["median_sinr_db"] = (linear_to_db(med) if med > 0
-                                     else -math.inf)
-            row["median_rate"] = float(np.median(
-                np.where(results.served[sel], results.rate[sel], 0.0)))
-        out.append(row)
-    return out
+def estimate_serving_distance(results: TrialTable) -> EstimateWithCI:
+    """Mean serving distance over the served trials."""
+    return _mean(results.serving_distance[results.served])

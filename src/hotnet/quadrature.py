@@ -70,9 +70,10 @@ class QuadSpec:
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
 
-    def tighter(self, factor: float = 0.1) -> "QuadSpec":
-        """Spec with tolerances scaled down, for inner nested integrals."""
-        return QuadSpec(self.rel_tol * factor, self.abs_tol * factor,
+    def tighter(self) -> "QuadSpec":
+        """Spec with a tenth of these tolerances, for inner nested
+        integrals."""
+        return QuadSpec(self.rel_tol * 0.1, self.abs_tol * 0.1,
                         self.max_depth, self.max_panels)
 
 

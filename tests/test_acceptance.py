@@ -13,8 +13,9 @@ from scipy.integrate import quad
 from scipy.special import i0
 
 from hotnet import analytic, montecarlo
+from hotnet.association import link_budgets
 from hotnet.geometry import rice_pdf
-from hotnet.params import ScenarioKind, SystemParams
+from hotnet.params import ScenarioKind, SystemParams, linear_to_db
 from hotnet.quadrature import QuadSpec, find_root_monotone
 
 from conftest import SEED, TAU_GRID_DB
@@ -125,18 +126,17 @@ def test_no_nlos_variant_is_tight_upper_bound(defaults, analytic_curve):
 # ---------------------------------------------------------------------------
 
 def test_snr_sinr_gap_grows_with_cluster_size(defaults):
-    grid = np.arange(-10.0, 41.0, 1.0)
     gaps = {}
     for n in (2, 18):
         table = montecarlo.run_trials(defaults.replace(n_bs=n),
                                       ScenarioKind.MMWAVE_ONLY,
                                       30_000, seed=SEED)
-        snr = montecarlo.estimate_coverage(table, grid, metric="snr")
-        sinr = montecarlo.estimate_coverage(table, grid, metric="sinr")
-        # served-trial conditional curves: the deployment leaves a fixed
+        # medians over the served trials: the deployment leaves a fixed
         # fraction of users without any line-of-sight candidate
-        gaps[n] = (montecarlo.percentile_metric(snr.conditional[2], 50.0)
-                   - montecarlo.percentile_metric(sinr.conditional[2], 50.0))
+        served = table.select(table.tier == 2)
+        snr, sinr = (montecarlo.estimate_quantile(served, metric, 0.5)
+                     for metric in ("snr", "sinr"))
+        gaps[n] = linear_to_db(snr) - linear_to_db(sinr)
     assert gaps[18] > gaps[2]
 
 
@@ -170,17 +170,23 @@ def test_mm_share_saturation_at_high_bias(mm_share_vs_bias):
 def test_offload_and_serving_distance_vs_offset(defaults):
     table = montecarlo.run_trials(defaults, ScenarioKind.INTEGRATED,
                                   200_000, seed=SEED, assoc_only=True)
+
+    def offset_bin(lo, hi):
+        return table.select((table.v0 >= lo) & (table.v0 < hi))
+
     edges = np.arange(0.0, 600.1, 50.0)
-    rows = montecarlo.conditional_metrics(table, edges)
-    shares = [r["mm_share"] for r in rows if r["v0_lo"] >= defaults.sigma_ue_m]
+    shares = [montecarlo.estimate_assoc_prob(offset_bin(lo, hi), 2).value
+              for lo, hi in zip(edges[:-1], edges[1:])
+              if lo >= defaults.sigma_ue_m]
     assert all(b <= a + 1e-12 for a, b in zip(shares, shares[1:]))
 
     # far from the hotspot everyone is served by the macro tier, whose
     # nearest-point distance has mean 1/(2 sqrt(lambda))
-    far = montecarlo.conditional_metrics(table, [400.0, 550.0])[0]
+    far = offset_bin(400.0, 550.0)
     want = 1.0 / (2.0 * math.sqrt(defaults.lambda1))
-    assert far["mm_share"] < 0.02
-    assert far["mean_serving_distance"] == pytest.approx(want, rel=0.05)
+    assert montecarlo.estimate_assoc_prob(far, 2).value < 0.02
+    assert montecarlo.estimate_serving_distance(far).value == \
+        pytest.approx(want, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +203,8 @@ def test_density_normalizations(defaults):
         val, _ = quad(rice_pdf, 0.0, v0 + 12 * defaults.sigma_bs_m,
                       args=(v0, defaults.sigma_bs_m), limit=300)
         assert abs(val - 1.0) < 1e-5
-    for k, hi in ((1, analytic._r1_upper(defaults)),
-                  (2, defaults.r_los_ball_m)):
+    reach = float(analytic._serving_reach(1, 0.0, link_budgets(defaults)))
+    for k, hi in ((1, reach), (2, defaults.r_los_ball_m)):
         val, _ = quad(lambda x: analytic.conditional_distance_pdf(
             k, x, 120.0, defaults), 0.0, hi, limit=300)
         assert abs(val - 1.0) < 1e-5

@@ -219,7 +219,8 @@ def test_mm_share_decays_with_offset():
 
 def test_conditional_distance_pdf_normalizes():
     v0 = 130.0
-    for k, hi in ((1, analytic._r1_upper(P)), (2, P.r_los_ball_m)):
+    reach = float(analytic._serving_reach(1, 0.0, link_budgets(P)))
+    for k, hi in ((1, reach), (2, P.r_los_ball_m)):
         val, _ = quad(lambda x: analytic.conditional_distance_pdf(k, x, v0, P),
                       0.0, hi, limit=200, epsabs=1e-10)
         assert val == pytest.approx(1.0, abs=1e-5)

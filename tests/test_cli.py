@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from hotnet import analytic, cli
+from hotnet import analytic, cli, montecarlo
 from hotnet.cli import ConfigError, main, parse_config
 from hotnet.params import ScenarioKind, SystemParams
 
@@ -337,3 +337,55 @@ def test_analytic_percentile_is_the_coverage_root(target):
         scenario=scenario) - target, -40.0, 60.0, xtol=1e-4)
     got = cli._analytic_percentile(params, scenario, target)
     assert abs(got - root) <= 0.01
+
+
+def test_sweep_at_fixed_parameters_draws_one_table(tmp_path, monkeypatch):
+    # every point of a tau_db sweep has the same parameters and seed, so
+    # they all read one table
+    monkeypatch.delenv("HOTNET_WORKERS", raising=False)
+    calls, run_trials = [], montecarlo.run_trials
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return run_trials(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_trials", spy)
+    path = _write(tmp_path, "sweep_grid = -5, 0, 5\nmetrics = coverage\n"
+                            "bias2_db = 0\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--mode", "mc",
+                 "--out", str(out), "--seed", "3", "--trials", "300",
+                 "--no-figures"]) == 0
+    assert len(calls) == 1
+    data = np.genfromtxt(out / "coverage.csv", delimiter=",", names=True)
+    assert len(data) == 3
+    assert np.all(np.diff(data["mc"]) <= 0)
+
+
+@pytest.mark.parametrize("scenario", ["a", "c"])
+def test_mc_percentile_cells_are_exact_quantiles(tmp_path, scenario):
+    # each cell is the empirical quantile over all trials, unserved ones
+    # read as 0; in (c) over 5% of the users have no LoS candidate, so
+    # the 5% SINR quantile falls on an unserved trial and reads NaN
+    path = _write(tmp_path, f"scenario = {scenario}\nsweep_grid = 0\n"
+                            "metrics = median_sinr, edge_sinr, median_rate, "
+                            "edge_rate\nbias2_db = 0\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--mode", "mc",
+                 "--out", str(out), "--seed", "3", "--trials", "2000",
+                 "--no-figures"]) == 0
+    cfg = parse_config(path)
+    table = montecarlo.run_trials(cfg.params, cfg.sweep.scenario, 2000, 3)
+    for metric, column, q in (("median_sinr", "sinr", 0.5),
+                              ("edge_sinr", "sinr", 0.05),
+                              ("median_rate", "rate", 0.5),
+                              ("edge_rate", "rate", 0.05)):
+        want = montecarlo.estimate_quantile(table, column, q)
+        if column == "sinr":
+            want = 10.0 * np.log10(want) if want > 0 else np.nan
+        got = np.genfromtxt(out / f"{metric}.csv", delimiter=",",
+                            names=True)["mc"]
+        np.testing.assert_allclose(got, want, rtol=1e-8, err_msg=metric)
+    if scenario == "c":
+        assert np.isnan(np.genfromtxt(out / "edge_sinr.csv", delimiter=",",
+                                      names=True)["mc"])

@@ -289,9 +289,11 @@ def test_estimate_coverage_counts_unserved_as_uncovered():
     # at -20 dB the three served trials pass, the unserved one cannot
     assert curve.probabilities[0] == pytest.approx(0.75)
     assert curve.probabilities[1] == pytest.approx(0.25)
-    # tier-conditional curves renormalize by tier counts
-    assert curve.conditional[1].probabilities[0] == pytest.approx(1.0)
-    assert curve.conditional[2].probabilities[1] == pytest.approx(0.0)
+    # a tier-conditional curve is the curve of the tier's trials
+    sub6 = mc.estimate_coverage(t.select(t.tier == 1), [-20.0, 2.0])
+    mm = mc.estimate_coverage(t.select(t.tier == 2), [-20.0, 2.0])
+    assert sub6.probabilities[0] == pytest.approx(1.0)
+    assert mm.probabilities[1] == pytest.approx(0.0)
 
 
 def test_coverage_curve_nonincreasing():
@@ -300,20 +302,19 @@ def test_coverage_curve_nonincreasing():
     assert np.all(np.diff(curve.probabilities) <= 1e-12)
 
 
-def test_percentile_metric_interpolates():
-    curve = mc.CoverageCurve(np.array([-10.0, 0.0, 10.0]),
-                             np.array([0.9, 0.5, 0.1]), np.zeros(3))
-    # median: coverage 0.5 is hit exactly at 0 dB
-    assert mc.percentile_metric(curve, 50.0) == pytest.approx(0.0, abs=1e-12)
-    # 70th percentile: target coverage 0.3, halfway between 0 and 10 dB
-    assert mc.percentile_metric(curve, 70.0) == pytest.approx(5.0, abs=1e-9)
-
-
-def test_percentile_metric_out_of_range_raises():
-    curve = mc.CoverageCurve(np.array([0.0, 10.0]), np.array([0.4, 0.1]),
-                             np.zeros(2))
-    with pytest.raises(ValueError):
-        mc.percentile_metric(curve, 50.0)
+def test_estimate_quantile_reads_unserved_as_zero():
+    sinr = np.array([4.0, 1.0, 0.5, 2.0, 8.0])
+    t = mc.TrialTable(np.array([1, 2, 1, mc.TIER_NONE, 2]), np.zeros(5),
+                      np.zeros(5), sinr, sinr / 2.0, 10.0 * sinr)
+    # over all five trials, the unserved one read as 0: 0, 0.5, 1, 4, 8
+    assert mc.estimate_quantile(t, "sinr", 0.5) == 1.0
+    assert mc.estimate_quantile(t, "sinr", 0.0) == 0.0
+    # between order statistics the quantile interpolates linearly
+    assert mc.estimate_quantile(t, "sinr", 0.625) == pytest.approx(2.5)
+    assert mc.estimate_quantile(t, "snr", 1.0) == 4.0
+    assert mc.estimate_quantile(t, "rate", 0.25) == 5.0
+    with pytest.raises(ValueError, match="unknown metric"):
+        mc.estimate_quantile(t, "v0", 0.5)
 
 
 def test_estimate_rate_zeroes_unserved():
@@ -323,22 +324,21 @@ def test_estimate_rate_zeroes_unserved():
     assert est.value == pytest.approx(4.0)
 
 
-def test_conditional_metrics_bins():
+def test_select_picks_the_trials_of_every_column():
     t = mc.run_trials(P, ScenarioKind.INTEGRATED, 20_000, seed=14,
                       assoc_only=True)
-    rows = mc.conditional_metrics(t, [0.0, 150.0, 300.0, 600.0])
-    assert len(rows) == 3
-    shares = [r["mm_share"] for r in rows]
+    edges = [0.0, 150.0, 300.0, 600.0]
+    shares = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mask = (t.v0 >= lo) & (t.v0 < hi)
+        b = t.select(mask)
+        assert 0 < len(b) == mask.sum()
+        assert np.all((b.v0 >= lo) & (b.v0 < hi))
+        np.testing.assert_array_equal(b.tier, t.tier[mask])
+        np.testing.assert_array_equal(b.serving_distance,
+                                      t.serving_distance[mask])
+        assert all(len(col) == len(b) for col in (b.sinr, b.snr, b.rate))
+        mm = mc.estimate_assoc_prob(b, 2).value
+        assert mm + mc.estimate_assoc_prob(b, 1).value == pytest.approx(1.0)
+        shares.append(mm)
     assert all(b < a for a, b in zip(shares, shares[1:]))
-    for r in rows:
-        assert r["mm_share"] + r["sub6_share"] == pytest.approx(1.0)
-        assert r["n_trials"] > 0
-
-
-def test_conditional_metrics_validates_edges():
-    t = mc.run_trials(P, ScenarioKind.INTEGRATED, 100, seed=1,
-                      assoc_only=True)
-    with pytest.raises(ValueError):
-        mc.conditional_metrics(t, [100.0])
-    with pytest.raises(ValueError):
-        mc.conditional_metrics(t, [100.0, 50.0])

@@ -19,7 +19,6 @@ UNREFERENCED = {
     "analytic.laplace_I2_intra": "acceptance API",
     "association.associate": "perfbench traces it",
     "geometry.sample_network": "perfbench traces it",
-    "montecarlo.conditional_metrics": "acceptance API",
     "quadrature.integrate_semi_infinite": "perfbench traces it; public API",
 }
 
@@ -110,7 +109,7 @@ def test_only_link_budgets_reads_the_deployment():
 # Only the public analytic entry points resolve a deployment's records, and
 # every kernel below them takes the records it is given; these private
 # definitions may call link_budgets too.
-RECORD_READERS = {"_r1_upper": "the acceptance tests call it"}
+RECORD_READERS: dict[str, str] = {}
 
 
 def test_only_analytic_entry_points_read_the_records():

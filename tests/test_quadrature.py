@@ -139,7 +139,7 @@ def test_root_finder_inverts_survival_function(target):
 
 def test_tighter_spec_scales_tolerances():
     spec = QuadSpec(rel_tol=1e-4, abs_tol=1e-8)
-    t = spec.tighter(0.1)
+    t = spec.tighter()
     assert t.rel_tol == pytest.approx(1e-5)
     assert t.abs_tol == pytest.approx(1e-9)
 
