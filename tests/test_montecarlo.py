@@ -313,6 +313,15 @@ def test_estimate_quantile_reads_unserved_as_zero():
     assert mc.estimate_quantile(t, "sinr", 0.625) == pytest.approx(2.5)
     assert mc.estimate_quantile(t, "snr", 1.0) == 4.0
     assert mc.estimate_quantile(t, "rate", 0.25) == 5.0
+
+
+def test_estimate_quantile_rejects_out_of_range():
+    sinr = np.array([4.0, 1.0])
+    t = mc.TrialTable(np.array([1, 2]), np.zeros(2), np.zeros(2),
+                      sinr, sinr, sinr)
+    for q in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            mc.estimate_quantile(t, "sinr", q)
     with pytest.raises(ValueError, match="unknown metric"):
         mc.estimate_quantile(t, "v0", 0.5)
 
