@@ -6,10 +6,10 @@ All deployments share one path.  What sets the integrated network (a)
 apart from the two-tier Sub-6GHz baseline (d) is data: the per-tier
 ``LinkBudget`` records of ``association.link_budgets`` (weights, budgets,
 exponents, Nakagami orders, noise, the candidate law, each tier's
-interference kernel and the tiers it hears).  Each public
-entry point resolves the records once and passes them down.  A model
-variant is a change of the records: the LoS-only bound of
-``coverage_no_nlos`` is (a) with the NLoS kernel segments dropped.
+interference kernel and the tiers it hears).  Each entry point on
+``params`` resolves the records once and passes them to the kernels, the
+transforms ``laplace_I*`` among them.  A model variant is a change of the
+records: ``coverage_no_nlos`` is (a) without the NLoS kernel segments.
 
 Conventions used throughout:
 
@@ -17,7 +17,7 @@ Conventions used throughout:
   CDF.  In (a) only LoS members inside the ball may serve:
   F_SL(r) = p_los * RiceCDF(min(r, R_B)), because the LoS probability is
   constant inside the ball and zero outside.  In (d) every member may.
-* The intra-cluster interference intensity is (n_members - 1) times the
+* The intra-cluster interference intensity is max(n - 1, 0) times the
   *radial* member density of each kernel segment (in (a) the LoS part is
   excluded below the serving distance, the NLoS part is unrestricted).
 * The inter-cluster transform treats interfering clusters as carrying a
@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import binom, chndtr, hyp2f1, i0e
+from scipy.special import binom, chndtr, hyp2f1
 
 from .association import ClusterLaw, LinkBudget, boundary_map, link_budgets
 from .geometry import rice_pdf
@@ -83,19 +83,6 @@ class _Tally:
 # ---------------------------------------------------------------------------
 # elementary pieces
 # ---------------------------------------------------------------------------
-
-def j_factor(t):
-    """Angular factor J(t) = integral of exp(t cos th) over [-pi, pi],
-    equal to 2*pi*I0(t).  Evaluated through the exponentially scaled
-    Bessel function; overflows to inf only where the true value exceeds
-    the float64 range."""
-    t = np.abs(np.asarray(t, dtype=float))
-    if not np.all(np.isfinite(t)):
-        raise ValueError("j_factor requires finite arguments")
-    with np.errstate(over="ignore"):
-        out = 2.0 * math.pi * i0e(t) * np.exp(t)
-    return out if out.ndim else float(out)
-
 
 def _rice_cdf(r, v0, sigma: float):
     """CDF of the member distance |c + g| with |c| = v0 and isotropic
@@ -314,26 +301,16 @@ def _ppp_tail_integral(s, b: float, alpha: float, x):
     return out
 
 
-def _ppp_laplace(s, x, tier: LinkBudget):
+def laplace_I1(s, x, tier: LinkBudget):
     """Laplace transform of the interference of the PPP tier ``tier`` past
     the exclusion radius x, for order-1 (Rayleigh) segments only:
-    exp(-2 pi lambda sum_seg share sum_G p_G tail(s, P C G, alpha, x))."""
+    exp(-2 pi lambda sum_seg share sum_G p_G tail(s, P C G, alpha, x)),
+    at each s >= 0 and x of the broadcast arrays."""
     total = sum(seg.share * sum(
         prob * _ppp_tail_integral(s, seg.intercept * gain, seg.alpha, x)
         for gain, prob in zip(seg.gains, seg.gain_probs))
         for seg in tier.segments)
     return np.exp(-(2.0 * math.pi * tier.density * total))
-
-
-def laplace_I1(s, v0: float, x, params: SystemParams):
-    """Laplace transform of the Sub-6GHz interference seen past a serving
-    BS at distance x (v0 is irrelevant for the PPP tier but kept for
-    signature symmetry)."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("s must be nonnegative")
-    out = _ppp_laplace(s, x, link_budgets(params)[0])
-    return out if out.ndim else float(out)
 
 
 def _band_rule(lo, hi: float, v0: np.ndarray, sigma: float):
@@ -366,8 +343,8 @@ def _cluster_exponent(s, v0, x, law: ClusterLaw):
     that would start at x is one of these where no x passes its start,
     as at x = 0 in the PGFL integrand; every segment on such a band
     shares its nodes and density.  Only the kernel is evaluated per s.
-    Multiplying by (n_members - 1) and negating the exponent gives the
-    intra-cluster Laplace transform.
+    ``laplace_I2_intra`` and ``_InterLaplace`` turn it into the
+    own-cluster and the inter-cluster transform.
     """
     v0, x = np.broadcast_arrays(np.asarray(v0, dtype=float),
                                 np.asarray(x, dtype=float))
@@ -402,20 +379,14 @@ def _cluster_exponent(s, v0, x, law: ClusterLaw):
     return total[..., 0]
 
 
-def laplace_I2_intra(s, v0: float, x: float, n_members: int,
-                     params: SystemParams,
-                     scenario: ScenarioKind = INTEGRATED):
-    """Laplace transform of the intra-cluster small-cell interference
-    given a serving member at distance x and n_members cluster members."""
-    if n_members < 1:
-        raise ValueError("n_members must be >= 1")
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("s must be nonnegative")
-    expo = (n_members - 1) * _cluster_exponent(
-        s, v0, x, link_budgets(params, scenario)[1].cluster)
-    out = np.exp(-expo)
-    return out if out.ndim else float(out)
+def laplace_I2_intra(s, v0, x, law: ClusterLaw):
+    """Laplace transform of the interference of the typical cluster's
+    other members, given a serving distance x and the cluster center at
+    distance v0: exp(-(n - 1) E) at s >= 0, with E the per-member exponent
+    of ``_cluster_exponent`` (broadcasting as it does).  An empty cluster
+    (n = 0) interferes with nothing."""
+    expo = _cluster_exponent(s, v0, x, law)
+    return np.exp(-max(law.members - 1, 0) * expo)
 
 
 # derivative at node p (row p) of the quartic through five equally spaced
@@ -576,14 +547,11 @@ def _inter_cache(law: ClusterLaw) -> _InterLaplace:
     return _InterLaplace(law)
 
 
-def laplace_I2_inter(s, params: SystemParams,
-                     scenario: ScenarioKind = INTEGRATED):
-    """Laplace transform of the inter-cluster small-cell interference
-    (PGFL over hotspot centers of the per-cluster transform)."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("s must be nonnegative")
-    return _inter_cache(link_budgets(params, scenario)[1].cluster)(s)
+def laplace_I2_inter(s, law: ClusterLaw):
+    """Laplace transform at s >= 0 of the interference of the clusters
+    other than the typical one (PGFL over hotspot centers of the
+    per-cluster transform), interpolated by the cached ``_InterLaplace``."""
+    return _inter_cache(law)(s)
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +586,7 @@ def _coverage_integrand(k: int, budgets: _Records):
     density times the fading tail (Alzer's bound, exact for Rayleigh)
     averaged over the interference fields tier k hears."""
     serving = budgets[k - 1]
-    law = budgets[1].cluster
     nvec, coeff, chi = _alzer_terms(serving.order)
-    inter = _inter_cache(law) if 2 in serving.hears else None
     density = _serving_density(k, budgets)
 
     def f(x, tau, v0):
@@ -634,10 +600,10 @@ def _coverage_integrand(k: int, budgets: _Records):
             # the other tier's BSs lie past the boundary-mapped distance
             xj = x if j == k else boundary_map(serving, heard, x)
             if heard.cluster is None:
-                lap = lap * _ppp_laplace(s, xj, heard)
+                lap = lap * laplace_I1(s, xj, heard)
             else:
-                lap = lap * (np.exp(-(law.members - 1) * _cluster_exponent(
-                    s, v0, xj, law)) * inter(s))
+                lap = lap * (laplace_I2_intra(s, v0, xj, heard.cluster)
+                             * laplace_I2_inter(s, heard.cluster))
         return density(x, v0) * _kahan_sum(coeff[:, None] * lap)
 
     return f
@@ -740,36 +706,37 @@ def avg_rate(params: SystemParams,
     is compared against by an order of magnitude)."""
     inner = replace(spec, abs_tol=1e-10)
     budgets = link_budgets(params, scenario)
-    bandwidths = [b.bandwidth_hz for b in budgets]
     tally = _Tally()
     # candidate truncation points of the spectral-efficiency axis: 2, 3,
     # 4.5, ... up to the first one past 40
     brackets = [2.0]
     while brackets[-1] < 40.0:
         brackets.append(brackets[-1] * 1.5)
-
-    def rho_integral(k: int, v0: float) -> float:
-        # the spectral-efficiency integrand is smooth and monotone, so a
-        # fixed Gauss-Legendre rule on [0, hi] suffices once the
-        # truncation point hi is bracketed: the first candidate whose
-        # coverage mass is within 1e-5, else the last one
-        def masses(rhos):
-            return _coverage_masses(k, [2.0 ** r - 1.0 for r in rhos], v0,
-                                    budgets, inner, tally)
-
-        probes = masses(brackets[:-1])
-        hi = next((h for h, m in zip(brackets, probes) if m <= 1e-5),
-                  brackets[-1])
-        u, w = np.polynomial.legendre.leggauss(32)
-        rho = 0.5 * hi * (u + 1.0)
-        return float(0.5 * hi * np.sum(w * masses(rho.tolist())))
-
     u, w = np.polynomial.legendre.leggauss(24)
     hi = 6.5 * params.sigma_ue_m
     v0s = 0.5 * hi * (u + 1.0)
-    vals = np.empty(len(v0s))
-    for i, v0 in enumerate(v0s.tolist()):
-        vals[i] = (bandwidths[0] * rho_integral(1, v0)
-                   + bandwidths[1] * rho_integral(2, v0))
+    rho_u, rho_w = np.polynomial.legendre.leggauss(32)
+
+    def masses(k: int, rhos: np.ndarray) -> np.ndarray:
+        # row i: tier k's coverage masses at offset i and the spectral
+        # efficiencies of row i, every row in one batched pass
+        taus = [2.0 ** r - 1.0 for r in rhos.ravel().tolist()]
+        return _coverage_masses(k, taus, np.repeat(v0s, rhos.shape[1]),
+                                budgets, inner, tally).reshape(rhos.shape)
+
+    def rho_integrals(k: int) -> np.ndarray:
+        # the spectral-efficiency integrand is smooth and monotone, so a
+        # fixed Gauss-Legendre rule on [0, top] suffices once the
+        # truncation point top is bracketed: the first candidate whose
+        # coverage mass is within 1e-5, else the last one
+        probes = masses(k, np.tile(brackets[:-1], (v0s.size, 1)))
+        tops = np.array([next((h for h, m in zip(brackets, row)
+                               if m <= 1e-5), brackets[-1])
+                         for row in probes])
+        rule = masses(k, 0.5 * tops[:, None] * (rho_u + 1.0))
+        return 0.5 * tops * np.sum(rho_w * rule, axis=1)
+
+    vals = sum(b.bandwidth_hz * rho_integrals(k)
+               for k, b in enumerate(budgets, start=1))
     dens = rayleigh_pdf(v0s, params.sigma_ue_m)
     return float(0.5 * hi * np.sum(w * dens * vals))

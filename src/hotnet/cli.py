@@ -31,6 +31,9 @@ SWEEP_VARIABLES = ("n_bs", "eta", "bias_ratio_db", "v0", "tau_db")
 METRICS = ("assoc_prob", "coverage", "snr_coverage", "edge_sinr",
            "median_sinr", "edge_rate", "median_rate",
            "mean_serving_distance", "avg_rate")
+# closed forms that read only the parameters (outside a v0 sweep): a sweep
+# evaluates each once per parameter set
+_GRID_FREE = ("assoc_prob", "avg_rate", "median_sinr", "edge_sinr")
 # analytic root-finds run on a loosened tolerance; sweeps stay tractable
 _SWEEP_SPEC = QuadSpec(rel_tol=3e-3, abs_tol=1e-6)
 
@@ -234,12 +237,13 @@ def _eval_group(job) -> list[dict]:
         table = montecarlo.run_trials(
             params, sweep.scenario, trials, seed,
             assoc_only=_assoc_only_sufficient(sweep.metrics))
-    return [_eval_point(index, value, params, table, sweep, mode)
+    closed: dict = {}   # analytic cells by metric and the grid value read
+    return [_eval_point(index, value, params, table, sweep, mode, closed)
             for index, value in points]
 
 
 def _eval_point(index, value, params: SystemParams, table, sweep: SweepSpec,
-                mode: str) -> dict:
+                mode: str, closed: dict) -> dict:
     """One grid point: returns a row per metric."""
     if table is not None and sweep.variable == "v0":
         # bin half-width: a tenth of sigma_UE around the grid point
@@ -253,7 +257,11 @@ def _eval_point(index, value, params: SystemParams, table, sweep: SweepSpec,
             cell["mc"] = v
             cell["mc_stderr"] = se
         if mode in ("analytic", "both"):
-            cell["analytic"] = _analytic_metric(metric, params, sweep, value)
+            reads_grid = sweep.variable == "v0" or metric not in _GRID_FREE
+            key = (metric, value if reads_grid else None)
+            if key not in closed:
+                closed[key] = _analytic_metric(metric, params, sweep, value)
+            cell["analytic"] = closed[key]
         if mode == "both":
             a, m = cell.get("analytic"), cell.get("mc")
             cell["abs_diff"] = (abs(a - m)

@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import i0
 
 from hotnet import analytic, montecarlo
 from hotnet.association import link_budgets
@@ -218,16 +217,25 @@ def test_coverage_curves_nonincreasing(analytic_curve, mc_curve_integrated,
 
 
 def test_laplace_transforms_at_zero(defaults):
-    assert analytic.laplace_I1(0.0, 100.0, 60.0, defaults) == 1.0
-    assert analytic.laplace_I2_intra(0.0, 100.0, 60.0, defaults.n_bs,
-                                     defaults) == 1.0
-    assert analytic.laplace_I2_inter(0.0, defaults) == 1.0
+    macro, cells = link_budgets(defaults)
+    assert analytic.laplace_I1(0.0, 60.0, macro) == 1.0
+    assert analytic.laplace_I2_intra(0.0, 100.0, 60.0, cells.cluster) == 1.0
+    assert analytic.laplace_I2_inter(0.0, cells.cluster) == 1.0
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 5.0, 20.0])
 def test_angular_kernel_identity(t):
-    assert analytic.j_factor(t) == pytest.approx(2.0 * math.pi * i0(t),
-                                                 rel=1e-9)
+    # the member distance density is the angular integral of the 2-D
+    # normal scatter; its angular factor, the integral of exp(t cos th)
+    # over [-pi, pi] at t = r * v0 / sigma^2, is 2*pi*I0(t)
+    r, sigma = 30.0, 20.0
+    s2 = sigma * sigma
+    v0 = t * s2 / r
+    angular, _ = quad(lambda th: math.exp(
+        -(r * r + v0 * v0 - 2.0 * r * v0 * math.cos(th)) / (2.0 * s2)),
+        -math.pi, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert rice_pdf(r, v0, sigma) == pytest.approx(
+        r / (2.0 * math.pi * s2) * angular, rel=1e-9)
 
 
 def test_seed_determinism_bitwise(defaults):

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import i0
 from scipy.stats import ncx2
 
 from hotnet import analytic, montecarlo
@@ -65,10 +64,25 @@ def cell_law(params, deployment="a"):
 # scalar building blocks
 # ---------------------------------------------------------------------------
 
+def angular_rice_pdf(r, v0, sigma):
+    """The member distance density as the angular integral of the 2-D
+    normal scatter around a center at distance v0: the form whose angular
+    factor, integral of exp(t cos th) over [-pi, pi], is 2*pi*I0(t)."""
+    s2 = sigma * sigma
+    val, _ = quad(lambda th: math.exp(
+        -(r * r + v0 * v0 - 2.0 * r * v0 * math.cos(th)) / (2.0 * s2)),
+        -math.pi, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)
+    return r / (2.0 * math.pi * s2) * val
+
+
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 5.0, 20.0])
 def test_angular_factor_matches_bessel(t):
-    want = 2.0 * math.pi * i0(t)
-    assert analytic.j_factor(t) == pytest.approx(want, rel=1e-9)
+    # r * v0 / sigma^2 = t: the Bessel form of rice_pdf is the angular
+    # integral at the argument t
+    r, sigma = 30.0, 20.0
+    v0 = t * sigma ** 2 / r
+    assert rice_pdf(r, v0, sigma) == pytest.approx(
+        angular_rice_pdf(r, v0, sigma), rel=1e-9)
 
 
 @pytest.mark.parametrize("v0,sigma", [
@@ -189,8 +203,8 @@ def test_single_band_deployments_are_integrated_without_a_tier(scenario,
             == analytic.coverage(1.0, mapped))
     s = np.logspace(3.0, 9.0, 7)
     np.testing.assert_array_equal(
-        analytic.laplace_I2_inter(s, P, scenario=scenario),
-        analytic.laplace_I2_inter(s, mapped))
+        analytic.laplace_I2_inter(s, link_budgets(P, scenario)[1].cluster),
+        analytic.laplace_I2_inter(s, cell_law(mapped)))
 
 
 def test_sub6_only_deployment_has_no_mmwave_share():
@@ -253,16 +267,18 @@ def test_ppp_tail_integral_matches_direct_quadrature():
 
 
 def test_laplace_transforms_equal_one_at_zero():
-    assert analytic.laplace_I1(0.0, 100.0, 50.0, P) == 1.0
-    assert analytic.laplace_I2_intra(0.0, 100.0, 50.0, P.n_bs, P) == 1.0
-    assert analytic.laplace_I2_inter(0.0, P) == 1.0
+    macro, cells = link_budgets(P)
+    assert analytic.laplace_I1(0.0, 50.0, macro) == 1.0
+    assert analytic.laplace_I2_intra(0.0, 100.0, 50.0, cells.cluster) == 1.0
+    assert analytic.laplace_I2_inter(0.0, cells.cluster) == 1.0
 
 
 def test_laplace_transforms_decrease_in_s():
     s = np.logspace(2, 12, 9)
-    l1 = analytic.laplace_I1(s, 100.0, 50.0, P)
-    l2 = analytic.laplace_I2_intra(s, 100.0, 50.0, P.n_bs, P)
-    l3 = analytic.laplace_I2_inter(s, P)
+    macro, cells = link_budgets(P)
+    l1 = analytic.laplace_I1(s, 50.0, macro)
+    l2 = analytic.laplace_I2_intra(s, 100.0, 50.0, cells.cluster)
+    l3 = analytic.laplace_I2_inter(s, cells.cluster)
     for l in (l1, l2, l3):
         assert np.all(np.diff(l) <= 1e-12)
         assert np.all((l > 0.0) & (l <= 1.0))
@@ -332,8 +348,9 @@ def test_laplace_intra_matches_sampled_cluster(deployment):
         vals[i] = math.exp(-s * acc)
     emp = vals.mean()
     err = vals.std(ddof=1) / math.sqrt(n_draws)
-    got = float(analytic.laplace_I2_intra(s, v0, x, n, P,
-                                          scenario=link["scenario"]))
+    law = cell_law(P, deployment)
+    assert law.members == n
+    got = float(analytic.laplace_I2_intra(s, v0, x, law))
     assert abs(got - emp) < 4.0 * err + 5e-3
 
 
@@ -373,7 +390,7 @@ def test_laplace_inter_matches_sampled_clusters(deployment):
         vals[i] = math.exp(-s * acc)
     emp = vals.mean()
     err = vals.std(ddof=1) / math.sqrt(n_draws)
-    got = float(analytic.laplace_I2_inter(s, P, scenario=link["scenario"]))
+    got = float(analytic.laplace_I2_inter(s, cell_law(P, deployment)))
     assert abs(got - emp) < 4.0 * err + 5e-3
 
 
@@ -496,16 +513,14 @@ def test_coverage_integrand_matches_tiled_reference(deployment,
 @pytest.mark.parametrize("deployment", ["a", "d"])
 def test_scalar_cluster_exponent_callers_match_tiled_reference(
         deployment, monkeypatch):
-    scenario = MEMBER_LINKS[deployment]["scenario"]
-    inter = analytic._InterLaplace(cell_law(P, deployment))
+    law = cell_law(P, deployment)
+    inter = analytic._InterLaplace(law)
 
     def evaluate():
         # scalar s, v0, x; array s; the PGFL integrand: scalar s, array v
-        return (analytic.laplace_I2_intra(3e7, 120.0, 40.0, P.n_bs, P,
-                                          scenario=scenario),
+        return (analytic.laplace_I2_intra(3e7, 120.0, 40.0, law),
                 analytic.laplace_I2_intra(np.logspace(4.0, 10.0, 7), 120.0,
-                                          250.0, P.n_bs, P,
-                                          scenario=scenario),
+                                          250.0, law),
                 inter.exponent_exact(1e7))
 
     got = evaluate()
@@ -537,7 +552,7 @@ def test_laplace_inter_spline_matches_exact_exponent():
     cache = analytic._inter_cache(cell_law(P))
     for s in (1e5, 1e7, 1e9):
         exact = math.exp(-cache.exponent_exact(s))
-        interp = float(analytic.laplace_I2_inter(s, P))
+        interp = float(analytic.laplace_I2_inter(s, cell_law(P)))
         assert interp == pytest.approx(exact, abs=2e-4)
 
 
@@ -738,6 +753,47 @@ def test_avg_rate_frozen_value():
     assert analytic.avg_rate(P) == pytest.approx(2457725963.59, rel=1e-6)
 
 
+def loop_avg_rate(params, scenario, spec):
+    """avg_rate with one pass of coverage masses per offset node and
+    tier: the per-offset loop the batched passes replace, kept as their
+    reference."""
+    inner = replace(spec, abs_tol=1e-10)
+    budgets = link_budgets(params, scenario)
+    brackets = [2.0]
+    while brackets[-1] < 40.0:
+        brackets.append(brackets[-1] * 1.5)
+
+    def rho_integral(k, v0):
+        def masses(rhos):
+            return analytic._coverage_masses(
+                k, [2.0 ** r - 1.0 for r in rhos], v0, budgets, inner,
+                analytic._Tally())
+
+        probes = masses(brackets[:-1])
+        hi = next((h for h, m in zip(brackets, probes) if m <= 1e-5),
+                  brackets[-1])
+        u, w = np.polynomial.legendre.leggauss(32)
+        rho = 0.5 * hi * (u + 1.0)
+        return float(0.5 * hi * np.sum(w * masses(rho.tolist())))
+
+    u, w = np.polynomial.legendre.leggauss(24)
+    hi = 6.5 * params.sigma_ue_m
+    v0s = 0.5 * hi * (u + 1.0)
+    vals = np.array([budgets[0].bandwidth_hz * rho_integral(1, v0)
+                     + budgets[1].bandwidth_hz * rho_integral(2, v0)
+                     for v0 in v0s.tolist()])
+    dens = analytic.rayleigh_pdf(v0s, params.sigma_ue_m)
+    return float(0.5 * hi * np.sum(w * dens * vals))
+
+
+@pytest.mark.parametrize("deployment", ["a", "d"])
+def test_batched_avg_rate_matches_per_offset_loop(deployment):
+    scenario = MEMBER_LINKS[deployment]["scenario"]
+    spec = QuadSpec(rel_tol=1e-2, abs_tol=1e-4)
+    assert analytic.avg_rate(P, spec=spec, scenario=scenario) == \
+        loop_avg_rate(P, scenario, spec)
+
+
 def test_coverage_nonincreasing_and_bounded():
     taus = 10.0 ** (np.array([-10.0, -5.0, 0.0, 5.0, 10.0]) / 10.0)
     vals = [analytic.coverage(t, P) for t in taus]
@@ -781,7 +837,7 @@ def test_records_without_interference_segments_give_snr_coverage(
     silent = (replace(macro, segments=()),
               replace(cells, cluster=replace(cells.cluster, segments=())))
     s = np.logspace(2.0, 12.0, 5)
-    assert np.all(analytic._ppp_laplace(s, 50.0, silent[0]) == 1.0)
+    assert np.all(analytic.laplace_I1(s, 50.0, silent[0]) == 1.0)
     assert np.all(analytic._InterLaplace(silent[1].cluster)(s) == 1.0)
     curve = montecarlo.estimate_coverage(table_integrated, [0.0, 10.0],
                                          metric="snr")
@@ -795,6 +851,18 @@ def test_records_without_interference_segments_give_snr_coverage(
 def test_two_tier_variant_frozen_value():
     got = analytic.coverage_two_tier_sub6(1.0, P)
     assert got == pytest.approx(0.320386, abs=1e-3)
+
+
+def test_two_tier_without_small_cells_is_the_macro_network():
+    # with no members the typical cluster interferes with nothing, so (d)
+    # is (b): the macro tier alone
+    q = P.replace(n_bs=0)
+    d, b = ScenarioKind.TWO_TIER_SUB6, ScenarioKind.SUB6_ONLY
+    for tau_db in (-10.0, 0.0, 10.0):
+        tau = 10.0 ** (tau_db / 10.0)
+        assert analytic.coverage(tau, q, scenario=d) == \
+            analytic.coverage(tau, q, scenario=b), tau_db
+    assert analytic.avg_rate(q, scenario=d) == analytic.avg_rate(q, scenario=b)
 
 
 def test_two_tier_association_partitions():

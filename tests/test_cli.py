@@ -1,5 +1,7 @@
 """Config parsing and the sweep runner's CSV/figure/manifest outputs."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -389,3 +391,37 @@ def test_mc_percentile_cells_are_exact_quantiles(tmp_path, scenario):
     if scenario == "c":
         assert np.isnan(np.genfromtxt(out / "edge_sinr.csv", delimiter=",",
                                       names=True)["mc"])
+
+
+def test_tau_sweep_evaluates_grid_free_closed_forms_once(tmp_path,
+                                                         monkeypatch):
+    # a tau_db sweep keeps the parameters: only coverage reads the grid
+    # value, every other closed form is evaluated once for all points
+    monkeypatch.delenv("HOTNET_WORKERS", raising=False)
+    calls = []
+
+    def spy(name, value):
+        def fake(*args, **kwargs):
+            calls.append(name)
+            return value
+        return fake
+
+    for name, value in (("assoc_prob", 0.4), ("avg_rate", 2.5e9),
+                        ("coverage", 0.6)):
+        monkeypatch.setattr(analytic, name, spy(name, value))
+    monkeypatch.setattr(cli, "_analytic_percentile", spy("percentile", 3.0))
+    metrics = ("assoc_prob", "avg_rate", "median_sinr", "edge_sinr",
+               "coverage")
+    path = _write(tmp_path, "sweep_grid = -5, 0, 5\n"
+                            f"metrics = {', '.join(metrics)}\n"
+                            "bias2_db = 0\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--mode", "analytic",
+                 "--out", str(out), "--no-figures"]) == 0
+    assert Counter(calls) == {"assoc_prob": 1, "avg_rate": 1,
+                              "percentile": 2, "coverage": 3}
+    for metric in metrics:
+        data = np.genfromtxt(out / f"{metric}.csv", delimiter=",",
+                             names=True)
+        assert len(data) == 3
+        assert len(set(data["analytic"].tolist())) == 1, metric

@@ -13,10 +13,6 @@ UNREFERENCED = {
     "analytic.conditional_distance_pdf": "acceptance API",
     "analytic.coverage_no_nlos": "acceptance API",
     "analytic.coverage_two_tier_sub6": "perfbench calls it",
-    "analytic.j_factor": "acceptance API",
-    "analytic.laplace_I1": "acceptance API",
-    "analytic.laplace_I2_inter": "acceptance API",
-    "analytic.laplace_I2_intra": "acceptance API",
     "association.associate": "perfbench traces it",
     "geometry.sample_network": "perfbench traces it",
     "quadrature.integrate_semi_infinite": "perfbench traces it; public API",
@@ -122,6 +118,32 @@ def test_only_analytic_entry_points_read_the_records():
     assert not kernels, f"{kernels} call link_budgets: take the records " \
         f"from the entry point instead"
     assert {"coverage", "coverage_no_nlos", "avg_rate"} <= readers
+
+
+# Each interference transform has one copy: the kernel behind it is read
+# only by the transform it makes up (the inter-cluster transform integrates
+# the per-member exponent over the cluster centers).
+TRANSFORM_KERNELS = {
+    "_cluster_exponent": {"analytic.laplace_I2_intra",
+                          "analytic._InterLaplace"},
+    "_ppp_tail_integral": {"analytic.laplace_I1"},
+}
+
+
+def test_each_interference_transform_has_one_copy():
+    readers = {kernel: set() for kernel in TRANSFORM_KERNELS}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else getattr(node, "attr", None))
+                if name in readers and not isinstance(
+                        getattr(node, "ctx", None), ast.Store):
+                    readers[name].add(
+                        f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert readers == TRANSFORM_KERNELS, \
+        f"{readers}: evaluate the transforms laplace_I1, laplace_I2_intra " \
+        f"and laplace_I2_inter instead of a copy of them"
 
 
 def test_interferers_are_built_only_in_the_records():
