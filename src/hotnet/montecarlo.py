@@ -86,8 +86,8 @@ class CoverageCurve:
 # ---------------------------------------------------------------------------
 
 def _pick(probs, u: np.ndarray) -> np.ndarray:
-    """Outcome index of the discrete law ``probs`` for each uniform ``u``."""
-    return np.searchsorted(np.cumsum(probs[:-1]), u, side="right")
+    """Outcome (as a bool) of the two-outcome law ``probs`` for each ``u``."""
+    return u >= probs[0]
 
 
 def _fading(order: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -175,8 +175,8 @@ def _member_distances(cx: np.ndarray, sigma: float,
     """Distances to the origin of members scattered with spread ``sigma``
     around centers on the positive x-axis at ``cx``.  Rotating a cluster
     about the origin keeps its members' distances, so no angle is drawn."""
-    z = rng.standard_normal((2, len(cx)))
-    return np.hypot(cx + sigma * z[0], sigma * z[1])
+    x, y = sigma * rng.standard_normal((2, len(cx)))
+    return np.sqrt((x + cx) ** 2 + y * y)
 
 
 def _macro_others(r1: np.ndarray, radius: float, density: float,
@@ -206,12 +206,10 @@ def _cluster_members(law: ClusterLaw, radius: float, enlarged: float,
     counts = rng.poisson(law.members, len(centers))
     x = np.repeat(np.hypot(centers[:, 0], centers[:, 1]), counts)
     x += rng.normal(0.0, law.spread, len(x))
-    trial = np.repeat(owner, counts)
-    near = np.abs(x) <= radius
-    x, trial = x[near], trial[near]
-    d = np.hypot(x, rng.normal(0.0, law.spread, len(x)))
-    keep = d <= radius
-    return d[keep], trial[keep]
+    near = np.flatnonzero(np.abs(x) <= radius)
+    d2 = x[near] ** 2 + rng.normal(0.0, law.spread, len(near)) ** 2
+    keep = d2 <= radius * radius
+    return np.sqrt(d2[keep]), np.repeat(owner, counts)[near[keep]]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,8 @@ def _associate(run: _Run, n: int, rng: np.random.Generator) -> _Block:
         own_u = rng.random(drawn.shape)
         drawn = own_u < law.los_prob
     own = np.full(drawn.shape, np.nan)
-    own[drawn] = _member_distances(v0[drawn.nonzero()[0]], law.spread, rng)
+    rows = np.flatnonzero(drawn) // law.members  # nonzero()[0], faster
+    own[drawn] = _member_distances(v0[rows], law.spread, rng)
     cand = (own if law.los_ball is None
             else np.where(own < law.los_ball, own, np.inf))
     r2 = cand.min(axis=1, initial=np.inf)

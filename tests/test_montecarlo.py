@@ -7,6 +7,7 @@ import pytest
 
 from hotnet import montecarlo as mc
 from hotnet.association import Tier, link_budgets
+from hotnet.geometry import sample_ppp
 from hotnet.params import ScenarioKind, SystemParams
 
 P = SystemParams()
@@ -207,6 +208,145 @@ def test_interfering_members_stop_at_truncation_radius():
     want = P.lambda_p * P.n_bs * math.pi * radius ** 2
     stderr = counts.std(ddof=1) / math.sqrt(n)
     assert abs(counts.mean() - want) < 4.0 * stderr
+
+
+def test_interfering_members_are_homogeneous_inside_truncation_radius():
+    # a stationary cluster process has a flat member density, so a quarter
+    # of the kept members lie within R/2; clustering correlates members of
+    # one trial, so the stderr comes from the per-trial residuals
+    rng = np.random.default_rng(32)
+    radius = 3000.0
+    enlarged = radius + 6.0 * max(P.sigma_bs_m, P.sigma_ue_m)
+    n = 300
+    d, trial = mc._cluster_members(BUDGETS[1].cluster, radius, enlarged, n,
+                                   rng)
+    inner = np.bincount(trial[d <= radius / 2.0], minlength=n)
+    total = np.bincount(trial, minlength=n)
+    share = inner.sum() / total.sum()
+    stderr = (np.std(inner - share * total, ddof=1) * math.sqrt(n)
+              / total.sum())
+    assert abs(share - 0.25) < 4.0 * stderr
+
+
+# ---------------------------------------------------------------------------
+# the interferer path against its hypot-based reference kernels
+# ---------------------------------------------------------------------------
+
+def ref_pick(probs, u):
+    """Outcome index by a search of the cumulative law, kept as the
+    reference of the two-outcome ``mc._pick``."""
+    return np.searchsorted(np.cumsum(probs[:-1]), u, side="right")
+
+
+def ref_member_distances(cx, sigma, rng):
+    """Member distances through ``np.hypot``, kept as the reference of
+    ``mc._member_distances``."""
+    z = rng.standard_normal((2, len(cx)))
+    return np.hypot(cx + sigma * z[0], sigma * z[1])
+
+
+def ref_cluster_members(law, radius, enlarged, n, rng):
+    """Interfering members kept by their ``np.hypot`` distance, kept as
+    the reference of ``mc._cluster_members``: it makes the same random
+    draws."""
+    centers = sample_ppp(n * law.density, enlarged, rng)
+    owner = rng.integers(0, n, len(centers))
+    counts = rng.poisson(law.members, len(centers))
+    x = np.repeat(np.hypot(centers[:, 0], centers[:, 1]), counts)
+    x += rng.normal(0.0, law.spread, len(x))
+    trial = np.repeat(owner, counts)
+    near = np.abs(x) <= radius
+    x, trial = x[near], trial[near]
+    d = np.hypot(x, rng.normal(0.0, law.spread, len(x)))
+    keep = d <= radius
+    return d[keep], trial[keep]
+
+
+def test_two_outcome_pick_is_the_cumulative_search():
+    p0 = P.p_main
+    u = np.concatenate(([0.0, p0, np.nextafter(p0, 0.0),
+                         np.nextafter(p0, 1.0)],
+                        np.random.default_rng(3).random(10_000)))
+    np.testing.assert_array_equal(mc._pick((p0, 1.0 - p0), u),
+                                  ref_pick((p0, 1.0 - p0), u))
+    assert mc._pick((p0, 1.0 - p0), np.array([p0]))[0] == 1
+    assert mc._pick((p0, 1.0 - p0), np.array([0.0]))[0] == 0
+
+
+@pytest.mark.parametrize("scenario", list(ScenarioKind))
+def test_every_picked_law_has_two_outcomes(scenario):
+    # _pick compares against the first share alone, so a band with three
+    # segments or a segment with three gain levels would be misdrawn
+    for budget in link_budgets(P, scenario):
+        segments = budget.segments + (budget.cluster.segments
+                                      if budget.cluster else ())
+        bands = {}
+        for s in segments:
+            assert len(s.gain_probs) == len(s.gains) <= 2
+            bands[s.r_min, s.r_max] = bands.get((s.r_min, s.r_max), 0) + 1
+        assert max(bands.values(), default=0) <= 2
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_interferer_kernels_match_their_references(seed):
+    law = BUDGETS[1].cluster
+    radius = P.truncation_radius_m
+    enlarged = radius + 6.0 * max(P.sigma_bs_m, P.sigma_ue_m)
+    d, trial = mc._cluster_members(law, radius, enlarged, 300,
+                                   np.random.default_rng(seed))
+    d_ref, trial_ref = ref_cluster_members(law, radius, enlarged, 300,
+                                           np.random.default_rng(seed))
+    np.testing.assert_array_equal(trial, trial_ref)
+    np.testing.assert_array_max_ulp(d, d_ref, maxulp=2)
+    cx = np.random.default_rng(seed + 1).rayleigh(P.sigma_ue_m, 50_000)
+    np.testing.assert_array_max_ulp(
+        mc._member_distances(cx, law.spread, np.random.default_rng(seed)),
+        ref_member_distances(cx, law.spread, np.random.default_rng(seed)),
+        maxulp=2)
+    u = np.concatenate(([0.0, P.p_main],
+                        np.random.default_rng(seed).random(1000)))
+    for s in law.segments:
+        np.testing.assert_array_equal(
+            np.take(s.gains, mc._pick(s.gain_probs, u)),
+            np.take(s.gains, ref_pick(s.gain_probs, u)))
+
+
+@pytest.mark.parametrize("seed", [3, 20260823])
+@pytest.mark.parametrize("scenario", list(ScenarioKind))
+def test_run_trials_match_reference_kernels(scenario, seed, monkeypatch):
+    # a whole and a partial block, in full and association-only runs
+    n = mc.BLOCK_TRIALS + 300
+    taus = np.arange(-10.0, 21.0)
+    for assoc_only in (False, True):
+        got = mc.run_trials(P, scenario, n, seed, assoc_only)
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_pick", ref_pick)
+            m.setattr(mc, "_member_distances", ref_member_distances)
+            m.setattr(mc, "_cluster_members", ref_cluster_members)
+            want = mc.run_trials(P, scenario, n, seed, assoc_only)
+        np.testing.assert_array_equal(got.tier, want.tier)
+        np.testing.assert_array_equal(got.v0, want.v0)
+        for name in ("serving_distance", "sinr", "snr", "rate"):
+            np.testing.assert_allclose(getattr(got, name),
+                                       getattr(want, name), rtol=1e-12,
+                                       atol=0.0, equal_nan=True)
+        if not assoc_only:
+            np.testing.assert_array_equal(
+                mc.estimate_coverage(got, taus).probabilities,
+                mc.estimate_coverage(want, taus).probabilities)
+
+
+def test_random_stream_is_pinned():
+    # covered trials at 0 and 10 dB and mmWave-served trials of 2,500
+    # trials at seed 11: a change to any draw of the engine moves them,
+    # and must re-pin them with the change
+    pinned = {ScenarioKind.INTEGRATED: (1735, 1125, 1123),
+              ScenarioKind.TWO_TIER_SUB6: (813, 195, 562)}
+    for scenario, want in pinned.items():
+        t = mc.run_trials(P, scenario, 2500, seed=11)
+        covered = mc.estimate_coverage(t, [0.0, 10.0]).probabilities
+        mm = mc.estimate_assoc_prob(t, int(Tier.MMWAVE)).value
+        assert tuple(round(2500 * v) for v in (*covered, mm)) == want
 
 
 # ---------------------------------------------------------------------------
