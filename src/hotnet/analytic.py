@@ -94,16 +94,17 @@ def _rice_cdf(r, v0, sigma: float):
     scaled density."""
     r, v0 = np.broadcast_arrays(np.asarray(r, dtype=float),
                                 np.asarray(v0, dtype=float))
+    # everything beyond v0 + 9*sigma carries < 1e-16 of the mass; capping
+    # there keeps the chndtr argument in its stable range and the
+    # quadrature nodes on the density's support
+    cap = v0 + 9.0 * sigma
+    beyond = r >= cap
+    r = np.minimum(r, cap)
     out = np.empty(r.shape)
     ncx = v0 / sigma <= 25.0
     if np.any(ncx):
-        rn, vn = r[ncx], v0[ncx]
-        # everything beyond v0 + 9*sigma carries < 1e-16 of the mass;
-        # clipping there also keeps the chndtr argument in its stable range
-        cap = vn + 9.0 * sigma
-        q = np.square(np.minimum(rn, cap) / sigma)
-        out[ncx] = np.where(rn >= cap, 1.0,
-                            chndtr(q, 2.0, np.square(vn / sigma)))
+        out[ncx] = chndtr(np.square(r[ncx] / sigma), 2.0,
+                          np.square(v0[ncx] / sigma))
     if not np.all(ncx):
         rg, vg = r[~ncx], v0[~ncx]
         lo = np.maximum(vg - 9.0 * sigma, 0.0)
@@ -112,6 +113,7 @@ def _rice_cdf(r, v0, sigma: float):
         dens = rice_pdf(nodes, vg[:, None], sigma)
         out[~ncx] = np.clip(half * np.sum(_GL_WEIGHTS * dens, axis=-1),
                             0.0, 1.0)
+    out[beyond] = 1.0
     return out if out.ndim else float(out)
 
 
@@ -162,7 +164,7 @@ def _serving_reach(k: int, v0, budgets: _Records) -> np.ndarray:
     if k == 1:
         reach = (math.sqrt(36.0 / (math.pi * max(macro.density, 1e-12)))
                  if macro.density > 0 else 0.0)
-    elif law.density == 0 or law.members == 0 or law.los_prob == 0:
+    elif law.members == 0 or law.los_prob == 0:
         reach = 0.0
     else:
         reach = v0 + 9.0 * law.spread if law.los_ball is None \
@@ -206,8 +208,8 @@ def conditional_assoc_prob(k: int, v0: float, params: SystemParams,
                            scenario: ScenarioKind = INTEGRATED) -> float:
     """Probability of serving-tier k given the UE sits at distance v0 from
     its hotspot center."""
-    if v0 < 0:
-        raise ValueError("v0 must be nonnegative")
+    if not 0 <= v0 < math.inf:
+        raise ValueError("v0 must be nonnegative and finite")
     return float(_assoc_masses(k, np.array([v0], dtype=float),
                                link_budgets(params, scenario), spec,
                                _Tally())[0])
@@ -645,7 +647,7 @@ def _coverage(tau: float, budgets: _Records, sigma_ue: float,
               spec: QuadSpec) -> AnalyticReport:
     """Coverage of a deployment: both tiers' coverage masses averaged
     over the UE-to-center distance, Rayleigh with spread sigma_ue."""
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive (linear)")
     inner = spec.tighter()
 

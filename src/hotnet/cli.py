@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analytic, montecarlo
 from .params import ScenarioKind, SystemParams, linear_to_db
-from .quadrature import QuadSpec, find_root_monotone
+from .quadrature import QuadSpec
 
 SWEEP_VARIABLES = ("n_bs", "eta", "bias_ratio_db", "v0", "tau_db")
 METRICS = ("assoc_prob", "coverage", "snr_coverage", "edge_sinr",
@@ -156,12 +156,17 @@ def _params_at(base: SystemParams, sweep: SweepSpec, value) -> SystemParams:
 
 def _analytic_percentile(params: SystemParams, scenario: ScenarioKind,
                          target: float) -> float:
+    """The SINR threshold in dB at which coverage falls to ``target``,
+    to 0.01 dB; NaN when coverage does not cross it in [-40, 60] dB."""
+    # imported here: loading scipy.optimize costs about 0.2 s, which every
+    # import of the CLI would pay, and only percentile cells need it
+    from scipy.optimize import brentq
     try:
-        return find_root_monotone(
+        return brentq(
             lambda t_db: analytic.coverage(10.0 ** (t_db / 10.0), params,
                                            spec=_SWEEP_SPEC,
-                                           scenario=scenario),
-            target, (-40.0, 60.0), tol=0.01)
+                                           scenario=scenario) - target,
+            -40.0, 60.0, xtol=0.01)
     except ValueError:
         return math.nan
 

@@ -98,9 +98,8 @@ def rice_pdf(r, v0, sigma: float):
     return (r / s2) * np.exp(-np.square(r - v0) / (2.0 * s2)) * i0e(v0 * r / s2)
 
 
-def sample_network(params: SystemParams, rng: np.random.Generator,
-                   with_sub6: bool = True,
-                   with_mmwave: bool = True) -> NetworkRealization:
+def sample_network(params: SystemParams,
+                   rng: np.random.Generator) -> NetworkRealization:
     """Draw one full network realization.
 
     Hotspot centers are sampled on a window enlarged by six cluster
@@ -113,23 +112,19 @@ def sample_network(params: SystemParams, rng: np.random.Generator,
     psi = rng.uniform(0.0, 2.0 * math.pi)
     c0 = v0 * np.array([math.cos(psi), math.sin(psi)])
 
-    sub6 = (sample_ppp(params.lambda1, window, rng) if with_sub6
-            else np.empty((0, 2)))
+    sub6 = sample_ppp(params.lambda1, window, rng)
 
-    clusters: list[ClusterRealization] = []
-    if with_mmwave:
+    clusters = [sample_thomas_cluster(c0, params.sigma_bs_m, params.n_bs, rng)]
+    enlarged = window + 6.0 * max(params.sigma_bs_m, params.sigma_ue_m)
+    centers = sample_ppp(params.lambda_p, enlarged, rng)
+    counts = rng.poisson(params.n_bs, size=len(centers))
+    for center, m in zip(centers, counts):
         clusters.append(
-            sample_thomas_cluster(c0, params.sigma_bs_m, params.n_bs, rng))
-        enlarged = window + 6.0 * max(params.sigma_bs_m, params.sigma_ue_m)
-        centers = sample_ppp(params.lambda_p, enlarged, rng)
-        counts = rng.poisson(params.n_bs, size=len(centers))
-        for center, m in zip(centers, counts):
-            clusters.append(
-                sample_thomas_cluster(center, params.sigma_bs_m, int(m), rng))
-        for cl in clusters:
-            d = np.linalg.norm(cl.members, axis=1)
-            cl.los_mask = ((rng.random(len(d)) < params.p_los)
-                           & (d < params.r_los_ball_m))
+            sample_thomas_cluster(center, params.sigma_bs_m, int(m), rng))
+    for cl in clusters:
+        d = np.linalg.norm(cl.members, axis=1)
+        cl.los_mask = ((rng.random(len(d)) < params.p_los)
+                       & (d < params.r_los_ball_m))
 
     return NetworkRealization(sub6_points=sub6, clusters=clusters,
                               typical_offset_v0=v0, window_radius=window)

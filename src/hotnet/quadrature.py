@@ -1,4 +1,4 @@
-"""Adaptive 1-D integration (Gauss-Kronrod 7/15) and monotone root finding.
+"""Adaptive 1-D integration (Gauss-Kronrod 7/15).
 
 One refinement loop, ``integrate_batch``, integrates many integrands at
 once, each over its own interval and each refined and stopped on its own,
@@ -67,8 +67,8 @@ class QuadSpec:
     max_panels: int = 4000
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
+            raise ValueError("rel_tol and abs_tol must be positive")
 
     def tighter(self) -> "QuadSpec":
         """Spec with a tenth of these tolerances, for inner nested
@@ -237,7 +237,7 @@ def half_line(f: Callable, a: float, scale: float) -> Callable:
     ``scale`` should match the decay length of the integrands so the
     transformed integrands are well resolved.
     """
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError("scale must be positive")
 
     def g(u, j):
@@ -256,49 +256,3 @@ def integrate_semi_infinite(f: Callable, a: float, scale: float,
     g = half_line(lambda r, j: f(r), a, scale)
     return integrate_adaptive(lambda u: g(u, None), 0.0, 1.0, spec)
 
-
-def find_root_monotone(f: Callable[[float], float], target: float,
-                       bracket: tuple[float, float], tol: float = 1e-9,
-                       max_iter: int = 200) -> float:
-    """Solve ``f(x) = target`` for nonincreasing ``f`` to within ``tol``
-    in x, by bracketing false-position steps with the Illinois rule.
-
-    Requires ``f(lo) >= target >= f(hi)``.  Stops once the bracket is at
-    most ``tol`` wide (a test on x only, whatever the scale of f) and
-    returns the secant root of the final bracket, which lies inside it.
-    On a flat segment any point of the segment may be returned.
-    """
-    lo, hi = bracket
-    if lo > hi:
-        raise ValueError("bracket must satisfy lo <= hi")
-    flo, fhi = f(lo), f(hi)
-    if not (flo >= target >= fhi):
-        raise ValueError(
-            f"bracket does not straddle target: f({lo})={flo}, f({hi})={fhi}, "
-            f"target={target}")
-    glo, ghi = flo - target, fhi - target
-    # wlo, whi: the end values the steps use; the Illinois rule halves the
-    # one at the end that stayed put twice running, so both ends close in
-    wlo, whi, moved = glo, ghi, 0
-    for _ in range(max_iter):
-        if glo == 0.0:
-            return lo
-        if ghi == 0.0:
-            return hi
-        if hi - lo <= tol:
-            break
-        # a step at least tol/2 inside the bracket always shrinks it
-        x = lo + (hi - lo) * wlo / (wlo - whi)
-        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
-        gx = f(x) - target
-        if gx >= 0.0:
-            lo, glo, wlo = x, gx, gx
-            if moved == 1:
-                whi *= 0.5
-            moved = 1
-        else:
-            hi, ghi, whi = x, gx, gx
-            if moved == -1:
-                wlo *= 0.5
-            moved = -1
-    return lo + (hi - lo) * glo / (glo - ghi)

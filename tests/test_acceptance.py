@@ -10,12 +10,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from hotnet import analytic, montecarlo
 from hotnet.association import link_budgets
 from hotnet.geometry import rice_pdf
 from hotnet.params import ScenarioKind, SystemParams, linear_to_db
-from hotnet.quadrature import QuadSpec, find_root_monotone
+from hotnet.quadrature import QuadSpec
 
 from conftest import SEED, TAU_GRID_DB
 
@@ -24,10 +25,10 @@ LOOSE = QuadSpec(rel_tol=3e-3, abs_tol=1e-6)
 
 
 def _median_sinr_db(params: SystemParams) -> float:
-    return find_root_monotone(
+    return brentq(
         lambda t_db: analytic.coverage(10.0 ** (t_db / 10.0), params,
-                                       spec=LOOSE),
-        0.5, (-40.0, 60.0), tol=0.005)
+                                       spec=LOOSE) - 0.5,
+        -40.0, 60.0, xtol=0.005)
 
 
 # ---------------------------------------------------------------------------

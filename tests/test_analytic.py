@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from hotnet import analytic, montecarlo
 from hotnet.association import boundary_map, link_budgets
 from hotnet.geometry import rice_pdf, sample_thomas_cluster
 from hotnet.params import ScenarioKind, SystemParams
-from hotnet.quadrature import (QuadSpec, integrate_adaptive,
+from hotnet.quadrature import (QuadSpec, half_line, integrate_adaptive,
                                integrate_semi_infinite)
 
 P = SystemParams()
@@ -116,8 +117,12 @@ def test_rice_cdf_takes_offsets_per_element():
 
 
 def test_rice_cdf_far_tail_saturates():
-    assert analytic._rice_cdf(1e6, 300.0, 100.0) == pytest.approx(1.0,
-                                                                  abs=1e-12)
+    # the chndtr branch, then two points of the quadrature branch
+    # (v0/sigma > 25)
+    for r, v0, sigma in ((1e6, 300.0, 100.0), (1e6, 3000.0, 100.0),
+                         (13000.0, 1000.0, 15.0)):
+        assert analytic._rice_cdf(r, v0, sigma) == pytest.approx(1.0,
+                                                                 abs=1e-12)
 
 
 def test_los_distance_law_consistency():
@@ -177,6 +182,45 @@ def test_conditional_association_partitions_for_each_offset():
         a1 = analytic.conditional_assoc_prob(1, v0, P)
         a2 = analytic.conditional_assoc_prob(2, v0, P)
         assert a1 + a2 == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("scenario", [ScenarioKind.INTEGRATED,
+                                      ScenarioKind.TWO_TIER_SUB6],
+                         ids=["a", "d"])
+def test_own_cluster_serves_without_other_hotspots(scenario):
+    # with no other hotspot the typical UE's own cluster is still there:
+    # the closed forms are their lambda_p -> 0 limit
+    alone = P.replace(lambda_p_per_km2=0.0)
+    limit = P.replace(lambda_p_per_km2=1e-9)
+    a1 = analytic.assoc_prob(1, alone, scenario=scenario)
+    a2 = analytic.assoc_prob(2, alone, scenario=scenario)
+    assert a1 + a2 == pytest.approx(1.0, abs=1e-6)
+    assert a2 == pytest.approx(
+        analytic.assoc_prob(2, limit, scenario=scenario), abs=1e-9)
+    assert analytic.coverage(1.0, alone, scenario=scenario) == pytest.approx(
+        analytic.coverage(1.0, limit, scenario=scenario), abs=1e-9)
+
+
+# each range check, by the name of the value it guards
+RANGE_CHECKS = {
+    "tau": lambda x: analytic.coverage(x, P),
+    "v0": lambda x: analytic.conditional_assoc_prob(2, x, P),
+    "rel_tol": lambda x: QuadSpec(rel_tol=x),
+    "abs_tol": lambda x: QuadSpec(abs_tol=x),
+    "scale": lambda x: half_line(lambda r, j: r, 0.0, x),
+}
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("tau", -1.0), ("tau", 0.0), ("tau", math.nan),
+    ("v0", -1.0), ("v0", math.inf), ("v0", math.nan),
+    ("rel_tol", -1.0), ("rel_tol", 0.0), ("rel_tol", math.nan),
+    ("abs_tol", -1.0), ("abs_tol", 0.0), ("abs_tol", math.nan),
+    ("scale", -1.0), ("scale", 0.0), ("scale", math.nan),
+])
+def test_range_checks_reject_bad_values(name, bad):
+    with pytest.raises(ValueError, match=name):
+        RANGE_CHECKS[name](bad)
 
 
 def test_degenerate_tiers():
@@ -681,17 +725,32 @@ def test_avg_rate_same_on_second_call():
     assert analytic.avg_rate(P) == analytic.avg_rate(P)
 
 
-def test_library_imports_no_scipy_interpolate():
-    # the inter-cluster transform interpolates on its own lattice; every
-    # process would pay for importing scipy.interpolate otherwise
+@lru_cache(maxsize=1)
+def _modules_after_library_import() -> frozenset:
+    """The modules a fresh interpreter holds after importing the engines
+    and the CLI."""
     src = Path(analytic.__file__).resolve().parents[1]
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     code = ("import sys, hotnet.analytic, hotnet.montecarlo, hotnet.cli\n"
-            "print('scipy.interpolate' in sys.modules)")
+            "print(' '.join(sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=path)).stdout
-    assert out.strip() == "False"
+    return frozenset(out.split())
+
+
+def test_library_imports_no_scipy_interpolate():
+    # the inter-cluster transform interpolates on its own lattice; every
+    # process would pay for importing scipy.interpolate otherwise
+    assert "scipy.interpolate" not in _modules_after_library_import()
+
+
+def test_library_imports_no_root_finder_or_plotting():
+    # the percentile root finder and the figures import these when they
+    # run; a process that only evaluates the engines never loads them
+    loaded = _modules_after_library_import()
+    assert "scipy.optimize" not in loaded
+    assert "matplotlib" not in loaded
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Config parsing and the sweep runner's CSV/figure/manifest outputs."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -339,6 +340,15 @@ def test_analytic_percentile_is_the_coverage_root(target):
         scenario=scenario) - target, -40.0, 60.0, xtol=1e-4)
     got = cli._analytic_percentile(params, scenario, target)
     assert abs(got - root) <= 0.01
+
+
+def test_unreachable_percentile_is_nan():
+    # without macro BSs (c) a UE whose cluster has no LoS member is never
+    # covered, so coverage stays below 0.95 at every threshold
+    params, scenario = SystemParams(), ScenarioKind.MMWAVE_ONLY
+    assert analytic.coverage(1e-4, params, spec=cli._SWEEP_SPEC,
+                             scenario=scenario) < 0.95
+    assert math.isnan(cli._analytic_percentile(params, scenario, 0.95))
 
 
 def test_sweep_at_fixed_parameters_draws_one_table(tmp_path, monkeypatch):

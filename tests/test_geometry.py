@@ -130,14 +130,6 @@ def test_sample_network_structure():
         assert not np.any(cl.los_mask & (d >= P.r_los_ball_m))
 
 
-def test_sample_network_flags():
-    rng = np.random.default_rng(43)
-    net = sample_network(P, rng, with_sub6=False)
-    assert len(net.sub6_points) == 0
-    net = sample_network(P, rng, with_mmwave=False)
-    assert net.clusters == []
-
-
 def test_sample_network_deterministic_given_generator():
     a = sample_network(P, np.random.default_rng(99))
     b = sample_network(P, np.random.default_rng(99))

@@ -1,17 +1,15 @@
-"""Adaptive Gauss-Kronrod integration and the monotone root finder."""
+"""Adaptive Gauss-Kronrod integration."""
 
 import heapq
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hotnet import quadrature
 from hotnet.quadrature import (IntegrationResult, QuadSpec,
-                               find_root_monotone, integrate_adaptive,
-                               integrate_batch, integrate_semi_infinite)
+                               integrate_adaptive, integrate_batch,
+                               integrate_semi_infinite)
 
 TIGHT = QuadSpec(rel_tol=1e-10, abs_tol=1e-14)
 
@@ -116,25 +114,6 @@ def test_nonconvergence_is_reported_not_raised():
     res = integrate_adaptive(lambda x: np.abs(x) ** -0.99, 1e-12, 1.0, spec)
     assert not res.converged
     assert np.isfinite(res.value)
-
-
-def test_root_finder_linear():
-    x = find_root_monotone(lambda t: 1.0 - t, 0.25, (0.0, 1.0), tol=1e-10)
-    assert x == pytest.approx(0.75, abs=1e-6)
-
-
-def test_root_finder_requires_bracketing():
-    with pytest.raises(ValueError):
-        find_root_monotone(lambda t: 1.0 - t, 5.0, (0.0, 1.0))
-
-
-@given(st.floats(min_value=0.05, max_value=0.95))
-@settings(max_examples=25, deadline=None)
-def test_root_finder_inverts_survival_function(target):
-    # f(t) = exp(-t) is nonincreasing on [0, 10]
-    x = find_root_monotone(lambda t: math.exp(-t), target, (0.0, 10.0),
-                           tol=1e-12)
-    assert math.exp(-x) == pytest.approx(target, abs=1e-6)
 
 
 def test_tighter_spec_scales_tolerances():
