@@ -16,7 +16,8 @@ block; a trailing partial block is drawn afresh.
 Interferers are truncated at ``truncation_radius_m``: BSs beyond it are
 dropped, and the expected interference of the network outside enters as
 a deterministic mean tail, which keeps the truncation bias far below the
-Monte Carlo noise floor.
+Monte Carlo noise floor.  The truncation bounds interferers only: the
+nearest macro BS is a serving candidate wherever it lies.
 """
 
 from __future__ import annotations
@@ -137,10 +138,10 @@ def _received(segments: tuple[KernelSegment, ...], d: np.ndarray,
 
 
 def _tail_mean(segments: tuple[KernelSegment, ...], density: float,
-               radius: float) -> float:
-    """Expected interference beyond ``radius`` from interferers of
-    ``density`` per m^2: their unbounded segments at their mean gain and
-    unit-mean fading."""
+               radius: float | np.ndarray):
+    """Expected interference beyond ``radius`` (a scalar or an array)
+    from interferers of ``density`` per m^2: their unbounded segments at
+    their mean gain and unit-mean fading."""
     return sum(2.0 * math.pi * density * s.share
                * float(np.dot(s.gains, s.gain_probs)) * s.intercept
                * radius ** (2.0 - s.alpha) / (s.alpha - 2.0)
@@ -182,9 +183,9 @@ def _member_distances(cx: np.ndarray, sigma: float,
 def _macro_others(r1: np.ndarray, radius: float, density: float,
                   rng: np.random.Generator):
     """Distances and trial index of the macro BSs past the nearest one at
-    ``r1``: a PPP on the annulus ``[r1, radius]``, empty for an infinite
-    ``r1`` (no macro BS inside the disk)."""
-    r1 = np.where(np.isfinite(r1), r1, radius)
+    ``r1``: a PPP on the annulus ``[r1, radius]``, empty for an ``r1``
+    beyond the disk."""
+    r1 = np.minimum(r1, radius)
     counts = rng.poisson(density * math.pi * (radius ** 2 - r1 ** 2))
     trial = np.repeat(np.arange(len(r1)), counts)
     inner = r1[trial] ** 2
@@ -249,7 +250,6 @@ def _associate(run: _Run, n: int, rng: np.random.Generator) -> _Block:
     if lam > 0:
         # the nearest point of a PPP: pi lambda r1^2 ~ Exp(1)
         r1 = np.sqrt(rng.standard_exponential(n) / (math.pi * lam))
-        r1[r1 > run.radius] = np.inf
     own_u, drawn = None, np.ones((n, law.members), dtype=bool)
     if law.los_ball is not None:
         own_u = rng.random(drawn.shape)
@@ -271,11 +271,16 @@ def _macro_interference(run: _Run, block: _Block, idx: np.ndarray,
                         serves: bool,
                         rng: np.random.Generator) -> np.ndarray:
     """Macro interference at the trials ``idx``: the macro BSs past the
-    nearest one, and the nearest one too unless it ``serves``."""
+    nearest one, and the nearest one too unless it ``serves``.  The mean
+    tail starts at the disk's edge, or at the nearest BS beyond it."""
     macro = run.budgets[0]
     r1 = block.r1[idx]
+    # the scalar tail at the disk's edge, then the trials beyond it: an
+    # array power for all trials could move their values in the last bit
     out = np.full(len(r1), _tail_mean(macro.segments, macro.density,
                                       run.radius))
+    far = r1 > run.radius
+    out[far] = _tail_mean(macro.segments, macro.density, r1[far])
     per_trial = macro.density * math.pi * run.radius ** 2
     step = max(1, int(INTERFERER_CHUNK / max(per_trial, 1.0)))
     for i in range(0, len(r1), step):

@@ -22,7 +22,6 @@ at most one ``_CHUNK`` call and its panel budget is overrun by at most 16.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,9 +82,6 @@ class IntegrationResult:
     est_error: float
     evaluations: int
     converged: bool
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _panel_batch(f: Callable, lo: np.ndarray, hi: np.ndarray,

@@ -88,12 +88,17 @@ def test_angular_factor_matches_bessel(t):
 
 @pytest.mark.parametrize("v0,sigma", [
     (0.0, 100.0), (120.0, 100.0), (900.0, 100.0),
-    (2600.0, 100.0),      # large noncentrality: quadrature fallback branch
+    (2600.0, 100.0),      # large noncentrality, v0/sigma = 26
     (100.0, 15.0),        # tight cluster, far evaluation points
+    # clusters far from the user: v0/sigma = 85, 300 and 3000
+    (1275.0, 15.0), (4500.0, 15.0), (45000.0, 15.0),
 ])
 def test_rice_cdf_matches_density_integral(v0, sigma):
+    # the density is negligible below v0 - 12 sigma; starting there keeps
+    # the narrow peak of a far cluster resolved
+    lo = max(0.0, v0 - 12.0 * sigma)
     for r in (0.3 * sigma, v0 + 0.5 * sigma, v0 + 3.0 * sigma):
-        want, _ = quad(rice_pdf, 0.0, r, args=(v0, sigma),
+        want, _ = quad(rice_pdf, lo, r, args=(v0, sigma),
                        limit=400)
         assert analytic._rice_cdf(r, v0, sigma) == pytest.approx(
             want, abs=1e-8)
@@ -108,7 +113,7 @@ def test_rice_cdf_is_the_noncentral_chi_square_cdf():
 
 
 def test_rice_cdf_takes_offsets_per_element():
-    # offsets on both sides of the v0/sigma = 25 switch to quadrature
+    # offsets from v0/sigma = 0 to 130, each with a distance of its own
     sigma = 20.0
     v0 = np.array([0.0, 130.0, 480.0, 520.0, 2600.0, 499.0])
     r = np.array([15.0, 100.0, 470.0, 560.0, 2590.0, 700.0])
@@ -117,8 +122,7 @@ def test_rice_cdf_takes_offsets_per_element():
 
 
 def test_rice_cdf_far_tail_saturates():
-    # the chndtr branch, then two points of the quadrature branch
-    # (v0/sigma > 25)
+    # far beyond the cluster, at v0/sigma = 3, 30 and 67
     for r, v0, sigma in ((1e6, 300.0, 100.0), (1e6, 3000.0, 100.0),
                          (13000.0, 1000.0, 15.0)):
         assert analytic._rice_cdf(r, v0, sigma) == pytest.approx(1.0,
@@ -841,7 +845,7 @@ def loop_avg_rate(params, scenario, spec):
     vals = np.array([budgets[0].bandwidth_hz * rho_integral(1, v0)
                      + budgets[1].bandwidth_hz * rho_integral(2, v0)
                      for v0 in v0s.tolist()])
-    dens = analytic.rayleigh_pdf(v0s, params.sigma_ue_m)
+    dens = rice_pdf(v0s, 0.0, params.sigma_ue_m)
     return float(0.5 * hi * np.sum(w * dens * vals))
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hotnet import analytic
 from hotnet import montecarlo as mc
 from hotnet.association import Tier, link_budgets
 from hotnet.geometry import sample_ppp
@@ -192,6 +193,22 @@ def test_tail_means_match_closed_forms():
         sub6, rel=1e-12)
     assert mc._tail_mean(CELL_SEGS, CELL_DENSITY, r) == pytest.approx(
         mm, rel=1e-12)
+
+
+def test_macro_tail_starts_at_a_nearest_bs_beyond_the_disk():
+    # the nearest macro BS at 5 km, outside the 3 km disk: no other macro
+    # BS is drawn inside it, and the mean tail starts at 5 km
+    run = mc._Run(BUDGETS, P.sigma_ue_m, 3000.0, 3900.0)
+    r1 = np.array([5000.0])
+    block = mc._Block(np.zeros(1), r1, np.zeros((1, 1)), None,
+                      np.zeros((1, 1)), np.ones(1, dtype=np.int8), r1)
+    tail = mc._tail_mean(MACRO_SEGS, MACRO_DENSITY, 5000.0)
+    served = mc._macro_interference(run, block, np.array([0]), True,
+                                    np.random.default_rng(0))
+    assert served[0] == tail
+    heard = mc._macro_interference(run, block, np.array([0]), False,
+                                   np.random.default_rng(0))
+    assert heard[0] > tail
 
 
 def test_interfering_members_stop_at_truncation_radius():
@@ -406,6 +423,23 @@ def test_assoc_only_matches_full_runs_on_tiers():
     p_full = np.mean(full.tier == 2)
     se = math.sqrt(p_full * (1 - p_full) / 6000 + p_fast * (1 - p_fast) / 60_000)
     assert abs(p_fast - p_full) < 4.0 * se
+
+
+def test_sparse_macro_tier_serves_beyond_truncation_radius():
+    # at 0.05 macro BSs per km^2 the nearest one lies beyond the 3 km
+    # truncation disk for a quarter of the users; it still serves them,
+    # as in the analytic law, so nobody is left unserved
+    q = P.replace(lambda1_per_km2=0.05)
+    t = mc.run_trials(q, ScenarioKind.INTEGRATED, 200_000, seed=7,
+                      assoc_only=True)
+    assert np.all(t.served)
+    for k in (1, 2):
+        est = mc.estimate_assoc_prob(t, k)
+        assert abs(est.value - analytic.assoc_prob(k, q)) <= \
+            4.0 * est.stderr + 0.005
+    full = mc.run_trials(q, ScenarioKind.INTEGRATED, 2000, seed=7)
+    assert np.all(full.served)
+    assert np.all((full.sinr > 0.0) & np.isfinite(full.sinr))
 
 
 # ---------------------------------------------------------------------------

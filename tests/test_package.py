@@ -159,3 +159,13 @@ def test_interferers_are_built_only_in_the_records():
                     builders.add(f"{path.stem}.{getattr(top, 'name', '?')}")
     assert builders == {"association.link_budgets"}, \
         f"{sorted(builders)} build kernel segments: read the records instead"
+
+
+def test_package_root_re_exports_nothing():
+    # the root holds its docstring and version only: callers import the
+    # submodules, and a re-export is a second name that no caller needs
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imports = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not imports, f"hotnet/__init__.py imports {imports}: import " \
+        f"the submodule where it is used instead"
