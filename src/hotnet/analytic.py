@@ -46,6 +46,7 @@ from .quadrature import (QuadSpec, half_line, integrate_adaptive,
 
 DEFAULT_SPEC = QuadSpec(rel_tol=1e-6, abs_tol=1e-14)
 OUTER_SPEC = QuadSpec(rel_tol=1e-5, abs_tol=1e-9)
+RATE_SPEC = QuadSpec(rel_tol=1e-3, abs_tol=1e-6)
 INTEGRATED = ScenarioKind.INTEGRATED
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -180,14 +181,13 @@ def _assoc_masses(k: int, v0, budgets: _Records, spec: QuadSpec,
 
 
 def conditional_assoc_prob(k: int, v0: float, params: SystemParams,
-                           spec: QuadSpec = DEFAULT_SPEC,
                            scenario: ScenarioKind = INTEGRATED) -> float:
     """Probability of serving-tier k given the UE sits at distance v0 from
     its hotspot center."""
     if not 0 <= v0 < math.inf:
         raise ValueError("v0 must be nonnegative and finite")
     return float(_assoc_masses(k, np.array([v0], dtype=float),
-                               link_budgets(params, scenario), spec,
+                               link_budgets(params, scenario), DEFAULT_SPEC,
                                _Tally())[0])
 
 
@@ -216,17 +216,15 @@ def _probability(report: AnalyticReport, with_report: bool):
     return replace(report, value=value) if with_report else value
 
 
-def assoc_prob(k: int, params: SystemParams,
-               spec: QuadSpec = DEFAULT_SPEC,
-               with_report: bool = False,
+def assoc_prob(k: int, params: SystemParams, with_report: bool = False,
                scenario: ScenarioKind = INTEGRATED):
     """Tier association probability, averaged over the Rayleigh-distributed
     UE-to-center distance."""
-    inner = spec.tighter()
+    inner = DEFAULT_SPEC.tighter()
     budgets = link_budgets(params, scenario)
     report = _offset_average(
         lambda v, tally: _assoc_masses(k, v, budgets, inner, tally),
-        params.sigma_ue_m, spec)
+        params.sigma_ue_m, DEFAULT_SPEC)
     return _probability(report, with_report)
 
 
@@ -658,13 +656,12 @@ def coverage_no_nlos(tau: float, params: SystemParams) -> float:
                                   params.sigma_ue_m, OUTER_SPEC), False)
 
 
-def coverage_two_tier_sub6(tau: float, params: SystemParams,
-                           spec: QuadSpec = OUTER_SPEC) -> float:
+def coverage_two_tier_sub6(tau: float, params: SystemParams) -> float:
     """Coverage of the baseline two-tier network with both tiers on the
     Sub-6GHz band (cross-tier interference, Rayleigh fading)."""
     budgets = link_budgets(params, ScenarioKind.TWO_TIER_SUB6)
-    return _probability(_coverage(tau, budgets, params.sigma_ue_m, spec),
-                        False)
+    return _probability(_coverage(tau, budgets, params.sigma_ue_m,
+                                  OUTER_SPEC), False)
 
 
 # ---------------------------------------------------------------------------
@@ -672,18 +669,17 @@ def coverage_two_tier_sub6(tau: float, params: SystemParams,
 # ---------------------------------------------------------------------------
 
 def avg_rate(params: SystemParams,
-             spec: QuadSpec = QuadSpec(rel_tol=1e-3, abs_tol=1e-6),
              scenario: ScenarioKind = INTEGRATED) -> float:
     """Average achievable rate in bits/s: per-tier bandwidth times the
     integrated conditional coverage over the spectral-efficiency axis.
 
-    A triple-nested quadrature; the default tolerance is deliberately
-    looser than the coverage path.  The offsets are averaged on a fixed
-    24-node Gauss-Legendre rule over [0, 6.5 sigma_ue], which holds 0.1%
-    only near the default spreads: against a 96-node rule it is within
-    1e-6 at the defaults but 1.5% low for (a) at sigma_bs = 15 m,
+    A triple-nested quadrature on ``RATE_SPEC``, deliberately looser than
+    the coverage path.  The offsets are averaged on a fixed 24-node
+    Gauss-Legendre rule over [0, 6.5 sigma_ue], which holds 0.1% only
+    near the default spreads: against a 96-node rule it is within 1e-6 at
+    the defaults but 1.5% low for (a) at sigma_bs = 15 m,
     sigma_ue = 150 m."""
-    inner = replace(spec, abs_tol=1e-10)
+    inner = replace(RATE_SPEC, abs_tol=1e-10)
     budgets = link_budgets(params, scenario)
     tally = _Tally()
     # candidate truncation points of the spectral-efficiency axis: 2, 3,

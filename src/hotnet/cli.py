@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -233,10 +231,10 @@ def _assoc_only_sufficient(metrics) -> bool:
     return set(metrics) <= {"assoc_prob", "mean_serving_distance"}
 
 
-def _eval_group(job) -> list[dict]:
-    """The grid points of one parameter set, all read from one trial table
-    (worker-pool entry)."""
-    (points, params, sweep, mode, seed, trials) = job
+def _eval_group(points, params: SystemParams, sweep: SweepSpec, mode: str,
+                seed: int, trials: int) -> list[dict]:
+    """The grid points of one parameter set, all read from one trial
+    table."""
     table = None
     if mode in ("mc", "both"):
         table = montecarlo.run_trials(
@@ -366,32 +364,23 @@ def cmd_run(args) -> int:
             raise ConfigError("--trials must be >= 1")
         if args.seed < 0:
             raise ConfigError("--seed must be nonnegative")
-        try:
-            workers = int(os.environ.get("HOTNET_WORKERS", "1"))
-        except ValueError:
-            raise ConfigError("HOTNET_WORKERS must be an integer") from None
         cfg = parse_config(args.config)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for w in cfg.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # a v0 or tau_db sweep keeps the parameters: its points share a table
     groups: dict[SystemParams, list] = {}
     for i, v in enumerate(cfg.sweep.grid):
         groups.setdefault(_params_at(cfg.params, cfg.sweep, v),
                           []).append((i, v))
-    jobs = [(points, params, cfg.sweep, args.mode, args.seed, args.trials)
-            for params, points in groups.items()]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_group = list(pool.map(_eval_group, jobs))
-    else:
-        per_group = [_eval_group(j) for j in jobs]
-    rows = [row for group in per_group for row in group]
+    rows = [row for params, points in groups.items()
+            for row in _eval_group(points, params, cfg.sweep, args.mode,
+                                   args.seed, args.trials)]
 
     paths = _write_csv(out_dir, cfg.sweep, args.mode, rows)
     _write_manifest(out_dir, cfg, args.mode, args.seed, args.trials)
@@ -418,7 +407,7 @@ def cmd_validate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for w in cfg.warnings:
-        print(f"warning: {w}")
+        print(f"warning: {w}", file=sys.stderr)
     print("\n".join(_resolved(cfg)))
     return 0
 

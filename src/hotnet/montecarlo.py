@@ -9,9 +9,9 @@ records, over fixed blocks of ``BLOCK_TRIALS`` trials.
 - SINR: signal over noise plus interference, and the Shannon rate.
 
 Block ``b`` draws from ``SeedSequence([seed, b])``, so a table is a
-function of (params, scenario, n_trials, seed) alone, whatever the worker
-count.  A shorter run is a prefix of a longer one up to its last whole
-block; a trailing partial block is drawn afresh.
+function of (params, scenario, n_trials, seed) alone.  A shorter run is a
+prefix of a longer one up to its last whole block; a trailing partial
+block is drawn afresh.
 
 Interferers are truncated at ``truncation_radius_m``: BSs beyond it are
 dropped, and the expected interference of the network outside enters as

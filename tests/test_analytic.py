@@ -755,6 +755,8 @@ def test_library_imports_no_root_finder_or_plotting():
     loaded = _modules_after_library_import()
     assert "scipy.optimize" not in loaded
     assert "matplotlib" not in loaded
+    # a sweep runs in one process: nothing loads a process pool
+    assert "multiprocessing" not in loaded
 
 
 # ---------------------------------------------------------------------------
@@ -850,10 +852,11 @@ def loop_avg_rate(params, scenario, spec):
 
 
 @pytest.mark.parametrize("deployment", ["a", "d"])
-def test_batched_avg_rate_matches_per_offset_loop(deployment):
+def test_batched_avg_rate_matches_per_offset_loop(deployment, monkeypatch):
     scenario = MEMBER_LINKS[deployment]["scenario"]
     spec = QuadSpec(rel_tol=1e-2, abs_tol=1e-4)
-    assert analytic.avg_rate(P, spec=spec, scenario=scenario) == \
+    monkeypatch.setattr(analytic, "RATE_SPEC", spec)
+    assert analytic.avg_rate(P, scenario=scenario) == \
         loop_avg_rate(P, scenario, spec)
 
 
@@ -943,11 +946,11 @@ def test_report_variant_returns_diagnostics():
     assert rep.evaluations > 0
 
 
-@pytest.mark.parametrize("entry", [
-    lambda **kw: analytic.coverage(1.0, P, **kw),
-    lambda **kw: analytic.assoc_prob(2, P, **kw),
+@pytest.mark.parametrize("entry, starve", [
+    (lambda **kw: analytic.coverage(1.0, P, **kw), "spec"),
+    (lambda **kw: analytic.assoc_prob(2, P, **kw), "DEFAULT_SPEC"),
 ], ids=["coverage", "assoc_prob"])
-def test_report_counts_nested_integrals(entry, monkeypatch):
+def test_report_counts_nested_integrals(entry, starve, monkeypatch):
     outer = []
     real = analytic.integrate_adaptive
 
@@ -960,7 +963,14 @@ def test_report_counts_nested_integrals(entry, monkeypatch):
     assert rep.unconverged == 0
     # the inner integrals' evaluations are counted with the outer ones
     assert rep.evaluations > outer[0].evaluations
-    starved = entry(spec=QuadSpec(max_panels=2), with_report=True)
+    # starve the caller's spec where the entry takes one, else the module
+    # constant that the entry reads
+    starved_spec = QuadSpec(max_panels=2)
+    if starve == "spec":
+        starved = entry(spec=starved_spec, with_report=True)
+    else:
+        monkeypatch.setattr(analytic, starve, starved_spec)
+        starved = entry(with_report=True)
     assert starved.unconverged > 0
 
 
@@ -989,9 +999,9 @@ def test_nested_specs_keep_caller_limits(monkeypatch):
     monkeypatch.setattr(analytic, "integrate_adaptive", spy)
     monkeypatch.setattr(analytic, "integrate_batch", spy_batch)
     spec = QuadSpec(1e-3, 1e-6, max_panels=50)
-    for entry in (analytic.coverage, analytic.coverage_two_tier_sub6):
+    for scenario in (ScenarioKind.INTEGRATED, ScenarioKind.TWO_TIER_SUB6):
         seen.clear()
-        entry(1.0, P, spec=spec)
+        analytic.coverage(1.0, P, spec=spec, scenario=scenario)
         assert len(seen) > 1
         assert all(sp.max_panels == 50 for sp in seen)
 

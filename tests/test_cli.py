@@ -157,16 +157,16 @@ def test_invalid_tau_db_rejected_before_running(tmp_path, capsys, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args, env, reason", [
-    (["--trials", "0"], {}, "--trials must be >= 1"),
-    (["--seed", "-1"], {}, "--seed must be nonnegative"),
-    ([], {"HOTNET_WORKERS": "two"}, "HOTNET_WORKERS must be an integer"),
-], ids=["zero_trials", "negative_seed", "non_integer_workers"])
+@pytest.mark.parametrize("args, reason", [
+    (["--trials", "0"], "--trials must be >= 1"),
+    (["--seed", "-1"], "--seed must be nonnegative"),
+    # the config file itself, which cannot be the output directory
+    (["--out", "sweep.cfg"], "File exists"),
+], ids=["zero_trials", "negative_seed", "out_is_a_file"])
 def test_invalid_run_arguments_rejected_before_running(tmp_path, capsys,
                                                        monkeypatch, args,
-                                                       env, reason):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+                                                       reason):
+    monkeypatch.chdir(tmp_path)
     path = _write(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"
     rc = main(["run", "--config", str(path), "--mode", "mc",
@@ -193,20 +193,27 @@ def test_whole_number_fields_accept_float_spelling(tmp_path):
 
 
 def test_manifest_and_validate_echo_the_resolved_config(tmp_path, capsys):
-    path = _write(tmp_path, BASE_CONFIG + "tau_db = 5\n")
-    assert main(["validate", "--config", str(path)]) == 0
-    echoed = capsys.readouterr().out.splitlines()
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--mode", "mc",
-                 "--out", str(out), "--trials", "200", "--no-figures"]) == 0
-    manifest = (out / "run_manifest.txt").read_text().splitlines()
-    assert "tau_db = 5" in echoed
-    assert "tau_db = 5" in manifest
-    # the echo is itself a config of the same run
-    cfg = parse_config(path)
-    again = parse_config(_write(tmp_path, "\n".join(echoed), "again.cfg"))
-    assert again.sweep == cfg.sweep
-    assert again.params == cfg.params
+    # a defaulted bias2_db warns on stderr; stdout stays a config
+    for i, text in enumerate((BASE_CONFIG,
+                              BASE_CONFIG.replace("bias2_db = 0\n", ""))):
+        path = _write(tmp_path, text + "tau_db = 5\n", f"sweep{i}.cfg")
+        assert main(["validate", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert ("bias2_db not set" in captured.err) == (i == 1)
+        echoed = captured.out.splitlines()
+        out = tmp_path / f"out{i}"
+        assert main(["run", "--config", str(path), "--mode", "mc",
+                     "--out", str(out), "--trials", "200",
+                     "--no-figures"]) == 0
+        manifest = (out / "run_manifest.txt").read_text().splitlines()
+        assert "tau_db = 5" in echoed
+        assert "tau_db = 5" in manifest
+        # the echo is itself a config of the same run
+        cfg = parse_config(path)
+        again = parse_config(_write(tmp_path, "\n".join(echoed),
+                                    f"again{i}.cfg"))
+        assert again.sweep == cfg.sweep
+        assert again.params == cfg.params
 
 
 def test_run_missing_config_fails_cleanly(tmp_path, capsys):
@@ -241,38 +248,6 @@ def test_run_same_seed_byte_identical(tmp_path):
                    "--no-figures"])
         assert rc == 0
         outs.append((out / "assoc_prob.csv").read_bytes())
-    assert outs[0] == outs[1]
-
-
-# mc: full trials (coverage) and association-only ones (assoc_prob);
-# analytic: thresholds whose coverage shares one inter-cluster transform
-WORKER_RUNS = {
-    "mc": (BASE_CONFIG.replace("metrics = assoc_prob",
-                               "metrics = assoc_prob, coverage"),
-           ("assoc_prob", "coverage")),
-    "analytic": ("scenario = a\nsweep_grid = 10, 0, 20\nmetrics = coverage\n"
-                 "bias2_db = 0\n", ("coverage",)),
-}
-
-
-@pytest.mark.parametrize("mode", ["mc", "analytic"])
-def test_run_mc_csv_independent_of_worker_count(tmp_path, monkeypatch, mode):
-    text, metrics = WORKER_RUNS[mode]
-    path = _write(tmp_path, text)
-    outs = []
-    for workers in (None, "2"):
-        if workers is None:
-            monkeypatch.delenv("HOTNET_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("HOTNET_WORKERS", workers)
-        # forked workers would inherit the transforms built so far
-        analytic._inter_cache.cache_clear()
-        out = tmp_path / f"workers-{workers}"
-        rc = main(["run", "--config", str(path), "--mode", mode,
-                   "--out", str(out), "--seed", "3", "--trials", "600",
-                   "--no-figures"])
-        assert rc == 0
-        outs.append([(out / f"{m}.csv").read_bytes() for m in metrics])
     assert outs[0] == outs[1]
 
 
@@ -354,7 +329,6 @@ def test_unreachable_percentile_is_nan():
 def test_sweep_at_fixed_parameters_draws_one_table(tmp_path, monkeypatch):
     # every point of a tau_db sweep has the same parameters and seed, so
     # they all read one table
-    monkeypatch.delenv("HOTNET_WORKERS", raising=False)
     calls, run_trials = [], montecarlo.run_trials
 
     def spy(*args, **kwargs):
@@ -407,7 +381,6 @@ def test_tau_sweep_evaluates_grid_free_closed_forms_once(tmp_path,
                                                          monkeypatch):
     # a tau_db sweep keeps the parameters: only coverage reads the grid
     # value, every other closed form is evaluated once for all points
-    monkeypatch.delenv("HOTNET_WORKERS", raising=False)
     calls = []
 
     def spy(name, value):

@@ -169,3 +169,22 @@ def test_package_root_re_exports_nothing():
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not imports, f"hotnet/__init__.py imports {imports}: import " \
         f"the submodule where it is used instead"
+
+
+def test_no_module_reads_the_environment():
+    # a run is set by its config and its arguments alone: an environment
+    # variable would be an option that neither the config nor the run
+    # manifest records
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & {"environ", "getenv"}:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert not readers, f"{readers} read the environment: take the " \
+        f"setting from the config instead"
