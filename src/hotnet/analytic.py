@@ -23,6 +23,9 @@ Conventions used throughout:
 * The inter-cluster transform treats interfering clusters as carrying a
   Poisson member count with mean n_bs, which makes the per-cluster factor
   exp(-n_bs * ...).
+* The UE-to-center offset v0 is Rayleigh with spread sigma_ue; every
+  offset average integrates over its CDF, v0 = sigma_ue*sqrt(-2 ln(1-t))
+  for t in [0, 1), where the Rayleigh weight is exactly 1.
 * Semi-infinite integrals are mapped to [0, 1) by r -> a + c*u/(1-u) with
   a per-integrand scale c; nested tolerances are tightened one order per
   level of nesting.
@@ -193,18 +196,19 @@ def conditional_assoc_prob(k: int, v0: float, params: SystemParams,
 
 def _offset_average(g: Callable, sigma_ue: float,
                     spec: QuadSpec) -> AnalyticReport:
-    """Integral of g(v0) against the UE-to-center distance v0, Rayleigh
-    with spread sigma_ue.
+    """Mean of g(v0) over the UE-to-center distance v0, Rayleigh with
+    spread sigma_ue: the adaptive integral of g over the Rayleigh CDF
+    t = 1 - exp(-v0^2 / (2 sigma_ue^2)) on [0, 1), where the weight is 1.
 
     ``g(v0, tally)`` maps a 1-D array of offsets to the array of inner
     values and counts its integrals into ``tally``; the report counts
     them together with the outer integral.  Its value is not clipped."""
     tally = _Tally()
 
-    def f(v0):
-        return rice_pdf(v0, 0.0, sigma_ue) * g(v0, tally)
+    def f(t):
+        return g(sigma_ue * np.sqrt(-2.0 * np.log1p(-t)), tally)
 
-    res = integrate_adaptive(f, 0.0, 8.5 * sigma_ue, spec)
+    res = integrate_adaptive(f, 0.0, 1.0, spec)
     tally.add([res])
     return AnalyticReport(res.value, res.est_error, tally.evaluations,
                           tally.unconverged)
@@ -671,47 +675,42 @@ def coverage_two_tier_sub6(tau: float, params: SystemParams) -> float:
 def avg_rate(params: SystemParams,
              scenario: ScenarioKind = INTEGRATED) -> float:
     """Average achievable rate in bits/s: per-tier bandwidth times the
-    integrated conditional coverage over the spectral-efficiency axis.
+    integrated conditional coverage over the spectral-efficiency axis,
+    averaged over the offsets by ``_offset_average``.
 
     A triple-nested quadrature on ``RATE_SPEC``, deliberately looser than
-    the coverage path.  The offsets are averaged on a fixed 24-node
-    Gauss-Legendre rule over [0, 6.5 sigma_ue], which holds 0.1% only
-    near the default spreads: against a 96-node rule it is within 1e-6 at
-    the defaults but 1.5% low for (a) at sigma_bs = 15 m,
-    sigma_ue = 150 m."""
+    the coverage path."""
     inner = replace(RATE_SPEC, abs_tol=1e-10)
     budgets = link_budgets(params, scenario)
-    tally = _Tally()
     # candidate truncation points of the spectral-efficiency axis: 2, 3,
     # 4.5, ... up to the first one past 40
     brackets = [2.0]
     while brackets[-1] < 40.0:
         brackets.append(brackets[-1] * 1.5)
-    u, w = np.polynomial.legendre.leggauss(24)
-    hi = 6.5 * params.sigma_ue_m
-    v0s = 0.5 * hi * (u + 1.0)
     rho_u, rho_w = np.polynomial.legendre.leggauss(32)
 
-    def masses(k: int, rhos: np.ndarray) -> np.ndarray:
+    def masses(k: int, v0s: np.ndarray, rhos: np.ndarray,
+               tally: _Tally) -> np.ndarray:
         # row i: tier k's coverage masses at offset i and the spectral
         # efficiencies of row i, every row in one batched pass
         taus = [2.0 ** r - 1.0 for r in rhos.ravel().tolist()]
         return _coverage_masses(k, taus, np.repeat(v0s, rhos.shape[1]),
                                 budgets, inner, tally).reshape(rhos.shape)
 
-    def rho_integrals(k: int) -> np.ndarray:
+    def rho_integrals(k: int, v0s: np.ndarray, tally: _Tally) -> np.ndarray:
         # the spectral-efficiency integrand is smooth and monotone, so a
         # fixed Gauss-Legendre rule on [0, top] suffices once the
         # truncation point top is bracketed: the first candidate whose
         # coverage mass is within 1e-5, else the last one
-        probes = masses(k, np.tile(brackets[:-1], (v0s.size, 1)))
+        probes = masses(k, v0s, np.tile(brackets[:-1], (v0s.size, 1)), tally)
         tops = np.array([next((h for h, m in zip(brackets, row)
                                if m <= 1e-5), brackets[-1])
                          for row in probes])
-        rule = masses(k, 0.5 * tops[:, None] * (rho_u + 1.0))
+        rule = masses(k, v0s, 0.5 * tops[:, None] * (rho_u + 1.0), tally)
         return 0.5 * tops * np.sum(rho_w * rule, axis=1)
 
-    vals = sum(b.bandwidth_hz * rho_integrals(k)
-               for k, b in enumerate(budgets, start=1))
-    dens = rice_pdf(v0s, 0.0, params.sigma_ue_m)
-    return float(0.5 * hi * np.sum(w * dens * vals))
+    def rates(v0s: np.ndarray, tally: _Tally) -> np.ndarray:
+        return sum(b.bandwidth_hz * rho_integrals(k, v0s, tally)
+                   for k, b in enumerate(budgets, start=1))
+
+    return float(_offset_average(rates, params.sigma_ue_m, RATE_SPEC).value)

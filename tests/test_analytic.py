@@ -26,6 +26,8 @@ from hotnet.params import ScenarioKind, SystemParams
 from hotnet.quadrature import (QuadSpec, half_line, integrate_adaptive,
                                integrate_semi_infinite)
 
+from conftest import TAU_GRID_DB
+
 P = SystemParams()
 
 # Physics of a cluster member as seen by the typical UE, spelled out per
@@ -841,14 +843,13 @@ def loop_avg_rate(params, scenario, spec):
         rho = 0.5 * hi * (u + 1.0)
         return float(0.5 * hi * np.sum(w * masses(rho.tolist())))
 
-    u, w = np.polynomial.legendre.leggauss(24)
-    hi = 6.5 * params.sigma_ue_m
-    v0s = 0.5 * hi * (u + 1.0)
-    vals = np.array([budgets[0].bandwidth_hz * rho_integral(1, v0)
-                     + budgets[1].bandwidth_hz * rho_integral(2, v0)
-                     for v0 in v0s.tolist()])
-    dens = rice_pdf(v0s, 0.0, params.sigma_ue_m)
-    return float(0.5 * hi * np.sum(w * dens * vals))
+    def rates(v0s, tally):
+        return np.array([budgets[0].bandwidth_hz * rho_integral(1, v0)
+                         + budgets[1].bandwidth_hz * rho_integral(2, v0)
+                         for v0 in v0s.tolist()])
+
+    return float(analytic._offset_average(rates, params.sigma_ue_m,
+                                          spec).value)
 
 
 @pytest.mark.parametrize("deployment", ["a", "d"])
@@ -858,6 +859,43 @@ def test_batched_avg_rate_matches_per_offset_loop(deployment, monkeypatch):
     monkeypatch.setattr(analytic, "RATE_SPEC", spec)
     assert analytic.avg_rate(P, scenario=scenario) == \
         loop_avg_rate(P, scenario, spec)
+
+
+def fixed_offset_average(nodes):
+    """An ``_offset_average`` on a fixed Gauss-Legendre rule of ``nodes``
+    offsets over [0, 8.5 sigma_ue] against the Rayleigh density, with no
+    error estimate: the oracle of the adaptive rule in the Rayleigh CDF.
+    Its ``calls`` counts the averages it took."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+
+    def average(g, sigma_ue, spec):
+        average.calls += 1
+        hi = 8.5 * sigma_ue
+        v0s = 0.5 * hi * (u + 1.0)
+        tally = analytic._Tally()
+        value = 0.5 * hi * np.sum(w * rice_pdf(v0s, 0.0, sigma_ue)
+                                  * g(v0s, tally))
+        return analytic.AnalyticReport(float(value), math.nan,
+                                       tally.evaluations, tally.unconverged)
+
+    average.calls = 0
+    return average
+
+
+@pytest.mark.parametrize("sigma_bs, sigma_ue", [(15.0, 150.0),
+                                                (26.2, 154.7)],
+                         ids=["eta=0.1", "eta=0.17"])
+def test_avg_rate_holds_its_accuracy_at_small_eta(sigma_bs, sigma_ue,
+                                                  monkeypatch):
+    # a narrow cluster of small cells makes the offset integrand steep;
+    # RATE_SPEC asks for 0.1%
+    q = P.replace(sigma_bs_m=sigma_bs, sigma_ue_m=sigma_ue)
+    got = analytic.avg_rate(q)
+    oracle = fixed_offset_average(96)
+    monkeypatch.setattr(analytic, "_offset_average", oracle)
+    assert got == pytest.approx(analytic.avg_rate(q), rel=1e-3)
+    # the oracle took the rate's one offset average
+    assert oracle.calls == 1
 
 
 def test_coverage_nonincreasing_and_bounded():
@@ -891,7 +929,7 @@ def test_no_nlos_variant_upper_bounds_coverage():
 def test_no_nlos_variant_frozen_value():
     # coverage of (a) on the small-cell law without its NLoS segments
     assert analytic.coverage_no_nlos(1.0, P) == pytest.approx(
-        0.6886502302265693, rel=1e-12)
+        0.6886503203951937, rel=1e-12)
 
 
 def test_records_without_interference_segments_give_snr_coverage(
@@ -946,19 +984,26 @@ def test_report_variant_returns_diagnostics():
     assert rep.evaluations > 0
 
 
+@pytest.fixture
+def outer(monkeypatch):
+    """The result of every ``integrate_adaptive`` call of the analytic
+    module (its offset averages), in call order."""
+    results = []
+    real = analytic.integrate_adaptive
+
+    def spy(f, a, b, spec):
+        results.append(real(f, a, b, spec))
+        return results[-1]
+
+    monkeypatch.setattr(analytic, "integrate_adaptive", spy)
+    return results
+
+
 @pytest.mark.parametrize("entry, starve", [
     (lambda **kw: analytic.coverage(1.0, P, **kw), "spec"),
     (lambda **kw: analytic.assoc_prob(2, P, **kw), "DEFAULT_SPEC"),
 ], ids=["coverage", "assoc_prob"])
-def test_report_counts_nested_integrals(entry, starve, monkeypatch):
-    outer = []
-    real = analytic.integrate_adaptive
-
-    def spy(f, a, b, spec):
-        outer.append(real(f, a, b, spec))
-        return outer[-1]
-
-    monkeypatch.setattr(analytic, "integrate_adaptive", spy)
+def test_report_counts_nested_integrals(entry, starve, outer, monkeypatch):
     rep = entry(with_report=True)
     assert rep.unconverged == 0
     # the inner integrals' evaluations are counted with the outer ones
@@ -972,6 +1017,33 @@ def test_report_counts_nested_integrals(entry, starve, monkeypatch):
         monkeypatch.setattr(analytic, starve, starved_spec)
         starved = entry(with_report=True)
     assert starved.unconverged > 0
+
+
+@pytest.mark.parametrize("sigma_bs, sigma_ue, tau_db", [
+    (P.sigma_bs_m, P.sigma_ue_m, -10.0),
+    *((b, u, t) for b, u in ((15.0, 150.0), (26.2, 154.7), (225.0, 150.0))
+      for t in (0.0, 5.0, 20.0))])
+def test_coverage_is_within_its_reported_error(sigma_bs, sigma_ue, tau_db):
+    # eta = sigma_bs / sigma_ue from 0.1 to 1.5; against a far tighter
+    # evaluation the reported error bounds the distance
+    q = P.replace(sigma_bs_m=sigma_bs, sigma_ue_m=sigma_ue)
+    tau = 10.0 ** (tau_db / 10.0)
+    rep = analytic.coverage(tau, q, with_report=True)
+    tight = analytic.coverage(tau, q, spec=QuadSpec(1e-8, 1e-12))
+    assert abs(rep.value - tight) <= rep.est_error
+
+
+@pytest.mark.parametrize("deployment, most", [("a", 45), ("d", 15)])
+def test_offset_average_node_budget(deployment, most, outer):
+    # the offset integrand is smooth in the Rayleigh CDF, so at the
+    # defaults the outer rule stops after a few panels; each outer node
+    # costs a whole batch of inner integrals
+    scenario = MEMBER_LINKS[deployment]["scenario"]
+    for tau_db in TAU_GRID_DB:
+        outer.clear()
+        analytic.coverage(10.0 ** (tau_db / 10.0), P, scenario=scenario)
+        assert len(outer) == 1
+        assert outer[0].evaluations <= most, tau_db
 
 
 def test_coverage_spends_evaluations_where_the_error_is():
