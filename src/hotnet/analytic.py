@@ -142,7 +142,7 @@ def _serving_reach(k: int, v0, budgets: _Records) -> np.ndarray:
     macro, cells = budgets
     law = cells.cluster
     if k == 1:
-        reach = (math.sqrt(36.0 / (math.pi * max(macro.density, 1e-12)))
+        reach = (math.sqrt(36.0 / (math.pi * macro.density))
                  if macro.density > 0 else 0.0)
     elif law.members == 0 or law.los_prob == 0:
         reach = 0.0
@@ -423,9 +423,6 @@ class _InterLaplace:
 
     def _exponent(self, res) -> float:
         return 2.0 * math.pi * self._law.density * max(res.value, 0.0)
-
-    def exponent_exact(self, s: float) -> float:
-        return self._exponent(self._integrals([s])[0])
 
     def _side(self, gap: float, room: int) -> int:
         """Knots a pass computes on one side of the run: none once the

@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,12 +27,6 @@ from .params import ScenarioKind, SystemParams, linear_to_db
 from .quadrature import QuadSpec
 
 SWEEP_VARIABLES = ("n_bs", "eta", "bias_ratio_db", "v0", "tau_db")
-METRICS = ("assoc_prob", "coverage", "snr_coverage", "edge_sinr",
-           "median_sinr", "edge_rate", "median_rate",
-           "mean_serving_distance", "avg_rate")
-# closed forms that read only the parameters (outside a v0 sweep): a sweep
-# evaluates each once per parameter set
-_GRID_FREE = ("assoc_prob", "avg_rate", "median_sinr", "edge_sinr")
 # analytic root-finds run on a loosened tolerance; sweeps stay tractable
 _SWEEP_SPEC = QuadSpec(rel_tol=3e-3, abs_tol=1e-6)
 
@@ -57,6 +52,9 @@ class SweepSpec:
         bad = [m for m in self.metrics if m not in METRICS]
         if bad:
             raise ConfigError(f"unknown metrics: {', '.join(bad)}")
+        twice = sorted({m for m in self.metrics if self.metrics.count(m) > 1})
+        if twice:
+            raise ConfigError(f"metrics named twice: {', '.join(twice)}")
         if not self.metrics:
             raise ConfigError("metrics must not be empty")
 
@@ -169,66 +167,64 @@ def _analytic_percentile(params: SystemParams, scenario: ScenarioKind,
         return math.nan
 
 
-def _analytic_metric(metric: str, params: SystemParams,
-                     sweep: SweepSpec, value) -> float:
-    """The closed-form value of one cell; NaN for a metric without one
-    (``snr_coverage``, ``edge_rate``, ``median_rate``,
-    ``mean_serving_distance``, and all but ``assoc_prob`` in a v0 sweep)."""
-    scenario = sweep.scenario
-    if sweep.variable == "v0":
-        if metric == "assoc_prob":
-            return analytic.conditional_assoc_prob(2, float(value), params,
-                                                   scenario=scenario)
-        return math.nan
-    tau = 10.0 ** ((float(value) if sweep.variable == "tau_db"
-                    else sweep.tau_db) / 10.0)
-    if metric == "assoc_prob":
-        return analytic.assoc_prob(2, params, scenario=scenario)
-    if metric == "coverage":
-        return analytic.coverage(tau, params, spec=_SWEEP_SPEC,
-                                 scenario=scenario)
-    if metric == "median_sinr":
-        return _analytic_percentile(params, scenario, 0.5)
-    if metric == "edge_sinr":
-        return _analytic_percentile(params, scenario, 0.95)
-    if metric == "avg_rate":
-        return analytic.avg_rate(params, scenario=scenario)
-    return math.nan
+def _pair(est) -> tuple:
+    return est.value, est.stderr
 
 
-def _mc_metric(metric: str, table: montecarlo.TrialTable,
-               sweep: SweepSpec, value):
-    """Returns (value, stderr) from a trial table, conditioned already in
-    a v0 sweep.  A percentile is the empirical quantile over all trials,
-    unserved ones read as 0; a SINR percentile that falls on an unserved
-    trial reads NaN."""
-    if len(table) == 0:
-        return math.nan, math.nan
-    if metric == "assoc_prob":
-        est = montecarlo.estimate_assoc_prob(table, 2)
-        return est.value, est.stderr
-    if metric == "mean_serving_distance":
-        if not table.served.any():
-            return math.nan, math.nan
-        est = montecarlo.estimate_serving_distance(table)
-        return est.value, est.stderr
-    if metric == "avg_rate":
-        est = montecarlo.estimate_rate(table)
-        return est.value, est.stderr
-    tau_db = float(value) if sweep.variable == "tau_db" else sweep.tau_db
-    if metric in ("coverage", "snr_coverage"):
-        which = "sinr" if metric == "coverage" else "snr"
-        curve = montecarlo.estimate_coverage(table, [tau_db], metric=which)
-        return float(curve.probabilities[0]), float(curve.stderr[0])
-    q = 0.5 if metric.startswith("median") else 0.05
-    if metric.endswith("sinr"):
-        x = montecarlo.estimate_quantile(table, "sinr", q)
-        return (linear_to_db(x) if x > 0 else math.nan), math.nan
-    return montecarlo.estimate_quantile(table, "rate", q), math.nan
+def _coverage_cell(table, tau_db: float, which: str) -> tuple:
+    curve = montecarlo.estimate_coverage(table, [tau_db], metric=which)
+    return float(curve.probabilities[0]), float(curve.stderr[0])
 
 
-def _assoc_only_sufficient(metrics) -> bool:
-    return set(metrics) <= {"assoc_prob", "mean_serving_distance"}
+def _quantile_cell(table, column: str, q: float) -> tuple:
+    """The empirical quantile over all trials, unserved ones read as 0, in
+    dB for the SINR; a SINR quantile on an unserved trial reads NaN."""
+    x = montecarlo.estimate_quantile(table, column, q)
+    if column == "sinr":
+        x = linear_to_db(x) if x > 0 else math.nan
+    return x, math.nan
+
+
+class _Metric(NamedTuple):
+    """One metric's cells: ``mc(table, tau_db) -> (value, stderr)`` on the
+    trial table (binned already in a v0 sweep) and the closed form
+    ``closed(params, scenario, tau)``, or ``at_v0(params, scenario, v0)`` in
+    a v0 sweep, NaN where None.  Each looks its engine up when called."""
+    mc: Callable
+    closed: Callable | None = None
+    at_v0: Callable | None = None
+    grid_free: bool = False     # closed reads only the parameters
+    assoc_only: bool = False    # mc reads only the association columns
+
+
+_METRICS = {
+    "assoc_prob": _Metric(
+        lambda t, _: _pair(montecarlo.estimate_assoc_prob(t, 2)),
+        lambda p, sc, _: analytic.assoc_prob(2, p, scenario=sc),
+        lambda p, sc, v0: analytic.conditional_assoc_prob(2, v0, p, sc),
+        grid_free=True, assoc_only=True),
+    "coverage": _Metric(
+        lambda t, db: _coverage_cell(t, db, "sinr"),
+        lambda p, sc, tau: analytic.coverage(tau, p, spec=_SWEEP_SPEC,
+                                             scenario=sc)),
+    "snr_coverage": _Metric(lambda t, db: _coverage_cell(t, db, "snr")),
+    "edge_sinr": _Metric(lambda t, _: _quantile_cell(t, "sinr", 0.05),
+                         lambda p, sc, _: _analytic_percentile(p, sc, 0.95),
+                         grid_free=True),
+    "median_sinr": _Metric(lambda t, _: _quantile_cell(t, "sinr", 0.5),
+                           lambda p, sc, _: _analytic_percentile(p, sc, 0.5),
+                           grid_free=True),
+    "edge_rate": _Metric(lambda t, _: _quantile_cell(t, "rate", 0.05)),
+    "median_rate": _Metric(lambda t, _: _quantile_cell(t, "rate", 0.5)),
+    "mean_serving_distance": _Metric(
+        lambda t, _: (_pair(montecarlo.estimate_serving_distance(t))
+                      if t.served.any() else (math.nan, math.nan)),
+        assoc_only=True),
+    "avg_rate": _Metric(
+        lambda t, _: _pair(montecarlo.estimate_rate(t)),
+        lambda p, sc, _: analytic.avg_rate(p, sc), grid_free=True),
+}
+METRICS = tuple(_METRICS)
 
 
 def _eval_group(points, params: SystemParams, sweep: SweepSpec, mode: str,
@@ -239,7 +235,7 @@ def _eval_group(points, params: SystemParams, sweep: SweepSpec, mode: str,
     if mode in ("mc", "both"):
         table = montecarlo.run_trials(
             params, sweep.scenario, trials, seed,
-            assoc_only=_assoc_only_sufficient(sweep.metrics))
+            assoc_only=all(_METRICS[m].assoc_only for m in sweep.metrics))
     closed: dict = {}   # analytic cells by metric and the grid value read
     return [_eval_point(index, value, params, table, sweep, mode, closed)
             for index, value in points]
@@ -252,18 +248,22 @@ def _eval_point(index, value, params: SystemParams, table, sweep: SweepSpec,
         # bin half-width: a tenth of sigma_UE around the grid point
         table = table.select(np.abs(table.v0 - float(value))
                              < 0.1 * params.sigma_ue_m)
+    tau_db = float(value) if sweep.variable == "tau_db" else sweep.tau_db
+    arg = float(value) if sweep.variable == "v0" else 10.0 ** (tau_db / 10.0)
     row: dict[str, dict] = {}
     for metric in sweep.metrics:
+        entry = _METRICS[metric]
         cell = {"grid": value}
         if table is not None:
-            v, se = _mc_metric(metric, table, sweep, value)
-            cell["mc"] = v
-            cell["mc_stderr"] = se
+            cell["mc"], cell["mc_stderr"] = (
+                entry.mc(table, tau_db) if len(table) else (math.nan,) * 2)
         if mode in ("analytic", "both"):
-            reads_grid = sweep.variable == "v0" or metric not in _GRID_FREE
+            form = entry.at_v0 if sweep.variable == "v0" else entry.closed
+            reads_grid = sweep.variable == "v0" or not entry.grid_free
             key = (metric, value if reads_grid else None)
             if key not in closed:
-                closed[key] = _analytic_metric(metric, params, sweep, value)
+                closed[key] = (form(params, sweep.scenario, arg) if form
+                               else math.nan)
             cell["analytic"] = closed[key]
         if mode == "both":
             a, m = cell.get("analytic"), cell.get("mc")

@@ -63,6 +63,12 @@ def cell_law(params, deployment="a"):
     return link_budgets(params, scenario)[1].cluster
 
 
+def exact_exponent(inter, s):
+    """The inter-cluster exponent A(s) of ``inter`` from its own PGFL
+    integral at s, not from the interpolated knots."""
+    return inter._exponent(inter._integrals([s])[0])
+
+
 # ---------------------------------------------------------------------------
 # scalar building blocks
 # ---------------------------------------------------------------------------
@@ -171,9 +177,13 @@ def test_serving_distance_laws_are_proper():
 # association probabilities
 # ---------------------------------------------------------------------------
 
-def test_association_probabilities_partition():
-    a1 = analytic.assoc_prob(1, P)
-    a2 = analytic.assoc_prob(2, P)
+@pytest.mark.parametrize("lambda1", [30.0, 1e-7], ids=["30", "1e-7"])
+def test_association_probabilities_partition(lambda1):
+    # the macro tier's reach grows as 1/sqrt(lambda1), so at a sparse
+    # macro layer its integral runs far out
+    params = P.replace(lambda1_per_km2=lambda1)
+    a1 = analytic.assoc_prob(1, params)
+    a2 = analytic.assoc_prob(2, params)
     assert a1 + a2 == pytest.approx(1.0, abs=1e-6)
 
 
@@ -571,7 +581,7 @@ def test_scalar_cluster_exponent_callers_match_tiled_reference(
         return (analytic.laplace_I2_intra(3e7, 120.0, 40.0, law),
                 analytic.laplace_I2_intra(np.logspace(4.0, 10.0, 7), 120.0,
                                           250.0, law),
-                inter.exponent_exact(1e7))
+                exact_exponent(inter, 1e7))
 
     got = evaluate()
     monkeypatch.setattr(analytic, "_cluster_exponent", tiled_cluster_exponent)
@@ -594,14 +604,14 @@ def test_pgfl_integrand_evaluates_each_rice_node_once(monkeypatch):
 
     monkeypatch.setattr(analytic, "rice_pdf", counting)
     inter = analytic._InterLaplace(cell_law(P))
-    assert inter.exponent_exact(1e7) > 0.0
+    assert exact_exponent(inter, 1e7) > 0.0
     assert sum(elements) <= 21_120
 
 
 def test_laplace_inter_spline_matches_exact_exponent():
     cache = analytic._inter_cache(cell_law(P))
     for s in (1e5, 1e7, 1e9):
-        exact = math.exp(-cache.exponent_exact(s))
+        exact = math.exp(-exact_exponent(cache, s))
         interp = float(analytic.laplace_I2_inter(s, cell_law(P)))
         assert interp == pytest.approx(exact, abs=2e-4)
 
@@ -613,7 +623,7 @@ def test_laplace_inter_interpolation_error_mid_cell(deployment):
     inter = analytic._InterLaplace(cell_law(P, deployment))
     errors = []
     for s in np.exp(np.arange(2.25, 40.0, 0.5)):
-        a = inter.exponent_exact(s)
+        a = exact_exponent(inter, s)
         if 1e-9 <= a <= 46.0:
             errors.append(abs(inter(s) - math.exp(-a)))
     assert len(errors) >= 20
@@ -689,7 +699,7 @@ def test_batched_knot_walk_matches_lone_knots(deployment, include_nlos, eta):
 @pytest.mark.parametrize("s", [3.3e-1, 1.7e3, 2.2e7, 4.1e11, 6.5e18])
 def test_exponent_exact_is_the_lone_integral(deployment, s):
     law = cell_law(P, deployment)
-    assert analytic._InterLaplace(law).exponent_exact(s) == lone_exponent(
+    assert exact_exponent(analytic._InterLaplace(law), s) == lone_exponent(
         law, s)
 
 

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from hotnet import analytic, cli, montecarlo
 from hotnet.cli import ConfigError, main, parse_config
-from hotnet.params import ScenarioKind, SystemParams
+from hotnet.params import ScenarioKind, SystemParams, linear_to_db
 
 BASE_CONFIG = """\
 # small association sweep
@@ -77,6 +77,17 @@ def test_unknown_metric_rejected(tmp_path):
     path = _write(tmp_path, "sweep_grid = 0\nmetrics = beauty\n")
     with pytest.raises(ConfigError, match="unknown metrics: beauty"):
         parse_config(path)
+
+
+def test_metric_named_twice_rejected(tmp_path, capsys):
+    path = _write(tmp_path, "sweep_grid = 0\n"
+                            "metrics = coverage, coverage, assoc_prob\n")
+    with pytest.raises(ConfigError, match="metrics named twice: coverage"):
+        parse_config(path)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--config", str(path), "--out",
+                 str(tmp_path / "out"), "--no-figures"]) == 2
+    assert "named twice" in capsys.readouterr().err
 
 
 def test_unknown_scenario_rejected(tmp_path):
@@ -408,3 +419,92 @@ def test_tau_sweep_evaluates_grid_free_closed_forms_once(tmp_path,
                              names=True)
         assert len(data) == 3
         assert len(set(data["analytic"].tolist())) == 1, metric
+
+
+ALL_METRICS = ("assoc_prob", "coverage", "snr_coverage", "edge_sinr",
+               "median_sinr", "edge_rate", "median_rate",
+               "mean_serving_distance", "avg_rate")
+
+
+def engine_mc_cells(table, tau_db):
+    """Each metric's (value, stderr) straight from the estimator layer."""
+    def estimate(est):
+        return est.value, est.stderr
+
+    def coverage(which):
+        curve = montecarlo.estimate_coverage(table, [tau_db], metric=which)
+        return curve.probabilities[0], curve.stderr[0]
+
+    def quantile(column, q):
+        x = montecarlo.estimate_quantile(table, column, q)
+        if column == "sinr":
+            x = linear_to_db(x) if x > 0 else math.nan
+        return x, math.nan
+
+    return {"assoc_prob": estimate(montecarlo.estimate_assoc_prob(table, 2)),
+            "coverage": coverage("sinr"), "snr_coverage": coverage("snr"),
+            "edge_sinr": quantile("sinr", 0.05),
+            "median_sinr": quantile("sinr", 0.5),
+            "edge_rate": quantile("rate", 0.05),
+            "median_rate": quantile("rate", 0.5),
+            "mean_serving_distance": estimate(
+                montecarlo.estimate_serving_distance(table)),
+            "avg_rate": estimate(montecarlo.estimate_rate(table))}
+
+
+def _text(x) -> str:
+    return "nan" if math.isnan(x) else f"{x:.9g}"
+
+
+@pytest.mark.parametrize("scenario, variable, grid", [
+    ("a", "tau_db", (-5.0, 5.0)), ("d", "v0", (0.0, 120.0))],
+    ids=["tau_db", "v0"])
+def test_every_cell_is_its_engine_call(tmp_path, scenario, variable, grid):
+    # each written cell is the MC estimator on the run's table (its v0 bin
+    # in a v0 sweep) and the analytic entry point; an analytic cell is NaN
+    # exactly for a metric without a closed form: snr_coverage, edge_rate,
+    # median_rate, mean_serving_distance, and all but assoc_prob at a v0
+    path = _write(tmp_path, f"scenario = {scenario}\n"
+                            f"sweep_variable = {variable}\n"
+                            f"sweep_grid = {grid[0]:g}, {grid[1]:g}\n"
+                            f"metrics = {', '.join(ALL_METRICS)}\n"
+                            "bias2_db = 0\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--mode", "both",
+                 "--out", str(out), "--seed", "3", "--trials", "2000",
+                 "--no-figures"]) == 0
+    cfg = parse_config(path)
+    params, sc = cfg.params, cfg.sweep.scenario
+    table = montecarlo.run_trials(params, sc, 2000, 3)
+    # the closed forms that do not read the threshold
+    fixed = {} if variable == "v0" else {
+        "assoc_prob": analytic.assoc_prob(2, params, scenario=sc),
+        "edge_sinr": cli._analytic_percentile(params, sc, 0.95),
+        "median_sinr": cli._analytic_percentile(params, sc, 0.5),
+        "avg_rate": analytic.avg_rate(params, scenario=sc)}
+    rows = {}
+    for metric in ALL_METRICS:
+        lines = (out / f"{metric}.csv").read_text().splitlines()
+        rows[metric] = [dict(zip(lines[0].split(","), line.split(",")))
+                        for line in lines[1:]]
+    for i, value in enumerate(grid):
+        if variable == "v0":
+            sub = table.select(np.abs(table.v0 - value)
+                               < 0.1 * params.sigma_ue_m)
+            assert len(sub) > 0
+            mc = engine_mc_cells(sub, cfg.sweep.tau_db)
+            closed = {"assoc_prob": analytic.conditional_assoc_prob(
+                2, value, params, scenario=sc)}
+        else:
+            mc = engine_mc_cells(table, value)
+            closed = dict(fixed, coverage=analytic.coverage(
+                10.0 ** (value / 10.0), params, spec=cli._SWEEP_SPEC,
+                scenario=sc))
+        assert all(math.isfinite(v) for v in closed.values())
+        for metric in ALL_METRICS:
+            (m, se), a = mc[metric], closed.get(metric, math.nan)
+            diff = abs(a - m) if a == a and m == m else math.nan
+            want = {"mc": _text(m), "mc_stderr": _text(se),
+                    "analytic": _text(a), "abs_diff": _text(diff)}
+            got = rows[metric][i]
+            assert {k: got[k] for k in want} == want, (metric, value)

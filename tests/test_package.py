@@ -37,15 +37,15 @@ def _assigned(body) -> list[str]:
 
 def _unreferenced() -> set[str]:
     """Public module-level functions, classes and assigned names of the
-    package, and the public methods and properties of its public classes,
-    whose name no expression in the package reads (an import or an
-    assignment alone does not count)."""
+    package, and the public methods and properties of its classes, private
+    ones included, whose name no expression in the package reads (an
+    import or an assignment alone does not count)."""
     defined, read = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         defined |= {f"{path.stem}.{name}" for name in _assigned(tree.body)}
-        for node in _public(tree.body):
-            defined.add(f"{path.stem}.{node.name}")
+        defined |= {f"{path.stem}.{node.name}" for node in _public(tree.body)}
+        for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 defined |= {f"{path.stem}.{node.name}.{member.name}"
                             for member in _public(node.body)}
