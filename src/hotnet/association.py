@@ -5,8 +5,9 @@ Candidates are the nearest Sub-6GHz BS anywhere and the nearest LoS mmWave
 BS of the typical UE's own cluster; other mmWave BSs act only as
 interferers.  The per-tier weight is ``B_k P_k G_k N_k ell_k(r)``.
 ``link_budgets`` holds every tier constant of each deployment in one
-place, with each tier's interference kernel and the tiers it hears; the
-analytic and Monte Carlo engines both read only it.
+place, with each tier's interference kernel and the tiers it hears; both
+engines and the per-realization sampler read only it, and both simulators
+decide the tier by ``choose``.
 """
 
 from __future__ import annotations
@@ -15,17 +16,23 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import MIN_LINK_DISTANCE_M
-from .geometry import NetworkRealization
 from .params import ScenarioKind, SystemParams
+
+if TYPE_CHECKING:  # geometry imports this module for its records
+    from .geometry import NetworkRealization
 
 
 class Tier(IntEnum):
     SUB6 = 1
     MMWAVE = 2
+
+
+TIER_NONE = 0  # mmWave-only deployment with no LoS candidate in reach
 
 
 @dataclass(frozen=True)
@@ -164,22 +171,27 @@ def boundary_map(src: LinkBudget, dst: LinkBudget, r):
             * r ** (src.alpha / dst.alpha))
 
 
+def choose(budgets: tuple[LinkBudget, LinkBudget], r1, r2) -> np.ndarray:
+    """Tier of the larger biased average power of the candidates at ``r1``
+    and ``r2`` (infinite: no candidate, whose power reads 0).  Ties go to
+    the macro tier; a trial without candidates is ``TIER_NONE``."""
+    macro, cells = budgets
+    m1, m2 = biased_metric(macro, r1), biased_metric(cells, r2)
+    tier = np.where(m2 > m1, int(Tier.MMWAVE), int(Tier.SUB6)).astype(np.int8)
+    tier[np.isinf(r1) & np.isinf(r2)] = TIER_NONE
+    return tier
+
+
 def associate(realization: NetworkRealization,
               params: SystemParams) -> AssociationOutcome:
-    """Pick the serving BS for the typical UE at the origin.
-
-    Falls back to the Sub-6GHz tier when the typical cluster has no LoS
-    member; ties break toward Sub-6GHz.
-    """
+    """Pick the serving BS for the typical UE at the origin by ``choose``
+    between the nearest Sub-6GHz BS and the nearest LoS member of the
+    typical cluster (the Sub-6GHz tier serves when there is none)."""
     if len(realization.sub6_points) == 0:
         raise ValueError("association requires at least one Sub-6GHz BS")
-    macro, cells = link_budgets(params)
     d_sub6 = np.linalg.norm(realization.sub6_points, axis=1)
     i1 = int(np.argmin(d_sub6))
-    r1 = float(d_sub6[i1])
-    metric1 = biased_metric(macro, r1)
-
-    best_mm = None
+    r1, i2, r2 = float(d_sub6[i1]), None, math.inf
     if realization.clusters:
         own = realization.clusters[0]
         if own.los_mask is None:
@@ -188,13 +200,9 @@ def associate(realization: NetworkRealization,
             d = np.linalg.norm(own.members, axis=1)
             d = np.where(own.los_mask, d, np.inf)
             i2 = int(np.argmin(d))
-            best_mm = (i2, float(d[i2]))
-
-    if best_mm is not None:
-        i2, r2 = best_mm
-        if biased_metric(cells, r2) > metric1:
-            return AssociationOutcome(Tier.MMWAVE,
-                                      max(r2, MIN_LINK_DISTANCE_M),
-                                      ("mm", 0, i2))
+            r2 = float(d[i2])
+    if choose(link_budgets(params), [r1], [r2])[0] == Tier.MMWAVE:
+        return AssociationOutcome(Tier.MMWAVE, max(r2, MIN_LINK_DISTANCE_M),
+                                  ("mm", 0, i2))
     return AssociationOutcome(Tier.SUB6, max(r1, MIN_LINK_DISTANCE_M),
                               ("sub6", i1))

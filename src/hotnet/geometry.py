@@ -1,8 +1,9 @@
 """Spatial point processes: homogeneous PPP, Thomas clusters, UE offset.
 
 Points are float arrays of shape ``(n, 2)`` in meters; the typical UE sits
-at the origin.  All samplers are pure given an ``np.random.Generator``, so
-distinct trials with distinct generators can run in parallel.
+at the origin.  All samplers are pure given an ``np.random.Generator``.
+``sample_network`` reads every link constant from the
+``association.link_budgets`` records, as the Monte Carlo engine does.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import i0e
 
+from .association import ClusterLaw, link_budgets
 from .params import SystemParams
 
 
@@ -98,33 +100,40 @@ def rice_pdf(r, v0, sigma: float):
     return (r / s2) * np.exp(-np.square(r - v0) / (2.0 * s2)) * i0e(v0 * r / s2)
 
 
+def center_disk(law: ClusterLaw, sigma_ue: float, radius: float) -> float:
+    """Radius of the disk of interfering hotspot centers: the truncation
+    ``radius`` enlarged by six times the larger of the member spread and
+    ``sigma_ue``, so that clusters straddling its edge are kept."""
+    return radius + 6.0 * max(law.spread, sigma_ue)
+
+
 def sample_network(params: SystemParams,
                    rng: np.random.Generator) -> NetworkRealization:
     """Draw one full network realization.
 
-    Hotspot centers are sampled on a window enlarged by six cluster
-    standard deviations so clusters straddling the boundary are kept.  The
-    typical cluster (index 0) has a fixed member count ``n_bs``; the others
-    are Poisson with the same mean.  LoS labels are i.i.d. thinning draws.
+    Hotspot centers are sampled on the ``center_disk``.  The typical
+    cluster (index 0) has a fixed member count; the others are Poisson
+    with the same mean.  LoS labels are i.i.d. thinning draws.
     """
+    macro, cells = link_budgets(params)
+    law = cells.cluster
     window = params.truncation_radius_m
     v0 = sample_typical_offset(params.sigma_ue_m, rng)
     psi = rng.uniform(0.0, 2.0 * math.pi)
     c0 = v0 * np.array([math.cos(psi), math.sin(psi)])
 
-    sub6 = sample_ppp(params.lambda1, window, rng)
+    sub6 = sample_ppp(macro.density, window, rng)
 
-    clusters = [sample_thomas_cluster(c0, params.sigma_bs_m, params.n_bs, rng)]
-    enlarged = window + 6.0 * max(params.sigma_bs_m, params.sigma_ue_m)
-    centers = sample_ppp(params.lambda_p, enlarged, rng)
-    counts = rng.poisson(params.n_bs, size=len(centers))
+    clusters = [sample_thomas_cluster(c0, law.spread, law.members, rng)]
+    centers = sample_ppp(law.density,
+                         center_disk(law, params.sigma_ue_m, window), rng)
+    counts = rng.poisson(law.members, size=len(centers))
     for center, m in zip(centers, counts):
-        clusters.append(
-            sample_thomas_cluster(center, params.sigma_bs_m, int(m), rng))
+        clusters.append(sample_thomas_cluster(center, law.spread, int(m), rng))
     for cl in clusters:
         d = np.linalg.norm(cl.members, axis=1)
-        cl.los_mask = ((rng.random(len(d)) < params.p_los)
-                       & (d < params.r_los_ball_m))
+        cl.los_mask = ((rng.random(len(d)) < law.los_prob)
+                       & (d < law.los_ball))
 
     return NetworkRealization(sub6_points=sub6, clusters=clusters,
                               typical_offset_v0=v0, window_radius=window)

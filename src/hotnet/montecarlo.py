@@ -3,7 +3,8 @@ records, over fixed blocks of ``BLOCK_TRIALS`` trials.
 
 - associate: draw only what association reads (the UE's distance ``v0``
   to its hotspot center, the nearest macro BS, the own-cluster
-  candidates) and pick the tier.  ``assoc_only`` runs stop here;
+  candidates) and pick the tier by ``association.choose``, the rule the
+  per-realization sampler uses too.  ``assoc_only`` runs stop here;
 - interfere: draw the serving fading and the interferers each served
   trial hears, a few trials at a time so that the arrays stay bounded;
 - SINR: signal over noise plus interference, and the Shannon rate.
@@ -28,13 +29,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .association import (ClusterLaw, KernelSegment, LinkBudget, Tier,
-                          biased_metric, link_budgets)
+from .association import (TIER_NONE, ClusterLaw, KernelSegment, LinkBudget,
+                          Tier, choose, link_budgets)
 from .channel import MIN_LINK_DISTANCE_M
-from .geometry import sample_ppp
+from .geometry import center_disk, sample_ppp
 from .params import ScenarioKind, SystemParams
-
-TIER_NONE = 0  # mmWave-only deployment with no LoS candidate in reach
 
 BLOCK_TRIALS = 1024         # trials per random stream
 INTERFERER_CHUNK = 1 << 15  # about the most interferers live at once
@@ -94,8 +93,6 @@ def _pick(probs, u: np.ndarray) -> np.ndarray:
 def _fading(order: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-mean Nakagami power of integer order: a sum of ``order``
     standard exponentials over ``order``."""
-    if order == 1:
-        return rng.standard_exponential(m)
     return rng.standard_exponential((order, m)).sum(axis=0) / order
 
 
@@ -116,6 +113,7 @@ def _received(segments: tuple[KernelSegment, ...], d: np.ndarray,
     for s in segments:
         bands.setdefault((s.r_min, s.r_max), []).append(s)
     for (lo, hi), segs in bands.items():
+        # an unbounded band holds every interferer: no mask, no copies
         inside = (slice(None) if (lo, hi) == (0.0, math.inf)
                   else (d >= lo) & (d < hi))
         dd, tt = d[inside], trial[inside]
@@ -146,18 +144,6 @@ def _tail_mean(segments: tuple[KernelSegment, ...], density: float,
                * float(np.dot(s.gains, s.gain_probs)) * s.intercept
                * radius ** (2.0 - s.alpha) / (s.alpha - 2.0)
                for s in segments if s.r_max == math.inf)
-
-
-def _choose(budgets: tuple[LinkBudget, LinkBudget], r1: np.ndarray,
-            r2: np.ndarray) -> np.ndarray:
-    """Tier of the larger biased average power of the candidates at ``r1``
-    and ``r2`` (infinite: no candidate, whose power reads 0).  Ties go to
-    the macro tier; a trial without candidates is ``TIER_NONE``."""
-    macro, cells = budgets
-    m1, m2 = biased_metric(macro, r1), biased_metric(cells, r2)
-    tier = np.where(m2 > m1, int(Tier.MMWAVE), int(Tier.SUB6)).astype(np.int8)
-    tier[np.isinf(r1) & np.isinf(r2)] = TIER_NONE
-    return tier
 
 
 def _sinr(serving: LinkBudget, x: np.ndarray, fading: np.ndarray,
@@ -260,7 +246,7 @@ def _associate(run: _Run, n: int, rng: np.random.Generator) -> _Block:
     cand = (own if law.los_ball is None
             else np.where(own < law.los_ball, own, np.inf))
     r2 = cand.min(axis=1, initial=np.inf)
-    tier = _choose(run.budgets, r1, r2)
+    tier = choose(run.budgets, r1, r2)
     x = np.maximum(np.where(tier == int(Tier.MMWAVE), r2, r1),
                    MIN_LINK_DISTANCE_M)
     x[tier == TIER_NONE] = np.nan
@@ -275,12 +261,7 @@ def _macro_interference(run: _Run, block: _Block, idx: np.ndarray,
     tail starts at the disk's edge, or at the nearest BS beyond it."""
     macro = run.budgets[0]
     r1 = block.r1[idx]
-    # the scalar tail at the disk's edge, then the trials beyond it: an
-    # array power for all trials could move their values in the last bit
-    out = np.full(len(r1), _tail_mean(macro.segments, macro.density,
-                                      run.radius))
-    far = r1 > run.radius
-    out[far] = _tail_mean(macro.segments, macro.density, r1[far])
+    out = _tail_mean(macro.segments, macro.density, np.maximum(r1, run.radius))
     per_trial = macro.density * math.pi * run.radius ** 2
     step = max(1, int(INTERFERER_CHUNK / max(per_trial, 1.0)))
     for i in range(0, len(r1), step):
@@ -355,7 +336,7 @@ def run_trials(params: SystemParams, scenario: ScenarioKind, n_trials: int,
     budgets = link_budgets(params, scenario)
     radius = params.truncation_radius_m
     run = _Run(budgets, params.sigma_ue_m, radius,
-               radius + 6.0 * max(params.sigma_bs_m, params.sigma_ue_m))
+               center_disk(budgets[1].cluster, params.sigma_ue_m, radius))
     table = TrialTable(np.empty(n_trials, dtype=np.int8),
                        *np.full((5, n_trials), np.nan))
     for b, start in enumerate(range(0, n_trials, BLOCK_TRIALS)):
@@ -385,12 +366,12 @@ def _served_values(results: TrialTable, metric: str,
 
 
 def _mean(values: np.ndarray) -> EstimateWithCI:
-    """Sample mean with its standard error."""
+    """Sample mean with its standard error, NaN for a single value."""
     n = len(values)
     if n == 0:
         raise ValueError("no trials to average")
-    return EstimateWithCI(float(np.mean(values)),
-                          float(np.std(values, ddof=1) / math.sqrt(n)), n)
+    stderr = np.std(values, ddof=1) / math.sqrt(n) if n > 1 else math.nan
+    return EstimateWithCI(float(np.mean(values)), float(stderr), n)
 
 
 def estimate_assoc_prob(results: TrialTable, k: int) -> EstimateWithCI:

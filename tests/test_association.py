@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hotnet import montecarlo as mc
 from hotnet.association import (AssociationOutcome, Tier, associate,
-                                biased_metric, boundary_map, link_budgets)
+                                biased_metric, boundary_map, choose,
+                                link_budgets)
 from hotnet.geometry import ClusterRealization, NetworkRealization
 from hotnet.params import ScenarioKind, SystemParams
 
@@ -132,8 +132,8 @@ def test_tie_breaks_toward_sub6():
     net = _net([[r1, 0.0]], [[r2, 0.0]], [True])
     out = associate(net, P)
     assert out.tier is Tier.SUB6
-    # the Monte Carlo engine breaks the same tie the same way
-    tier = mc._choose((MACRO, CELLS), np.array([r1]), np.array([r2]))
+    # the rule the Monte Carlo engine calls breaks the same tie the same way
+    tier = choose((MACRO, CELLS), np.array([r1]), np.array([r2]))
     assert tier[0] == Tier.SUB6
 
 

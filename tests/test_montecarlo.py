@@ -1,13 +1,14 @@
 """Trial engine and estimators: determinism, per-trial physics, summaries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hotnet import analytic
 from hotnet import montecarlo as mc
-from hotnet.association import Tier, link_budgets
+from hotnet.association import Tier, choose, link_budgets
 from hotnet.geometry import sample_ppp
 from hotnet.params import ScenarioKind, SystemParams
 
@@ -134,7 +135,7 @@ def test_mm_sinr_exact_single_member():
     # a 6 km truncation disk, so that the macro BS lies inside it
     run = mc._Run(budgets, q.sigma_ue_m, 6000.0, 6900.0)
     r1, r2 = np.array([5000.0]), np.array([50.0])
-    tier = mc._choose(budgets, r1, r2)
+    tier = choose(budgets, r1, r2)
     assert tier[0] == 2
     block = mc._Block(np.array([60.0]), r1, r2[:, None], np.zeros((1, 1)),
                       r2[:, None], tier, r2)
@@ -498,6 +499,20 @@ def test_estimate_quantile_rejects_out_of_range():
             mc.estimate_quantile(t, "sinr", q)
     with pytest.raises(ValueError, match="unknown metric"):
         mc.estimate_quantile(t, "v0", 0.5)
+
+
+def test_one_trial_mean_has_nan_stderr_and_no_warning():
+    # the sample standard deviation of one value is undefined: the
+    # estimators say so without numpy's degrees-of-freedom warning
+    t = mc.TrialTable(np.array([1]), np.array([40.0]), np.zeros(1),
+                      np.ones(1), np.ones(1), np.array([8.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate = mc.estimate_rate(t)
+        distance = mc.estimate_serving_distance(t)
+    assert (rate.value, distance.value) == (8.0, 40.0)
+    assert math.isnan(rate.stderr) and math.isnan(distance.stderr)
+    assert rate.n_trials == distance.n_trials == 1
 
 
 def test_estimate_rate_zeroes_unserved():

@@ -1,9 +1,11 @@
 """The package carries no code that only the tests call."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import hotnet
+from hotnet.params import SystemParams
 
 PACKAGE = Path(hotnet.__file__).resolve().parent
 
@@ -188,3 +190,47 @@ def test_no_module_reads_the_environment():
                 readers.append(f"{path.name}:{node.lineno}")
     assert not readers, f"{readers} read the environment: take the " \
         f"setting from the config instead"
+
+
+def test_only_association_reads_the_biased_metric():
+    # the tier rule has one home: both simulators call association.choose,
+    # and no other module compares biased metrics of its own
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ({alias.name for alias in node.names}
+                     if isinstance(node, ast.ImportFrom)
+                     else {getattr(node, "id", None),
+                           getattr(node, "attr", None)})
+            if "biased_metric" in names:
+                readers.add(path.stem)
+    assert readers == {"association"}, \
+        f"{sorted(readers)} read biased_metric: call association.choose"
+
+
+# SystemParams names that no link-budget record holds: the UE offset spread
+# and the sampling radius
+PARAMS_READ_OUTSIDE_RECORDS = {"sigma_ue_m", "truncation_radius_m"}
+
+
+def test_only_link_budgets_reads_the_link_constants():
+    # every other link constant reaches the engines and the sampler through
+    # the association.link_budgets records
+    names = ({f.name for f in dataclasses.fields(SystemParams)}
+             | {name for name, value in vars(SystemParams).items()
+                if isinstance(value, property)})
+    names -= PARAMS_READ_OUTSIDE_RECORDS
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "params.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            if f"{path.stem}.{getattr(top, 'name', '')}" == \
+                    "association.link_budgets":
+                continue
+            reads += [f"{path.name}:{node.lineno} {node.attr}"
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr in names]
+    assert not reads, f"{reads} read SystemParams: read the " \
+        f"association.link_budgets records instead"
