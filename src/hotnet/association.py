@@ -3,11 +3,13 @@ tier-boundary distance maps.
 
 Candidates are the nearest Sub-6GHz BS anywhere and the nearest LoS mmWave
 BS of the typical UE's own cluster; other mmWave BSs act only as
-interferers.  The per-tier weight is ``B_k P_k G_k N_k ell_k(r)``.
+interferers.  The per-tier weight is ``B_k P_k G_k N_k ell_k(r)`` with
+``B_1 = 1``: only the ratio ``B_2/B_1`` matters, and ``bias2_db`` sets it.
 ``link_budgets`` holds every tier constant of each deployment in one
-place, with each tier's interference kernel and the tiers it hears; both
-engines and the per-realization sampler read only it, and both simulators
-decide the tier by ``choose``.
+place, with each tier's interference kernel and the tiers it hears; it
+is the one place that turns the configured dB, dBm and per-km^2 fields
+into linear-scale constants.  Both engines and the per-realization
+sampler read only it, and both simulators decide the tier by ``choose``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import MIN_LINK_DISTANCE_M
-from .params import ScenarioKind, SystemParams
+from .params import ScenarioKind, SystemParams, db_to_linear, dbm_to_watts
 
 if TYPE_CHECKING:  # geometry imports this module for its records
     from .geometry import NetworkRealization
@@ -124,35 +126,50 @@ def link_budgets(params: SystemParams,
         return link_budgets(params.replace(lambda1_per_km2=0.0))
     p = params
     shared = scenario is ScenarioKind.TWO_TIER_SUB6
+    # the linear-scale constants: powers in W, gains, intercepts and the
+    # bias as ratios, densities per m^2, and the thermal noise of each band
+    # (-174 dBm/Hz plus bandwidth and noise figure)
+    p1_w, p2_w = dbm_to_watts(p.p1_dbm), dbm_to_watts(p.p2_dbm)
+    g1, c1 = db_to_linear(p.g1_dbi), db_to_linear(p.c1_db)
+    bias2 = db_to_linear(p.bias2_db)
+    lambda_p = p.lambda_p_per_km2 * 1e-6
+    noise1_w, noise2_w = (
+        dbm_to_watts(-174.0 + 10.0 * math.log10(w) + p.noise_figure_db)
+        for w in (p.w1_hz, p.w2_hz))
     # a macro BS: one Rayleigh-faded segment of the macro serving budget
-    rayleigh = KernelSegment(1.0, 0.0, math.inf, True, False,
-                             p.p1_w * p.g1 * p.c1, p.alpha1, 1, (1.0,), (1.0,))
-    macro = LinkBudget(p.bias1 * p.p1_w * p.g1 * p.c1, p.p1_w * p.g1 * p.c1,
-                       p.alpha1, 1, p.noise1_w, p.w1_hz,
-                       (1, 2) if shared else (1,), p.lambda1, (rayleigh,))
+    b1 = p1_w * g1 * c1
+    rayleigh = KernelSegment(1.0, 0.0, math.inf, True, False, b1, p.alpha1,
+                             1, (1.0,), (1.0,))
+    macro = LinkBudget(b1, b1, p.alpha1, 1, noise1_w, p.w1_hz,
+                       (1, 2) if shared else (1,),
+                       p.lambda1_per_km2 * 1e-6, (rayleigh,))
     if shared:
         segments = (KernelSegment(1.0, 0.0, math.inf, True, False,
-                                  p.p2_w * p.c1, p.alpha1, 1, (p.g1,),
-                                  (1.0,)),)
-        law = ClusterLaw(p.lambda_p, p.n_bs, p.sigma_bs_m, 1.0, None,
+                                  p2_w * c1, p.alpha1, 1, (g1,), (1.0,)),)
+        law = ClusterLaw(lambda_p, p.n_bs, p.sigma_bs_m, 1.0, None,
                          segments, 8.0 * p.sigma_bs_m + 1.0)
-        return macro, LinkBudget(p.bias2 * p.p2_w * p.g1 * p.c1,
-                                 p.p2_w * p.g1 * p.c1, p.alpha1, 1,
-                                 p.noise1_w, p.w1_hz, (1, 2), cluster=law)
+        return macro, LinkBudget(bias2 * p2_w * g1 * c1, p2_w * g1 * c1,
+                                 p.alpha1, 1, noise1_w, p.w1_hz, (1, 2),
+                                 cluster=law)
+    g_main, g_side = db_to_linear(p.g_main_dbi), db_to_linear(p.g_side_dbi)
+    c_los = db_to_linear(p.c_los_db)
+    # a random interferer beam points at the UE with probability theta/2pi
+    p_main = math.radians(p.theta_b_deg) / (2.0 * math.pi)
     rb = p.r_los_ball_m
-    beams = ((p.g_main, p.g_side), (p.p_main, 1.0 - p.p_main))
-    los = (p.p2_w * p.c_los, p.alpha_los, p.n_nakagami_los, *beams)
-    nlos = (p.p2_w * p.c_nlos, p.alpha_nlos, p.n_nakagami_nlos, *beams)
+    beams = ((g_main, g_side), (p_main, 1.0 - p_main))
+    los = (p2_w * c_los, p.alpha_los, p.n_nakagami_los, *beams)
+    nlos = (p2_w * db_to_linear(p.c_nlos_db), p.alpha_nlos,
+            p.n_nakagami_nlos, *beams)
     segments = (KernelSegment(p.p_los, 0.0, rb, True, False, *los),
                 KernelSegment(1.0 - p.p_los, 0.0, rb, False, True, *nlos),
                 KernelSegment(1.0, rb, math.inf, False, True, *nlos))
-    law = ClusterLaw(p.lambda_p, p.n_bs, p.sigma_bs_m, p.p_los, rb,
+    law = ClusterLaw(lambda_p, p.n_bs, p.sigma_bs_m, p.p_los, rb,
                      segments, rb + 8.0 * p.sigma_bs_m)
     # the association weight carries the LoS Nakagami order
-    weight = p.bias2 * p.p2_w * p.g_main * p.n_nakagami_los * p.c_los
-    return macro, LinkBudget(weight, p.p2_w * p.g_main * p.c_los,
-                             p.alpha_los, p.n_nakagami_los, p.noise2_w,
-                             p.w2_hz, (2,), cluster=law)
+    weight = bias2 * p2_w * g_main * p.n_nakagami_los * c_los
+    return macro, LinkBudget(weight, p2_w * g_main * c_los, p.alpha_los,
+                             p.n_nakagami_los, noise2_w, p.w2_hz, (2,),
+                             cluster=law)
 
 
 def biased_metric(budget: LinkBudget, r):

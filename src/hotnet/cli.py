@@ -146,7 +146,7 @@ def _params_at(base: SystemParams, sweep: SweepSpec, value) -> SystemParams:
     if sweep.variable == "eta":
         return base.replace(sigma_bs_m=float(value) * base.sigma_ue_m)
     if sweep.variable == "bias_ratio_db":
-        return base.replace(bias2_db=float(value), bias1_db=0.0)
+        return base.replace(bias2_db=float(value))
     return base  # v0 / tau_db sweeps evaluate at fixed params
 
 

@@ -1,9 +1,11 @@
 """Scenario parameters: one frozen record holding every knob of the model.
 
-All distances are in meters, densities in points per square meter, powers
-in the units they are usually quoted in (dBm, dBi, dB) with linear-scale
-accessors.  The defaults reproduce the standard simulation setup of the
-integrated Sub-6GHz/mmWave hotspot model.
+Every field is a configured quantity in the unit it is usually quoted in:
+distances in meters, densities per square kilometer, powers in dBm, gains
+and intercepts in dB.  The record holds no derived value:
+``association.link_budgets`` is its one linear-scale view.  The defaults
+reproduce the standard simulation setup of the integrated Sub-6GHz/mmWave
+hotspot model.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ class SystemParams:
     w2_hz: float = 1e9
     noise_figure_db: float = 10.0
 
-    # association bias (only the ratio B2/B1 matters)
-    bias1_db: float = 0.0
+    # association bias of the small-cell tier over the macro tier: the
+    # weights B1 and B2 enter only as B2/B1, so B1 is 1
     bias2_db: float = 0.0
 
     # simulation geometry.  The Monte Carlo engine samples BSs only inside
@@ -119,85 +121,9 @@ class SystemParams:
         if self.truncation_radius_m <= 0:
             raise ValueError("truncation_radius_m must be positive")
 
-    # ---- linear-scale accessors -------------------------------------
-
-    @property
-    def lambda1(self) -> float:
-        """Sub-6GHz BS density per m^2."""
-        return self.lambda1_per_km2 * 1e-6
-
-    @property
-    def lambda_p(self) -> float:
-        """Hotspot center density per m^2."""
-        return self.lambda_p_per_km2 * 1e-6
-
-    @property
-    def p1_w(self) -> float:
-        return dbm_to_watts(self.p1_dbm)
-
-    @property
-    def p2_w(self) -> float:
-        return dbm_to_watts(self.p2_dbm)
-
-    @property
-    def g1(self) -> float:
-        return db_to_linear(self.g1_dbi)
-
-    @property
-    def g_main(self) -> float:
-        return db_to_linear(self.g_main_dbi)
-
-    @property
-    def g_side(self) -> float:
-        return db_to_linear(self.g_side_dbi)
-
-    @property
-    def theta_b_rad(self) -> float:
-        return math.radians(self.theta_b_deg)
-
-    @property
-    def p_main(self) -> float:
-        """Probability that a random interferer beam points at the UE."""
-        return self.theta_b_rad / (2.0 * math.pi)
-
-    @property
-    def c1(self) -> float:
-        return db_to_linear(self.c1_db)
-
-    @property
-    def c_los(self) -> float:
-        return db_to_linear(self.c_los_db)
-
-    @property
-    def c_nlos(self) -> float:
-        return db_to_linear(self.c_nlos_db)
-
-    @property
-    def bias1(self) -> float:
-        return db_to_linear(self.bias1_db)
-
-    @property
-    def bias2(self) -> float:
-        return db_to_linear(self.bias2_db)
-
-    @property
-    def noise1_w(self) -> float:
-        return noise_power_w(self.w1_hz, self.noise_figure_db)
-
-    @property
-    def noise2_w(self) -> float:
-        return noise_power_w(self.w2_hz, self.noise_figure_db)
-
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-def noise_power_w(bandwidth_hz: float, noise_figure_db: float) -> float:
-    """Thermal noise power in watts: -174 dBm/Hz plus bandwidth and figure."""
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
-    dbm = -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
-    return dbm_to_watts(dbm)

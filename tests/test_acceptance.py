@@ -183,7 +183,7 @@ def test_offload_and_serving_distance_vs_offset(defaults):
     # far from the hotspot everyone is served by the macro tier, whose
     # nearest-point distance has mean 1/(2 sqrt(lambda))
     far = offset_bin(400.0, 550.0)
-    want = 1.0 / (2.0 * math.sqrt(defaults.lambda1))
+    want = 1.0 / (2.0 * math.sqrt(defaults.lambda1_per_km2 * 1e-6))
     assert montecarlo.estimate_assoc_prob(far, 2).value < 0.02
     assert montecarlo.estimate_serving_distance(far).value == \
         pytest.approx(want, rel=0.05)

@@ -22,27 +22,37 @@ from scipy.stats import ncx2
 from hotnet import analytic, montecarlo
 from hotnet.association import boundary_map, link_budgets
 from hotnet.geometry import rice_pdf, sample_thomas_cluster
-from hotnet.params import ScenarioKind, SystemParams
+from hotnet.params import (ScenarioKind, SystemParams, db_to_linear,
+                           dbm_to_watts)
 from hotnet.quadrature import (QuadSpec, half_line, integrate_adaptive,
                                integrate_semi_infinite)
 
 from conftest import TAU_GRID_DB
 
 P = SystemParams()
+# linear-scale constants of the defaults, spelled out from the configured
+# fields: transmit powers, densities per m^2, and the probability that a
+# random beam's main lobe covers the UE
+P1_W, P2_W = dbm_to_watts(P.p1_dbm), dbm_to_watts(P.p2_dbm)
+LAMBDA1, LAMBDA_P = P.lambda1_per_km2 * 1e-6, P.lambda_p_per_km2 * 1e-6
+P_MAIN = P.theta_b_deg / 360.0
+G1, C1 = db_to_linear(P.g1_dbi), db_to_linear(P.c1_db)
 
 # Physics of a cluster member as seen by the typical UE, spelled out per
 # deployment: which members may serve (probability and ball), the antenna
-# gain levels (main lobe drawn with probability p_main), and the
+# gain levels (main lobe drawn with probability P_MAIN), and the
 # (Nakagami order, intercept, exponent) of candidate and other links.
 MEMBER_LINKS = {
     "a": dict(scenario=ScenarioKind.INTEGRATED, p_cand=P.p_los,
-              ball=P.r_los_ball_m, gains=(P.g_main, P.g_side),
-              cand=(P.n_nakagami_los, P.c_los, P.alpha_los),
-              other=(P.n_nakagami_nlos, P.c_nlos, P.alpha_nlos)),
+              ball=P.r_los_ball_m,
+              gains=(db_to_linear(P.g_main_dbi), db_to_linear(P.g_side_dbi)),
+              cand=(P.n_nakagami_los, db_to_linear(P.c_los_db), P.alpha_los),
+              other=(P.n_nakagami_nlos, db_to_linear(P.c_nlos_db),
+                     P.alpha_nlos)),
     # (d): small cells on the Sub-6GHz band, omni, Rayleigh, no blockage
     "d": dict(scenario=ScenarioKind.TWO_TIER_SUB6, p_cand=1.0,
-              ball=math.inf, gains=(P.g1, P.g1),
-              cand=(1, P.c1, P.alpha1), other=(1, P.c1, P.alpha1)),
+              ball=math.inf, gains=(G1, G1),
+              cand=(1, C1, P.alpha1), other=(1, C1, P.alpha1)),
 }
 
 
@@ -164,9 +174,9 @@ def test_serving_distance_laws_are_proper():
     # closed-form CDF
     for x in (50.0, 150.0, 600.0):
         val, _ = quad(analytic._nearest_macro_pdf, 0.0, x,
-                      args=(P.lambda1,), limit=200)
+                      args=(LAMBDA1,), limit=200)
         assert val == pytest.approx(
-            1.0 - math.exp(-math.pi * P.lambda1 * x ** 2), abs=1e-10)
+            1.0 - math.exp(-math.pi * LAMBDA1 * x ** 2), abs=1e-10)
     # the R2 density integrates to its CDF at the ball edge
     val, _ = quad(analytic._nearest_candidate_pdf, 0.0, P.r_los_ball_m,
                   args=(v0, law), limit=200)
@@ -348,20 +358,20 @@ def test_laplace_I1_matches_sampled_interference():
     # empirical E[exp(-s I1)] over PPP draws with Rayleigh fading
     rng = np.random.default_rng(2024)
     x = 60.0
-    b1 = P.p1_w * P.g1 * P.c1
+    b1 = P1_W * G1 * C1
     s = 3.0 / (b1 * x ** (-P.alpha1))  # s I1 of order one
     n_draws = 4000
     vals = np.empty(n_draws)
     area_r = 4000.0
     for i in range(n_draws):
-        m = rng.poisson(P.lambda1 * math.pi * (area_r ** 2 - x ** 2))
+        m = rng.poisson(LAMBDA1 * math.pi * (area_r ** 2 - x ** 2))
         rr = np.sqrt(rng.uniform(x ** 2, area_r ** 2, m))
         h = rng.exponential(size=m)
         vals[i] = math.exp(-s * np.sum(b1 * rr ** (-P.alpha1) * h))
     emp = vals.mean()
     err = vals.std(ddof=1) / math.sqrt(n_draws)
     # transform of the same truncated annulus [x, area_r]
-    expo = 2.0 * math.pi * P.lambda1 * (
+    expo = 2.0 * math.pi * LAMBDA1 * (
         float(analytic._ppp_tail_integral(s, b1, P.alpha1, x))
         - float(analytic._ppp_tail_integral(s, b1, P.alpha1, area_r)))
     got = math.exp(-expo)
@@ -385,7 +395,7 @@ def test_laplace_intra_matches_sampled_cluster(deployment):
     rng = np.random.default_rng(77)
     v0, x, n = 120.0, 40.0, P.n_bs
     _, c_cand, alpha_cand = link["cand"]
-    b2 = P.p2_w * link["gains"][0] * c_cand
+    b2 = P2_W * link["gains"][0] * c_cand
     s = 1.0 / (b2 * x ** (-alpha_cand))
     n_draws = 6000
     vals = np.empty(n_draws)
@@ -400,11 +410,11 @@ def test_laplace_intra_matches_sampled_cluster(deployment):
             if los and d < x:
                 continue  # serving BS is the nearest LoS member
             kept += 1
-            g = link["gains"][0] if rng.random() < P.p_main \
+            g = link["gains"][0] if rng.random() < P_MAIN \
                 else link["gains"][1]
             order, c, alpha = link["cand"] if los else link["other"]
             h = rng.gamma(order, 1.0 / order)
-            acc += P.p2_w * g * c * max(d, 1.0) ** (-alpha) * h
+            acc += P2_W * g * c * max(d, 1.0) ** (-alpha) * h
         vals[i] = math.exp(-s * acc)
     emp = vals.mean()
     err = vals.std(ddof=1) / math.sqrt(n_draws)
@@ -422,13 +432,13 @@ def test_laplace_inter_matches_sampled_clusters(deployment):
     (o_cand, c_cand, a_cand), (o_other, c_other, a_other) = (
         link["cand"], link["other"])
     rng = np.random.default_rng(404)
-    b2 = P.p2_w * link["gains"][0] * c_cand
+    b2 = P2_W * link["gains"][0] * c_cand
     s = 0.5 / (b2 * 60.0 ** (-a_cand))
     n_draws = 3000
     area_r = P.r_los_ball_m + 8.0 * P.sigma_bs_m + 500.0
     vals = np.empty(n_draws)
     for i in range(n_draws):
-        m = rng.poisson(P.lambda_p * math.pi * area_r ** 2)
+        m = rng.poisson(LAMBDA_P * math.pi * area_r ** 2)
         centers = np.sqrt(rng.uniform(0.0, area_r ** 2, m))
         phi = rng.uniform(0.0, 2.0 * math.pi, m)
         cxy = np.column_stack((centers * np.cos(phi),
@@ -441,12 +451,12 @@ def test_laplace_inter_matches_sampled_clusters(deployment):
             pts = c + rng.normal(0.0, P.sigma_bs_m, size=(k, 2))
             d = np.maximum(np.linalg.norm(pts, axis=1), 1.0)
             los = (d < link["ball"]) & (rng.random(k) < link["p_cand"])
-            g = np.where(rng.random(k) < P.p_main, *link["gains"])
+            g = np.where(rng.random(k) < P_MAIN, *link["gains"])
             order = np.where(los, o_cand, o_other)
             h = rng.gamma(order, 1.0 / order)
             cc = np.where(los, c_cand, c_other)
             alpha = np.where(los, a_cand, a_other)
-            acc += float(np.sum(P.p2_w * g * cc * d ** (-alpha) * h))
+            acc += float(np.sum(P2_W * g * cc * d ** (-alpha) * h))
         vals[i] = math.exp(-s * acc)
     emp = vals.mean()
     err = vals.std(ddof=1) / math.sqrt(n_draws)
@@ -504,7 +514,7 @@ def tiled_coverage_integrand(k, params, scenario, include_nlos):
         records(params, scenario, include_nlos)[1].cluster)
         if hears_cells else None)
     density = analytic._serving_density(k, (macro, cells))
-    two_pi_lam = 2.0 * math.pi * params.lambda1
+    two_pi_lam = 2.0 * math.pi * macro.density
 
     def f(x, tau, v0):
         # the Alzer terms stacked along one flat axis: s, xs are (N * nx,)

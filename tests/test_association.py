@@ -9,7 +9,8 @@ from hotnet.association import (AssociationOutcome, Tier, associate,
                                 biased_metric, boundary_map, choose,
                                 link_budgets)
 from hotnet.geometry import ClusterRealization, NetworkRealization
-from hotnet.params import ScenarioKind, SystemParams
+from hotnet.params import (ScenarioKind, SystemParams, db_to_linear,
+                           dbm_to_watts)
 
 P = SystemParams()
 MACRO, CELLS = link_budgets(P)
@@ -25,10 +26,17 @@ def _net(sub6_xy, mm_xy, mm_los, v0=100.0):
 
 
 def test_tier_weights_include_intercepts():
-    w1, w2 = MACRO.weight, CELLS.weight
-    assert w1 == pytest.approx(P.bias1 * P.p1_w * P.g1 * P.c1, rel=1e-12)
-    assert w2 == pytest.approx(P.bias2 * P.p2_w * P.g_main
-                               * P.n_nakagami_los * P.c_los, rel=1e-12)
+    # B1 = 1: the macro weight is P1 G1 C1, and the small-cell weight
+    # carries the bias, the main lobe and the LoS Nakagami order
+    p = P.replace(bias2_db=4.0, g1_dbi=2.0)
+    macro, cells = link_budgets(p)
+    assert macro.weight == pytest.approx(
+        dbm_to_watts(p.p1_dbm) * db_to_linear(p.g1_dbi)
+        * db_to_linear(p.c1_db), rel=1e-12)
+    assert cells.weight == pytest.approx(
+        db_to_linear(p.bias2_db) * dbm_to_watts(p.p2_dbm)
+        * db_to_linear(p.g_main_dbi) * p.n_nakagami_los
+        * db_to_linear(p.c_los_db), rel=1e-12)
 
 
 @pytest.mark.parametrize("scenario, mapped", [
@@ -37,7 +45,8 @@ def test_tier_weights_include_intercepts():
 ], ids=["b", "c"])
 def test_single_band_deployments_are_integrated_records(scenario, mapped):
     assert link_budgets(P, scenario) == link_budgets(mapped)
-    assert link_budgets(P, scenario)[0].density == mapped.lambda1
+    assert link_budgets(P, scenario)[0].density == \
+        mapped.lambda1_per_km2 * 1e-6
 
 
 def test_biased_metric_decays_with_distance():

@@ -14,9 +14,13 @@ from hotnet import montecarlo as mc
 from hotnet.association import link_budgets
 from hotnet.channel import MIN_LINK_DISTANCE_M
 from hotnet.geometry import rice_pdf
-from hotnet.params import ScenarioKind, SystemParams
+from hotnet.params import (ScenarioKind, SystemParams, db_to_linear,
+                           dbm_to_watts)
 
 P = SystemParams()
+P2_W = dbm_to_watts(P.p2_dbm)
+G_MAIN, G_SIDE = db_to_linear(P.g_main_dbi), db_to_linear(P.g_side_dbi)
+P_MAIN = P.theta_b_deg / 360.0  # a random beam's main lobe covers the UE
 
 
 class LinkClass(Enum):
@@ -62,14 +66,14 @@ def test_los_probability_boundary_is_open():
 
 
 @pytest.mark.parametrize("link,c,alpha", [
-    (LinkClass.SUB6, P.c1, P.alpha1),
-    (LinkClass.MM_LOS, P.c_los, P.alpha_los),
-    (LinkClass.MM_NLOS, P.c_nlos, P.alpha_nlos),
+    (LinkClass.SUB6, db_to_linear(P.c1_db), P.alpha1),
+    (LinkClass.MM_LOS, db_to_linear(P.c_los_db), P.alpha_los),
+    (LinkClass.MM_NLOS, db_to_linear(P.c_nlos_db), P.alpha_nlos),
 ])
 def test_path_loss_power_law(link, c, alpha):
     # a small cell's intercept is its power at 1 m before gain and fading
     seg = link.segment
-    assert (seg.intercept, seg.alpha) == (P.p2_w * c, alpha)
+    assert (seg.intercept, seg.alpha) == (P2_W * c, alpha)
     # one interferer of this class at unit gain: the Monte Carlo engine
     # receives the power law times the fading it draws
     lone = (replace(seg, share=1.0, gains=(1.0,), gain_probs=(1.0,)),)
@@ -77,12 +81,13 @@ def test_path_loss_power_law(link, c, alpha):
         got = mc._received(lone, np.array([r]), np.array([0]), 1,
                            np.random.default_rng(9))
         h = mc._fading(seg.order, 1, np.random.default_rng(9))
-        assert got[0] == pytest.approx(P.p2_w * c * r ** (-alpha) * h[0],
+        assert got[0] == pytest.approx(P2_W * c * r ** (-alpha) * h[0],
                                        rel=1e-12)
     # the macro tier's serving budget carries the Sub-6GHz law, and so
     # does the Rayleigh segment of a macro interferer
     macro = link_budgets(P)[0]
-    assert macro.budget == P.p1_w * P.g1 * P.c1
+    assert macro.budget == dbm_to_watts(P.p1_dbm) * db_to_linear(P.g1_dbi) \
+        * db_to_linear(P.c1_db)
     assert macro.alpha == P.alpha1
     (seg,) = macro.segments
     assert (seg.intercept, seg.alpha, seg.order) == (macro.budget,
@@ -123,11 +128,11 @@ def test_fading_power_has_unit_mean_and_right_variance(link):
 
 def test_interferer_gain_two_level_pattern():
     for seg in link_budgets(P)[1].cluster.segments:
-        assert seg.gains == (P.g_main, P.g_side)
-        assert seg.gain_probs == (P.p_main, 1.0 - P.p_main)
+        assert seg.gains == (G_MAIN, G_SIDE)
+        assert seg.gain_probs == (P_MAIN, 1.0 - P_MAIN)
     seg = LinkClass.MM_LOS.segment
     pick = mc._pick(seg.gain_probs, np.random.default_rng(7).random(100_000))
     g = np.take(seg.gains, pick)
-    assert set(np.unique(g)) == {P.g_side, P.g_main}
-    frac_main = np.mean(g == P.g_main)
-    assert frac_main == pytest.approx(P.p_main, abs=0.003)
+    assert set(np.unique(g)) == {G_SIDE, G_MAIN}
+    frac_main = np.mean(g == G_MAIN)
+    assert frac_main == pytest.approx(P_MAIN, abs=0.003)

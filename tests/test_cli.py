@@ -508,3 +508,28 @@ def test_every_cell_is_its_engine_call(tmp_path, scenario, variable, grid):
                     "analytic": _text(a), "abs_diff": _text(diff)}
             got = rows[metric][i]
             assert {k: got[k] for k in want} == want, (metric, value)
+
+
+def test_bias_sweep_cells_are_their_engine_calls(tmp_path):
+    # a bias_ratio_db point sets bias2_db, the one association bias, over
+    # the configured value; each cell is the engine at that point
+    grid = ("-10", "0", "15")
+    path = _write(tmp_path, "sweep_variable = bias_ratio_db\n"
+                            f"sweep_grid = {', '.join(grid)}\n"
+                            "metrics = assoc_prob\nbias2_db = 5\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--mode", "both",
+                 "--out", str(out), "--seed", "3", "--trials", "2000",
+                 "--no-figures"]) == 0
+    cfg = parse_config(path)
+    lines = (out / "assoc_prob.csv").read_text().splitlines()
+    assert lines[0] == "bias_ratio_db,mc,mc_stderr,analytic,abs_diff"
+    for value, line in zip(grid, lines[1:], strict=True):
+        p = cfg.params.replace(bias2_db=float(value))
+        table = montecarlo.run_trials(p, cfg.sweep.scenario, 2000, 3,
+                                      assoc_only=True)
+        est = montecarlo.estimate_assoc_prob(table, 2)
+        a = analytic.assoc_prob(2, p)
+        assert line.split(",") == [value, _text(est.value),
+                                   _text(est.stderr), _text(a),
+                                   _text(abs(a - est.value))]

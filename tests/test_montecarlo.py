@@ -114,12 +114,14 @@ NO_OTHERS = (np.empty(0), np.empty(0, dtype=int))
 
 def test_sub6_sinr_exact_single_bs():
     # one Sub-6GHz BS at 100 m, unit fading, no interferers: SINR is
-    # P1*G1*C1*100^-alpha1 / noise, and SNR coincides
+    # the macro budget P1*G1*C1 times 100^-alpha1 over the noise, and SNR
+    # coincides
     rng = np.random.default_rng(0)
     interference = mc._received(MACRO_SEGS, *NO_OTHERS, 1, rng)
     sinr, snr, rate = mc._sinr(BUDGETS[0], np.array([100.0]), np.ones(1),
                                interference)
-    want = P.p1_w * P.g1 * P.c1 * 100.0 ** (-P.alpha1) / P.noise1_w
+    macro = BUDGETS[0]
+    want = macro.budget * 100.0 ** (-macro.alpha) / macro.noise_w
     assert sinr[0] == pytest.approx(want, rel=1e-12)
     assert snr[0] == pytest.approx(want, rel=1e-12)
     assert rate[0] == pytest.approx(P.w1_hz * math.log2(1.0 + want),
@@ -142,8 +144,9 @@ def test_mm_sinr_exact_single_member():
     sinr, snr, _ = mc._interfere(run, block, np.random.default_rng(0))
     assert sinr[0] == snr[0]
     _, snr, _ = mc._sinr(budgets[1], r2, np.ones(1), np.zeros(1))
-    sig = P.p2_w * P.g_main * P.c_los * 50.0 ** (-P.alpha_los)
-    assert snr[0] == pytest.approx(sig / P.noise2_w, rel=1e-12)
+    cells = budgets[1]
+    sig = cells.budget * 50.0 ** (-cells.alpha)
+    assert snr[0] == pytest.approx(sig / cells.noise_w, rel=1e-12)
 
 
 def test_sub6_interferer_reduces_sinr_not_snr():
@@ -153,7 +156,8 @@ def test_sub6_interferer_reduces_sinr_not_snr():
                                 1, rng)
     sinr, snr, _ = mc._sinr(BUDGETS[0], np.array([100.0]), np.ones(1),
                             interference)
-    want_snr = P.p1_w * P.g1 * P.c1 * 100.0 ** (-P.alpha1) / P.noise1_w
+    macro = BUDGETS[0]
+    want_snr = macro.budget * 100.0 ** (-macro.alpha) / macro.noise_w
     assert snr[0] == pytest.approx(want_snr, rel=1e-12)
     assert sinr[0] < snr[0]
 
@@ -185,11 +189,13 @@ def test_mean_interference_tails_positive():
 def test_tail_means_match_closed_forms():
     # macro PPP and far NLoS cluster members at their mean beam gain
     r = 3000.0
-    sub6 = (2.0 * math.pi * P.lambda1 * P.p1_w * P.g1 * P.c1
-            * r ** (2.0 - P.alpha1) / (P.alpha1 - 2.0))
-    beam = P.p_main * P.g_main + (1.0 - P.p_main) * P.g_side
-    mm = (2.0 * math.pi * P.lambda_p * P.n_bs * P.p2_w * beam * P.c_nlos
-          * r ** (2.0 - P.alpha_nlos) / (P.alpha_nlos - 2.0))
+    macro = BUDGETS[0]
+    sub6 = (2.0 * math.pi * macro.density * macro.budget
+            * r ** (2.0 - macro.alpha) / (macro.alpha - 2.0))
+    far = CELL_SEGS[-1]  # NLoS members past the LoS ball
+    beam = np.dot(far.gains, far.gain_probs)
+    mm = (2.0 * math.pi * CELL_DENSITY * far.intercept * beam
+          * r ** (2.0 - far.alpha) / (far.alpha - 2.0))
     assert mc._tail_mean(MACRO_SEGS, MACRO_DENSITY, r) == pytest.approx(
         sub6, rel=1e-12)
     assert mc._tail_mean(CELL_SEGS, CELL_DENSITY, r) == pytest.approx(
@@ -223,7 +229,7 @@ def test_interfering_members_stop_at_truncation_radius():
     d, trial = mc._cluster_members(law, radius, enlarged, n, rng)
     assert d.max() <= radius
     counts = np.bincount(trial, minlength=n)
-    want = P.lambda_p * P.n_bs * math.pi * radius ** 2
+    want = law.density * law.members * math.pi * radius ** 2
     stderr = counts.std(ddof=1) / math.sqrt(n)
     assert abs(counts.mean() - want) < 4.0 * stderr
 
@@ -281,7 +287,7 @@ def ref_cluster_members(law, radius, enlarged, n, rng):
 
 
 def test_two_outcome_pick_is_the_cumulative_search():
-    p0 = P.p_main
+    p0 = CELL_SEGS[0].gain_probs[0]
     u = np.concatenate(([0.0, p0, np.nextafter(p0, 0.0),
                          np.nextafter(p0, 1.0)],
                         np.random.default_rng(3).random(10_000)))
@@ -321,7 +327,7 @@ def test_interferer_kernels_match_their_references(seed):
         mc._member_distances(cx, law.spread, np.random.default_rng(seed)),
         ref_member_distances(cx, law.spread, np.random.default_rng(seed)),
         maxulp=2)
-    u = np.concatenate(([0.0, P.p_main],
+    u = np.concatenate(([0.0, law.segments[0].gain_probs[0]],
                         np.random.default_rng(seed).random(1000)))
     for s in law.segments:
         np.testing.assert_array_equal(

@@ -217,9 +217,7 @@ def test_only_link_budgets_reads_the_link_constants():
     # every other link constant reaches the engines and the sampler through
     # the association.link_budgets records
     names = ({f.name for f in dataclasses.fields(SystemParams)}
-             | {name for name, value in vars(SystemParams).items()
-                if isinstance(value, property)})
-    names -= PARAMS_READ_OUTSIDE_RECORDS
+             - PARAMS_READ_OUTSIDE_RECORDS)
     reads = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "params.py":
@@ -234,3 +232,20 @@ def test_only_link_budgets_reads_the_link_constants():
                       and node.attr in names]
     assert not reads, f"{reads} read SystemParams: read the " \
         f"association.link_budgets records instead"
+
+
+def test_system_params_is_the_config_alone():
+    # the record holds the configured fields and nothing derived from them:
+    # association.link_budgets is its one linear-scale view
+    tree = ast.parse((PACKAGE / "params.py").read_text())
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef)
+              and node.name == "SystemParams"]
+    methods = {node.name for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert methods == {"__post_init__", "replace", "as_dict"}, \
+        f"SystemParams defines {sorted(methods)}: derive a value from its " \
+        f"fields in association.link_budgets instead"
+    properties = sorted(name for name, value in vars(SystemParams).items()
+                        if isinstance(value, property))
+    assert not properties, f"SystemParams has properties {properties}: " \
+        f"derive them in association.link_budgets instead"

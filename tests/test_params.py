@@ -1,4 +1,5 @@
-"""Parameter record: unit conversions, validation, derived accessors."""
+"""Parameter record: unit conversions, validation, and the linear-scale
+constants that ``association.link_budgets`` derives from its fields."""
 
 import math
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from hotnet.association import link_budgets
-from hotnet.params import (SystemParams, db_to_linear, dbm_to_watts,
-                           linear_to_db, noise_power_w)
+from hotnet.params import (ScenarioKind, SystemParams, db_to_linear,
+                           dbm_to_watts, linear_to_db)
 
 
 def test_db_roundtrip():
@@ -29,36 +30,41 @@ def test_linear_to_db_rejects_nonpositive():
 
 
 def test_default_record_is_valid():
-    p = SystemParams()
-    assert p.lambda1 == pytest.approx(30e-6)
-    assert p.lambda_p == pytest.approx(5e-6)
-    assert p.p1_w == pytest.approx(10.0)
-    assert p.p2_w == pytest.approx(1.0)
-    assert p.g_main == pytest.approx(db_to_linear(18.0))
-    assert p.bias2 / p.bias1 == pytest.approx(1.0)
+    macro, cells = link_budgets(SystemParams())
+    assert macro.density == pytest.approx(30e-6)
+    assert cells.cluster.density == pytest.approx(5e-6)
+    # 40 dBm macro and 30 dBm small-cell power at 0 dB bias
+    assert macro.budget == pytest.approx(10.0 * db_to_linear(-38.5))
+    assert macro.weight == macro.budget
+    assert cells.budget == pytest.approx(db_to_linear(18.0)
+                                         * db_to_linear(-61.4))
+    assert cells.weight == pytest.approx(3.0 * cells.budget)
 
 
 def test_noise_power_formula():
-    # -174 dBm/Hz + 10 log10(W) + NF
+    # -174 dBm/Hz + 10 log10(W) + NF on the band of each serving link
     p = SystemParams()
     want1 = dbm_to_watts(-174.0 + 10.0 * math.log10(20e6) + 10.0)
     want2 = dbm_to_watts(-174.0 + 10.0 * math.log10(1e9) + 10.0)
-    assert p.noise1_w == pytest.approx(want1, rel=1e-12)
-    assert p.noise2_w == pytest.approx(want2, rel=1e-12)
-    with pytest.raises(ValueError):
-        noise_power_w(0.0, 10.0)
+    macro, cells = link_budgets(p)
+    _, shared = link_budgets(p, ScenarioKind.TWO_TIER_SUB6)
+    assert macro.noise_w == pytest.approx(want1, rel=1e-12)
+    assert cells.noise_w == pytest.approx(want2, rel=1e-12)
+    assert shared.noise_w == pytest.approx(want1, rel=1e-12)
 
 
 def test_mean_interferer_gain_is_beam_average():
     # the mean gain of an interfering small cell, as the Monte Carlo tail
-    # reads it from each kernel segment of (a)
+    # reads it from each kernel segment of (a): the main lobe of a random
+    # beam covers the UE with probability theta/360
     p = SystemParams()
-    frac = p.theta_b_rad / (2.0 * math.pi)
-    want = frac * p.g_main + (1.0 - frac) * p.g_side
+    frac = p.theta_b_deg / 360.0
+    want = frac * db_to_linear(p.g_main_dbi) \
+        + (1.0 - frac) * db_to_linear(p.g_side_dbi)
     for seg in link_budgets(p)[1].cluster.segments:
+        assert seg.gain_probs == (frac, 1.0 - frac)
         assert np.dot(seg.gains, seg.gain_probs) == pytest.approx(want,
                                                                   rel=1e-12)
-    assert p.p_main == pytest.approx(10.0 / 360.0)
 
 
 @pytest.mark.parametrize("changes", [
@@ -90,6 +96,7 @@ def test_mean_interferer_gain_is_beam_average():
     dict(p2_dbm=-math.inf),
     dict(bias2_db=math.inf),
     dict(n_bs=math.nan),
+    dict(w2_hz=0.0),
 ])
 def test_validation_rejects(changes):
     with pytest.raises(ValueError):
@@ -115,11 +122,16 @@ def test_as_dict_round_trips():
     assert SystemParams(**p.as_dict()) == p
 
 
-def test_bias_ratio_uses_both_biases():
-    def weight_ratio(p):
-        macro, cells = link_budgets(p)
+def test_small_cell_bias_scales_the_weight_ratio():
+    # bias2_db is the one bias: it scales the small-cell weight over the
+    # macro weight by its linear value, in either band of the small cells
+    def weight_ratio(q, scenario):
+        macro, cells = link_budgets(q, scenario)
         return cells.weight / macro.weight
 
-    p = SystemParams(bias1_db=3.0, bias2_db=13.0)
-    assert weight_ratio(p) == pytest.approx(10.0 * weight_ratio(
-        SystemParams(bias1_db=0.0, bias2_db=0.0)), rel=1e-12)
+    p = SystemParams()
+    for scenario in (ScenarioKind.INTEGRATED, ScenarioKind.TWO_TIER_SUB6):
+        for b in (-7.5, 3.0, 13.0):
+            assert weight_ratio(p.replace(bias2_db=b), scenario) == \
+                pytest.approx(10.0 ** (b / 10.0) * weight_ratio(p, scenario),
+                              rel=1e-12)
