@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import binom, chndtr, hyp2f1
@@ -53,6 +53,11 @@ RATE_SPEC = QuadSpec(rel_tol=1e-3, abs_tol=1e-6)
 INTEGRATED = ScenarioKind.INTEGRATED
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# the rate's u = ln t rule: 56 nodes on [-10, 30], and one of weight 1 at
+# -10 for the tail below, where R is flat and every W(e^u) falls as e^u
+_RATE_U, _RATE_W = np.polynomial.legendre.leggauss(56)
+_RATE_RULE = (np.append(10.0 + 20.0 * _RATE_U, -10.0),
+              np.append(20.0 * _RATE_W, 1.0))
 
 # (macro, small-cell) records of one deployment, as link_budgets returns them
 _Records = tuple[LinkBudget, LinkBudget]
@@ -537,38 +542,51 @@ def laplace_I2_inter(s, law: ClusterLaw):
 def _kahan_sum(terms: np.ndarray) -> np.ndarray:
     """Compensated summation over the first axis (alternating Alzer
     terms)."""
-    total = terms[0]
-    comp = 0.0
+    total, comp = terms[0], 0.0
     for t in terms[1:]:
         y = t - comp
         acc = total + y
-        comp = (acc - total) - y
-        total = acc
+        comp, total = (acc - total) - y, acc
     return total
 
 
-def _alzer_terms(n_l: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Signs/binomials and the chi constant of the alternating gamma-tail
-    sum; exact (single-term) for n_l == 1."""
+class _Tail(NamedTuple):
+    """A serving fading tail as data: its coverage is the combination
+    C(tau) = sum_n weights[n] R(p_n tau) of the order-1 mass curve R at
+    the points p_n = scale * steps[n], kept as factors (s multiplies by
+    the scale, then by the step).  The default is R itself (Rayleigh)."""
+    scale: float = 1.0
+    steps: np.ndarray = np.ones(1)
+    weights: np.ndarray = np.ones(1)
+
+    def rate_weight(self, t):
+        """W(t) = sum_n weights[n] t / (p_n + t), so that the rate integral
+        int C(tau) / (1 + tau) dtau is int R(e^u) W(e^u) du."""
+        return np.sum(self.weights[:, None] * t
+                      / (self.scale * self.steps[:, None] + t), axis=0)
+
+
+def _alzer_tail(link: LinkBudget) -> _Tail:
+    """Alzer's bound 1 - (1 - e^{-chi y})^N of the serving tail of ``link``
+    (N its Nakagami order) over the points n chi; exact for N = 1."""
+    n_l = link.order
     n = np.arange(1, n_l + 1, dtype=float)
-    coeff = (-1.0) ** (n + 1.0) * binom(n_l, n)
     chi = n_l * math.gamma(n_l + 1.0) ** (-1.0 / n_l)
-    return n, coeff, chi
+    return _Tail(chi, n, (-1.0) ** (n + 1.0) * binom(n_l, n))
 
 
-def _coverage_integrand(k: int, budgets: _Records):
+def _coverage_integrand(k: int, budgets: _Records, tail: _Tail):
     """Integrand ``f(x, tau, v0)`` over the serving distance x of
     A_k(v0) * C_k(tau; v0) (elementwise in x, tau and v0): the serving
-    density times the fading tail (Alzer's bound, exact for Rayleigh)
-    averaged over the interference fields tier k hears."""
+    density times the fading tail ``tail`` averaged over the interference
+    fields tier k hears."""
     serving = budgets[k - 1]
-    nvec, coeff, chi = _alzer_terms(serving.order)
     density = _serving_density(k, budgets)
 
     def f(x, tau, v0):
-        # the Alzer terms along a leading axis: s is (N, nx), and every
-        # term shares the nodes x and offsets v0
-        s = (x ** serving.alpha * tau * chi * nvec[:, None]
+        # the tail's points along a leading axis: s is (N, nx), and every
+        # point shares the nodes x and offsets v0
+        s = (x ** serving.alpha * tau * tail.scale * tail.steps[:, None]
              / serving.budget)
         lap = np.exp(-s * serving.noise_w)
         for j in serving.hears:
@@ -580,27 +598,27 @@ def _coverage_integrand(k: int, budgets: _Records):
             else:
                 lap = lap * (laplace_I2_intra(s, v0, xj, heard.cluster)
                              * laplace_I2_inter(s, heard.cluster))
-        return density(x, v0) * _kahan_sum(coeff[:, None] * lap)
+        return density(x, v0) * _kahan_sum(tail.weights[:, None] * lap)
 
     return f
 
 
-def _coverage_masses(k: int, tau, v0, budgets: _Records, spec: QuadSpec,
-                     tally: _Tally) -> np.ndarray:
-    """A_k(v0) * C_k(tau; v0), the coverage mass tier k serves, for each
-    pair of the broadcast 1-D arrays tau and v0, with every pair's
-    integral in one batched pass.  A pair is integrated in segments of
-    the serving distance; its mass is their sum in order."""
+def _coverage_masses(k: int, tau, v0, budgets: _Records, tail: _Tail,
+                     spec: QuadSpec, tally: _Tally, noise_cuts=False):
+    """A_k(v0) * C_k(tau; v0), tier k's coverage mass with serving tail
+    ``tail``, for each pair of the broadcast 1-D arrays tau and v0: segment
+    integrals over the serving distance summed in order, all in one batch.
+    Segments start at the noise scale for (a)'s small cells and, with
+    ``noise_cuts``, every tier: at high tau one misses its mass near 0."""
     tau, v0 = np.broadcast_arrays(np.asarray(tau, dtype=float),
                                   np.asarray(v0, dtype=float))
     serving = budgets[k - 1]
     reach = _serving_reach(k, v0, budgets)
-    if k == 2 and serving.cluster.los_ball is not None:
-        # at high thresholds the integrand concentrates on the noise-decay
-        # scale; seed the adaptive rule with matching breakpoints (empty
-        # segments integrate to an exact 0)
-        chi = _alzer_terms(serving.order)[2]
-        x_noise = (serving.budget / (tau * chi * serving.noise_w)) \
+    if noise_cuts or (k == 2 and serving.cluster.los_ball is not None):
+        # breakpoints at the noise-decay scale of the tail's smallest
+        # point (empty segments integrate to an exact 0)
+        x_noise = (serving.budget
+                   / (tau * (tail.scale * tail.steps[0]) * serving.noise_w)) \
             ** (1.0 / serving.alpha)
         near = np.minimum(4.0 * x_noise, reach)
         far = np.minimum(32.0 * x_noise, reach)
@@ -609,7 +627,7 @@ def _coverage_masses(k: int, tau, v0, budgets: _Records, spec: QuadSpec,
         cuts = np.stack([np.zeros(tau.shape), reach], axis=-1)
     pair = np.repeat(np.arange(tau.size), cuts.shape[1] - 1)
     seg_tau, seg_v0 = tau[pair], v0[pair]
-    f = _coverage_integrand(k, budgets)
+    f = _coverage_integrand(k, budgets, tail)
     res = integrate_batch(lambda x, j: f(x, seg_tau[j], seg_v0[j]),
                           cuts[:, :-1].ravel(), cuts[:, 1:].ravel(), spec)
     mass = np.zeros(tau.size)
@@ -624,10 +642,11 @@ def _coverage(tau: float, budgets: _Records, sigma_ue: float,
     if not tau > 0:
         raise ValueError("tau must be positive (linear)")
     inner = spec.tighter()
+    tails = [_alzer_tail(link) for link in budgets]
 
     def masses(v0, tally):
-        return (_coverage_masses(1, tau, v0, budgets, inner, tally)
-                + _coverage_masses(2, tau, v0, budgets, inner, tally))
+        return sum(_coverage_masses(k, tau, v0, budgets, tail, inner, tally)
+                   for k, tail in enumerate(tails, start=1))
 
     return _offset_average(masses, sigma_ue, spec)
 
@@ -671,43 +690,24 @@ def coverage_two_tier_sub6(tau: float, params: SystemParams) -> float:
 
 def avg_rate(params: SystemParams,
              scenario: ScenarioKind = INTEGRATED) -> float:
-    """Average achievable rate in bits/s: per-tier bandwidth times the
-    integrated conditional coverage over the spectral-efficiency axis,
-    averaged over the offsets by ``_offset_average``.
-
-    A triple-nested quadrature on ``RATE_SPEC``, deliberately looser than
-    the coverage path."""
+    """Average achievable rate in bits/s, by Hamdi's lemma one weighted
+    integral in u = ln t of each tier's order-1 mass curve R_k:
+    sum_k B_k / ln 2 * E_v0[int R_k(e^u; v0) W_k(e^u) du], W_k the rate
+    weight of tier k's Alzer tail.  An offset pass takes ``_RATE_RULE`` in
+    one batched pass per tier; the offsets' average runs on ``RATE_SPEC``."""
     inner = replace(RATE_SPEC, abs_tol=1e-10)
     budgets = link_budgets(params, scenario)
-    # candidate truncation points of the spectral-efficiency axis: 2, 3,
-    # 4.5, ... up to the first one past 40
-    brackets = [2.0]
-    while brackets[-1] < 40.0:
-        brackets.append(brackets[-1] * 1.5)
-    rho_u, rho_w = np.polynomial.legendre.leggauss(32)
-
-    def masses(k: int, v0s: np.ndarray, rhos: np.ndarray,
-               tally: _Tally) -> np.ndarray:
-        # row i: tier k's coverage masses at offset i and the spectral
-        # efficiencies of row i, every row in one batched pass
-        taus = [2.0 ** r - 1.0 for r in rhos.ravel().tolist()]
-        return _coverage_masses(k, taus, np.repeat(v0s, rhos.shape[1]),
-                                budgets, inner, tally).reshape(rhos.shape)
-
-    def rho_integrals(k: int, v0s: np.ndarray, tally: _Tally) -> np.ndarray:
-        # the spectral-efficiency integrand is smooth and monotone, so a
-        # fixed Gauss-Legendre rule on [0, top] suffices once the
-        # truncation point top is bracketed: the first candidate whose
-        # coverage mass is within 1e-5, else the last one
-        probes = masses(k, v0s, np.tile(brackets[:-1], (v0s.size, 1)), tally)
-        tops = np.array([next((h for h, m in zip(brackets, row)
-                               if m <= 1e-5), brackets[-1])
-                         for row in probes])
-        rule = masses(k, v0s, 0.5 * tops[:, None] * (rho_u + 1.0), tally)
-        return 0.5 * tops * np.sum(rho_w * rule, axis=1)
+    u, w = _RATE_RULE
+    t = np.exp(u)
+    weights = [link.bandwidth_hz / math.log(2.0) * w
+               * _alzer_tail(link).rate_weight(t) for link in budgets]
 
     def rates(v0s: np.ndarray, tally: _Tally) -> np.ndarray:
-        return sum(b.bandwidth_hz * rho_integrals(k, v0s, tally)
-                   for k, b in enumerate(budgets, start=1))
+        # row i: a tier's mass curve at offset i on the u-rule
+        return sum(_coverage_masses(k, np.tile(t, v0s.size),
+                                    np.repeat(v0s, t.size), budgets,
+                                    _Tail(), inner, tally, noise_cuts=True
+                                    ).reshape(v0s.size, t.size) @ wk
+                   for k, wk in enumerate(weights, start=1))
 
     return float(_offset_average(rates, params.sigma_ue_m, RATE_SPEC).value)

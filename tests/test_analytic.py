@@ -506,7 +506,7 @@ def tiled_coverage_integrand(k, params, scenario, include_nlos):
     macro, cells = link_budgets(params, scenario)
     serving, other = ((macro, cells), (cells, macro))[k - 1]
     law = cells.cluster
-    nvec, coeff, chi = analytic._alzer_terms(serving.order)
+    chi, nvec, coeff = analytic._alzer_tail(serving)
     # the serving record lists the tiers whose BSs interfere on its band
     hears_macro = 1 in serving.hears
     hears_cells = 2 in serving.hears
@@ -575,7 +575,9 @@ def test_coverage_integrand_matches_tiled_reference(deployment,
     x = np.linspace(1.0, 600.0, 40)
     v0 = np.repeat([0.0, 40.0, 150.0, 420.0, 1100.0], 8)
     tau = np.resize([0.1, 1.0, 100.0], x.size)
-    got = analytic._coverage_integrand(k, records(P, scenario, include_nlos))
+    budgets = records(P, scenario, include_nlos)
+    got = analytic._coverage_integrand(k, budgets,
+                                       analytic._alzer_tail(budgets[k - 1]))
     want = tiled_coverage_integrand(k, P, scenario, include_nlos)
     np.testing.assert_array_equal(got(x, tau, v0), want(x, tau, v0))
 
@@ -798,13 +800,13 @@ def loop_coverage_mass(k, tau, v0, scenario, include_nlos, spec):
     segment in its own integrate_adaptive call: the per-pair loop the
     batched pass replaces, kept as its reference."""
     budgets = records(P, scenario, include_nlos)
-    f = analytic._coverage_integrand(k, budgets)
-    reach = float(analytic._serving_reach(k, v0, budgets))
     serving = budgets[k - 1]
+    tail = analytic._alzer_tail(serving)
+    f = analytic._coverage_integrand(k, budgets, tail)
+    reach = float(analytic._serving_reach(k, v0, budgets))
     cuts = [0.0, reach]
     if k == 2 and serving.cluster.los_ball is not None:
-        chi = analytic._alzer_terms(serving.order)[2]
-        x_noise = (serving.budget / (tau * chi * serving.noise_w)) \
+        x_noise = (serving.budget / (tau * tail.scale * serving.noise_w)) \
             ** (1.0 / serving.alpha)
         cuts = sorted({0.0, min(4.0 * x_noise, reach),
                        min(32.0 * x_noise, reach), reach})
@@ -828,44 +830,183 @@ def test_batched_coverage_mass_matches_per_pair_loop(deployment,
     for tau_db in (-10.0, 0.0, 20.0, 30.0, 50.0):
         tau = 10.0 ** (tau_db / 10.0)
         for k in (1, 2):
+            budgets = records(P, scenario, include_nlos)
             got = analytic._coverage_masses(
-                k, tau, v0, records(P, scenario, include_nlos), spec,
-                analytic._Tally())
+                k, tau, v0, budgets, analytic._alzer_tail(budgets[k - 1]),
+                spec, analytic._Tally())
             want = [loop_coverage_mass(k, tau, v, scenario, include_nlos,
                                        spec) for v in v0]
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_avg_rate_frozen_value():
-    assert analytic.avg_rate(P) == pytest.approx(2457725963.59, rel=1e-6)
+    # the mass-curve rate; the bracket/rho rule before it gave
+    # 2457725963.59, and the 2x96-node u-rule on [-20, 40] over the same
+    # masses gives 2457730572.51
+    assert analytic.avg_rate(P) == pytest.approx(2457731719.67, rel=1e-6)
+
+
+def bracket_avg_rate(params, scenario):
+    """avg_rate as the bracket/rho rule computed it before the mass-curve
+    integral, kept verbatim as its reference: per offset node and tier, 8
+    bracket probes of Alzer's coverage mass on the spectral-efficiency
+    axis pick its truncation point, and a 32-node rule integrates up to
+    it.  Only its ``_coverage_masses`` is adapted: Alzer's tail with the
+    rate's noise cuts, so that both rules integrate the same masses."""
+    RATE_SPEC = analytic.RATE_SPEC
+    _Tally = analytic._Tally
+    _offset_average = analytic._offset_average
+
+    def _coverage_masses(k, taus, v0s, budgets, inner, tally):
+        return analytic._coverage_masses(
+            k, taus, v0s, budgets, analytic._alzer_tail(budgets[k - 1]),
+            inner, tally, noise_cuts=True)
+
+    inner = replace(RATE_SPEC, abs_tol=1e-10)
+    budgets = link_budgets(params, scenario)
+    # candidate truncation points of the spectral-efficiency axis: 2, 3,
+    # 4.5, ... up to the first one past 40
+    brackets = [2.0]
+    while brackets[-1] < 40.0:
+        brackets.append(brackets[-1] * 1.5)
+    rho_u, rho_w = np.polynomial.legendre.leggauss(32)
+
+    def masses(k: int, v0s: np.ndarray, rhos: np.ndarray,
+               tally: _Tally) -> np.ndarray:
+        # row i: tier k's coverage masses at offset i and the spectral
+        # efficiencies of row i, every row in one batched pass
+        taus = [2.0 ** r - 1.0 for r in rhos.ravel().tolist()]
+        return _coverage_masses(k, taus, np.repeat(v0s, rhos.shape[1]),
+                                budgets, inner, tally).reshape(rhos.shape)
+
+    def rho_integrals(k: int, v0s: np.ndarray, tally: _Tally) -> np.ndarray:
+        # the spectral-efficiency integrand is smooth and monotone, so a
+        # fixed Gauss-Legendre rule on [0, top] suffices once the
+        # truncation point top is bracketed: the first candidate whose
+        # coverage mass is within 1e-5, else the last one
+        probes = masses(k, v0s, np.tile(brackets[:-1], (v0s.size, 1)), tally)
+        tops = np.array([next((h for h, m in zip(brackets, row)
+                               if m <= 1e-5), brackets[-1])
+                         for row in probes])
+        rule = masses(k, v0s, 0.5 * tops[:, None] * (rho_u + 1.0), tally)
+        return 0.5 * tops * np.sum(rho_w * rule, axis=1)
+
+    def rates(v0s: np.ndarray, tally: _Tally) -> np.ndarray:
+        return sum(b.bandwidth_hz * rho_integrals(k, v0s, tally)
+                   for k, b in enumerate(budgets, start=1))
+
+    return float(_offset_average(rates, params.sigma_ue_m, RATE_SPEC).value)
+
+
+def u_rule(lo, hi, nodes, panels=1):
+    """Gauss-Legendre nodes and weights in u of ``nodes`` nodes on each of
+    ``panels`` equal panels of [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(lo, hi, panels + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return ((mid[:, None] + half[:, None] * x).ravel(),
+            (half[:, None] * w).ravel())
+
+
+# the oracle of the rate's u-rule: 2 x 96 nodes on [-20, 40]
+ORACLE_U_RULE = u_rule(-20.0, 40.0, 96, panels=2)
+# the module's rule, its window [-10, 30] widened to [-20, 44] by 32-node
+# panels on each new piece, with the lower-tail node moved to -20
+WIDE_U_RULE = tuple(np.concatenate(parts) for parts in zip(
+    ([-20.0], [1.0]), u_rule(-20.0, -10.0, 32),
+    (node[:-1] for node in analytic._RATE_RULE), u_rule(30.0, 44.0, 32)))
+
+
+@lru_cache(maxsize=None)
+def rate_on(rule, params, scenario):
+    """avg_rate with the u-rule named ``rule`` in place of the module's:
+    ``"module"``, ``"oracle"`` or ``"wide"``."""
+    u_rules = {"module": analytic._RATE_RULE, "oracle": ORACLE_U_RULE,
+               "wide": WIDE_U_RULE}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytic, "_RATE_RULE", u_rules[rule])
+        return analytic.avg_rate(params, scenario)
+
+
+# (a)-(d) at the defaults
+DEFAULT_POINTS = {kind.value: (P, kind) for kind in ScenarioKind}
+# and (a) where the rate is slowest and where the small cells are few and
+# favoured
+RATE_POINTS = {
+    **DEFAULT_POINTS,
+    "a-narrow-dense": (P.replace(sigma_bs_m=30.0, lambda1_per_km2=90.0),
+                       ScenarioKind.INTEGRATED),
+    "a-biased-few": (P.replace(bias2_db=10.0, n_bs=4),
+                     ScenarioKind.INTEGRATED),
+}
+
+
+@pytest.mark.parametrize("point", RATE_POINTS)
+def test_avg_rate_matches_dense_u_rule(point):
+    params, scenario = RATE_POINTS[point]
+    assert rate_on("module", params, scenario) == pytest.approx(
+        rate_on("oracle", params, scenario), rel=1e-5)
+
+
+@pytest.mark.parametrize("point", RATE_POINTS)
+def test_avg_rate_matches_bracket_rule(point):
+    # the mass-curve integral and the bracket/rho rule integrate the
+    # same Alzer coverage over the spectral efficiency
+    params, scenario = RATE_POINTS[point]
+    assert rate_on("module", params, scenario) == pytest.approx(
+        bracket_avg_rate(params, scenario), rel=1e-4)
+
+
+# and (a) with a sparse macro tier, whose long serving distances move the
+# tier-1 curve to lower thresholds
+WINDOW_POINTS = {
+    **DEFAULT_POINTS,
+    "a-sparse-macro": (P.replace(lambda1_per_km2=0.05),
+                       ScenarioKind.INTEGRATED),
+}
+
+
+@pytest.mark.parametrize("point", WINDOW_POINTS)
+def test_avg_rate_u_window_holds_the_weighted_curves(point):
+    # the weighted mass curves carry nothing the rate sees outside the
+    # module's window [-10, 30] but the lower tail its last node takes
+    params, scenario = WINDOW_POINTS[point]
+    assert rate_on("wide", params, scenario) == pytest.approx(
+        rate_on("module", params, scenario), rel=1e-6)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_rate_weight_is_hamdis(order):
+    # N = 1 is Hamdi's t / (1 + t); every weight tends to 1, since Alzer's
+    # tail is 1 at y = 0 (its weights sum to 1)
+    tail = analytic._alzer_tail(replace(link_budgets(P)[0], order=order))
+    if order == 1:
+        t = np.logspace(-6.0, 6.0, 25)
+        np.testing.assert_array_equal(tail.rate_weight(t), t / (1.0 + t))
+    assert tail.rate_weight(np.array([1e15]))[0] == pytest.approx(1.0,
+                                                                  abs=1e-12)
 
 
 def loop_avg_rate(params, scenario, spec):
-    """avg_rate with one pass of coverage masses per offset node and
+    """avg_rate with one pass of mass-curve masses per offset node and
     tier: the per-offset loop the batched passes replace, kept as their
     reference."""
     inner = replace(spec, abs_tol=1e-10)
     budgets = link_budgets(params, scenario)
-    brackets = [2.0]
-    while brackets[-1] < 40.0:
-        brackets.append(brackets[-1] * 1.5)
+    u, w = analytic._RATE_RULE
+    t = np.exp(u)
 
-    def rho_integral(k, v0):
-        def masses(rhos):
-            return analytic._coverage_masses(
-                k, [2.0 ** r - 1.0 for r in rhos], v0, budgets, inner,
-                analytic._Tally())
-
-        probes = masses(brackets[:-1])
-        hi = next((h for h, m in zip(brackets, probes) if m <= 1e-5),
-                  brackets[-1])
-        u, w = np.polynomial.legendre.leggauss(32)
-        rho = 0.5 * hi * (u + 1.0)
-        return float(0.5 * hi * np.sum(w * masses(rho.tolist())))
+    def u_integral(k, v0):
+        link = budgets[k - 1]
+        mass = analytic._coverage_masses(k, t, v0, budgets,
+                                         analytic._Tail(), inner,
+                                         analytic._Tally(), noise_cuts=True)
+        weight = (link.bandwidth_hz / math.log(2.0) * w
+                  * analytic._alzer_tail(link).rate_weight(t))
+        return float(mass @ weight)
 
     def rates(v0s, tally):
-        return np.array([budgets[0].bandwidth_hz * rho_integral(1, v0)
-                         + budgets[1].bandwidth_hz * rho_integral(2, v0)
+        return np.array([u_integral(1, v0) + u_integral(2, v0)
                          for v0 in v0s.tolist()])
 
     return float(analytic._offset_average(rates, params.sigma_ue_m,
@@ -929,8 +1070,10 @@ def test_conditional_coverage_pieces_bounded():
     # a tier cannot cover more users than it serves: each coverage mass
     # lies between 0 and the tier's association probability
     v0 = np.array([30.0, 150.0, 400.0])
+    budgets = link_budgets(P)
     for k in (1, 2):
-        mass = analytic._coverage_masses(k, 1.0, v0, link_budgets(P),
+        mass = analytic._coverage_masses(k, 1.0, v0, budgets,
+                                         analytic._alzer_tail(budgets[k - 1]),
                                          analytic.DEFAULT_SPEC,
                                          analytic._Tally())
         assoc = [analytic.conditional_assoc_prob(k, v, P) for v in v0]

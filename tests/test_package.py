@@ -122,6 +122,21 @@ def test_only_analytic_entry_points_read_the_records():
     assert {"coverage", "coverage_no_nlos", "avg_rate"} <= readers
 
 
+def test_serving_order_enters_as_tail_data():
+    # the integrand and the rate evaluate the serving tail from its points
+    # and weights alone (_alzer_tail derives them from the Nakagami
+    # order), so the order-1 mass curve and Alzer's coverage share them
+    tree = ast.parse((PACKAGE / "analytic.py").read_text())
+    readers = sorted(f"{top.name}:{node.lineno}" for top in tree.body
+                     if getattr(top, "name", None) in {"_coverage_integrand",
+                                                       "avg_rate"}
+                     for node in ast.walk(top)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr == "order")
+    assert not readers, f"{readers} read the serving order: take the " \
+        f"tail's points and weights instead"
+
+
 # Each interference transform has one copy: the kernel behind it is read
 # only by the transform it makes up (the inter-cluster transform integrates
 # the per-member exponent over the cluster centers).
