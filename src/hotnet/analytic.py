@@ -44,7 +44,7 @@ from scipy.special import binom, chndtr, hyp2f1
 from .association import ClusterLaw, LinkBudget, boundary_map, link_budgets
 from .geometry import rice_pdf
 from .params import ScenarioKind, SystemParams
-from .quadrature import (QuadSpec, half_line, integrate_adaptive,
+from .quadrature import (_CHUNK, QuadSpec, half_line, integrate_adaptive,
                          integrate_batch)
 
 DEFAULT_SPEC = QuadSpec(rel_tol=1e-6, abs_tol=1e-14)
@@ -53,6 +53,10 @@ RATE_SPEC = QuadSpec(rel_tol=1e-3, abs_tol=1e-6)
 INTEGRATED = ScenarioKind.INTEGRATED
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# most kernel values _cluster_exponent holds at once: those of a 3-point
+# serving tail over one full integrand call of integrate_batch (_CHUNK
+# panels of 15 Kronrod nodes) on the band rule
+_KERNEL_VALUES = 3 * _CHUNK * 15 * _GL_NODES.size
 # the rate's u = ln t rule: 56 nodes on [-10, 30], and one of weight 1 at
 # -10 for the tail below, where R is flat and every W(e^u) falls as e^u
 _RATE_U, _RATE_W = np.polynomial.legendre.leggauss(56)
@@ -319,15 +323,18 @@ def _cluster_exponent(s, v0, x, law: ClusterLaw):
     kernel, each on a 64-node Gauss-Legendre rule over its band.
 
     v0 and x broadcast to the places; s broadcasts against them and may
-    carry leading axes of its own (e.g. one per Alzer term), which the
-    result keeps.  Each band's nodes and member density, and each
-    segment's path loss, are evaluated once per place and shared by every
-    s: once per (v0, x) for a band that starts at the exclusion radius,
-    once per distinct v0 for a band that does not depend on x.  A band
-    that would start at x is one of these where no x passes its start,
-    as at x = 0 in the PGFL integrand; every segment on such a band
-    shares its nodes and density.  Only the kernel is evaluated per s.
-    ``laplace_I2_intra`` and ``_InterLaplace`` turn it into the
+    carry leading axes of its own (e.g. one per point of a serving tail),
+    which the result keeps.  Each band's nodes and member density, and
+    each segment's path loss, are evaluated once per place and shared by
+    every s: once per (v0, x) for a band that starts at the exclusion
+    radius, once per distinct v0 for a band that does not depend on x.  A
+    band that would start at x is one of these where no x passes its
+    start, as at x = 0 in the PGFL integrand; every segment on such a band
+    shares its nodes and density.  Only the kernel is evaluated per s, over
+    the leading rows of s in slices of at most ``_KERNEL_VALUES`` values,
+    so a tail of many points holds no more of it at once than a 3-point
+    one; each value and its sum over the band nodes are the same either
+    way.  ``laplace_I2_intra`` and ``_InterLaplace`` turn it into the
     own-cluster and the inter-cluster transform.
     """
     v0, x = np.broadcast_arrays(np.asarray(v0, dtype=float),
@@ -335,6 +342,12 @@ def _cluster_exponent(s, v0, x, law: ClusterLaw):
     s = np.asarray(s, dtype=float)[..., None]
     sig = law.spread
     total = np.zeros(np.broadcast_shapes(s.shape, v0.shape + (1,)))
+    if s.ndim > v0.ndim + 1:
+        # s's leading axis is the result's: take its rows in slices
+        step = max(_KERNEL_VALUES // (total[0].size * _GL_NODES.size), 1)
+        rows = [slice(i, i + step) for i in range(0, len(total), step)]
+    else:
+        rows = [...]
     offsets, at = np.unique(v0, return_inverse=True)
     at = at.reshape(v0.shape)
     fixed = {}      # band -> half-width, nodes (per offset), density
@@ -355,11 +368,13 @@ def _cluster_exponent(s, v0, x, law: ClusterLaw):
                                    (len(offsets), r.shape[-1]))[at]
         # unit-mean Nakagami power is Gamma(N, 1/N): E[e^{-zh}] = (1+z/N)^-N
         s_n = s * (seg.intercept / seg.order)
-        ker = 1.0
-        for gain, prob in zip(seg.gains, seg.gain_probs):
-            ker = ker - prob * (1.0 + s_n * gain * path) ** (-seg.order)
-        total += seg.share * half * np.sum(dens * ker, axis=-1,
-                                           keepdims=True)
+        for i in rows:
+            ker = 1.0
+            for gain, prob in zip(seg.gains, seg.gain_probs):
+                ker = ker - prob * (1.0 + s_n[i] * gain * path) \
+                    ** (-seg.order)
+            total[i] += seg.share * half * np.sum(dens * ker, axis=-1,
+                                                  keepdims=True)
     return total[..., 0]
 
 
@@ -693,21 +708,28 @@ def avg_rate(params: SystemParams,
     """Average achievable rate in bits/s, by Hamdi's lemma one weighted
     integral in u = ln t of each tier's order-1 mass curve R_k:
     sum_k B_k / ln 2 * E_v0[int R_k(e^u; v0) W_k(e^u) du], W_k the rate
-    weight of tier k's Alzer tail.  An offset pass takes ``_RATE_RULE`` in
-    one batched pass per tier; the offsets' average runs on ``RATE_SPEC``."""
-    inner = replace(RATE_SPEC, abs_tol=1e-10)
+    weight of tier k's Alzer tail.
+
+    The sum of ``_RATE_RULE`` (nodes u_i, weights w_i) is taken inside the
+    integral over the serving distance: sum_i w_i W_k(t_i) R_k(t_i; v0) at
+    t_i = e^{u_i} is the coverage mass at tau = 1 of the tail with points
+    t_i and weights w_i W_k(t_i).  So an offset pass is one mass per tier
+    and offset, whose kernel shares each band density among the rule's
+    points and holds them in row slices (``_cluster_exponent``); the
+    masses take one order tighter than ``RATE_SPEC``, on which the
+    offsets' average runs."""
+    inner = RATE_SPEC.tighter()
     budgets = link_budgets(params, scenario)
     u, w = _RATE_RULE
     t = np.exp(u)
-    weights = [link.bandwidth_hz / math.log(2.0) * w
-               * _alzer_tail(link).rate_weight(t) for link in budgets]
+    tails = [_Tail(1.0, t, w * _alzer_tail(link).rate_weight(t))
+             for link in budgets]
 
     def rates(v0s: np.ndarray, tally: _Tally) -> np.ndarray:
-        # row i: a tier's mass curve at offset i on the u-rule
-        return sum(_coverage_masses(k, np.tile(t, v0s.size),
-                                    np.repeat(v0s, t.size), budgets,
-                                    _Tail(), inner, tally, noise_cuts=True
-                                    ).reshape(v0s.size, t.size) @ wk
-                   for k, wk in enumerate(weights, start=1))
+        return sum(link.bandwidth_hz / math.log(2.0)
+                   * _coverage_masses(k, 1.0, v0s, budgets, tail, inner,
+                                      tally)
+                   for k, (link, tail) in enumerate(zip(budgets, tails),
+                                                    start=1))
 
     return float(_offset_average(rates, params.sigma_ue_m, RATE_SPEC).value)

@@ -245,9 +245,15 @@ def _eval_point(index, value, params: SystemParams, table, sweep: SweepSpec,
                 mode: str, closed: dict) -> dict:
     """One grid point: returns a row per metric."""
     if table is not None and sweep.variable == "v0":
-        # bin half-width: a tenth of sigma_UE around the grid point
-        table = table.select(np.abs(table.v0 - float(value))
-                             < 0.1 * params.sigma_ue_m)
+        # the bin: a width of 0.12 in the Rayleigh CDF of v0, the variable
+        # the analytic offset average integrates over, around the grid
+        # point and kept inside [0, 1], so every bin holds about 12% of
+        # the trials (as +-0.1 sigma_UE does at the Rayleigh mode)
+        half, sigma = 0.06, params.sigma_ue_m
+        mid = -math.expm1(-0.5 * (float(value) / sigma) ** 2)
+        mid = min(max(mid, half), 1.0 - half)
+        cdf = -np.expm1(-0.5 * np.square(table.v0 / sigma))
+        table = table.select(np.abs(cdf - mid) <= half)
     tau_db = float(value) if sweep.variable == "tau_db" else sweep.tau_db
     arg = float(value) if sweep.variable == "v0" else 10.0 ** (tau_db / 10.0)
     row: dict[str, dict] = {}

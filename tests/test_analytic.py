@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -539,7 +540,7 @@ def tiled_coverage_integrand(k, params, scenario, include_nlos):
 
 @pytest.mark.parametrize("deployment", ["a", "d"])
 @pytest.mark.parametrize("include_nlos", [True, False])
-@pytest.mark.parametrize("n_terms", [1, 3])
+@pytest.mark.parametrize("n_terms", [1, 3, 57])
 def test_cluster_exponent_matches_tiled_reference(deployment, include_nlos,
                                                   n_terms):
     # without NLoS the reference skips the NLoS segments, and the kernel is
@@ -552,7 +553,11 @@ def test_cluster_exponent_matches_tiled_reference(deployment, include_nlos,
     v0 = np.array([0.0, 40.0, 40.0, 150.0, 150.0, 420.0, 1100.0, 40.0])
     x = np.array([5.0, 30.0, 250.0, 120.0, 900.0, 60.0, 10.0,
                   40.0 + 8.0 * P.sigma_bs_m + 1.0])
-    # one row of s per Alzer term, each row shares the places (v0, x)
+    if n_terms == 57:
+        # the rate tail's points over the 480 nodes of a full integrand
+        # call: the kernel takes its rows a few at a time
+        v0, x = np.tile(v0, 60), np.tile(x, 60)
+    # one row of s per tail point, each row shares the places (v0, x)
     s = np.logspace(2.0, 12.0, n_terms * v0.size).reshape(n_terms, -1)
     # and x = 0 at every place, as in the PGFL integrand: there the (a)
     # LoS band is the in-ball NLoS band, and the two share its nodes
@@ -987,23 +992,28 @@ def test_rate_weight_is_hamdis(order):
                                                                   abs=1e-12)
 
 
-def loop_avg_rate(params, scenario, spec):
-    """avg_rate with one pass of mass-curve masses per offset node and
-    tier: the per-offset loop the batched passes replace, kept as their
-    reference."""
-    inner = replace(spec, abs_tol=1e-10)
-    budgets = link_budgets(params, scenario)
+def rate_tails(budgets):
+    """Each tier's rate tail: the points t_i = e^{u_i} of the module's
+    u-rule, weighted w_i W_k(t_i)."""
     u, w = analytic._RATE_RULE
     t = np.exp(u)
+    return [analytic._Tail(1.0, t, w * analytic._alzer_tail(link)
+                           .rate_weight(t)) for link in budgets]
+
+
+def loop_avg_rate(params, scenario, spec):
+    """avg_rate with one rate-tail mass per offset node and tier: the
+    per-offset loop the batched passes replace, kept as their reference."""
+    inner = spec.tighter()
+    budgets = link_budgets(params, scenario)
+    tails = rate_tails(budgets)
 
     def u_integral(k, v0):
         link = budgets[k - 1]
-        mass = analytic._coverage_masses(k, t, v0, budgets,
-                                         analytic._Tail(), inner,
-                                         analytic._Tally(), noise_cuts=True)
-        weight = (link.bandwidth_hz / math.log(2.0) * w
-                  * analytic._alzer_tail(link).rate_weight(t))
-        return float(mass @ weight)
+        mass = analytic._coverage_masses(k, 1.0, np.array([v0]), budgets,
+                                         tails[k - 1], inner,
+                                         analytic._Tally())
+        return link.bandwidth_hz / math.log(2.0) * float(mass[0])
 
     def rates(v0s, tally):
         return np.array([u_integral(1, v0) + u_integral(2, v0)
@@ -1020,6 +1030,75 @@ def test_batched_avg_rate_matches_per_offset_loop(deployment, monkeypatch):
     monkeypatch.setattr(analytic, "RATE_SPEC", spec)
     assert analytic.avg_rate(P, scenario=scenario) == \
         loop_avg_rate(P, scenario, spec)
+
+
+@pytest.mark.parametrize("deployment", ["a", "d"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_rate_tail_mass_is_the_weighted_sum_of_masses(deployment, k):
+    # the rate's u-rule inside the serving-distance integral: its mass is
+    # sum_i w_i W_k(t_i) R_k(t_i; v0), each R_k the Rayleigh mass at t_i
+    # on the noise breakpoints (without them the masses at high t_i miss
+    # their mass near x = 0, 4e-4 of the sum in (d) tier 2)
+    scenario = MEMBER_LINKS[deployment]["scenario"]
+    budgets = link_budgets(P, scenario)
+    spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-16)
+    v0 = np.array([100.0])
+    tail = rate_tails(budgets)[k - 1]
+    got = analytic._coverage_masses(k, 1.0, v0, budgets, tail, spec,
+                                    analytic._Tally())
+    masses = analytic._coverage_masses(k, tail.steps, v0, budgets,
+                                       analytic._Tail(), spec,
+                                       analytic._Tally(), noise_cuts=True)
+    assert got[0] == pytest.approx(float(np.sum(tail.weights * masses)),
+                                   rel=1e-8)
+
+
+@pytest.mark.parametrize("deployment", ["a", "d"])
+def test_avg_rate_hands_one_integrand_per_segment_tier_and_offset(
+        deployment, monkeypatch):
+    # the u-rule's 57 points ride inside each integrand: an offset pass
+    # integrates one mass per serving-distance segment, tier and offset
+    scenario = MEMBER_LINKS[deployment]["scenario"]
+    # (a)'s small cells take the noise breakpoints: 3 segments
+    segments = [1, 3] if deployment == "a" else [1, 1]
+    analytic.avg_rate(P, scenario=scenario)     # the knots the rate needs
+    passes = []
+    real_batch, real_average = analytic.integrate_batch, \
+        analytic._offset_average
+
+    def spy_batch(f, a, b, spec):
+        passes[-1][1].append(len(a))
+        return real_batch(f, a, b, spec)
+
+    def spy_average(g, sigma_ue, spec):
+        def counted(v0, tally):
+            passes.append((v0.size, []))
+            return g(v0, tally)
+        return real_average(counted, sigma_ue, spec)
+
+    monkeypatch.setattr(analytic, "integrate_batch", spy_batch)
+    monkeypatch.setattr(analytic, "_offset_average", spy_average)
+    analytic.avg_rate(P, scenario=scenario)
+    assert passes
+    for offsets, sizes in passes:
+        assert sizes == [n * offsets for n in segments]
+
+
+def test_avg_rate_holds_no_more_memory_than_a_coverage_point():
+    # the kernel of the 57-point rate tail is taken in row slices; at once
+    # it would hold 57 x 480 x 64 values (14 MB)
+    runs = (lambda: analytic.avg_rate(P), lambda: analytic.coverage(1.0, P))
+    for run in runs:
+        run()                                   # the knots both need
+    peaks = []
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2 * peaks[1]
 
 
 def fixed_offset_average(nodes):

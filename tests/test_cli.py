@@ -456,6 +456,37 @@ def _text(x) -> str:
     return "nan" if math.isnan(x) else f"{x:.9g}"
 
 
+def v0_bin(v0, value, sigma_ue):
+    """The trials of a v0 sweep's bin at ``value``: those whose Rayleigh
+    CDF lies within 0.06 of the grid point's, the bin kept in [0, 1]."""
+    def cdf(v):
+        return 1.0 - np.exp(-np.square(v) / (2.0 * sigma_ue ** 2))
+    mid = np.clip(cdf(value), 0.06, 0.94)
+    return np.abs(cdf(v0) - mid) <= 0.06
+
+
+def test_v0_sweep_bins_hold_comparable_trial_counts(tmp_path, monkeypatch):
+    # the Rayleigh density vanishes at v0 = 0: a bin of fixed width in v0
+    # held about 0.5% of the trials there, against 12% at 120 m
+    counts, select = [], montecarlo.TrialTable.select
+
+    def spy(self, mask):
+        picked = select(self, mask)
+        if len(self) == 2000:
+            counts.append(len(picked))
+        return picked
+
+    monkeypatch.setattr(montecarlo.TrialTable, "select", spy)
+    path = _write(tmp_path, "scenario = d\nsweep_variable = v0\n"
+                            "sweep_grid = 0, 120, 400\n"
+                            "metrics = assoc_prob\n")
+    assert main(["run", "--config", str(path), "--mode", "mc",
+                 "--out", str(tmp_path / "out"), "--seed", "3",
+                 "--trials", "2000", "--no-figures"]) == 0
+    assert len(counts) == 3
+    assert min(counts) >= 0.5 * max(counts), counts
+
+
 @pytest.mark.parametrize("scenario, variable, grid", [
     ("a", "tau_db", (-5.0, 5.0)), ("d", "v0", (0.0, 120.0))],
     ids=["tau_db", "v0"])
@@ -489,8 +520,7 @@ def test_every_cell_is_its_engine_call(tmp_path, scenario, variable, grid):
                         for line in lines[1:]]
     for i, value in enumerate(grid):
         if variable == "v0":
-            sub = table.select(np.abs(table.v0 - value)
-                               < 0.1 * params.sigma_ue_m)
+            sub = table.select(v0_bin(table.v0, value, params.sigma_ue_m))
             assert len(sub) > 0
             mc = engine_mc_cells(sub, cfg.sweep.tau_db)
             closed = {"assoc_prob": analytic.conditional_assoc_prob(
