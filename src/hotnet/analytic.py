@@ -633,7 +633,7 @@ def _coverage_masses(k: int, tau, v0, budgets: _Records, tail: _Tail,
         # breakpoints at the noise-decay scale of the tail's smallest
         # point (empty segments integrate to an exact 0)
         x_noise = (serving.budget
-                   / (tau * (tail.scale * tail.steps[0]) * serving.noise_w)) \
+                   / (tau * (tail.scale * tail.steps.min()) * serving.noise_w)) \
             ** (1.0 / serving.alpha)
         near = np.minimum(4.0 * x_noise, reach)
         far = np.minimum(32.0 * x_noise, reach)

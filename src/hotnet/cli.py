@@ -245,15 +245,18 @@ def _eval_point(index, value, params: SystemParams, table, sweep: SweepSpec,
                 mode: str, closed: dict) -> dict:
     """One grid point: returns a row per metric."""
     if table is not None and sweep.variable == "v0":
-        # the bin: a width of 0.12 in the Rayleigh CDF of v0, the variable
-        # the analytic offset average integrates over, around the grid
-        # point and kept inside [0, 1], so every bin holds about 12% of
-        # the trials (as +-0.1 sigma_UE does at the Rayleigh mode)
-        half, sigma = 0.06, params.sigma_ue_m
-        mid = -math.expm1(-0.5 * (float(value) / sigma) ** 2)
-        mid = min(max(mid, half), 1.0 - half)
-        cdf = -np.expm1(-0.5 * np.square(table.v0 / sigma))
-        table = table.select(np.abs(cdf - mid) <= half)
+        # the bin: below the Rayleigh mode sigma_UE, where the density
+        # vanishes towards v0 = 0, a width of 0.12 in the Rayleigh CDF of
+        # v0 (the variable the analytic offset average integrates over);
+        # at and beyond it, +-0.1 sigma_UE, which holds the same share at
+        # the mode; each bin is centred on its grid point
+        sigma, v = params.sigma_ue_m, float(value)
+        if v < sigma:
+            cdf = -np.expm1(-0.5 * np.square(table.v0 / sigma))
+            mid = -math.expm1(-0.5 * (v / sigma) ** 2)
+            table = table.select(np.abs(cdf - mid) <= 0.06)
+        else:
+            table = table.select(np.abs(table.v0 - v) < 0.1 * sigma)
     tau_db = float(value) if sweep.variable == "tau_db" else sweep.tau_db
     arg = float(value) if sweep.variable == "v0" else 10.0 ** (tau_db / 10.0)
     row: dict[str, dict] = {}

@@ -457,34 +457,45 @@ def _text(x) -> str:
 
 
 def v0_bin(v0, value, sigma_ue):
-    """The trials of a v0 sweep's bin at ``value``: those whose Rayleigh
-    CDF lies within 0.06 of the grid point's, the bin kept in [0, 1]."""
+    """The trials of a v0 sweep's bin at ``value``: below the Rayleigh
+    mode, those whose Rayleigh CDF lies within 0.06 of the grid point's;
+    at and beyond it, those within 0.1 sigma_UE of the point."""
+    if value >= sigma_ue:
+        return np.abs(v0 - value) < 0.1 * sigma_ue
+
     def cdf(v):
         return 1.0 - np.exp(-np.square(v) / (2.0 * sigma_ue ** 2))
-    mid = np.clip(cdf(value), 0.06, 0.94)
-    return np.abs(cdf(v0) - mid) <= 0.06
+    return np.abs(cdf(v0) - cdf(value)) <= 0.06
 
 
-def test_v0_sweep_bins_hold_comparable_trial_counts(tmp_path, monkeypatch):
+def test_v0_sweep_bins_are_filled_near_zero_and_local_in_the_tail(
+        tmp_path, monkeypatch):
     # the Rayleigh density vanishes at v0 = 0: a bin of fixed width in v0
-    # held about 0.5% of the trials there, against 12% at 120 m
-    counts, select = [], montecarlo.TrialTable.select
+    # held about 0.5% of the trials there, against 12% at 120 m; the CDF
+    # bin holds 6% at 0 (one-sided) while beyond the mode each bin keeps
+    # only the trials near its own point, so 400, 500 and 600 m do not
+    # share trials
+    picks, select = [], montecarlo.TrialTable.select
 
     def spy(self, mask):
         picked = select(self, mask)
         if len(self) == 2000:
-            counts.append(len(picked))
+            picks.append(picked.v0)
         return picked
 
     monkeypatch.setattr(montecarlo.TrialTable, "select", spy)
+    grid = (0.0, 120.0, 400.0, 500.0, 600.0)
     path = _write(tmp_path, "scenario = d\nsweep_variable = v0\n"
-                            "sweep_grid = 0, 120, 400\n"
-                            "metrics = assoc_prob\n")
+                            f"sweep_grid = {', '.join(f'{g:g}' for g in grid)}"
+                            "\nmetrics = assoc_prob\n")
     assert main(["run", "--config", str(path), "--mode", "mc",
                  "--out", str(tmp_path / "out"), "--seed", "3",
                  "--trials", "2000", "--no-figures"]) == 0
-    assert len(counts) == 3
-    assert min(counts) >= 0.5 * max(counts), counts
+    assert len(picks) == len(grid)
+    assert len(picks[0]) >= len(picks[1]) / 3, [len(p) for p in picks]
+    sigma = parse_config(path).params.sigma_ue_m
+    for value, v0 in zip(grid[2:], picks[2:]):
+        assert np.all(np.abs(v0 - value) < 0.1 * sigma), value
 
 
 @pytest.mark.parametrize("scenario, variable, grid", [
