@@ -23,6 +23,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analytic, montecarlo
+from .association import link_budgets
+from .geometry import EXACT_DRAW_COUNT, exact_draw_radii
 from .params import ScenarioKind, SystemParams, linear_to_db
 from .quadrature import QuadSpec
 
@@ -241,24 +243,54 @@ def _eval_group(points, params: SystemParams, sweep: SweepSpec, mode: str,
             for index, value in points]
 
 
+# the rule of a v0 bin's analytic average: 16 Gauss-Legendre nodes
+_BIN_RULE = np.polynomial.legendre.leggauss(16)
+
+
+def _v0_bin(v: float, sigma: float):
+    """The bin of a v0 sweep's grid point ``v``, which its MC cell reads
+    and its analytic cell averages over: the bin's edges in v0, and nodes
+    in v0 with weights summing to 1 for the mean of a function of v0 over
+    the trials in the bin.
+
+    Below the Rayleigh mode ``sigma`` (sigma_UE), where the density
+    vanishes towards v0 = 0, the bin is 0.12 wide in the Rayleigh CDF of
+    v0 (the variable the analytic offset average integrates over), and
+    the rule is Gauss in that CDF.  At and beyond the mode the bin is
+    +-0.1 sigma, which holds the same share at the mode, and the rule is
+    Gauss in v0 weighted by the Rayleigh density.  Each bin is centred on
+    its grid point."""
+    x, w = _BIN_RULE
+    if v < sigma:
+        mid = -math.expm1(-0.5 * (v / sigma) ** 2)
+        lo, hi = max(mid - 0.06, 0.0), mid + 0.06
+        t = np.array([lo, hi, *(lo + 0.5 * (hi - lo) * (x + 1.0))])
+        lo, hi, *nodes = sigma * np.sqrt(-2.0 * np.log1p(-t))
+        return lo, hi, np.array(nodes), 0.5 * w
+    lo, hi = v - 0.1 * sigma, v + 0.1 * sigma
+    nodes = lo + 0.5 * (hi - lo) * (x + 1.0)
+    density = w * nodes * np.exp(-0.5 * (nodes / sigma) ** 2)
+    return lo, hi, nodes, density / density.sum()
+
+
 def _eval_point(index, value, params: SystemParams, table, sweep: SweepSpec,
                 mode: str, closed: dict) -> dict:
     """One grid point: returns a row per metric."""
-    if table is not None and sweep.variable == "v0":
-        # the bin: below the Rayleigh mode sigma_UE, where the density
-        # vanishes towards v0 = 0, a width of 0.12 in the Rayleigh CDF of
-        # v0 (the variable the analytic offset average integrates over);
-        # at and beyond it, +-0.1 sigma_UE, which holds the same share at
-        # the mode; each bin is centred on its grid point
-        sigma, v = params.sigma_ue_m, float(value)
-        if v < sigma:
-            cdf = -np.expm1(-0.5 * np.square(table.v0 / sigma))
-            mid = -math.expm1(-0.5 * (v / sigma) ** 2)
-            table = table.select(np.abs(cdf - mid) <= 0.06)
-        else:
-            table = table.select(np.abs(table.v0 - v) < 0.1 * sigma)
+    scenario = sweep.scenario
     tau_db = float(value) if sweep.variable == "tau_db" else sweep.tau_db
-    arg = float(value) if sweep.variable == "v0" else 10.0 ** (tau_db / 10.0)
+    if sweep.variable == "v0":
+        lo, hi, nodes, weights = _v0_bin(float(value), params.sigma_ue_m)
+        if table is not None:
+            table = table.select((table.v0 >= lo) & (table.v0 <= hi))
+
+        def evaluate(entry):    # the closed form given v0, over the bin
+            return (float(np.dot(weights, [entry.at_v0(params, scenario, v)
+                                           for v in nodes]))
+                    if entry.at_v0 else math.nan)
+    else:
+        def evaluate(entry):
+            return (entry.closed(params, scenario, 10.0 ** (tau_db / 10.0))
+                    if entry.closed else math.nan)
     row: dict[str, dict] = {}
     for metric in sweep.metrics:
         entry = _METRICS[metric]
@@ -267,12 +299,10 @@ def _eval_point(index, value, params: SystemParams, table, sweep: SweepSpec,
             cell["mc"], cell["mc_stderr"] = (
                 entry.mc(table, tau_db) if len(table) else (math.nan,) * 2)
         if mode in ("analytic", "both"):
-            form = entry.at_v0 if sweep.variable == "v0" else entry.closed
             reads_grid = sweep.variable == "v0" or not entry.grid_free
             key = (metric, value if reads_grid else None)
             if key not in closed:
-                closed[key] = (form(params, sweep.scenario, arg) if form
-                               else math.nan)
+                closed[key] = evaluate(entry)
             cell["analytic"] = closed[key]
         if mode == "both":
             a, m = cell.get("analytic"), cell.get("mc")
@@ -354,6 +384,20 @@ def _resolved(cfg: RunConfig) -> list[str]:
                for key, val in cfg.params.as_dict().items()])
 
 
+def _draw_radii(cfg: RunConfig) -> list[str]:
+    """The Monte Carlo truncation: the expected interferer count of each
+    tier's exact-draw disk, and the disks' radii at each grid point, in
+    ``sweep_grid`` order (0 for a tier without BSs)."""
+    radii = [exact_draw_radii(link_budgets(_params_at(cfg.params, cfg.sweep,
+                                                      value),
+                                           cfg.sweep.scenario))
+             for value in cfg.sweep.grid]
+    return [f"exact_draw_count = {EXACT_DRAW_COUNT}",
+            *(f"exact_draw_radius_{tier}_m = "
+              f"{' '.join(_fmt(r[k]) for r in radii)}"
+              for k, tier in enumerate(("macro", "members")))]
+
+
 def _write_manifest(out_dir: Path, cfg: RunConfig, mode: str, seed: int,
                     trials: int) -> None:
     import scipy
@@ -362,7 +406,9 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, mode: str, seed: int,
     lines = [f"mode = {mode}", f"seed = {seed}", f"trials = {trials}",
              f"hotnet_version = {__version__}",
              f"numpy_version = {np.__version__}",
-             f"scipy_version = {scipy.__version__}", *_resolved(cfg)]
+             f"scipy_version = {scipy.__version__}",
+             *(_draw_radii(cfg) if mode != "analytic" else []),
+             *_resolved(cfg)]
     (out_dir / "run_manifest.txt").write_text("\n".join(lines) + "\n",
                                               newline="\n")
 

@@ -3,7 +3,8 @@
 Points are float arrays of shape ``(n, 2)`` in meters; the typical UE sits
 at the origin.  All samplers are pure given an ``np.random.Generator``.
 ``sample_network`` reads every link constant from the
-``association.link_budgets`` records, as the Monte Carlo engine does.
+``association.link_budgets`` records, and draws on the same per-tier
+disks (``exact_draw_radii``), as the Monte Carlo engine does.
 """
 
 from __future__ import annotations
@@ -15,8 +16,12 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import i0e
 
-from .association import ClusterLaw, link_budgets
+from .association import ClusterLaw, LinkBudget, link_budgets
 from .params import SystemParams
+
+# expected interferers of a tier inside its exact-draw disk; the Monte
+# Carlo bias of replacing the rest by their mean sets it (README)
+EXACT_DRAW_COUNT = 200
 
 
 @dataclass
@@ -47,7 +52,7 @@ class NetworkRealization:
     sub6_points: np.ndarray                 # shape (n, 2)
     clusters: Sequence[ClusterRealization]
     typical_offset_v0: float
-    window_radius: float
+    window_radii: tuple[float, float]       # macro BSs, cluster members
 
 
 def sample_ppp(density: float, window_radius: float,
@@ -100,33 +105,49 @@ def rice_pdf(r, v0, sigma: float):
     return (r / s2) * np.exp(-np.square(r - v0) / (2.0 * s2)) * i0e(v0 * r / s2)
 
 
-def center_disk(law: ClusterLaw, sigma_ue: float, radius: float) -> float:
-    """Radius of the disk of interfering hotspot centers: the truncation
-    ``radius`` enlarged by six times the larger of the member spread and
-    ``sigma_ue``, so that clusters straddling its edge are kept."""
-    return radius + 6.0 * max(law.spread, sigma_ue)
+def exact_draw_radii(budgets: tuple[LinkBudget, LinkBudget]
+                     ) -> tuple[float, float]:
+    """Radii of the disks inside which the macro BSs and the cluster
+    members are drawn one by one: each holds ``EXACT_DRAW_COUNT``
+    expected interferers of its tier, ``sqrt(K / (pi density))``.  The
+    interference of a PPP is scale-free, so the bias of replacing the
+    interferers beyond by their mean depends on that count alone, not on
+    the radius in meters.  A tier without BSs has no disk: 0."""
+    law = budgets[1].cluster
+    return tuple(math.sqrt(EXACT_DRAW_COUNT / (math.pi * density))
+                 if density > 0 else 0.0
+                 for density in (budgets[0].density,
+                                 law.density * law.members))
+
+
+def center_disk(law: ClusterLaw, radius: float) -> float:
+    """Radius of the disk of interfering hotspot centers: the members'
+    draw ``radius`` enlarged by six member spreads, so that clusters
+    straddling its edge are kept."""
+    return radius + 6.0 * law.spread
 
 
 def sample_network(params: SystemParams,
                    rng: np.random.Generator) -> NetworkRealization:
     """Draw one full network realization.
 
-    Hotspot centers are sampled on the ``center_disk``.  The typical
-    cluster (index 0) has a fixed member count; the others are Poisson
-    with the same mean.  LoS labels are i.i.d. thinning draws.
+    Macro BSs are sampled on their ``exact_draw_radii`` disk and hotspot
+    centers on the ``center_disk`` of the members'.  The typical cluster
+    (index 0) has a fixed member count; the others are Poisson with the
+    same mean.  LoS labels are i.i.d. thinning draws.
     """
-    macro, cells = link_budgets(params)
-    law = cells.cluster
-    window = params.truncation_radius_m
+    budgets = link_budgets(params)
+    macro, law = budgets[0], budgets[1].cluster
+    radii = exact_draw_radii(budgets)
     v0 = sample_typical_offset(params.sigma_ue_m, rng)
     psi = rng.uniform(0.0, 2.0 * math.pi)
     c0 = v0 * np.array([math.cos(psi), math.sin(psi)])
 
-    sub6 = sample_ppp(macro.density, window, rng)
+    sub6 = (sample_ppp(macro.density, radii[0], rng) if radii[0] > 0
+            else np.empty((0, 2)))
 
     clusters = [sample_thomas_cluster(c0, law.spread, law.members, rng)]
-    centers = sample_ppp(law.density,
-                         center_disk(law, params.sigma_ue_m, window), rng)
+    centers = sample_ppp(law.density, center_disk(law, radii[1]), rng)
     counts = rng.poisson(law.members, size=len(centers))
     for center, m in zip(centers, counts):
         clusters.append(sample_thomas_cluster(center, law.spread, int(m), rng))
@@ -136,4 +157,4 @@ def sample_network(params: SystemParams,
                        & (d < law.los_ball))
 
     return NetworkRealization(sub6_points=sub6, clusters=clusters,
-                              typical_offset_v0=v0, window_radius=window)
+                              typical_offset_v0=v0, window_radii=radii)

@@ -14,11 +14,13 @@ function of (params, scenario, n_trials, seed) alone.  A shorter run is a
 prefix of a longer one up to its last whole block; a trailing partial
 block is drawn afresh.
 
-Interferers are truncated at ``truncation_radius_m``: BSs beyond it are
-dropped, and the expected interference of the network outside enters as
-a deterministic mean tail, which keeps the truncation bias far below the
-Monte Carlo noise floor.  The truncation bounds interferers only: the
-nearest macro BS is a serving candidate wherever it lies.
+Interferers are drawn one by one only inside each tier's exact-draw disk
+(``geometry.exact_draw_radii``), which holds a fixed expected count of
+the tier's interferers (``geometry.EXACT_DRAW_COUNT``), so its radius
+scales as one over the square root of the tier's density.  The interferers beyond it enter as their
+deterministic mean tail; the bias this leaves in coverage stays far below
+the Monte Carlo noise floor (README).  The disk bounds interferers only:
+the nearest macro BS is a serving candidate wherever it lies.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .association import (TIER_NONE, ClusterLaw, KernelSegment, LinkBudget,
                           Tier, choose, link_budgets)
 from .channel import MIN_LINK_DISTANCE_M
-from .geometry import center_disk, sample_ppp
+from .geometry import center_disk, exact_draw_radii, sample_ppp
 from .params import ScenarioKind, SystemParams
 
 BLOCK_TRIALS = 1024         # trials per random stream
@@ -139,7 +141,10 @@ def _tail_mean(segments: tuple[KernelSegment, ...], density: float,
                radius: float | np.ndarray):
     """Expected interference beyond ``radius`` (a scalar or an array)
     from interferers of ``density`` per m^2: their unbounded segments at
-    their mean gain and unit-mean fading."""
+    their mean gain and unit-mean fading.  A tier without BSs, whose disk
+    has radius 0, has none."""
+    if density == 0:
+        return np.zeros(np.shape(radius))
     return sum(2.0 * math.pi * density * s.share
                * float(np.dot(s.gains, s.gain_probs)) * s.intercept
                * radius ** (2.0 - s.alpha) / (s.alpha - 2.0)
@@ -208,8 +213,8 @@ class _Run(NamedTuple):
 
     budgets: tuple[LinkBudget, LinkBudget]
     sigma_ue: float
-    radius: float             # truncation disk of every interferer
-    enlarged: float           # disk of the interfering cluster centers
+    radii: tuple[float, float]  # exact-draw disks: macro BSs, members
+    enlarged: float             # disk of the interfering cluster centers
 
 
 class _Block(NamedTuple):
@@ -259,14 +264,14 @@ def _macro_interference(run: _Run, block: _Block, idx: np.ndarray,
     """Macro interference at the trials ``idx``: the macro BSs past the
     nearest one, and the nearest one too unless it ``serves``.  The mean
     tail starts at the disk's edge, or at the nearest BS beyond it."""
-    macro = run.budgets[0]
+    macro, radius = run.budgets[0], run.radii[0]
     r1 = block.r1[idx]
-    out = _tail_mean(macro.segments, macro.density, np.maximum(r1, run.radius))
-    per_trial = macro.density * math.pi * run.radius ** 2
+    out = _tail_mean(macro.segments, macro.density, np.maximum(r1, radius))
+    per_trial = macro.density * math.pi * radius ** 2
     step = max(1, int(INTERFERER_CHUNK / max(per_trial, 1.0)))
     for i in range(0, len(r1), step):
         part = r1[i:i + step]
-        d, trial = _macro_others(part, run.radius, macro.density, rng)
+        d, trial = _macro_others(part, radius, macro.density, rng)
         if not serves:
             lit = np.flatnonzero(np.isfinite(part))
             d, trial = (np.concatenate((d, part[lit])),
@@ -276,30 +281,38 @@ def _macro_interference(run: _Run, block: _Block, idx: np.ndarray,
     return out
 
 
-def _cluster_interference(run: _Run, block: _Block, idx: np.ndarray,
-                          serves: bool,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Small-cell interference at the trials ``idx``: the own cluster,
-    less its nearest candidate when that ``serves``, and the interfering
-    clusters."""
-    law = run.budgets[1].cluster
-    density = law.density * law.members
-    n = len(idx)
-    out = np.full(n, _tail_mean(law.segments, density, run.radius))
+def _own_cluster(law: ClusterLaw, block: _Block, idx: np.ndarray,
+                 serves: bool, rng: np.random.Generator) -> np.ndarray:
+    """Interference of the own cluster at the trials ``idx``, less its
+    nearest candidate when that ``serves``: every member, wherever it
+    lies."""
     own = block.own[idx]
     missing = np.isnan(own)
     own[missing] = _member_distances(block.v0[idx][missing.nonzero()[0]],
                                      law.spread, rng)
     keep = np.ones(own.shape, dtype=bool)
     if serves:
-        keep[np.arange(n), block.cand[idx].argmin(axis=1)] = False
+        keep[np.arange(len(idx)), block.cand[idx].argmin(axis=1)] = False
     u = None if block.own_u is None else block.own_u[idx][keep]
-    out += _received(law.segments, own[keep], keep.nonzero()[0], n, rng, u)
+    return _received(law.segments, own[keep], keep.nonzero()[0], len(idx),
+                     rng, u)
+
+
+def _cluster_interference(run: _Run, block: _Block, idx: np.ndarray,
+                          serves: bool,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Small-cell interference at the trials ``idx``: the own cluster and
+    the interfering clusters."""
+    law, radius = run.budgets[1].cluster, run.radii[1]
+    density = law.density * law.members
+    n = len(idx)
+    out = _own_cluster(law, block, idx, serves, rng)
+    out += _tail_mean(law.segments, density, radius)
     per_trial = density * math.pi * run.enlarged ** 2
     step = max(1, int(INTERFERER_CHUNK / max(per_trial, 1.0)))
     for i in range(0, n, step):
         m = min(step, n - i)
-        d, trial = _cluster_members(law, run.radius, run.enlarged, m, rng)
+        d, trial = _cluster_members(law, radius, run.enlarged, m, rng)
         out[i:i + m] += _received(law.segments, d, trial, m, rng)
     return out
 
@@ -334,9 +347,9 @@ def run_trials(params: SystemParams, scenario: ScenarioKind, n_trials: int,
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     budgets = link_budgets(params, scenario)
-    radius = params.truncation_radius_m
-    run = _Run(budgets, params.sigma_ue_m, radius,
-               center_disk(budgets[1].cluster, params.sigma_ue_m, radius))
+    radii = exact_draw_radii(budgets)
+    run = _Run(budgets, params.sigma_ue_m, radii,
+               center_disk(budgets[1].cluster, radii[1]))
     table = TrialTable(np.empty(n_trials, dtype=np.int8),
                        *np.full((5, n_trials), np.nan))
     for b, start in enumerate(range(0, n_trials, BLOCK_TRIALS)):

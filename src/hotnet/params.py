@@ -77,10 +77,10 @@ class SystemParams:
     # weights B1 and B2 enter only as B2/B1, so B1 is 1
     bias2_db: float = 0.0
 
-    # simulation geometry.  The Monte Carlo engine samples BSs only inside
-    # ``truncation_radius_m`` and adds the expected far-field interference
-    # of the remaining (infinite) network as a deterministic term.
-    truncation_radius_m: float = 3_000.0
+    # no field sets a sampling radius: the Monte Carlo engine works out
+    # each tier's exact-draw disk from the tier's density
+    # (``geometry.exact_draw_radii``) and adds the expected interference
+    # of the network beyond it as a deterministic term
 
     def __post_init__(self) -> None:
         # NaN fails every comparison below, so it is rejected here first
@@ -118,8 +118,6 @@ class SystemParams:
             raise ValueError("main-lobe gain must dominate side-lobe gain")
         if self.w1_hz <= 0 or self.w2_hz <= 0:
             raise ValueError("bandwidths must be positive")
-        if self.truncation_radius_m <= 0:
-            raise ValueError("truncation_radius_m must be positive")
 
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)

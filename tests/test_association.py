@@ -22,7 +22,8 @@ def _net(sub6_xy, mm_xy, mm_los, v0=100.0):
     cl = ClusterRealization(center=np.array([v0, 0.0]), members=mm,
                             los_mask=np.asarray(mm_los, dtype=bool))
     return NetworkRealization(sub6_points=sub6, clusters=[cl],
-                              typical_offset_v0=v0, window_radius=3000.0)
+                              typical_offset_v0=v0,
+                              window_radii=(3000.0, 3000.0))
 
 
 def test_tier_weights_include_intercepts():

@@ -5,9 +5,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from hotnet import analytic, cli, montecarlo
+from hotnet import analytic, cli, geometry, montecarlo
 from hotnet.cli import ConfigError, main, parse_config
 from hotnet.params import ScenarioKind, SystemParams, linear_to_db
 
@@ -249,6 +250,33 @@ def test_run_mc_produces_csv_and_manifest(tmp_path):
     assert "trials = 2000" in manifest
 
 
+def test_mc_manifest_states_the_truncation(tmp_path):
+    # an mc or both run lists the expected interferer count K of every
+    # exact-draw disk and each tier's radius sqrt(K / (pi density)) at
+    # each grid point; an analytic run draws nothing and lists neither
+    path = _write(tmp_path, BASE_CONFIG)
+    p = parse_config(path).params
+    k = geometry.EXACT_DRAW_COUNT
+    macro = math.sqrt(k / (math.pi * p.lambda1_per_km2 * 1e-6))
+    members = [math.sqrt(k / (math.pi * p.lambda_p_per_km2 * 1e-6 * n))
+               for n in (2, 6)]
+    for mode in ("mc", "both", "analytic"):
+        out = tmp_path / mode
+        assert main(["run", "--config", str(path), "--mode", mode,
+                     "--out", str(out), "--trials", "200",
+                     "--no-figures"]) == 0
+        lines = (out / "run_manifest.txt").read_text().splitlines()
+        fields = dict(line.split(" = ", 1) for line in lines)
+        if mode == "analytic":
+            assert not any(key.startswith("exact_draw") for key in fields)
+            continue
+        assert int(fields["exact_draw_count"]) == k
+        got = [[float(x) for x in fields[f"exact_draw_radius_{t}_m"].split()]
+               for t in ("macro", "members")]
+        assert got[0] == pytest.approx([macro, macro], rel=1e-8)
+        assert got[1] == pytest.approx(members, rel=1e-8)
+
+
 def test_run_same_seed_byte_identical(tmp_path):
     path = _write(tmp_path, BASE_CONFIG)
     outs = []
@@ -468,6 +496,23 @@ def v0_bin(v0, value, sigma_ue):
     return np.abs(cdf(v0) - cdf(value)) <= 0.06
 
 
+def v0_bin_mean(f, value, sigma_ue):
+    """Mean of ``f(v0)`` over the Rayleigh offsets in the bin at ``value``
+    (as ``v0_bin`` draws it), by adaptive quadrature: uniform in the
+    Rayleigh CDF below the mode, density-weighted in v0 beyond it."""
+    if value >= sigma_ue:
+        lo, hi = value - 0.1 * sigma_ue, value + 0.1 * sigma_ue
+
+        def density(v):
+            return v * math.exp(-0.5 * (v / sigma_ue) ** 2)
+        return (quad(lambda v: f(v) * density(v), lo, hi, epsrel=1e-10)[0]
+                / quad(density, lo, hi, epsrel=1e-10)[0])
+    mid = 1.0 - math.exp(-0.5 * (value / sigma_ue) ** 2)
+    lo, hi = max(mid - 0.06, 0.0), mid + 0.06
+    return quad(lambda t: f(sigma_ue * math.sqrt(-2.0 * math.log1p(-t))),
+                lo, hi, epsrel=1e-10)[0] / (hi - lo)
+
+
 def test_v0_sweep_bins_are_filled_near_zero_and_local_in_the_tail(
         tmp_path, monkeypatch):
     # the Rayleigh density vanishes at v0 = 0: a bin of fixed width in v0
@@ -534,8 +579,9 @@ def test_every_cell_is_its_engine_call(tmp_path, scenario, variable, grid):
             sub = table.select(v0_bin(table.v0, value, params.sigma_ue_m))
             assert len(sub) > 0
             mc = engine_mc_cells(sub, cfg.sweep.tau_db)
-            closed = {"assoc_prob": analytic.conditional_assoc_prob(
-                2, value, params, scenario=sc)}
+            closed = {"assoc_prob": v0_bin_mean(
+                lambda v: analytic.conditional_assoc_prob(2, v, params, sc),
+                value, params.sigma_ue_m)}
         else:
             mc = engine_mc_cells(table, value)
             closed = dict(fixed, coverage=analytic.coverage(
@@ -548,7 +594,38 @@ def test_every_cell_is_its_engine_call(tmp_path, scenario, variable, grid):
             want = {"mc": _text(m), "mc_stderr": _text(se),
                     "analytic": _text(a), "abs_diff": _text(diff)}
             got = rows[metric][i]
+            if variable == "v0" and metric == "assoc_prob":
+                # the bin average: the CLI's 16-node rule against quad
+                for key in ("analytic", "abs_diff"):
+                    assert float(got.pop(key)) == pytest.approx(
+                        float(want.pop(key)), rel=1e-7, abs=1e-9)
             assert {k: got[k] for k in want} == want, (metric, value)
+
+
+def test_v0_sweep_analytic_cell_is_the_bin_average(tmp_path):
+    # the analytic cell of a v0 sweep averages the closed form given v0
+    # over the trials its MC cell reads, not the point value: (d) at
+    # v0 = 0 reads about 0.516 where the point value is 0.533 (the bin
+    # spans 0-53 m, where the conditional share falls steeply)
+    grid = (0.0, 120.0, 300.0)
+    path = _write(tmp_path, "scenario = d\nsweep_variable = v0\n"
+                            f"sweep_grid = {', '.join(f'{g:g}' for g in grid)}"
+                            "\nmetrics = assoc_prob\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--mode", "analytic",
+                 "--out", str(out), "--no-figures"]) == 0
+    cfg = parse_config(path)
+    lines = (out / "assoc_prob.csv").read_text().splitlines()[1:]
+    cells = [float(line.split(",")[1]) for line in lines]
+
+    def share(v):
+        return analytic.conditional_assoc_prob(2, v, cfg.params,
+                                               cfg.sweep.scenario)
+    for value, cell in zip(grid, cells, strict=True):
+        assert cell == pytest.approx(
+            v0_bin_mean(share, value, cfg.params.sigma_ue_m), rel=1e-7)
+    assert cells[0] == pytest.approx(0.516, abs=1e-3)
+    assert share(0.0) - cells[0] > 0.015
 
 
 def test_bias_sweep_cells_are_their_engine_calls(tmp_path):

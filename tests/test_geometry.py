@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest, rayleigh
 
-from hotnet.geometry import (rice_pdf, sample_network, sample_ppp,
+from hotnet.association import link_budgets
+from hotnet.geometry import (center_disk, exact_draw_radii, rice_pdf,
+                             sample_network, sample_ppp,
                              sample_thomas_cluster, sample_typical_offset)
 from hotnet.params import SystemParams
 
@@ -121,7 +123,11 @@ def test_sample_network_structure():
     rng = np.random.default_rng(42)
     net = sample_network(P, rng)
     assert net.clusters[0].count == P.n_bs
-    assert net.window_radius == P.truncation_radius_m
+    # the macro BSs and the hotspot centers are drawn on the engine's disks
+    assert net.window_radii == exact_draw_radii(link_budgets(P))
+    assert np.all(np.hypot(*net.sub6_points.T) <= net.window_radii[0])
+    enlarged = center_disk(link_budgets(P)[1].cluster, net.window_radii[1])
+    assert all(np.hypot(*cl.center) <= enlarged for cl in net.clusters[1:])
     for cl in net.clusters:
         assert cl.los_mask is not None
         assert cl.los_mask.shape == (cl.count,)
@@ -139,3 +145,17 @@ def test_sample_network_deterministic_given_generator():
     for ca, cb in zip(a.clusters, b.clusters):
         np.testing.assert_array_equal(ca.members, cb.members)
         np.testing.assert_array_equal(ca.los_mask, cb.los_mask)
+
+
+def test_center_disk_adds_six_member_spreads_alone():
+    # the UE spread plays no part in where interfering members land
+    for sigma_ue in (15.0, 150.0, 900.0):
+        law = link_budgets(P.replace(sigma_ue_m=sigma_ue))[1].cluster
+        assert center_disk(law, 1000.0) == 1000.0 + 6.0 * P.sigma_bs_m
+
+
+def test_sample_network_without_macro_bs():
+    # an empty macro tier has a disk of radius 0 and no point on it
+    net = sample_network(P.replace(lambda1_per_km2=0.0),
+                         np.random.default_rng(5))
+    assert net.window_radii[0] == 0.0 and net.sub6_points.shape == (0, 2)

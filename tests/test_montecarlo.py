@@ -5,14 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import TAU_GRID_DB
 
 from hotnet import analytic
 from hotnet import montecarlo as mc
 from hotnet.association import Tier, choose, link_budgets
-from hotnet.geometry import sample_ppp
+from hotnet.geometry import (EXACT_DRAW_COUNT, center_disk, exact_draw_radii,
+                             sample_ppp)
 from hotnet.params import ScenarioKind, SystemParams
 
 P = SystemParams()
+FIXTURE_TRIALS = 100_000    # the session tables of conftest.py
 
 
 def _assert_tables_equal(a: mc.TrialTable, b: mc.TrialTable):
@@ -109,6 +112,7 @@ BUDGETS = link_budgets(P, ScenarioKind.INTEGRATED)
 MACRO_SEGS, MACRO_DENSITY = BUDGETS[0].segments, BUDGETS[0].density
 LAW = BUDGETS[1].cluster
 CELL_SEGS, CELL_DENSITY = LAW.segments, LAW.density * LAW.members
+RADII = exact_draw_radii(BUDGETS)
 NO_OTHERS = (np.empty(0), np.empty(0, dtype=int))
 
 
@@ -134,8 +138,8 @@ def test_mm_sinr_exact_single_member():
     # mmWave band (no other cluster exists)
     q = P.replace(n_bs=1, lambda_p_per_km2=0.0)
     budgets = link_budgets(q)
-    # a 6 km truncation disk, so that the macro BS lies inside it
-    run = mc._Run(budgets, q.sigma_ue_m, 6000.0, 6900.0)
+    # a 6 km draw disk, so that the macro BS lies inside it
+    run = mc._Run(budgets, q.sigma_ue_m, (6000.0, 6000.0), 6600.0)
     r1, r2 = np.array([5000.0]), np.array([50.0])
     tier = choose(budgets, r1, r2)
     assert tier[0] == 2
@@ -203,35 +207,45 @@ def test_tail_means_match_closed_forms():
 
 
 def test_macro_tail_starts_at_a_nearest_bs_beyond_the_disk():
-    # the nearest macro BS at 5 km, outside the 3 km disk: no other macro
-    # BS is drawn inside it, and the mean tail starts at 5 km
-    run = mc._Run(BUDGETS, P.sigma_ue_m, 3000.0, 3900.0)
-    r1 = np.array([5000.0])
+    # at 0.05 macro BSs per km^2 the disk is about 36 km; a nearest macro
+    # BS beyond it (probability exp(-K) per trial, so full runs do not
+    # reach this branch) leaves no other macro BS inside the disk, and the
+    # mean tail starts at the nearest BS.  When it interferes, it counts
+    # once: as its own drawn power, not also in the tail
+    q = P.replace(lambda1_per_km2=0.05)
+    budgets = link_budgets(q)
+    radii = exact_draw_radii(budgets)
+    run = mc._Run(budgets, q.sigma_ue_m, radii,
+                  center_disk(budgets[1].cluster, radii[1]))
+    macro = budgets[0]
+    r1 = np.array([1.2 * radii[0]])
     block = mc._Block(np.zeros(1), r1, np.zeros((1, 1)), None,
                       np.zeros((1, 1)), np.ones(1, dtype=np.int8), r1)
-    tail = mc._tail_mean(MACRO_SEGS, MACRO_DENSITY, 5000.0)
+    tail = mc._tail_mean(macro.segments, macro.density, r1[0])
     served = mc._macro_interference(run, block, np.array([0]), True,
                                     np.random.default_rng(0))
     assert served[0] == tail
     heard = mc._macro_interference(run, block, np.array([0]), False,
                                    np.random.default_rng(0))
-    assert heard[0] > tail
+    nearest = mc._received(macro.segments, r1, np.array([0]), 1,
+                           np.random.default_rng(0))
+    assert heard[0] == pytest.approx(tail + nearest[0], rel=1e-12)
 
 
 def test_interfering_members_stop_at_truncation_radius():
-    # members beyond R enter only through the mean tail, so the summed
-    # inter-cluster interferers number lambda_p * n_bs * pi R^2 a trial
+    # members beyond the exact-draw radius R enter only through the mean
+    # tail, so the summed inter-cluster interferers number
+    # lambda_p * n_bs * pi R^2 = K a trial
     rng = np.random.default_rng(31)
-    radius = 3000.0
-    enlarged = radius + 6.0 * max(P.sigma_bs_m, P.sigma_ue_m)
+    radius = RADII[1]
     law = BUDGETS[1].cluster
     n = 300
-    d, trial = mc._cluster_members(law, radius, enlarged, n, rng)
+    d, trial = mc._cluster_members(law, radius, center_disk(law, radius), n,
+                                   rng)
     assert d.max() <= radius
     counts = np.bincount(trial, minlength=n)
-    want = law.density * law.members * math.pi * radius ** 2
     stderr = counts.std(ddof=1) / math.sqrt(n)
-    assert abs(counts.mean() - want) < 4.0 * stderr
+    assert abs(counts.mean() - EXACT_DRAW_COUNT) < 4.0 * stderr
 
 
 def test_interfering_members_are_homogeneous_inside_truncation_radius():
@@ -239,8 +253,8 @@ def test_interfering_members_are_homogeneous_inside_truncation_radius():
     # of the kept members lie within R/2; clustering correlates members of
     # one trial, so the stderr comes from the per-trial residuals
     rng = np.random.default_rng(32)
-    radius = 3000.0
-    enlarged = radius + 6.0 * max(P.sigma_bs_m, P.sigma_ue_m)
+    radius = RADII[1]
+    enlarged = center_disk(BUDGETS[1].cluster, radius)
     n = 300
     d, trial = mc._cluster_members(BUDGETS[1].cluster, radius, enlarged, n,
                                    rng)
@@ -250,6 +264,136 @@ def test_interfering_members_are_homogeneous_inside_truncation_radius():
     stderr = (np.std(inner - share * total, ddof=1) * math.sqrt(n)
               / total.sum())
     assert abs(share - 0.25) < 4.0 * stderr
+
+
+@pytest.mark.parametrize("changes", [
+    {}, dict(lambda1_per_km2=0.05), dict(lambda1_per_km2=300.0),
+    dict(lambda_p_per_km2=0.5)], ids=["defaults", "sparse-macro",
+                                      "dense-macro", "sparse-hotspots"])
+def test_each_exact_draw_disk_holds_k_expected_interferers(changes):
+    # the radius is sqrt(K / (pi density)) of each tier's interferers; the
+    # macro disk, drawn past a nearest BS at the center, holds K of them
+    q = P.replace(**changes)
+    budgets = link_budgets(q)
+    law = budgets[1].cluster
+    radii = exact_draw_radii(budgets)
+    for density, radius in zip((budgets[0].density,
+                                law.density * law.members), radii):
+        assert density * math.pi * radius ** 2 == pytest.approx(
+            EXACT_DRAW_COUNT, rel=1e-12)
+    n = 400
+    d, trial = mc._macro_others(np.zeros(n), radii[0], budgets[0].density,
+                                np.random.default_rng(33))
+    assert d.max() <= radii[0]
+    counts = np.bincount(trial, minlength=n)
+    assert abs(counts.mean() - EXACT_DRAW_COUNT) < \
+        4.0 * math.sqrt(EXACT_DRAW_COUNT / n)
+
+
+@pytest.mark.parametrize("changes, empty", [
+    (dict(lambda1_per_km2=0.0), 0), (dict(lambda_p_per_km2=0.0), 1),
+    (dict(n_bs=0), 1)], ids=["no-macro", "no-hotspots", "no-members"])
+def test_an_empty_tier_draws_nothing(changes, empty):
+    # a tier without interferers has a disk of radius 0, no tail and no
+    # drawn interferer, and raises no RuntimeWarning (an error here)
+    q = P.replace(**changes)
+    budgets = link_budgets(q, ScenarioKind.TWO_TIER_SUB6)
+    radii = exact_draw_radii(budgets)
+    assert radii[empty] == 0.0 and radii[1 - empty] > 0.0
+    run = mc._Run(budgets, q.sigma_ue_m, radii,
+                  center_disk(budgets[1].cluster, radii[1]))
+    rng = np.random.default_rng(34)
+    block = mc._associate(run, 200, rng)
+    idx = np.arange(200)
+    if empty == 0:
+        assert np.all(mc._macro_interference(run, block, idx, False,
+                                             rng) == 0.0)
+    else:
+        law = budgets[1].cluster
+        assert len(mc._cluster_members(law, 0.0, run.enlarged, 200,
+                                       rng)[0]) == 0
+        if law.members:
+            # only the own cluster interferes
+            served = np.flatnonzero(block.tier == 2)
+            want = mc._own_cluster(law, block, served, True,
+                                   np.random.default_rng(35))
+            got = mc._cluster_interference(run, block, served, True,
+                                           np.random.default_rng(35))
+            np.testing.assert_array_equal(got, want)
+    t = mc.run_trials(q, ScenarioKind.TWO_TIER_SUB6, mc.BLOCK_TRIALS + 3, 36)
+    assert np.all(t.served & (t.sinr > 0.0) & np.isfinite(t.sinr))
+
+
+def paired_sinr(params, scenario, n, seed):
+    """SINR of ``n`` trials read twice on shared draws: with every
+    interferer inside twice each tier's exact-draw radius drawn (row 1),
+    and as the engine reads them, with the interferers beyond the radius
+    replaced by their mean tail (row 0).  Each interferer is its own trial
+    of ``mc._received``, so both reads share every fading, gain and
+    segment draw."""
+    budgets = link_budgets(params, scenario)
+    radii = exact_draw_radii(budgets)
+    wide = tuple(2.0 * r for r in radii)
+    run = mc._Run(budgets, params.sigma_ue_m, wide,
+                  center_disk(budgets[1].cluster, wide[1]))
+    rng = np.random.default_rng(seed)
+    block = mc._associate(run, n, rng)
+    sinr = np.zeros((2, n))
+    for k, serving in enumerate(budgets, start=1):
+        idx = np.flatnonzero(block.tier == k)
+        m = len(idx)
+        if m == 0:
+            continue
+        fading = mc._fading(serving.order, m, rng)
+        reads = np.zeros((2, m))
+        for j in serving.hears:
+            rec, radius = budgets[j - 1], radii[j - 1]
+            if rec.cluster is None:
+                segs, density, r1 = rec.segments, rec.density, block.r1[idx]
+                d, trial = mc._macro_others(r1, wide[0], density, rng)
+                near = d <= radius
+                if j != k:
+                    # the nearest BS interferes, and is drawn in both reads
+                    lit = np.flatnonzero(np.isfinite(r1))
+                    d, trial = (np.concatenate((d, r1[lit])),
+                                np.concatenate((trial, lit)))
+                    near = np.concatenate((near, np.ones(len(lit), bool)))
+                tails = np.maximum(r1, radius), np.maximum(r1, wide[0])
+            else:
+                law = rec.cluster
+                segs, density = law.segments, law.density * law.members
+                reads += mc._own_cluster(law, block, idx, j == k, rng)
+                d, trial = mc._cluster_members(law, wide[1], run.enlarged, m,
+                                               rng)
+                near = d <= radius
+                tails = radius, wide[1]
+            p = mc._received(segs, d, np.arange(len(d)), len(d), rng)
+            reads[0] += (np.bincount(trial[near], p[near], minlength=m)
+                         + mc._tail_mean(segs, density, tails[0]))
+            reads[1] += (np.bincount(trial, p, minlength=m)
+                         + mc._tail_mean(segs, density, tails[1]))
+        sinr[:, idx] = mc._sinr(serving, block.x[idx], fading, reads)[0]
+    return sinr
+
+
+@pytest.mark.parametrize("lambda1", [30.0, 0.05], ids=["defaults",
+                                                       "sparse-macro"])
+@pytest.mark.parametrize("scenario", list(ScenarioKind))
+def test_mean_tail_beyond_the_exact_draw_disk_keeps_coverage(scenario,
+                                                             lambda1):
+    # the same trials read with and without the interferers between the
+    # exact-draw radius and twice it: on TAU_GRID_DB their coverage differs
+    # by at most 0.1 fixture stderr plus 2 of the difference's own stderr
+    n = 16_000
+    sinr = paired_sinr(P.replace(lambda1_per_km2=lambda1), scenario, n, 37)
+    covered = sinr[:, :, None] > 10.0 ** (TAU_GRID_DB / 10.0)
+    diff = covered[0].astype(float) - covered[1]
+    bias = diff.mean(axis=0)
+    stderr = diff.std(axis=0, ddof=1) / math.sqrt(n)
+    p = covered[1].mean(axis=0)
+    fixture = np.sqrt(p * (1.0 - p) / FIXTURE_TRIALS)
+    assert np.all(np.abs(bias) <= 0.1 * fixture + 2.0 * stderr), \
+        (bias, stderr, fixture)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +458,8 @@ def test_every_picked_law_has_two_outcomes(scenario):
 @pytest.mark.parametrize("seed", [3, 11])
 def test_interferer_kernels_match_their_references(seed):
     law = BUDGETS[1].cluster
-    radius = P.truncation_radius_m
-    enlarged = radius + 6.0 * max(P.sigma_bs_m, P.sigma_ue_m)
+    radius = RADII[1]
+    enlarged = center_disk(law, radius)
     d, trial = mc._cluster_members(law, radius, enlarged, 300,
                                    np.random.default_rng(seed))
     d_ref, trial_ref = ref_cluster_members(law, radius, enlarged, 300,
@@ -364,8 +508,8 @@ def test_random_stream_is_pinned():
     # covered trials at 0 and 10 dB and mmWave-served trials of 2,500
     # trials at seed 11: a change to any draw of the engine moves them,
     # and must re-pin them with the change
-    pinned = {ScenarioKind.INTEGRATED: (1735, 1125, 1123),
-              ScenarioKind.TWO_TIER_SUB6: (813, 195, 562)}
+    pinned = {ScenarioKind.INTEGRATED: (1731, 1119, 1123),
+              ScenarioKind.TWO_TIER_SUB6: (788, 193, 562)}
     for scenario, want in pinned.items():
         t = mc.run_trials(P, scenario, 2500, seed=11)
         covered = mc.estimate_coverage(t, [0.0, 10.0]).probabilities
@@ -433,9 +577,12 @@ def test_assoc_only_matches_full_runs_on_tiers():
 
 
 def test_sparse_macro_tier_serves_beyond_truncation_radius():
-    # at 0.05 macro BSs per km^2 the nearest one lies beyond the 3 km
-    # truncation disk for a quarter of the users; it still serves them,
-    # as in the analytic law, so nobody is left unserved
+    # at 0.05 macro BSs per km^2 the nearest one lies beyond 3 km for a
+    # quarter of the users; it still serves them, as in the analytic law,
+    # so nobody is left unserved.  Its exact-draw disk (about 36 km)
+    # holds the nearest BS but with probability exp(-K): the branch of a
+    # nearest BS beyond the disk is tested on hand-built distances in
+    # test_macro_tail_starts_at_a_nearest_bs_beyond_the_disk
     q = P.replace(lambda1_per_km2=0.05)
     t = mc.run_trials(q, ScenarioKind.INTEGRATED, 200_000, seed=7,
                       assoc_only=True)

@@ -224,8 +224,7 @@ def test_only_association_reads_the_biased_metric():
 
 
 # SystemParams names that no link-budget record holds: the UE offset spread
-# and the sampling radius
-PARAMS_READ_OUTSIDE_RECORDS = {"sigma_ue_m", "truncation_radius_m"}
+PARAMS_READ_OUTSIDE_RECORDS = {"sigma_ue_m"}
 
 
 def test_only_link_budgets_reads_the_link_constants():

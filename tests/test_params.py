@@ -84,7 +84,7 @@ def test_mean_interferer_gain_is_beam_average():
     dict(theta_b_deg=360.0),
     dict(g_main_dbi=-5.0, g_side_dbi=0.0),
     dict(w1_hz=0.0),
-    dict(truncation_radius_m=-1.0),
+    dict(lambda_p_per_km2=-1.0),
     dict(n_bs=2.5),
     dict(n_nakagami_los=2.5),
     dict(n_nakagami_nlos=1.5),
@@ -101,6 +101,13 @@ def test_mean_interferer_gain_is_beam_average():
 def test_validation_rejects(changes):
     with pytest.raises(ValueError):
         SystemParams(**changes)
+
+
+def test_no_field_sets_the_draw_radius():
+    # the Monte Carlo engine derives each tier's exact-draw disk from its
+    # density (geometry.exact_draw_radii), so no radius is configured
+    with pytest.raises(TypeError):
+        SystemParams(truncation_radius_m=3000.0)
 
 
 def test_whole_number_counts_are_stored_as_int():
