@@ -19,8 +19,8 @@ from scipy.special import i0e
 from .association import ClusterLaw, LinkBudget, link_budgets
 from .params import SystemParams
 
-# expected interferers of a tier inside its exact-draw disk; the Monte
-# Carlo bias of replacing the rest by their mean sets it (README)
+# fewest expected interferers of a tier inside its exact-draw disk; the
+# Monte Carlo bias of replacing the rest by their mean sets it (README)
 EXACT_DRAW_COUNT = 200
 
 
@@ -108,16 +108,22 @@ def rice_pdf(r, v0, sigma: float):
 def exact_draw_radii(budgets: tuple[LinkBudget, LinkBudget]
                      ) -> tuple[float, float]:
     """Radii of the disks inside which the macro BSs and the cluster
-    members are drawn one by one: each holds ``EXACT_DRAW_COUNT``
-    expected interferers of its tier, ``sqrt(K / (pi density))``.  The
-    interference of a PPP is scale-free, so the bias of replacing the
-    interferers beyond by their mean depends on that count alone, not on
-    the radius in meters.  A tier without BSs has no disk: 0."""
+    members are drawn one by one.  Each holds ``EXACT_DRAW_COUNT``
+    expected interferers of its tier, ``sqrt(K / (pi density))``, or
+    reaches to the end of every bounded kernel segment of the tier (the
+    LoS ball) where that is farther, so that the interferers beyond it
+    are those of the unbounded power-law segments, which the mean tail
+    counts.  The interference of a PPP is scale-free, so the bias of that
+    tail depends on the count K, not on the radius in meters (for the
+    clustered members, as measured in the README).  A tier without BSs
+    has no disk: 0."""
     law = budgets[1].cluster
-    return tuple(math.sqrt(EXACT_DRAW_COUNT / (math.pi * density))
+    return tuple(max([math.sqrt(EXACT_DRAW_COUNT / (math.pi * density)),
+                      *(s.r_max for s in segments if s.r_max < math.inf)])
                  if density > 0 else 0.0
-                 for density in (budgets[0].density,
-                                 law.density * law.members))
+                 for density, segments in (
+                     (budgets[0].density, budgets[0].segments),
+                     (law.density * law.members, law.segments)))
 
 
 def center_disk(law: ClusterLaw, radius: float) -> float:

@@ -15,12 +15,13 @@ prefix of a longer one up to its last whole block; a trailing partial
 block is drawn afresh.
 
 Interferers are drawn one by one only inside each tier's exact-draw disk
-(``geometry.exact_draw_radii``), which holds a fixed expected count of
-the tier's interferers (``geometry.EXACT_DRAW_COUNT``), so its radius
-scales as one over the square root of the tier's density.  The interferers beyond it enter as their
-deterministic mean tail; the bias this leaves in coverage stays far below
-the Monte Carlo noise floor (README).  The disk bounds interferers only:
-the nearest macro BS is a serving candidate wherever it lies.
+(``draw_radii``), which holds a fixed expected count of the tier's
+interferers (``geometry.EXACT_DRAW_COUNT``), so its radius scales as one
+over the square root of the tier's density, and which reaches past the
+LoS ball.  The interferers beyond it enter as their deterministic mean
+tail; the bias this leaves in coverage stays far below the Monte Carlo
+noise floor (README).  The disk bounds interferers only: the nearest
+macro BS is a serving candidate wherever it lies.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ def _tail_mean(segments: tuple[KernelSegment, ...], density: float,
                radius: float | np.ndarray):
     """Expected interference beyond ``radius`` (a scalar or an array)
     from interferers of ``density`` per m^2: their unbounded segments at
-    their mean gain and unit-mean fading.  A tier without BSs, whose disk
-    has radius 0, has none."""
+    their mean gain and unit-mean fading.  ``radius`` lies past every
+    bounded segment (``geometry.exact_draw_radii``).  A tier without BSs,
+    whose disk has radius 0, has none."""
     if density == 0:
         return np.zeros(np.shape(radius))
     return sum(2.0 * math.pi * density * s.share
@@ -336,6 +338,13 @@ def _interfere(run: _Run, block: _Block, rng: np.random.Generator):
     return out
 
 
+def draw_radii(params: SystemParams,
+               scenario: ScenarioKind) -> tuple[float, float]:
+    """Radii of the exact-draw disks of ``run_trials`` of the deployment:
+    macro BSs, cluster members (0 for a tier without BSs)."""
+    return exact_draw_radii(link_budgets(params, scenario))
+
+
 def run_trials(params: SystemParams, scenario: ScenarioKind, n_trials: int,
                seed: int, assoc_only: bool = False) -> TrialTable:
     """Run ``n_trials`` independent trials of the given deployment.
@@ -347,7 +356,7 @@ def run_trials(params: SystemParams, scenario: ScenarioKind, n_trials: int,
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     budgets = link_budgets(params, scenario)
-    radii = exact_draw_radii(budgets)
+    radii = draw_radii(params, scenario)
     run = _Run(budgets, params.sigma_ue_m, radii,
                center_disk(budgets[1].cluster, radii[1]))
     table = TrialTable(np.empty(n_trials, dtype=np.int8),

@@ -77,11 +77,6 @@ class SystemParams:
     # weights B1 and B2 enter only as B2/B1, so B1 is 1
     bias2_db: float = 0.0
 
-    # no field sets a sampling radius: the Monte Carlo engine works out
-    # each tier's exact-draw disk from the tier's density
-    # (``geometry.exact_draw_radii``) and adds the expected interference
-    # of the network beyond it as a deterministic term
-
     def __post_init__(self) -> None:
         # NaN fails every comparison below, so it is rejected here first
         for fld in fields(self):

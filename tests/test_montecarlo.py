@@ -290,6 +290,22 @@ def test_each_exact_draw_disk_holds_k_expected_interferers(changes):
         4.0 * math.sqrt(EXACT_DRAW_COUNT / n)
 
 
+@pytest.mark.parametrize("changes, ball", [
+    (dict(r_los_ball_m=1500.0), 1500.0), (dict(lambda_p_per_km2=200.0), 200.0)],
+    ids=["wide-los-ball", "dense-hotspots"])
+def test_members_disk_reaches_past_the_los_ball(changes, ball):
+    # the mean tail counts only the unbounded (NLoS) segments, so the
+    # members' disk reaches the end of the LoS ball where the ball is the
+    # larger, and holds more than K members there
+    q = P.replace(**changes)
+    budgets = link_budgets(q)
+    law = budgets[1].cluster
+    radius = exact_draw_radii(budgets)[1]
+    assert radius == ball
+    assert law.density * law.members * math.pi * radius ** 2 > \
+        EXACT_DRAW_COUNT
+
+
 @pytest.mark.parametrize("changes, empty", [
     (dict(lambda1_per_km2=0.0), 0), (dict(lambda_p_per_km2=0.0), 1),
     (dict(n_bs=0), 1)], ids=["no-macro", "no-hotspots", "no-members"])
@@ -376,16 +392,11 @@ def paired_sinr(params, scenario, n, seed):
     return sinr
 
 
-@pytest.mark.parametrize("lambda1", [30.0, 0.05], ids=["defaults",
-                                                       "sparse-macro"])
-@pytest.mark.parametrize("scenario", list(ScenarioKind))
-def test_mean_tail_beyond_the_exact_draw_disk_keeps_coverage(scenario,
-                                                             lambda1):
-    # the same trials read with and without the interferers between the
-    # exact-draw radius and twice it: on TAU_GRID_DB their coverage differs
-    # by at most 0.1 fixture stderr plus 2 of the difference's own stderr
-    n = 16_000
-    sinr = paired_sinr(P.replace(lambda1_per_km2=lambda1), scenario, n, 37)
+def assert_tail_keeps_coverage(sinr):
+    """The two reads of ``paired_sinr``: on TAU_GRID_DB their coverage
+    differs by at most 0.1 fixture stderr plus 2 of the difference's own
+    stderr."""
+    n = sinr.shape[1]
     covered = sinr[:, :, None] > 10.0 ** (TAU_GRID_DB / 10.0)
     diff = covered[0].astype(float) - covered[1]
     bias = diff.mean(axis=0)
@@ -394,6 +405,34 @@ def test_mean_tail_beyond_the_exact_draw_disk_keeps_coverage(scenario,
     fixture = np.sqrt(p * (1.0 - p) / FIXTURE_TRIALS)
     assert np.all(np.abs(bias) <= 0.1 * fixture + 2.0 * stderr), \
         (bias, stderr, fixture)
+
+
+@pytest.mark.parametrize("lambda1", [30.0, 0.05], ids=["defaults",
+                                                       "sparse-macro"])
+@pytest.mark.parametrize("scenario", list(ScenarioKind))
+def test_mean_tail_beyond_the_exact_draw_disk_keeps_coverage(scenario,
+                                                             lambda1):
+    # the same trials read with and without the interferers between the
+    # exact-draw radius and twice it
+    assert_tail_keeps_coverage(
+        paired_sinr(P.replace(lambda1_per_km2=lambda1), scenario, 16_000, 37))
+
+
+@pytest.mark.parametrize("changes", [
+    dict(r_los_ball_m=1500.0), dict(lambda_p_per_km2=200.0), dict(n_bs=18),
+    dict(sigma_ue_m=100.0, sigma_bs_m=10.0),
+    dict(sigma_ue_m=100.0, sigma_bs_m=150.0)],
+    ids=["wide-los-ball", "dense-hotspots", "n_bs-18", "eta-0.1", "eta-1.5"])
+def test_mean_tail_keeps_coverage_across_cluster_layouts(changes):
+    # (a) where the LoS ball reaches past sqrt(K / (pi lambda_p n_bs)),
+    # whose LoS members the tail does not count, and at the extreme
+    # cluster shapes the shipped sweeps run: few large clusters in the
+    # disk (n_bs = 18), and eta = sigma_BS / sigma_UE of 0.1 and 1.5;
+    # 16,000 trials drawn 4,000 at a time to bound the arrays
+    q = P.replace(**changes)
+    assert_tail_keeps_coverage(np.concatenate(
+        [paired_sinr(q, ScenarioKind.INTEGRATED, 4000, [38, b])
+         for b in range(4)], axis=1))
 
 
 # ---------------------------------------------------------------------------
