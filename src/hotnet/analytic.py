@@ -619,27 +619,24 @@ def _coverage_integrand(k: int, budgets: _Records, tail: _Tail):
 
 
 def _coverage_masses(k: int, tau, v0, budgets: _Records, tail: _Tail,
-                     spec: QuadSpec, tally: _Tally, noise_cuts=False):
+                     spec: QuadSpec, tally: _Tally):
     """A_k(v0) * C_k(tau; v0), tier k's coverage mass with serving tail
     ``tail``, for each pair of the broadcast 1-D arrays tau and v0: segment
     integrals over the serving distance summed in order, all in one batch.
-    Segments start at the noise scale for (a)'s small cells and, with
-    ``noise_cuts``, every tier: at high tau one misses its mass near 0."""
+    Segments start at the noise scale, so that at high tau no tier misses
+    its mass near 0."""
     tau, v0 = np.broadcast_arrays(np.asarray(tau, dtype=float),
                                   np.asarray(v0, dtype=float))
     serving = budgets[k - 1]
     reach = _serving_reach(k, v0, budgets)
-    if noise_cuts or (k == 2 and serving.cluster.los_ball is not None):
-        # breakpoints at the noise-decay scale of the tail's smallest
-        # point (empty segments integrate to an exact 0)
-        x_noise = (serving.budget
-                   / (tau * (tail.scale * tail.steps.min()) * serving.noise_w)) \
-            ** (1.0 / serving.alpha)
-        near = np.minimum(4.0 * x_noise, reach)
-        far = np.minimum(32.0 * x_noise, reach)
-        cuts = np.stack([np.zeros(tau.shape), near, far, reach], axis=-1)
-    else:
-        cuts = np.stack([np.zeros(tau.shape), reach], axis=-1)
+    # breakpoints at the noise-decay scale of the tail's smallest point
+    # (empty segments integrate to an exact 0)
+    x_noise = (serving.budget
+               / (tau * (tail.scale * tail.steps.min()) * serving.noise_w)) \
+        ** (1.0 / serving.alpha)
+    near = np.minimum(4.0 * x_noise, reach)
+    far = np.minimum(32.0 * x_noise, reach)
+    cuts = np.stack([np.zeros(tau.shape), near, far, reach], axis=-1)
     pair = np.repeat(np.arange(tau.size), cuts.shape[1] - 1)
     seg_tau, seg_v0 = tau[pair], v0[pair]
     f = _coverage_integrand(k, budgets, tail)

@@ -803,18 +803,18 @@ def test_coverage_frozen_values():
 def loop_coverage_mass(k, tau, v0, scenario, include_nlos, spec):
     """One tier's coverage mass at one (tau, v0) pair, each serving-distance
     segment in its own integrate_adaptive call: the per-pair loop the
-    batched pass replaces, kept as its reference."""
+    batched pass replaces, kept as its reference.  Every tier is cut at
+    the noise scale of the tail's smallest point, clipped to the reach."""
     budgets = records(P, scenario, include_nlos)
     serving = budgets[k - 1]
     tail = analytic._alzer_tail(serving)
     f = analytic._coverage_integrand(k, budgets, tail)
     reach = float(analytic._serving_reach(k, v0, budgets))
-    cuts = [0.0, reach]
-    if k == 2 and serving.cluster.los_ball is not None:
-        x_noise = (serving.budget / (tau * tail.scale * serving.noise_w)) \
-            ** (1.0 / serving.alpha)
-        cuts = sorted({0.0, min(4.0 * x_noise, reach),
-                       min(32.0 * x_noise, reach), reach})
+    x_noise = (serving.budget
+               / (tau * tail.scale * tail.steps.min() * serving.noise_w)) \
+        ** (1.0 / serving.alpha)
+    cuts = sorted({0.0, min(4.0 * x_noise, reach),
+                   min(32.0 * x_noise, reach), reach})
     value = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         value += integrate_adaptive(
@@ -823,13 +823,14 @@ def loop_coverage_mass(k, tau, v0, scenario, include_nlos, spec):
     return max(value, 0.0)
 
 
-@pytest.mark.parametrize("deployment", ["a", "d"])
+@pytest.mark.parametrize("deployment", ["a", "b", "c", "d"])
 @pytest.mark.parametrize("include_nlos", [True, False])
 def test_batched_coverage_mass_matches_per_pair_loop(deployment,
                                                      include_nlos):
-    # the (a) noise breakpoints lie beyond the LoS ball up to about 24 dB;
-    # at 30 dB one and at 50 dB both fall inside it
-    scenario = MEMBER_LINKS[deployment]["scenario"]
+    # the (a) small-cell noise breakpoints lie beyond the LoS ball up to
+    # about 24 dB; at 30 dB one and at 50 dB both fall inside it.  (b) has
+    # no small cells and (c) no macro BSs: that tier's reach is 0
+    scenario = ScenarioKind(deployment)
     spec = analytic.OUTER_SPEC.tighter()
     v0 = np.array([0.0, 40.0, 150.0, 420.0, 1100.0])
     for tau_db in (-10.0, 0.0, 20.0, 30.0, 50.0):
@@ -844,6 +845,32 @@ def test_batched_coverage_mass_matches_per_pair_loop(deployment,
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("tau_db", [40.0, 50.0])
+def test_coverage_mass_at_high_threshold_matches_quad(tau_db, k):
+    # (d)'s tiers at high thresholds: the integrand lies near x = 0, inside
+    # the first node of a rule over [0, reach], unless the serving-distance
+    # integral is cut at the noise scale
+    budgets = link_budgets(P, ScenarioKind.TWO_TIER_SUB6)
+    serving = budgets[k - 1]
+    tail = analytic._alzer_tail(serving)
+    tau = 10.0 ** (tau_db / 10.0)
+    v0 = np.array([0.0, 100.0, 300.0])
+    got = analytic._coverage_masses(k, tau, v0, budgets, tail,
+                                    analytic.OUTER_SPEC.tighter(),
+                                    analytic._Tally())
+    f = analytic._coverage_integrand(k, budgets, tail)
+    x_noise = (serving.budget / (tau * serving.noise_w)) \
+        ** (1.0 / serving.alpha)
+    for mass, v in zip(got, v0.tolist()):
+        reach = float(analytic._serving_reach(k, v, budgets))
+        want = quad(lambda x: f(np.array([x]), np.array([tau]),
+                                np.array([v]))[0],
+                    0.0, reach, points=[min(x_noise, reach)], epsabs=0.0,
+                    epsrel=1e-10, limit=200)[0]
+        assert mass == pytest.approx(want, rel=1e-5)
+
+
 def test_avg_rate_frozen_value():
     # the mass-curve rate; the bracket/rho rule before it gave
     # 2457725963.59, and the 2x96-node u-rule on [-20, 40] over the same
@@ -856,8 +883,8 @@ def bracket_avg_rate(params, scenario):
     integral, kept verbatim as its reference: per offset node and tier, 8
     bracket probes of Alzer's coverage mass on the spectral-efficiency
     axis pick its truncation point, and a 32-node rule integrates up to
-    it.  Only its ``_coverage_masses`` is adapted: Alzer's tail with the
-    rate's noise cuts, so that both rules integrate the same masses."""
+    it.  Only its ``_coverage_masses`` is adapted: Alzer's tail, so that
+    both rules integrate the same masses."""
     RATE_SPEC = analytic.RATE_SPEC
     _Tally = analytic._Tally
     _offset_average = analytic._offset_average
@@ -865,7 +892,7 @@ def bracket_avg_rate(params, scenario):
     def _coverage_masses(k, taus, v0s, budgets, inner, tally):
         return analytic._coverage_masses(
             k, taus, v0s, budgets, analytic._alzer_tail(budgets[k - 1]),
-            inner, tally, noise_cuts=True)
+            inner, tally)
 
     inner = replace(RATE_SPEC, abs_tol=1e-10)
     budgets = link_budgets(params, scenario)
@@ -1036,9 +1063,8 @@ def test_batched_avg_rate_matches_per_offset_loop(deployment, monkeypatch):
 @pytest.mark.parametrize("k", [1, 2])
 def test_rate_tail_mass_is_the_weighted_sum_of_masses(deployment, k):
     # the rate's u-rule inside the serving-distance integral: its mass is
-    # sum_i w_i W_k(t_i) R_k(t_i; v0), each R_k the Rayleigh mass at t_i
-    # on the noise breakpoints (without them the masses at high t_i miss
-    # their mass near x = 0, 4e-4 of the sum in (d) tier 2)
+    # sum_i w_i W_k(t_i) R_k(t_i; v0), each R_k the Rayleigh mass at t_i,
+    # cut at its own noise scale
     scenario = MEMBER_LINKS[deployment]["scenario"]
     budgets = link_budgets(P, scenario)
     spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-16)
@@ -1048,7 +1074,7 @@ def test_rate_tail_mass_is_the_weighted_sum_of_masses(deployment, k):
                                     analytic._Tally())
     masses = analytic._coverage_masses(k, tail.steps, v0, budgets,
                                        analytic._Tail(), spec,
-                                       analytic._Tally(), noise_cuts=True)
+                                       analytic._Tally())
     assert got[0] == pytest.approx(float(np.sum(tail.weights * masses)),
                                    rel=1e-8)
 
@@ -1059,8 +1085,8 @@ def test_avg_rate_hands_one_integrand_per_segment_tier_and_offset(
     # the u-rule's 57 points ride inside each integrand: an offset pass
     # integrates one mass per serving-distance segment, tier and offset
     scenario = MEMBER_LINKS[deployment]["scenario"]
-    # (a)'s small cells take the noise breakpoints: 3 segments
-    segments = [1, 3] if deployment == "a" else [1, 1]
+    # every tier is cut at the noise scale: 3 segments, empty ones too
+    segments = [3, 3]
     analytic.avg_rate(P, scenario=scenario)     # the knots the rate needs
     passes = []
     real_batch, real_average = analytic.integrate_batch, \

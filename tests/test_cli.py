@@ -356,6 +356,14 @@ def test_analytic_percentile_is_the_coverage_root(target):
     assert abs(got - root) <= 0.01
 
 
+def test_percentile_probe_at_60_db_keeps_its_coverage():
+    # brentq probes the bracket's ends: the sweep's looser spec must not
+    # lose the coverage mass there
+    params = SystemParams()
+    assert analytic.coverage(10.0 ** 6.0, params, spec=cli._SWEEP_SPEC) \
+        == pytest.approx(analytic.coverage(10.0 ** 6.0, params), rel=0.01)
+
+
 def test_unreachable_percentile_is_nan():
     # without macro BSs (c) a UE whose cluster has no LoS member is never
     # covered, so coverage stays below 0.95 at every threshold
