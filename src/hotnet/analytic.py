@@ -16,7 +16,8 @@ Conventions used throughout:
 * The candidate member distance law collapses to a noncentral chi-square
   CDF.  In (a) only LoS members inside the ball may serve:
   F_SL(r) = p_los * RiceCDF(min(r, R_B)), because the LoS probability is
-  constant inside the ball and zero outside.  In (d) every member may.
+  constant inside the ball and zero outside.  In (d) every member may:
+  the same law with p_los = 1 and an infinite ball, so F_SL = RiceCDF.
 * The intra-cluster interference intensity is max(n - 1, 0) times the
   *radial* member density of each kernel segment (in (a) the LoS part is
   excluded below the serving distance, the NLoS part is unrestricted).
@@ -114,16 +115,12 @@ def _rice_cdf(r, v0, sigma: float):
 
 def _candidate_cdf(r, v0: float, law: ClusterLaw):
     """CDF of one member's distance, counting only members that may serve."""
-    if law.los_ball is None:
-        return _rice_cdf(r, v0, law.spread)
     capped = np.minimum(r, law.los_ball)
     return law.los_prob * np.asarray(_rice_cdf(capped, v0, law.spread))
 
 
 def _candidate_pdf(r, v0: float, law: ClusterLaw):
     dens = rice_pdf(r, v0, law.spread)
-    if law.los_ball is None:
-        return dens
     return np.where(r < law.los_ball, law.los_prob * dens, 0.0)
 
 
@@ -156,8 +153,7 @@ def _serving_reach(k: int, v0, budgets: _Records) -> np.ndarray:
     elif law.members == 0 or law.los_prob == 0:
         reach = 0.0
     else:
-        reach = v0 + 9.0 * law.spread if law.los_ball is None \
-            else law.los_ball
+        reach = np.minimum(v0 + 9.0 * law.spread, law.los_ball)
     return np.broadcast_to(reach, v0.shape)
 
 

@@ -73,14 +73,14 @@ class KernelSegment:
 class ClusterLaw:
     """The clustered tier's members: hotspot density, member count and
     spread, the candidates (LoS with probability ``los_prob`` inside
-    ``los_ball``, or every member when ``los_ball`` is None), and the
-    interference kernel of a member."""
+    ``los_ball``; in (d) every member, with ``los_prob`` 1 and an infinite
+    ball), and the interference kernel of a member."""
 
     density: float                  # hotspot centers per m^2
     members: int
     spread: float
     los_prob: float
-    los_ball: float | None
+    los_ball: float
     segments: tuple[KernelSegment, ...]
     pgfl_scale: float               # decay length of the PGFL integrand
 
@@ -146,7 +146,7 @@ def link_budgets(params: SystemParams,
     if shared:
         segments = (KernelSegment(1.0, 0.0, math.inf, True, False,
                                   p2_w * c1, p.alpha1, 1, (g1,), (1.0,)),)
-        law = ClusterLaw(lambda_p, p.n_bs, p.sigma_bs_m, 1.0, None,
+        law = ClusterLaw(lambda_p, p.n_bs, p.sigma_bs_m, 1.0, math.inf,
                          segments, 8.0 * p.sigma_bs_m + 1.0)
         return macro, LinkBudget(bias2 * p2_w * g1 * c1, p2_w * g1 * c1,
                                  p.alpha1, 1, noise1_w, p.w1_hz, (1, 2),

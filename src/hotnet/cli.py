@@ -228,20 +228,6 @@ _METRICS = {
 METRICS = tuple(_METRICS)
 
 
-def _eval_group(points, params: SystemParams, sweep: SweepSpec, mode: str,
-                seed: int, trials: int) -> list[dict]:
-    """The grid points of one parameter set, all read from one trial
-    table."""
-    table = None
-    if mode in ("mc", "both"):
-        table = montecarlo.run_trials(
-            params, sweep.scenario, trials, seed,
-            assoc_only=all(_METRICS[m].assoc_only for m in sweep.metrics))
-    closed: dict = {}   # analytic cells by metric and the grid value read
-    return [_eval_point(index, value, params, table, sweep, mode, closed)
-            for index, value in points]
-
-
 # the rule of a v0 bin's analytic average: 16 Gauss-Legendre nodes
 _BIN_RULE = np.polynomial.legendre.leggauss(16)
 
@@ -272,43 +258,57 @@ def _v0_bin(v: float, sigma: float):
     return lo, hi, nodes, density / density.sum()
 
 
-def _eval_point(index, value, params: SystemParams, table, sweep: SweepSpec,
-                mode: str, closed: dict) -> dict:
-    """One grid point: returns a row per metric."""
-    scenario = sweep.scenario
-    tau_db = float(value) if sweep.variable == "tau_db" else sweep.tau_db
-    if sweep.variable == "v0":
-        lo, hi, nodes, weights = _v0_bin(float(value), params.sigma_ue_m)
-        if table is not None:
-            table = table.select((table.v0 >= lo) & (table.v0 <= hi))
-
-        def evaluate(entry):    # the closed form given v0, over the bin
-            return (float(np.dot(weights, [entry.at_v0(params, scenario, v)
-                                           for v in nodes]))
-                    if entry.at_v0 else math.nan)
-    else:
-        def evaluate(entry):
-            return (entry.closed(params, scenario, 10.0 ** (tau_db / 10.0))
-                    if entry.closed else math.nan)
-    row: dict[str, dict] = {}
-    for metric in sweep.metrics:
-        entry = _METRICS[metric]
-        cell = {"grid": value}
-        if table is not None:
-            cell["mc"], cell["mc_stderr"] = (
-                entry.mc(table, tau_db) if len(table) else (math.nan,) * 2)
-        if mode in ("analytic", "both"):
-            reads_grid = sweep.variable == "v0" or not entry.grid_free
-            key = (metric, value if reads_grid else None)
-            if key not in closed:
-                closed[key] = evaluate(entry)
-            cell["analytic"] = closed[key]
-        if mode == "both":
-            a, m = cell.get("analytic"), cell.get("mc")
-            cell["abs_diff"] = (abs(a - m)
-                                if a == a and m == m else math.nan)
-        row[metric] = cell
-    return {"index": index, "cells": row}
+def _sweep(cfg: RunConfig, mode: str, seed: int, trials: int) -> dict:
+    """Each metric's cells in ``sweep_grid`` order, each a dict by column.
+    Grid points with equal parameters read one trial table wherever they
+    sit, and share the closed forms that do not read the grid value; one
+    table is alive at a time."""
+    sweep, scenario = cfg.sweep, cfg.sweep.scenario
+    v0_sweep = sweep.variable == "v0"
+    groups: dict[SystemParams, list] = {}
+    for i, value in enumerate(sweep.grid):
+        groups.setdefault(_params_at(cfg.params, sweep, value), []).append(i)
+    cells = {metric: [None] * len(sweep.grid) for metric in sweep.metrics}
+    for params, points in groups.items():
+        table = (montecarlo.run_trials(
+            params, scenario, trials, seed,
+            assoc_only=all(_METRICS[m].assoc_only for m in sweep.metrics))
+            if mode != "analytic" else None)
+        closed: dict = {}   # analytic cells by metric and the grid value read
+        for i in points:
+            value, at = sweep.grid[i], table
+            tau_db = float(value) if sweep.variable == "tau_db" \
+                else sweep.tau_db
+            if v0_sweep:
+                lo, hi, nodes, weights = _v0_bin(float(value),
+                                                 params.sigma_ue_m)
+                if table is not None:
+                    at = table.select((table.v0 >= lo) & (table.v0 <= hi))
+            for metric in sweep.metrics:
+                entry, cell = _METRICS[metric], {}
+                if at is not None:
+                    cell["mc"], cell["mc_stderr"] = (
+                        entry.mc(at, tau_db) if len(at) else (math.nan,) * 2)
+                if mode != "mc":
+                    key = (metric, value if v0_sweep or not entry.grid_free
+                           else None)
+                    if key not in closed:   # a v0 cell averages its bin
+                        form = entry.at_v0 if v0_sweep else entry.closed
+                        if form is None:
+                            closed[key] = math.nan
+                        elif v0_sweep:
+                            closed[key] = float(np.dot(weights, [
+                                form(params, scenario, v) for v in nodes]))
+                        else:
+                            closed[key] = form(params, scenario,
+                                               10.0 ** (tau_db / 10.0))
+                    cell["analytic"] = closed[key]
+                if mode == "both":
+                    a, m = cell["analytic"], cell["mc"]
+                    cell["abs_diff"] = (abs(a - m)
+                                        if a == a and m == m else math.nan)
+                cells[metric][i] = cell
+    return cells
 
 
 def _fmt(x) -> str:
@@ -319,24 +319,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
+_COLUMNS = {"mc": ("mc", "mc_stderr"), "analytic": ("analytic",),
+            "both": ("mc", "mc_stderr", "analytic", "abs_diff")}
+
+
 def _write_csv(out_dir: Path, sweep: SweepSpec, mode: str,
-               rows: list[dict]) -> list[Path]:
+               cells: dict) -> list[Path]:
     paths = []
-    columns = ["grid"]
-    if mode in ("mc", "both"):
-        columns += ["mc", "mc_stderr"]
-    if mode in ("analytic", "both"):
-        columns += ["analytic"]
-    if mode == "both":
-        columns += ["abs_diff"]
-    for metric in sweep.metrics:
+    columns = _COLUMNS[mode]
+    for metric, column in cells.items():
         path = out_dir / f"{metric}.csv"
-        header = [sweep.variable] + columns[1:]
-        lines = [",".join(header)]
-        for row in sorted(rows, key=lambda r: r["index"]):
-            cell = row["cells"][metric]
-            lines.append(",".join(_fmt(cell.get(c, math.nan))
-                                  for c in columns))
+        lines = [",".join((sweep.variable, *columns))]
+        lines += [",".join(map(_fmt, (value, *(cell[c] for c in columns))))
+                  for value, cell in zip(sweep.grid, column)]
         path.write_text("\n".join(lines) + "\n", newline="\n")
         paths.append(path)
     return paths
@@ -426,25 +421,15 @@ def cmd_run(args) -> int:
     for w in cfg.warnings:
         print(f"warning: {w}", file=sys.stderr)
 
-    # a v0 or tau_db sweep keeps the parameters: its points share a table
-    groups: dict[SystemParams, list] = {}
-    for i, v in enumerate(cfg.sweep.grid):
-        groups.setdefault(_params_at(cfg.params, cfg.sweep, v),
-                          []).append((i, v))
-    rows = [row for params, points in groups.items()
-            for row in _eval_group(points, params, cfg.sweep, args.mode,
-                                   args.seed, args.trials)]
-
-    paths = _write_csv(out_dir, cfg.sweep, args.mode, rows)
+    cells = _sweep(cfg, args.mode, args.seed, args.trials)
+    paths = _write_csv(out_dir, cfg.sweep, args.mode, cells)
     _write_manifest(out_dir, cfg, args.mode, args.seed, args.trials)
     if not args.no_figures:
         _render_figures(paths, cfg.sweep)
 
-    nan_cells = sum(
-        1 for row in rows for cell in row["cells"].values()
-        for key in ("mc", "analytic")
-        if key in cell and isinstance(cell[key], float)
-        and math.isnan(cell[key]))
+    nan_cells = sum(math.isnan(cell[key]) for column in cells.values()
+                    for cell in column for key in ("mc", "analytic")
+                    if key in cell)
     if nan_cells:
         print(f"warning: {nan_cells} metric cells could not be evaluated",
               file=sys.stderr)

@@ -233,9 +233,9 @@ class _Block(NamedTuple):
 
 def _associate(run: _Run, n: int, rng: np.random.Generator) -> _Block:
     """Draw what association reads and pick each trial's serving tier.
-    The own hotspot center sits at ``(v0, 0)``.  LoS labels come first,
-    then positions of the labelled members only: the others wait until a
-    trial needs them as interferers."""
+    The own hotspot center sits at ``(v0, 0)``.  LoS labels come first
+    unless LoS is certain, then positions of the labelled members only:
+    the others wait until a trial needs them as interferers."""
     law = run.budgets[1].cluster
     v0 = rng.rayleigh(run.sigma_ue, n)
     r1 = np.full(n, np.inf)
@@ -244,14 +244,13 @@ def _associate(run: _Run, n: int, rng: np.random.Generator) -> _Block:
         # the nearest point of a PPP: pi lambda r1^2 ~ Exp(1)
         r1 = np.sqrt(rng.standard_exponential(n) / (math.pi * lam))
     own_u, drawn = None, np.ones((n, law.members), dtype=bool)
-    if law.los_ball is not None:
+    if law.los_prob < 1:
         own_u = rng.random(drawn.shape)
         drawn = own_u < law.los_prob
     own = np.full(drawn.shape, np.nan)
     rows = np.flatnonzero(drawn) // law.members  # nonzero()[0], faster
     own[drawn] = _member_distances(v0[rows], law.spread, rng)
-    cand = (own if law.los_ball is None
-            else np.where(own < law.los_ball, own, np.inf))
+    cand = np.where(own < law.los_ball, own, np.inf)
     r2 = cand.min(axis=1, initial=np.inf)
     tier = choose(run.budgets, r1, r2)
     x = np.maximum(np.where(tier == int(Tier.MMWAVE), r2, r1),

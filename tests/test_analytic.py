@@ -160,6 +160,30 @@ def test_los_distance_law_consistency():
     assert analytic._candidate_pdf(P.r_los_ball_m + 1.0, v0, law) == 0.0
 
 
+def test_every_member_is_a_candidate_in_d():
+    # (d)'s candidate law is (a)'s with p_los = 1 and an infinite ball:
+    # the Rice law itself, bit for bit
+    law = cell_law(P, "d")
+    assert (law.los_prob, law.los_ball) == (1.0, math.inf)
+    r = np.linspace(0.0, 2000.0, 201)
+    for v0 in (0.0, 35.0, 140.0, 600.0):
+        assert np.array_equal(analytic._candidate_cdf(r, v0, law),
+                              analytic._rice_cdf(r, v0, law.spread))
+        assert np.array_equal(analytic._candidate_pdf(r, v0, law),
+                              rice_pdf(r, v0, law.spread))
+
+
+def test_small_cell_reach_is_the_nearer_of_rice_tail_and_ball():
+    # a tight cluster near its center ends 9 sigma_BS out, inside the
+    # 200 m ball; a wide one ends at the ball
+    for sigma, reach in ((15.0, 135.0), (100.0, P.r_los_ball_m)):
+        budgets = link_budgets(P.replace(sigma_bs_m=sigma))
+        assert float(analytic._serving_reach(2, 0.0, budgets)) == reach
+    budgets = link_budgets(P.replace(sigma_bs_m=15.0),
+                           ScenarioKind.TWO_TIER_SUB6)
+    assert float(analytic._serving_reach(2, 50.0, budgets)) == 185.0
+
+
 def test_serving_distance_laws_are_proper():
     # the candidate (S_L) and nearest-candidate (R2) laws of the small
     # cells, and the nearest Sub-6GHz BS (R1)

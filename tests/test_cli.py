@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +396,32 @@ def test_sweep_at_fixed_parameters_draws_one_table(tmp_path, monkeypatch):
     assert np.all(np.diff(data["mc"]) <= 0)
 
 
+def test_equal_parameters_apart_in_the_grid_share_one_table(tmp_path,
+                                                             monkeypatch):
+    # the first and last points have the same parameters: they read one
+    # table and one set of closed forms, and rows still follow the grid
+    calls, run_trials = [], montecarlo.run_trials
+
+    def spy(params, *args, **kwargs):
+        calls.append(params.bias2_db)
+        return run_trials(params, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_trials", spy)
+    metrics = ("assoc_prob", "coverage", "mean_serving_distance")
+    path = _write(tmp_path, "scenario = c\nsweep_variable = bias_ratio_db\n"
+                            "sweep_grid = 0, 10, 0\n"
+                            f"metrics = {', '.join(metrics)}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--mode", "both",
+                 "--out", str(out), "--seed", "3", "--trials", "300",
+                 "--no-figures"]) == 0
+    assert calls == [0.0, 10.0]
+    for metric in metrics:
+        lines = (out / f"{metric}.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "10", "0"]
+        assert lines[1] == lines[3]
+
+
 @pytest.mark.parametrize("scenario", ["a", "c"])
 def test_mc_percentile_cells_are_exact_quantiles(tmp_path, scenario):
     # each cell is the empirical quantile over all trials, unserved ones
@@ -659,3 +686,24 @@ def test_bias_sweep_cells_are_their_engine_calls(tmp_path):
         assert line.split(",") == [value, _text(est.value),
                                    _text(est.stderr), _text(a),
                                    _text(abs(a - est.value))]
+
+
+SHIPPED_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_configs_validate_and_run(tmp_path, path, capsys):
+    assert main(["validate", "--config", str(path)]) == 0
+    cfg = parse_config(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--mode", "mc",
+                 "--out", str(out), "--trials", "200",
+                 "--no-figures"]) == 0
+    assert sorted(p.stem for p in out.glob("*.csv")) == \
+        sorted(cfg.sweep.metrics)
+    for metric in cfg.sweep.metrics:
+        data = np.genfromtxt(out / f"{metric}.csv", delimiter=",",
+                             names=True)
+        assert data.dtype.names[0] == cfg.sweep.variable
+        assert data[cfg.sweep.variable].tolist() == cfg.sweep.grid
