@@ -45,7 +45,7 @@ from scipy.special import binom, chndtr, hyp2f1
 from .association import ClusterLaw, LinkBudget, boundary_map, link_budgets
 from .geometry import rice_pdf
 from .params import ScenarioKind, SystemParams
-from .quadrature import (_CHUNK, QuadSpec, half_line, integrate_adaptive,
+from .quadrature import (QuadSpec, half_line, integrate_adaptive,
                          integrate_batch)
 
 DEFAULT_SPEC = QuadSpec(rel_tol=1e-6, abs_tol=1e-14)
@@ -54,10 +54,10 @@ RATE_SPEC = QuadSpec(rel_tol=1e-3, abs_tol=1e-6)
 INTEGRATED = ScenarioKind.INTEGRATED
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-# most kernel values _cluster_exponent holds at once: those of a 3-point
-# serving tail over one full integrand call of integrate_batch (_CHUNK
-# panels of 15 Kronrod nodes) on the band rule
-_KERNEL_VALUES = 3 * _CHUNK * 15 * _GL_NODES.size
+# most kernel values _cluster_exponent holds at once, so that the rate's
+# 57-point tail needs no more memory than Alzer's: those of a 3-point tail
+# over a 480-node integrand call (integrate_batch's largest) on the band rule
+_KERNEL_VALUES = 3 * 480 * _GL_NODES.size
 # the rate's u = ln t rule: 56 nodes on [-10, 30], and one of weight 1 at
 # -10 for the tail below, where R is flat and every W(e^u) falls as e^u
 _RATE_U, _RATE_W = np.polynomial.legendre.leggauss(56)
@@ -550,31 +550,18 @@ def laplace_I2_inter(s, law: ClusterLaw):
 # conditional coverage
 # ---------------------------------------------------------------------------
 
-def _kahan_sum(terms: np.ndarray) -> np.ndarray:
-    """Compensated summation over the first axis (alternating Alzer
-    terms)."""
-    total, comp = terms[0], 0.0
-    for t in terms[1:]:
-        y = t - comp
-        acc = total + y
-        comp, total = (acc - total) - y, acc
-    return total
-
-
 class _Tail(NamedTuple):
     """A serving fading tail as data: its coverage is the combination
-    C(tau) = sum_n weights[n] R(p_n tau) of the order-1 mass curve R at
-    the points p_n = scale * steps[n], kept as factors (s multiplies by
-    the scale, then by the step).  The default is R itself (Rayleigh)."""
-    scale: float = 1.0
-    steps: np.ndarray = np.ones(1)
+    C(tau) = sum_n weights[n] R(points[n] tau) of the order-1 mass curve R.
+    The default is R itself (Rayleigh)."""
+    points: np.ndarray = np.ones(1)
     weights: np.ndarray = np.ones(1)
 
     def rate_weight(self, t):
-        """W(t) = sum_n weights[n] t / (p_n + t), so that the rate integral
-        int C(tau) / (1 + tau) dtau is int R(e^u) W(e^u) du."""
+        """W(t) = sum_n weights[n] t / (points[n] + t), so that the rate
+        integral int C(tau) / (1 + tau) dtau is int R(e^u) W(e^u) du."""
         return np.sum(self.weights[:, None] * t
-                      / (self.scale * self.steps[:, None] + t), axis=0)
+                      / (self.points[:, None] + t), axis=0)
 
 
 def _alzer_tail(link: LinkBudget) -> _Tail:
@@ -583,7 +570,7 @@ def _alzer_tail(link: LinkBudget) -> _Tail:
     n_l = link.order
     n = np.arange(1, n_l + 1, dtype=float)
     chi = n_l * math.gamma(n_l + 1.0) ** (-1.0 / n_l)
-    return _Tail(chi, n, (-1.0) ** (n + 1.0) * binom(n_l, n))
+    return _Tail(chi * n, (-1.0) ** (n + 1.0) * binom(n_l, n))
 
 
 def _coverage_integrand(k: int, budgets: _Records, tail: _Tail):
@@ -597,8 +584,7 @@ def _coverage_integrand(k: int, budgets: _Records, tail: _Tail):
     def f(x, tau, v0):
         # the tail's points along a leading axis: s is (N, nx), and every
         # point shares the nodes x and offsets v0
-        s = (x ** serving.alpha * tau * tail.scale * tail.steps[:, None]
-             / serving.budget)
+        s = x ** serving.alpha * tau * tail.points[:, None] / serving.budget
         lap = np.exp(-s * serving.noise_w)
         for j in serving.hears:
             heard = budgets[j - 1]
@@ -609,7 +595,7 @@ def _coverage_integrand(k: int, budgets: _Records, tail: _Tail):
             else:
                 lap = lap * (laplace_I2_intra(s, v0, xj, heard.cluster)
                              * laplace_I2_inter(s, heard.cluster))
-        return density(x, v0) * _kahan_sum(tail.weights[:, None] * lap)
+        return density(x, v0) * np.sum(tail.weights[:, None] * lap, axis=0)
 
     return f
 
@@ -627,8 +613,7 @@ def _coverage_masses(k: int, tau, v0, budgets: _Records, tail: _Tail,
     reach = _serving_reach(k, v0, budgets)
     # breakpoints at the noise-decay scale of the tail's smallest point
     # (empty segments integrate to an exact 0)
-    x_noise = (serving.budget
-               / (tau * (tail.scale * tail.steps.min()) * serving.noise_w)) \
+    x_noise = (serving.budget / (tau * tail.points.min() * serving.noise_w)) \
         ** (1.0 / serving.alpha)
     near = np.minimum(4.0 * x_noise, reach)
     far = np.minimum(32.0 * x_noise, reach)
@@ -643,20 +628,30 @@ def _coverage_masses(k: int, tau, v0, budgets: _Records, tail: _Tail,
     return np.maximum(mass, 0.0)
 
 
-def _coverage(tau: float, budgets: _Records, sigma_ue: float,
-              spec: QuadSpec) -> AnalyticReport:
-    """Coverage of a deployment: both tiers' coverage masses averaged
-    over the UE-to-center distance, Rayleigh with spread sigma_ue."""
-    if not tau > 0:
-        raise ValueError("tau must be positive (linear)")
+def _mass_average(tau, budgets: _Records, tails, scales, sigma_ue: float,
+                  spec: QuadSpec) -> AnalyticReport:
+    """sum_k scales[k] * M_k(tau; v0) averaged over the UE-to-center
+    distance v0, Rayleigh with spread sigma_ue: M_k tier k's coverage mass
+    with serving tail tails[k], one order tighter than ``spec``."""
     inner = spec.tighter()
-    tails = [_alzer_tail(link) for link in budgets]
 
     def masses(v0, tally):
-        return sum(_coverage_masses(k, tau, v0, budgets, tail, inner, tally)
-                   for k, tail in enumerate(tails, start=1))
+        return sum(scale * _coverage_masses(k, tau, v0, budgets, tail, inner,
+                                            tally)
+                   for k, (tail, scale) in enumerate(zip(tails, scales),
+                                                     start=1))
 
     return _offset_average(masses, sigma_ue, spec)
+
+
+def _coverage(tau: float, budgets: _Records, sigma_ue: float,
+              spec: QuadSpec) -> AnalyticReport:
+    """Coverage of a deployment: the mass average of both tiers' Alzer
+    tails."""
+    if not tau > 0:
+        raise ValueError("tau must be positive (linear)")
+    return _mass_average(tau, budgets, [_alzer_tail(link) for link in budgets],
+                         (1.0, 1.0), sigma_ue, spec)
 
 
 def coverage(tau: float, params: SystemParams,
@@ -711,18 +706,11 @@ def avg_rate(params: SystemParams,
     points and holds them in row slices (``_cluster_exponent``); the
     masses take one order tighter than ``RATE_SPEC``, on which the
     offsets' average runs."""
-    inner = RATE_SPEC.tighter()
     budgets = link_budgets(params, scenario)
     u, w = _RATE_RULE
     t = np.exp(u)
-    tails = [_Tail(1.0, t, w * _alzer_tail(link).rate_weight(t))
+    tails = [_Tail(t, w * _alzer_tail(link).rate_weight(t))
              for link in budgets]
-
-    def rates(v0s: np.ndarray, tally: _Tally) -> np.ndarray:
-        return sum(link.bandwidth_hz / math.log(2.0)
-                   * _coverage_masses(k, 1.0, v0s, budgets, tail, inner,
-                                      tally)
-                   for k, (link, tail) in enumerate(zip(budgets, tails),
-                                                    start=1))
-
-    return float(_offset_average(rates, params.sigma_ue_m, RATE_SPEC).value)
+    scales = [link.bandwidth_hz / math.log(2.0) for link in budgets]
+    return float(_mass_average(1.0, budgets, tails, scales, params.sigma_ue_m,
+                               RATE_SPEC).value)

@@ -154,18 +154,20 @@ def _params_at(base: SystemParams, sweep: SweepSpec, value) -> SystemParams:
 def _analytic_percentile(params: SystemParams, scenario: ScenarioKind,
                          target: float) -> float:
     """The SINR threshold in dB at which coverage falls to ``target``,
-    to 0.01 dB; NaN when coverage does not cross it in [-40, 60] dB."""
+    solved to 1e-3 dB and rounded to the 0.01 dB its cell holds; NaN when
+    coverage does not cross it in [-40, 60] dB."""
     # imported here: loading scipy.optimize costs about 0.2 s, which every
     # import of the CLI would pay, and only percentile cells need it
     from scipy.optimize import brentq
     try:
-        return brentq(
+        root = brentq(
             lambda t_db: analytic.coverage(10.0 ** (t_db / 10.0), params,
                                            spec=_SWEEP_SPEC,
                                            scenario=scenario) - target,
-            -40.0, 60.0, xtol=0.01)
+            -40.0, 60.0, xtol=1e-3)
     except ValueError:
         return math.nan
+    return round(root, 2)
 
 
 def _pair(est) -> tuple:

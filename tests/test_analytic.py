@@ -531,7 +531,7 @@ def tiled_coverage_integrand(k, params, scenario, include_nlos):
     macro, cells = link_budgets(params, scenario)
     serving, other = ((macro, cells), (cells, macro))[k - 1]
     law = cells.cluster
-    chi, nvec, coeff = analytic._alzer_tail(serving)
+    points, coeff = analytic._alzer_tail(serving)
     # the serving record lists the tiers whose BSs interfere on its band
     hears_macro = 1 in serving.hears
     hears_cells = 2 in serving.hears
@@ -543,9 +543,9 @@ def tiled_coverage_integrand(k, params, scenario, include_nlos):
 
     def f(x, tau, v0):
         # the Alzer terms stacked along one flat axis: s, xs are (N * nx,)
-        s = (x ** serving.alpha * tau * chi * nvec[:, None]
+        s = (x ** serving.alpha * tau * points[:, None]
              / serving.budget).ravel()
-        xs = x if len(nvec) == 1 else np.tile(x, len(nvec))
+        xs = x if len(points) == 1 else np.tile(x, len(points))
         lap = np.exp(-s * serving.noise_w)
         if hears_macro:
             x1 = xs if k == 1 else boundary_map(serving, other, xs)
@@ -553,11 +553,11 @@ def tiled_coverage_integrand(k, params, scenario, include_nlos):
                 s, macro.budget, macro.alpha, x1))
         if hears_cells:
             x2 = xs if k == 2 else boundary_map(serving, other, xs)
-            v0s = v0 if len(nvec) == 1 else np.tile(v0, len(nvec))
+            v0s = v0 if len(points) == 1 else np.tile(v0, len(points))
             lap = lap * (np.exp(-(law.members - 1) * tiled_cluster_exponent(
                 s, v0s, x2, law, include_nlos)) * inter(s))
-        return density(x, v0) * analytic._kahan_sum(
-            coeff[:, None] * lap.reshape(len(nvec), -1))
+        return density(x, v0) * np.sum(
+            coeff[:, None] * lap.reshape(len(points), -1), axis=0)
 
     return f
 
@@ -609,6 +609,30 @@ def test_coverage_integrand_matches_tiled_reference(deployment,
                                        analytic._alzer_tail(budgets[k - 1]))
     want = tiled_coverage_integrand(k, P, scenario, include_nlos)
     np.testing.assert_array_equal(got(x, tau, v0), want(x, tau, v0))
+
+
+@pytest.mark.parametrize("order", [3, 10])
+def test_tail_row_sum_is_accurate_where_alzer_alternates(order):
+    # Alzer's weights alternate and grow with the order, to binom(10, 5) =
+    # 252 at the largest order SystemParams accepts; the integrand's plain
+    # sum over the tail's rows is still the exactly rounded sum of its
+    # single-point terms to 1e-13 of their magnitudes
+    budgets = link_budgets(P.replace(n_nakagami_los=order))
+    tail = analytic._alzer_tail(budgets[1])
+    x, v0, tau = (a.ravel() for a in np.meshgrid(
+        np.linspace(1.0, 199.0, 25), [0.0, 40.0, 150.0, 420.0],
+        [0.1, 1.0, 100.0]))
+    got = analytic._coverage_integrand(2, budgets, tail)(x, tau, v0)
+    terms = np.array([
+        analytic._coverage_integrand(2, budgets, analytic._Tail(
+            tail.points[n:n + 1], tail.weights[n:n + 1]))(x, tau, v0)
+        for n in range(order)])
+    want = np.array([math.fsum(column) for column in terms.T])
+    magnitude = np.sum(np.abs(terms), axis=0)
+    # the grid reaches the worst cancellation: near x = 0 every transform is
+    # about 1, so the terms sum to the density against 2^N - 1 times it
+    assert np.max(magnitude / np.abs(want)) > 0.99 * (2 ** order - 1)
+    assert np.all(np.abs(got - want) <= 1e-13 * magnitude)
 
 
 @pytest.mark.parametrize("deployment", ["a", "d"])
@@ -835,7 +859,7 @@ def loop_coverage_mass(k, tau, v0, scenario, include_nlos, spec):
     f = analytic._coverage_integrand(k, budgets, tail)
     reach = float(analytic._serving_reach(k, v0, budgets))
     x_noise = (serving.budget
-               / (tau * tail.scale * tail.steps.min() * serving.noise_w)) \
+               / (tau * tail.points.min() * serving.noise_w)) \
         ** (1.0 / serving.alpha)
     cuts = sorted({0.0, min(4.0 * x_noise, reach),
                    min(32.0 * x_noise, reach), reach})
@@ -1048,8 +1072,8 @@ def rate_tails(budgets):
     u-rule, weighted w_i W_k(t_i)."""
     u, w = analytic._RATE_RULE
     t = np.exp(u)
-    return [analytic._Tail(1.0, t, w * analytic._alzer_tail(link)
-                           .rate_weight(t)) for link in budgets]
+    return [analytic._Tail(t, w * analytic._alzer_tail(link).rate_weight(t))
+            for link in budgets]
 
 
 def loop_avg_rate(params, scenario, spec):
@@ -1096,7 +1120,7 @@ def test_rate_tail_mass_is_the_weighted_sum_of_masses(deployment, k):
     tail = rate_tails(budgets)[k - 1]
     got = analytic._coverage_masses(k, 1.0, v0, budgets, tail, spec,
                                     analytic._Tally())
-    masses = analytic._coverage_masses(k, tail.steps, v0, budgets,
+    masses = analytic._coverage_masses(k, tail.points, v0, budgets,
                                        analytic._Tail(), spec,
                                        analytic._Tally())
     assert got[0] == pytest.approx(float(np.sum(tail.weights * masses)),

@@ -357,6 +357,23 @@ def test_analytic_percentile_is_the_coverage_root(target):
     assert abs(got - root) <= 0.01
 
 
+@pytest.mark.parametrize("deployment", ["a", "d"])
+def test_analytic_percentile_cell_holds_no_solver_digits(deployment,
+                                                         monkeypatch):
+    # the medians sit at 7.840 and -3.942 dB, at least 0.003 dB from a
+    # rounding edge: a coverage that moves by far less than the cell's
+    # 0.01 dB moves the solver's path, but not the cell
+    params, scenario = SystemParams(), ScenarioKind(deployment)
+    cell = cli._analytic_percentile(params, scenario, 0.5)
+    assert cell == round(cell, 2)
+    coverage = analytic.coverage
+    for shift in (-1e-8, 1e-8):
+        monkeypatch.setattr(analytic, "coverage",
+                            lambda *args, **kwargs: coverage(*args, **kwargs)
+                            + shift)
+        assert cli._analytic_percentile(params, scenario, 0.5) == cell
+
+
 def test_percentile_probe_at_60_db_keeps_its_coverage():
     # brentq probes the bracket's ends: the sweep's looser spec must not
     # lose the coverage mass there

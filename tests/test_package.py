@@ -207,6 +207,29 @@ def test_no_module_reads_the_environment():
         f"setting from the config instead"
 
 
+def test_no_module_reads_another_modules_private_names():
+    # a module's private names are free to change with the module: another
+    # one that needs a value owns its own (dunders such as __version__ are
+    # public); both an import and a read through the module count
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("hotnet")):
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules - {path.stem}):
+                names = [node.attr]
+            else:
+                continue
+            readers += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+    assert not readers, f"{readers} read another module's private names: " \
+        f"define the value where it is used or make it public"
+
+
 def test_only_association_reads_the_biased_metric():
     # the tier rule has one home: both simulators call association.choose,
     # and no other module compares biased metrics of its own
