@@ -42,7 +42,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import binom, chndtr, hyp2f1
 
-from .association import ClusterLaw, LinkBudget, boundary_map, link_budgets
+from .association import (ClusterLaw, KernelSegment, LinkBudget, boundary_map,
+                          link_budgets)
 from .geometry import rice_pdf
 from .params import ScenarioKind, SystemParams
 from .quadrature import (QuadSpec, half_line, integrate_adaptive,
@@ -53,11 +54,12 @@ OUTER_SPEC = QuadSpec(rel_tol=1e-5, abs_tol=1e-9)
 RATE_SPEC = QuadSpec(rel_tol=1e-3, abs_tol=1e-6)
 INTEGRATED = ScenarioKind.INTEGRATED
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-# most kernel values _cluster_exponent holds at once, so that the rate's
-# 57-point tail needs no more memory than Alzer's: those of a 3-point tail
-# over a 480-node integrand call (integrate_batch's largest) on the band rule
-_KERNEL_VALUES = 3 * 480 * _GL_NODES.size
+# most nodes of a band rule, and most kernel values _cluster_exponent holds
+# at once, so that the rate's 57-point tail needs no more memory than
+# Alzer's: those of a 3-point tail over a 480-node integrand call
+# (integrate_batch's largest) on the largest band rule
+_MOST_NODES = 64
+_KERNEL_VALUES = 3 * 480 * _MOST_NODES
 # the rate's u = ln t rule: 56 nodes on [-10, 30], and one of weight 1 at
 # -10 for the tail below, where R is flat and every W(e^u) falls as e^u
 _RATE_U, _RATE_W = np.polynomial.legendre.leggauss(56)
@@ -297,26 +299,54 @@ def laplace_I1(s, x, tier: LinkBudget):
     return np.exp(-(2.0 * math.pi * tier.density * total))
 
 
-def _band_rule(lo, hi: float, v0: np.ndarray, sigma: float):
-    """Half-width, nodes and Gauss-Legendre-weighted member density of the
-    64-node rule on the band ``[lo, hi)`` for each offset of v0 (``lo`` is
-    a scalar or broadcasts against ``v0[..., None]``); an unbounded band is
-    cut to ``v0 +- 8 sigma``, where the density lives."""
+@lru_cache(maxsize=None)
+def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss-Legendre rule on [-1, 1]
+    (``_band_rule`` asks for at most 7 counts, 16 to 64)."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _band_rule(seg: KernelSegment, lo, v0: np.ndarray, sigma: float):
+    """Width, nodes and weighted member density of a rule on the band
+    ``[lo, seg.r_max)`` for each offset of v0: ``lo`` is the segment's
+    ``r_min``, or exclusion radii past it that broadcast against
+    ``v0[..., None]``.  An unbounded band is cut to ``v0 +- 6 sigma``,
+    where all but e^-18 of the density lives.  The rule is sized by what
+    the band must resolve:
+
+    * a band that starts at 0 takes 48 Gauss-Legendre nodes in u, with
+      r = lo + (hi - lo) u^2, so that they crowd r = 0, where a near
+      interferer's kernel turns over;
+    * any other takes a linear Gauss-Legendre rule of 8 nodes per
+      2 sigma of the segment's width (12 sigma if unbounded), 16 to
+      ``_MOST_NODES``."""
     v0 = v0[..., None]
+    if np.all(lo == 0.0):
+        u, w = _gl_rule(48)
+        u = 0.5 * (u + 1.0)
+        # r - lo = (hi - lo) u^2 with u on [0, 1]: dr = 2 (hi - lo) u du
+        t, w = u * u, u * w
+    else:
+        span = (12.0 * sigma if seg.r_max == math.inf
+                else seg.r_max - seg.r_min)
+        t, w = _gl_rule(min(_MOST_NODES,
+                            max(16, 8 * math.ceil(span / (2.0 * sigma)))))
+        t, w = 0.5 * (t + 1.0), 0.5 * w
+    hi = seg.r_max
     if hi == math.inf:
-        lo = np.maximum(lo, v0 - 8.0 * sigma)
-        hi = v0 + 8.0 * sigma
-    half = 0.5 * (np.maximum(hi, lo) - lo)
-    r = lo + half * (_GL_NODES + 1.0)
-    dens = _GL_WEIGHTS * rice_pdf(r, v0, sigma)
-    return np.broadcast_to(half, v0.shape), r, dens
+        lo = np.maximum(lo, v0 - 6.0 * sigma)
+        hi = v0 + 6.0 * sigma
+    width = np.maximum(hi, lo) - lo
+    r = lo + width * t
+    dens = w * rice_pdf(r, v0, sigma)
+    return np.broadcast_to(width, v0.shape), r, dens
 
 
 def _cluster_exponent(s, v0, x, law: ClusterLaw):
     """Per-member interference exponent of one cluster whose center sits
     at distance v0, seen past the exclusion radius x: the sum over the
     law's kernel segments of the segment's radial density times its
-    kernel, each on a 64-node Gauss-Legendre rule over its band.
+    kernel, each on the rule ``_band_rule`` sizes for its band.
 
     v0 and x broadcast to the places; s broadcasts against them and may
     carry leading axes of its own (e.g. one per point of a serving tail),
@@ -340,25 +370,24 @@ def _cluster_exponent(s, v0, x, law: ClusterLaw):
     total = np.zeros(np.broadcast_shapes(s.shape, v0.shape + (1,)))
     if s.ndim > v0.ndim + 1:
         # s's leading axis is the result's: take its rows in slices
-        step = max(_KERNEL_VALUES // (total[0].size * _GL_NODES.size), 1)
+        step = max(_KERNEL_VALUES // (total[0].size * _MOST_NODES), 1)
         rows = [slice(i, i + step) for i in range(0, len(total), step)]
     else:
         rows = [...]
     offsets, at = np.unique(v0, return_inverse=True)
     at = at.reshape(v0.shape)
-    fixed = {}      # band -> half-width, nodes (per offset), density
+    fixed = {}      # band -> width, nodes (per offset), density
     for seg in law.segments:
         if seg.past_serving and np.any(x > seg.r_min):
-            half, r, dens = _band_rule(np.maximum(x[..., None], seg.r_min),
-                                       seg.r_max, v0, sig)
+            width, r, dens = _band_rule(
+                seg, np.maximum(x[..., None], seg.r_min), v0, sig)
             path = np.maximum(r, 1e-9) ** (-seg.alpha)
         else:
             band = (seg.r_min, seg.r_max)
             if band not in fixed:
-                half, r, dens = _band_rule(seg.r_min, seg.r_max, offsets,
-                                           sig)
-                fixed[band] = half[at], r, dens[at]
-            half, r, dens = fixed[band]
+                width, r, dens = _band_rule(seg, seg.r_min, offsets, sig)
+                fixed[band] = width[at], r, dens[at]
+            width, r, dens = fixed[band]
             # path loss per distinct offset, then gathered to the places
             path = np.broadcast_to(np.maximum(r, 1e-9) ** (-seg.alpha),
                                    (len(offsets), r.shape[-1]))[at]
@@ -369,8 +398,8 @@ def _cluster_exponent(s, v0, x, law: ClusterLaw):
             for gain, prob in zip(seg.gains, seg.gain_probs):
                 ker = ker - prob * (1.0 + s_n[i] * gain * path) \
                     ** (-seg.order)
-            total[i] += seg.share * half * np.sum(dens * ker, axis=-1,
-                                                  keepdims=True)
+            total[i] += seg.share * width * np.sum(dens * ker, axis=-1,
+                                                   keepdims=True)
     return total[..., 0]
 
 

@@ -53,7 +53,7 @@ class KernelSegment:
 
     With ``past_serving`` the band starts at the exclusion radius (no BS
     of this class is nearer than the serving candidate); an unbounded band
-    of cluster members is cut to ``v0 +- 8 sigma``, where their density
+    of cluster members is cut to ``v0 +- 6 sigma``, where their density
     lives.
     """
 

@@ -491,37 +491,37 @@ def test_laplace_inter_matches_sampled_clusters(deployment):
 
 def tiled_cluster_exponent(s, v0, x, law, include_nlos=True):
     """The cluster exponent evaluated per (s, v0, x) element: every element
-    recomputes each segment's nodes, path loss and member density.  The
-    shared-density path must reproduce it bit for bit."""
+    recomputes each segment's nodes, path loss and member density on the
+    engine's band rule.  The shared-density path must reproduce it bit for
+    bit."""
     s, v0, x = np.broadcast_arrays(np.asarray(s, dtype=float),
                                    np.asarray(v0, dtype=float),
                                    np.asarray(x, dtype=float))
     shape = s.shape
-    s = s[..., None]
-    v0 = v0[..., None]
-    x = x[..., None]
-    sig = law.spread
-    total = np.zeros(shape + (1,))
+    s, v0, x = (a.ravel() for a in (s, v0, x))
+    total = np.zeros(s.size)
     for seg in law.segments:
         if seg.nlos and not include_nlos:
             continue
-        lo = np.maximum(x, seg.r_min) if seg.past_serving else seg.r_min
-        hi = seg.r_max
-        if hi == math.inf:
-            lo = np.maximum(lo, v0 - 8.0 * sig)
-            hi = v0 + 8.0 * sig
-        half = 0.5 * (np.maximum(hi, lo) - lo)
-        r = lo + half * (analytic._GL_NODES + 1.0)
-        path = np.maximum(r, 1e-9) ** (-seg.alpha)
-        # unit-mean Nakagami power is Gamma(N, 1/N): E[e^{-zh}] = (1+z/N)^-N
-        s_n = s * (seg.intercept / seg.order)
-        ker = 1.0
-        for gain, prob in zip(seg.gains, seg.gain_probs):
-            ker = ker - prob * (1.0 + s_n * gain * path) ** (-seg.order)
-        total += seg.share * half * np.sum(
-            analytic._GL_WEIGHTS * rice_pdf(r, v0, sig) * ker, axis=-1,
-            keepdims=True)
-    return total[..., 0]
+        lo = (np.maximum(x, seg.r_min) if seg.past_serving
+              else np.full(x.shape, seg.r_min))
+        # a band that starts at 0 takes another rule than one past it, so
+        # the elements of each kind take the rule on their own
+        for at in (lo == 0.0, lo > 0.0):
+            if not np.any(at):
+                continue
+            width, r, dens = analytic._band_rule(seg, lo[at, None], v0[at],
+                                                 law.spread)
+            path = np.maximum(r, 1e-9) ** (-seg.alpha)
+            # unit-mean Nakagami power is Gamma(N, 1/N):
+            # E[e^{-zh}] = (1+z/N)^-N
+            s_n = s[at, None] * (seg.intercept / seg.order)
+            ker = 1.0
+            for gain, prob in zip(seg.gains, seg.gain_probs):
+                ker = ker - prob * (1.0 + s_n * gain * path) ** (-seg.order)
+            total[at] += (seg.share * width * np.sum(
+                dens * ker, axis=-1, keepdims=True))[:, 0]
+    return total.reshape(shape)
 
 
 def tiled_coverage_integrand(k, params, scenario, include_nlos):
@@ -573,10 +573,10 @@ def test_cluster_exponent_matches_tiled_reference(deployment, include_nlos,
     law = cell_law(P, deployment)
     fed = records(P, scenario, include_nlos)[1].cluster
     # repeated and distinct offsets; exclusion radii inside and outside
-    # the LoS ball, and one past v0 + 8 sigma, where the (d) band is empty
+    # the LoS ball, and one past v0 + 6 sigma, where the (d) band is empty
     v0 = np.array([0.0, 40.0, 40.0, 150.0, 150.0, 420.0, 1100.0, 40.0])
     x = np.array([5.0, 30.0, 250.0, 120.0, 900.0, 60.0, 10.0,
-                  40.0 + 8.0 * P.sigma_bs_m + 1.0])
+                  40.0 + 6.0 * P.sigma_bs_m + 1.0])
     if n_terms == 57:
         # the rate tail's points over the 480 nodes of a full integrand
         # call: the kernel takes its rows a few at a time
@@ -656,21 +656,41 @@ def test_scalar_cluster_exponent_callers_match_tiled_reference(
         np.testing.assert_array_equal(g, w)
 
 
-def test_pgfl_integrand_evaluates_each_rice_node_once(monkeypatch):
-    # in (a) the LoS band [0, R_B] of the x = 0 PGFL integrand is the
-    # in-ball NLoS band, so one exponent needs two bands' Rice nodes, not
-    # three: 2 bands x 64 nodes x 165 offsets at the defaults
-    elements = []
+def counting_rice_nodes(monkeypatch):
+    """The list that ``analytic.rice_pdf`` appends the node array shape of
+    each of its calls to."""
+    shapes = []
 
     def counting(r, v0, sigma):
         out = rice_pdf(r, v0, sigma)
-        elements.append(out.size)
+        shapes.append(out.shape)
         return out
 
     monkeypatch.setattr(analytic, "rice_pdf", counting)
+    return shapes
+
+
+def test_pgfl_integrand_evaluates_each_rice_node_once(monkeypatch):
+    # in (a) the LoS band [0, R_B] of the x = 0 PGFL integrand is the
+    # in-ball NLoS band, so one exponent needs two bands' Rice nodes, not
+    # three: 2 bands x 48 nodes x 165 offsets at the defaults
+    shapes = counting_rice_nodes(monkeypatch)
     inter = analytic._InterLaplace(cell_law(P))
     assert exact_exponent(inter, 1e7) > 0.0
-    assert sum(elements) <= 21_120
+    assert sum(math.prod(shape) for shape in shapes) <= 15_840
+
+
+def test_band_rules_are_sized_per_band(monkeypatch):
+    # (a) past a serving distance: the LoS band [x, 200 m) is at most
+    # 2 sigma wide at the defaults and takes 16 nodes at each place; the
+    # in-ball NLoS band starts at 0 and takes 48, and [R_B, inf), cut to
+    # 12 sigma, 48 too, once per distinct offset
+    shapes = counting_rice_nodes(monkeypatch)
+    v0 = np.array([0.0, 40.0, 150.0, 420.0, 1100.0])
+    x = np.array([5.0, 30.0, 250.0, 120.0, 60.0])
+    analytic._cluster_exponent(np.logspace(4.0, 10.0, 5), v0, x,
+                               cell_law(P))
+    assert shapes == [(5, 16), (5, 48), (5, 48)]
 
 
 def test_laplace_inter_spline_matches_exact_exponent():
@@ -747,8 +767,10 @@ def test_batched_knot_walk_matches_lone_knots(deployment, include_nlos, eta):
     batched = analytic._InterLaplace(
         records(params, scenario, include_nlos)[1].cluster)
     lone = LoneKnotLaplace(cell_law(params, deployment), include_nlos)
-    # a run started mid-range, then grown past both clamps
-    for s in (np.logspace(6.0, 8.0, 5), np.logspace(-2.0, 40.0, 85)):
+    # a run started mid-range, then grown past both clamps: (d)'s A falls
+    # to the lower one only near s = 1e-4, as A ~ s^(2/3) comes from the
+    # kernel's turnover within a meter of r = 0
+    for s in (np.logspace(6.0, 8.0, 5), np.logspace(-6.0, 40.0, 93)):
         np.testing.assert_array_equal(batched(s), lone(s))
         assert (batched._k0, batched._la) == (lone._k0, lone._la)
     assert batched._la[0] <= batched._LN_A_MIN
@@ -846,6 +868,24 @@ def test_coverage_frozen_values():
                                                               abs=5e-4)
     assert analytic.coverage(1.0, P) == pytest.approx(0.687468, abs=5e-4)
     assert analytic.coverage(10.0, P) == pytest.approx(0.450580, abs=5e-4)
+
+
+def test_band_rule_converges_at_a_wide_los_ball(monkeypatch):
+    # at a 1500 m ball the in-ball NLoS band is 15 sigma wide and starts
+    # at 0, where a near interferer's kernel turns over, and a linear
+    # 64-node rule on it is 7.4e-6 off.  The reference takes 4 times the
+    # nodes of every band rule
+    params = P.replace(r_los_ball_m=1500.0)
+    analytic._inter_cache.cache_clear()
+    got = analytic.coverage(10.0, params)
+    monkeypatch.setattr(analytic, "_gl_rule",
+                        lambda n: np.polynomial.legendre.leggauss(4 * n))
+    analytic._inter_cache.cache_clear()
+    try:
+        want = analytic.coverage(10.0, params)
+    finally:
+        analytic._inter_cache.cache_clear()
+    assert got == pytest.approx(want, abs=1e-6)
 
 
 def loop_coverage_mass(k, tau, v0, scenario, include_nlos, spec):
@@ -1245,7 +1285,7 @@ def test_no_nlos_variant_upper_bounds_coverage():
 def test_no_nlos_variant_frozen_value():
     # coverage of (a) on the small-cell law without its NLoS segments
     assert analytic.coverage_no_nlos(1.0, P) == pytest.approx(
-        0.6886503203951937, rel=1e-12)
+        0.6886503208573536, rel=1e-12)
 
 
 def test_records_without_interference_segments_give_snr_coverage(
