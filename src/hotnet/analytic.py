@@ -52,7 +52,6 @@ from .quadrature import (QuadSpec, half_line, integrate_adaptive,
 DEFAULT_SPEC = QuadSpec(rel_tol=1e-6, abs_tol=1e-14)
 OUTER_SPEC = QuadSpec(rel_tol=1e-5, abs_tol=1e-9)
 RATE_SPEC = QuadSpec(rel_tol=1e-3, abs_tol=1e-6)
-INTEGRATED = ScenarioKind.INTEGRATED
 
 # most nodes of a band rule, and most kernel values _cluster_exponent holds
 # at once, so that the rate's 57-point tail needs no more memory than
@@ -75,21 +74,15 @@ class AnalyticReport:
     """A value with its provenance: the outer integral's error estimate,
     the integrand evaluations of every integral behind the value (nested
     ones included), and how many of those integrals reported
-    ``converged=False``."""
-    value: float
-    est_error: float
-    evaluations: int
-    unconverged: int
-
-
-@dataclass
-class _Tally:
-    """Work and failures of the integrals behind one analytic value."""
+    ``converged=False``.  An empty report tallies the integrals of a value
+    still being computed."""
+    value: float = 0.0
+    est_error: float = 0.0
     evaluations: int = 0
     unconverged: int = 0
 
     def add(self, results) -> np.ndarray:
-        """Counts ``results`` in and returns their values."""
+        """Counts the integration ``results`` in and returns their values."""
         for res in results:
             self.evaluations += res.evaluations
             self.unconverged += not res.converged
@@ -181,7 +174,7 @@ def _serving_density(k: int, budgets: _Records) -> Callable:
 
 
 def _assoc_masses(k: int, v0, budgets: _Records, spec: QuadSpec,
-                  tally: _Tally) -> np.ndarray:
+                  tally: AnalyticReport) -> np.ndarray:
     """Conditional association probability of tier k at each offset of
     the 1-D array v0, every offset's integral in one batched pass."""
     density = _serving_density(k, budgets)
@@ -190,15 +183,16 @@ def _assoc_masses(k: int, v0, budgets: _Records, spec: QuadSpec,
     return np.clip(tally.add(res), 0.0, 1.0)
 
 
-def conditional_assoc_prob(k: int, v0: float, params: SystemParams,
-                           scenario: ScenarioKind = INTEGRATED) -> float:
+def conditional_assoc_prob(k: int, v0: float, params: SystemParams, *,
+                           scenario: ScenarioKind = ScenarioKind.INTEGRATED
+                           ) -> float:
     """Probability of serving-tier k given the UE sits at distance v0 from
     its hotspot center."""
     if not 0 <= v0 < math.inf:
         raise ValueError("v0 must be nonnegative and finite")
     return float(_assoc_masses(k, np.array([v0], dtype=float),
                                link_budgets(params, scenario), DEFAULT_SPEC,
-                               _Tally())[0])
+                               AnalyticReport())[0])
 
 
 def _offset_average(g: Callable, sigma_ue: float,
@@ -208,17 +202,17 @@ def _offset_average(g: Callable, sigma_ue: float,
     t = 1 - exp(-v0^2 / (2 sigma_ue^2)) on [0, 1), where the weight is 1.
 
     ``g(v0, tally)`` maps a 1-D array of offsets to the array of inner
-    values and counts its integrals into ``tally``; the report counts
-    them together with the outer integral.  Its value is not clipped."""
-    tally = _Tally()
+    values and counts its integrals into the report ``tally``, which then
+    counts the outer integral too.  Its value is not clipped."""
+    tally = AnalyticReport()
 
     def f(t):
         return g(sigma_ue * np.sqrt(-2.0 * np.log1p(-t)), tally)
 
     res = integrate_adaptive(f, 0.0, 1.0, spec)
     tally.add([res])
-    return AnalyticReport(res.value, res.est_error, tally.evaluations,
-                          tally.unconverged)
+    tally.value, tally.est_error = res.value, res.est_error
+    return tally
 
 
 def _probability(report: AnalyticReport, with_report: bool):
@@ -227,8 +221,8 @@ def _probability(report: AnalyticReport, with_report: bool):
     return replace(report, value=value) if with_report else value
 
 
-def assoc_prob(k: int, params: SystemParams, with_report: bool = False,
-               scenario: ScenarioKind = INTEGRATED):
+def assoc_prob(k: int, params: SystemParams, *, with_report: bool = False,
+               scenario: ScenarioKind = ScenarioKind.INTEGRATED):
     """Tier association probability, averaged over the Rayleigh-distributed
     UE-to-center distance."""
     inner = DEFAULT_SPEC.tighter()
@@ -378,7 +372,8 @@ def _cluster_exponent(s, v0, x, law: ClusterLaw):
     at = at.reshape(v0.shape)
     fixed = {}      # band -> width, nodes (per offset), density
     for seg in law.segments:
-        if seg.past_serving and np.any(x > seg.r_min):
+        # only members that may serve (not NLoS) lie past the serving one
+        if not seg.nlos and np.any(x > seg.r_min):
             width, r, dens = _band_rule(
                 seg, np.maximum(x[..., None], seg.r_min), v0, sig)
             path = np.maximum(r, 1e-9) ** (-seg.alpha)
@@ -450,7 +445,7 @@ class _InterLaplace:
         self._la: list[float] = []      # ln A on the run
         self._coef = np.zeros((1, 4))   # see _fit
         self.knots = 0                  # knots computed, kept or not
-        self.tally = _Tally()           # their integrals' work and failures
+        self.tally = AnalyticReport()   # their integrals' work and failures
 
     def _integrals(self, s) -> list:
         """The PGFL integral behind A at each s, all in one batch: each is
@@ -630,7 +625,7 @@ def _coverage_integrand(k: int, budgets: _Records, tail: _Tail):
 
 
 def _coverage_masses(k: int, tau, v0, budgets: _Records, tail: _Tail,
-                     spec: QuadSpec, tally: _Tally):
+                     spec: QuadSpec, tally: AnalyticReport):
     """A_k(v0) * C_k(tau; v0), tier k's coverage mass with serving tail
     ``tail``, for each pair of the broadcast 1-D arrays tau and v0: segment
     integrals over the serving distance summed in order, all in one batch.
@@ -683,10 +678,10 @@ def _coverage(tau: float, budgets: _Records, sigma_ue: float,
                          (1.0, 1.0), sigma_ue, spec)
 
 
-def coverage(tau: float, params: SystemParams,
+def coverage(tau: float, params: SystemParams, *,
              spec: QuadSpec = OUTER_SPEC,
              with_report: bool = False,
-             scenario: ScenarioKind = INTEGRATED):
+             scenario: ScenarioKind = ScenarioKind.INTEGRATED):
     """Overall SINR coverage probability at linear threshold tau.
 
     Without macro BSs (deployment (c), or ``lambda1 == 0``) the UE is
@@ -720,8 +715,8 @@ def coverage_two_tier_sub6(tau: float, params: SystemParams) -> float:
 # rate
 # ---------------------------------------------------------------------------
 
-def avg_rate(params: SystemParams,
-             scenario: ScenarioKind = INTEGRATED) -> float:
+def avg_rate(params: SystemParams, *,
+             scenario: ScenarioKind = ScenarioKind.INTEGRATED) -> float:
     """Average achievable rate in bits/s, by Hamdi's lemma one weighted
     integral in u = ln t of each tier's order-1 mass curve R_k:
     sum_k B_k / ln 2 * E_v0[int R_k(e^u; v0) W_k(e^u) du], W_k the rate

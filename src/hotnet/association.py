@@ -51,16 +51,15 @@ class KernelSegment:
     ``1 - E_G[(1 + s P C G r^-alpha / N)^-N]`` they contribute over the
     gain levels ``gains`` drawn with ``gain_probs``.
 
-    With ``past_serving`` the band starts at the exclusion radius (no BS
-    of this class is nearer than the serving candidate); an unbounded band
-    of cluster members is cut to ``v0 +- 6 sigma``, where their density
-    lives.
+    A band of BSs that may serve, ``nlos`` false, starts at the exclusion
+    radius (no such BS is nearer than the serving candidate); an unbounded
+    band of cluster members is cut to ``v0 +- 6 sigma``, where their
+    density lives.
     """
 
     share: float                    # fraction of the BS density
     r_min: float
     r_max: float
-    past_serving: bool
     nlos: bool                      # dropped when NLoS is neglected
     intercept: float                # P C: power at 1 m before gain, fading
     alpha: float
@@ -138,13 +137,13 @@ def link_budgets(params: SystemParams,
         for w in (p.w1_hz, p.w2_hz))
     # a macro BS: one Rayleigh-faded segment of the macro serving budget
     b1 = p1_w * g1 * c1
-    rayleigh = KernelSegment(1.0, 0.0, math.inf, True, False, b1, p.alpha1,
+    rayleigh = KernelSegment(1.0, 0.0, math.inf, False, b1, p.alpha1,
                              1, (1.0,), (1.0,))
     macro = LinkBudget(b1, b1, p.alpha1, 1, noise1_w, p.w1_hz,
                        (1, 2) if shared else (1,),
                        p.lambda1_per_km2 * 1e-6, (rayleigh,))
     if shared:
-        segments = (KernelSegment(1.0, 0.0, math.inf, True, False,
+        segments = (KernelSegment(1.0, 0.0, math.inf, False,
                                   p2_w * c1, p.alpha1, 1, (g1,), (1.0,)),)
         law = ClusterLaw(lambda_p, p.n_bs, p.sigma_bs_m, 1.0, math.inf,
                          segments, 8.0 * p.sigma_bs_m + 1.0)
@@ -160,9 +159,9 @@ def link_budgets(params: SystemParams,
     los = (p2_w * c_los, p.alpha_los, p.n_nakagami_los, *beams)
     nlos = (p2_w * db_to_linear(p.c_nlos_db), p.alpha_nlos,
             p.n_nakagami_nlos, *beams)
-    segments = (KernelSegment(p.p_los, 0.0, rb, True, False, *los),
-                KernelSegment(1.0 - p.p_los, 0.0, rb, False, True, *nlos),
-                KernelSegment(1.0, rb, math.inf, False, True, *nlos))
+    segments = (KernelSegment(p.p_los, 0.0, rb, False, *los),
+                KernelSegment(1.0 - p.p_los, 0.0, rb, True, *nlos),
+                KernelSegment(1.0, rb, math.inf, True, *nlos))
     law = ClusterLaw(lambda_p, p.n_bs, p.sigma_bs_m, p.p_los, rb,
                      segments, rb + 8.0 * p.sigma_bs_m)
     # the association weight carries the LoS Nakagami order

@@ -204,7 +204,8 @@ _METRICS = {
     "assoc_prob": _Metric(
         lambda t, _: _pair(montecarlo.estimate_assoc_prob(t, 2)),
         lambda p, sc, _: analytic.assoc_prob(2, p, scenario=sc),
-        lambda p, sc, v0: analytic.conditional_assoc_prob(2, v0, p, sc),
+        lambda p, sc, v0: analytic.conditional_assoc_prob(2, v0, p,
+                                                          scenario=sc),
         grid_free=True, assoc_only=True),
     "coverage": _Metric(
         lambda t, db: _coverage_cell(t, db, "sinr"),
@@ -225,7 +226,8 @@ _METRICS = {
         assoc_only=True),
     "avg_rate": _Metric(
         lambda t, _: _pair(montecarlo.estimate_rate(t)),
-        lambda p, sc, _: analytic.avg_rate(p, sc), grid_free=True),
+        lambda p, sc, _: analytic.avg_rate(p, scenario=sc),
+        grid_free=True),
 }
 METRICS = tuple(_METRICS)
 

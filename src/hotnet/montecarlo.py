@@ -79,7 +79,6 @@ class EstimateWithCI:
 
 @dataclass
 class CoverageCurve:
-    thresholds_db: np.ndarray
     probabilities: np.ndarray
     stderr: np.ndarray
 
@@ -405,16 +404,15 @@ def estimate_assoc_prob(results: TrialTable, k: int) -> EstimateWithCI:
 
 def estimate_coverage(results: TrialTable, thresholds_db,
                       metric: str = "sinr") -> CoverageCurve:
-    """Empirical coverage curve with binomial standard errors; unserved
-    trials count as uncovered.  Condition on a tier or an offset by
-    passing ``results.select(mask)``."""
+    """Empirical coverage curve with binomial standard errors, one point
+    per threshold in the order of ``thresholds_db``; unserved trials count
+    as uncovered.  Condition on a tier or an offset by passing
+    ``results.select(mask)``."""
     values = _served_values(results, metric, ("sinr", "snr"))
     n = len(results)
-    thresholds_db = np.sort(np.asarray(thresholds_db, dtype=float))
-    tau = 10.0 ** (thresholds_db / 10.0)
+    tau = 10.0 ** (np.asarray(thresholds_db, dtype=float) / 10.0)
     probs = np.array([float(np.sum(values > t)) / n for t in tau])
-    return CoverageCurve(thresholds_db, probs,
-                         np.sqrt(probs * (1.0 - probs) / n))
+    return CoverageCurve(probs, np.sqrt(probs * (1.0 - probs) / n))
 
 
 def estimate_quantile(results: TrialTable, metric: str, q: float) -> float:

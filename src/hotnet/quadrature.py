@@ -56,14 +56,18 @@ _CHUNK = 32
 # A sweep stops taking panels to split once the panels it leaves hold at
 # most this share of the tolerance.
 _LEFT_SHARE = 1.0 / 8.0
+# An integrand stops refining, converged or not, once it holds this many
+# panels or every panel it would split has been halved this many times.
+_MAX_PANELS = 4000
+_MAX_DEPTH = 60
 
 
 @dataclass(frozen=True)
 class QuadSpec:
+    """Tolerances of an integration; every integration has the same
+    panel and depth budget, ``_MAX_PANELS`` and ``_MAX_DEPTH``."""
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
-    max_depth: int = 60
-    max_panels: int = 4000
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0 and self.abs_tol > 0):
@@ -72,8 +76,7 @@ class QuadSpec:
     def tighter(self) -> "QuadSpec":
         """Spec with a tenth of these tolerances, for inner nested
         integrals."""
-        return QuadSpec(self.rel_tol * 0.1, self.abs_tol * 0.1,
-                        self.max_depth, self.max_panels)
+        return QuadSpec(self.rel_tol * 0.1, self.abs_tol * 0.1)
 
 
 @dataclass
@@ -125,8 +128,8 @@ def integrate_batch(f: Callable, a, b, spec: QuadSpec = QuadSpec()
     ``f(x, j)`` evaluates integrand ``j[i]`` at node ``x[i]`` (two 1-D
     arrays of equal length).  Every integrand is refined on its own, by
     recursive panel bisection: its own panel heap, its own depth and panel
-    budget and stopping test ``err <= max(abs_tol, rel_tol*|value|)``.
-    Each sweep bisects its worst panels until those left hold at most
+    budget (``_MAX_DEPTH``, ``_MAX_PANELS``) and stopping test
+    ``err <= max(abs_tol, rel_tol*|value|)``.  Each sweep bisects its worst panels until those left hold at most
     ``_LEFT_SHARE`` of that tolerance: at least one panel, and at most 16,
     which caps one sweep's new panels at one ``_CHUNK`` call and bounds
     the waste when the error is spread over many panels.  Only the calls
@@ -166,7 +169,7 @@ def integrate_batch(f: Callable, a, b, spec: QuadSpec = QuadSpec()
                                                evaluations, True)
                 del state[j]
                 continue
-            if len(heap) >= spec.max_panels:
+            if len(heap) >= _MAX_PANELS:
                 results[j] = _settle(heap, evaluations, spec)
                 del state[j]
                 continue
@@ -177,8 +180,8 @@ def integrate_batch(f: Callable, a, b, spec: QuadSpec = QuadSpec()
             while heap and len(batch) < 16 and left > _LEFT_SHARE * tol:
                 batch.append(heapq.heappop(heap))
                 left -= batch[-1][4]
-            splittable = [p for p in batch if p[5] < spec.max_depth]
-            stuck = [p for p in batch if p[5] >= spec.max_depth]
+            splittable = [p for p in batch if p[5] < _MAX_DEPTH]
+            stuck = [p for p in batch if p[5] >= _MAX_DEPTH]
             if not splittable:
                 for p in stuck:
                     heapq.heappush(heap, p)

@@ -20,7 +20,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ncx2
 
-from hotnet import analytic, montecarlo
+from hotnet import analytic, montecarlo, quadrature
 from hotnet.association import boundary_map, link_budgets
 from hotnet.geometry import rice_pdf, sample_thomas_cluster
 from hotnet.params import (ScenarioKind, SystemParams, db_to_linear,
@@ -503,8 +503,8 @@ def tiled_cluster_exponent(s, v0, x, law, include_nlos=True):
     for seg in law.segments:
         if seg.nlos and not include_nlos:
             continue
-        lo = (np.maximum(x, seg.r_min) if seg.past_serving
-              else np.full(x.shape, seg.r_min))
+        lo = (np.full(x.shape, seg.r_min) if seg.nlos
+              else np.maximum(x, seg.r_min))
         # a band that starts at 0 takes another rule than one past it, so
         # the elements of each kind take the rule on their own
         for at in (lo == 0.0, lo > 0.0):
@@ -802,7 +802,7 @@ def test_every_knot_converges(deployment, eta):
 
 
 def test_knot_counters_count_unconverged_knots(monkeypatch):
-    monkeypatch.setattr(analytic, "DEFAULT_SPEC", QuadSpec(max_panels=2))
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
     inter = analytic._InterLaplace(cell_law(P))
     inter(np.logspace(4.0, 10.0, 7))
     assert 0 < inter.tally.unconverged <= inter.knots
@@ -927,7 +927,7 @@ def test_batched_coverage_mass_matches_per_pair_loop(deployment,
             budgets = records(P, scenario, include_nlos)
             got = analytic._coverage_masses(
                 k, tau, v0, budgets, analytic._alzer_tail(budgets[k - 1]),
-                spec, analytic._Tally())
+                spec, analytic.AnalyticReport())
             want = [loop_coverage_mass(k, tau, v, scenario, include_nlos,
                                        spec) for v in v0]
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
@@ -946,7 +946,7 @@ def test_coverage_mass_at_high_threshold_matches_quad(tau_db, k):
     v0 = np.array([0.0, 100.0, 300.0])
     got = analytic._coverage_masses(k, tau, v0, budgets, tail,
                                     analytic.OUTER_SPEC.tighter(),
-                                    analytic._Tally())
+                                    analytic.AnalyticReport())
     f = analytic._coverage_integrand(k, budgets, tail)
     x_noise = (serving.budget / (tau * serving.noise_w)) \
         ** (1.0 / serving.alpha)
@@ -974,7 +974,6 @@ def bracket_avg_rate(params, scenario):
     it.  Only its ``_coverage_masses`` is adapted: Alzer's tail, so that
     both rules integrate the same masses."""
     RATE_SPEC = analytic.RATE_SPEC
-    _Tally = analytic._Tally
     _offset_average = analytic._offset_average
 
     def _coverage_masses(k, taus, v0s, budgets, inner, tally):
@@ -992,14 +991,15 @@ def bracket_avg_rate(params, scenario):
     rho_u, rho_w = np.polynomial.legendre.leggauss(32)
 
     def masses(k: int, v0s: np.ndarray, rhos: np.ndarray,
-               tally: _Tally) -> np.ndarray:
+               tally: analytic.AnalyticReport) -> np.ndarray:
         # row i: tier k's coverage masses at offset i and the spectral
         # efficiencies of row i, every row in one batched pass
         taus = [2.0 ** r - 1.0 for r in rhos.ravel().tolist()]
         return _coverage_masses(k, taus, np.repeat(v0s, rhos.shape[1]),
                                 budgets, inner, tally).reshape(rhos.shape)
 
-    def rho_integrals(k: int, v0s: np.ndarray, tally: _Tally) -> np.ndarray:
+    def rho_integrals(k: int, v0s: np.ndarray,
+                      tally: analytic.AnalyticReport) -> np.ndarray:
         # the spectral-efficiency integrand is smooth and monotone, so a
         # fixed Gauss-Legendre rule on [0, top] suffices once the
         # truncation point top is bracketed: the first candidate whose
@@ -1011,7 +1011,7 @@ def bracket_avg_rate(params, scenario):
         rule = masses(k, v0s, 0.5 * tops[:, None] * (rho_u + 1.0), tally)
         return 0.5 * tops * np.sum(rho_w * rule, axis=1)
 
-    def rates(v0s: np.ndarray, tally: _Tally) -> np.ndarray:
+    def rates(v0s: np.ndarray, tally: analytic.AnalyticReport) -> np.ndarray:
         return sum(b.bandwidth_hz * rho_integrals(k, v0s, tally)
                    for k, b in enumerate(budgets, start=1))
 
@@ -1045,7 +1045,7 @@ def rate_on(rule, params, scenario):
                "wide": WIDE_U_RULE}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analytic, "_RATE_RULE", u_rules[rule])
-        return analytic.avg_rate(params, scenario)
+        return analytic.avg_rate(params, scenario=scenario)
 
 
 # (a)-(d) at the defaults
@@ -1127,7 +1127,7 @@ def loop_avg_rate(params, scenario, spec):
         link = budgets[k - 1]
         mass = analytic._coverage_masses(k, 1.0, np.array([v0]), budgets,
                                          tails[k - 1], inner,
-                                         analytic._Tally())
+                                         analytic.AnalyticReport())
         return link.bandwidth_hz / math.log(2.0) * float(mass[0])
 
     def rates(v0s, tally):
@@ -1159,10 +1159,10 @@ def test_rate_tail_mass_is_the_weighted_sum_of_masses(deployment, k):
     v0 = np.array([100.0])
     tail = rate_tails(budgets)[k - 1]
     got = analytic._coverage_masses(k, 1.0, v0, budgets, tail, spec,
-                                    analytic._Tally())
+                                    analytic.AnalyticReport())
     masses = analytic._coverage_masses(k, tail.points, v0, budgets,
                                        analytic._Tail(), spec,
-                                       analytic._Tally())
+                                       analytic.AnalyticReport())
     assert got[0] == pytest.approx(float(np.sum(tail.weights * masses)),
                                    rel=1e-8)
 
@@ -1226,11 +1226,10 @@ def fixed_offset_average(nodes):
         average.calls += 1
         hi = 8.5 * sigma_ue
         v0s = 0.5 * hi * (u + 1.0)
-        tally = analytic._Tally()
-        value = 0.5 * hi * np.sum(w * rice_pdf(v0s, 0.0, sigma_ue)
-                                  * g(v0s, tally))
-        return analytic.AnalyticReport(float(value), math.nan,
-                                       tally.evaluations, tally.unconverged)
+        tally = analytic.AnalyticReport(est_error=math.nan)
+        tally.value = float(0.5 * hi * np.sum(w * rice_pdf(v0s, 0.0, sigma_ue)
+                                              * g(v0s, tally)))
+        return tally
 
     average.calls = 0
     return average
@@ -1268,7 +1267,7 @@ def test_conditional_coverage_pieces_bounded():
         mass = analytic._coverage_masses(k, 1.0, v0, budgets,
                                          analytic._alzer_tail(budgets[k - 1]),
                                          analytic.DEFAULT_SPEC,
-                                         analytic._Tally())
+                                         analytic.AnalyticReport())
         assoc = [analytic.conditional_assoc_prob(k, v, P) for v in v0]
         assert np.all(mass > 0.0)
         assert np.all(mass <= assoc)
@@ -1299,10 +1298,10 @@ def test_records_without_interference_segments_give_snr_coverage(
     s = np.logspace(2.0, 12.0, 5)
     assert np.all(analytic.laplace_I1(s, 50.0, silent[0]) == 1.0)
     assert np.all(analytic._InterLaplace(silent[1].cluster)(s) == 1.0)
-    curve = montecarlo.estimate_coverage(table_integrated, [0.0, 10.0],
+    taus_db = [0.0, 10.0]
+    curve = montecarlo.estimate_coverage(table_integrated, taus_db,
                                          metric="snr")
-    for tau_db, p, err in zip(curve.thresholds_db, curve.probabilities,
-                              curve.stderr):
+    for tau_db, p, err in zip(taus_db, curve.probabilities, curve.stderr):
         got = analytic._coverage(10.0 ** (tau_db / 10.0), silent,
                                  P.sigma_ue_m, analytic.OUTER_SPEC)
         assert abs(got.value - p) <= 3.0 * err + got.est_error, tau_db
@@ -1333,6 +1332,19 @@ def test_two_tier_association_partitions():
         assert a1 + a2 == pytest.approx(1.0, abs=1e-5)
 
 
+def test_options_are_keyword_only():
+    # positional options once let assoc_prob(2, p, d) read the deployment
+    # as with_report and return (a)'s report in place of (d)'s share
+    d = ScenarioKind.TWO_TIER_SUB6
+    calls = (lambda: analytic.assoc_prob(2, P, d),
+             lambda: analytic.conditional_assoc_prob(2, 50.0, P, d),
+             lambda: analytic.coverage(1.0, P, analytic.OUTER_SPEC),
+             lambda: analytic.avg_rate(P, d))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_report_variant_returns_diagnostics():
     rep = analytic.assoc_prob(2, P, with_report=True)
     assert rep.value == pytest.approx(0.437878, abs=1e-4)
@@ -1355,24 +1367,21 @@ def outer(monkeypatch):
     return results
 
 
-@pytest.mark.parametrize("entry, starve", [
-    (lambda **kw: analytic.coverage(1.0, P, **kw), "spec"),
-    (lambda **kw: analytic.assoc_prob(2, P, **kw), "DEFAULT_SPEC"),
+@pytest.mark.parametrize("entry", [
+    lambda **kw: analytic.coverage(1.0, P, **kw),
+    lambda **kw: analytic.assoc_prob(2, P, **kw),
 ], ids=["coverage", "assoc_prob"])
-def test_report_counts_nested_integrals(entry, starve, outer, monkeypatch):
+def test_report_counts_nested_integrals(entry, outer, monkeypatch):
     rep = entry(with_report=True)
     assert rep.unconverged == 0
     # the inner integrals' evaluations are counted with the outer ones
     assert rep.evaluations > outer[0].evaluations
-    # starve the caller's spec where the entry takes one, else the module
-    # constant that the entry reads
-    starved_spec = QuadSpec(max_panels=2)
-    if starve == "spec":
-        starved = entry(spec=starved_spec, with_report=True)
-    else:
-        monkeypatch.setattr(analytic, starve, starved_spec)
-        starved = entry(with_report=True)
-    assert starved.unconverged > 0
+    # on a starved panel budget the report counts more unconverged
+    # integrals than the outer ones
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
+    outer.clear()
+    starved = entry(with_report=True)
+    assert starved.unconverged > sum(not res.converged for res in outer)
 
 
 @pytest.mark.parametrize("sigma_bs, sigma_ue, tau_db", [
@@ -1411,27 +1420,45 @@ def test_coverage_spends_evaluations_where_the_error_is():
 
 
 def test_nested_specs_keep_caller_limits(monkeypatch):
-    # inner integrals tighten the tolerances but keep the panel budget
-    seen = []
+    # the offset average runs on the caller's spec and the coverage masses
+    # on its tighter(); the inter-cluster knots, which every caller shares,
+    # run on DEFAULT_SPEC.  Each scenario starts on a cold knot cache, so
+    # that its call builds them
+    seen = {"offsets": [], "masses": [], "knots": []}
+    in_knots = [False]
     real = analytic.integrate_adaptive
     real_batch = analytic.integrate_batch
+    real_integrals = analytic._InterLaplace._integrals
 
     def spy(f, a, b, spec):
-        seen.append(spec)
+        seen["offsets"].append(spec)
         return real(f, a, b, spec)
 
     def spy_batch(f, a, b, spec):
-        seen.append(spec)
+        seen["knots" if in_knots[0] else "masses"].append(spec)
         return real_batch(f, a, b, spec)
+
+    def spy_integrals(self, s):
+        in_knots[0] = True
+        try:
+            return real_integrals(self, s)
+        finally:
+            in_knots[0] = False
 
     monkeypatch.setattr(analytic, "integrate_adaptive", spy)
     monkeypatch.setattr(analytic, "integrate_batch", spy_batch)
-    spec = QuadSpec(1e-3, 1e-6, max_panels=50)
+    monkeypatch.setattr(analytic._InterLaplace, "_integrals", spy_integrals)
+    spec = QuadSpec(1e-3, 1e-6)
     for scenario in (ScenarioKind.INTEGRATED, ScenarioKind.TWO_TIER_SUB6):
-        seen.clear()
+        analytic._inter_cache.cache_clear()
+        for specs in seen.values():
+            specs.clear()
         analytic.coverage(1.0, P, spec=spec, scenario=scenario)
-        assert len(seen) > 1
-        assert all(sp.max_panels == 50 for sp in seen)
+        assert seen["offsets"] == [spec]
+        assert seen["masses"]
+        assert all(sp == spec.tighter() for sp in seen["masses"])
+        assert seen["knots"]
+        assert all(sp == analytic.DEFAULT_SPEC for sp in seen["knots"])
 
 
 def test_loose_spec_stays_close():

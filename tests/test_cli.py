@@ -632,7 +632,8 @@ def test_every_cell_is_its_engine_call(tmp_path, scenario, variable, grid):
             assert len(sub) > 0
             mc = engine_mc_cells(sub, cfg.sweep.tau_db)
             closed = {"assoc_prob": v0_bin_mean(
-                lambda v: analytic.conditional_assoc_prob(2, v, params, sc),
+                lambda v: analytic.conditional_assoc_prob(2, v, params,
+                                                          scenario=sc),
                 value, params.sigma_ue_m)}
         else:
             mc = engine_mc_cells(table, value)
@@ -672,7 +673,7 @@ def test_v0_sweep_analytic_cell_is_the_bin_average(tmp_path):
 
     def share(v):
         return analytic.conditional_assoc_prob(2, v, cfg.params,
-                                               cfg.sweep.scenario)
+                                               scenario=cfg.sweep.scenario)
     for value, cell in zip(grid, cells, strict=True):
         assert cell == pytest.approx(
             v0_bin_mean(share, value, cfg.params.sigma_ue_m), rel=1e-7)

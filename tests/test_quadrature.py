@@ -108,9 +108,11 @@ def test_zero_width_interval():
     assert res.value == 0.0
 
 
-def test_nonconvergence_is_reported_not_raised():
+def test_nonconvergence_is_reported_not_raised(monkeypatch):
     # integrable singularity x**-0.99 at 0 defeats a tiny panel budget
-    spec = QuadSpec(rel_tol=1e-14, abs_tol=1e-300, max_panels=8, max_depth=3)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
+    spec = QuadSpec(rel_tol=1e-14, abs_tol=1e-300)
     res = integrate_adaptive(lambda x: np.abs(x) ** -0.99, 1e-12, 1.0, spec)
     assert not res.converged
     assert np.isfinite(res.value)
@@ -154,7 +156,7 @@ def loop_reference(f, a, b, spec, calls):
         if total_err <= tol:
             return IntegrationResult(float(total), float(total_err),
                                      evaluations, True)
-        if len(heap) >= spec.max_panels:
+        if len(heap) >= quadrature._MAX_PANELS:
             break
         # split the worst panels: at least one, at most 16, and no more
         # once the panels left hold at most an eighth of tol
@@ -163,8 +165,8 @@ def loop_reference(f, a, b, spec, calls):
         while heap and len(batch) < 16 and left > tol / 8:
             batch.append(heapq.heappop(heap))
             left -= batch[-1][4]
-        splittable = [p for p in batch if p[5] < spec.max_depth]
-        stuck = [p for p in batch if p[5] >= spec.max_depth]
+        splittable = [p for p in batch if p[5] < quadrature._MAX_DEPTH]
+        stuck = [p for p in batch if p[5] >= quadrature._MAX_DEPTH]
         if not splittable:
             for p in stuck:
                 heapq.heappush(heap, p)
@@ -205,11 +207,18 @@ BATCH_CASES = [
     (lambda x: np.exp(-0.5 * ((x - 0.3) / 1e-3) ** 2), 0.0, 1.0),
     (lambda x: np.exp(-x) * np.cos(5 * x), -3.0, 10.0),
 ]
-BATCH_SPEC = QuadSpec(rel_tol=1e-12, abs_tol=1e-14, max_depth=10,
-                      max_panels=300)
+BATCH_SPEC = QuadSpec(rel_tol=1e-12, abs_tol=1e-14)
+BATCH_PANELS = 300
 
 
-def test_batch_matches_the_one_integrand_loop():
+@pytest.fixture
+def batch_budget(monkeypatch):
+    """A budget of 300 panels and depth 10, which BATCH_CASES run out of."""
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", BATCH_PANELS)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 10)
+
+
+def test_batch_matches_the_one_integrand_loop(batch_budget):
     calls: list = []
     want = [loop_reference(g, a, b, BATCH_SPEC, calls)
             for g, a, b in BATCH_CASES]
@@ -227,10 +236,10 @@ def test_batch_matches_the_one_integrand_loop():
     assert got == want
     # the cases cover every way out of the refinement loop
     assert want[0] == IntegrationResult(0.0, 0.0, 0, True)
-    assert want[1].evaluations >= 15 * BATCH_SPEC.max_panels
+    assert want[1].evaluations >= 15 * BATCH_PANELS
     assert not want[1].converged and not want[2].converged
     assert not want[3].converged
-    assert want[3].evaluations < 15 * BATCH_SPEC.max_panels
+    assert want[3].evaluations < 15 * BATCH_PANELS
     assert all(r.converged for r in want[4:])
     # one call per sweep would be at most max(calls) calls: more means some
     # sweep was split into chunks, none larger than 32 panels
@@ -238,7 +247,7 @@ def test_batch_matches_the_one_integrand_loop():
     assert max(sizes) == 15 * 32
 
 
-def test_adaptive_is_the_one_integrand_batch():
+def test_adaptive_is_the_one_integrand_batch(batch_budget):
     for g, a, b in BATCH_CASES:
         assert integrate_adaptive(g, a, b, BATCH_SPEC) == loop_reference(
             g, a, b, BATCH_SPEC, [])

@@ -1,8 +1,9 @@
 """Tier-1 gate: the full suite, no worse than the known state.
 
 Runs the Tier-1 command (the whole suite, collection errors reported, not
-fatal) with a JUnit report and exits 0 only if the tests that fail are
-exactly the three acceptance tests that fail by design and no test errors.
+fatal) with a JUnit report and a list of its 15 slowest tests, and exits 0
+only if the tests that fail are exactly the three acceptance tests that
+fail by design and no test errors.
 A by-design failure that starts to pass also fails the gate, so that the
 list here is mended with it.  Nothing is skipped, deselected or xfailed
 beyond what the suite itself marks.
@@ -52,7 +53,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "tier1.xml"
         code = subprocess.call(
-            [sys.executable, "-m", "pytest", "-q",
+            [sys.executable, "-m", "pytest", "-q", "--durations=15",
              "--continue-on-collection-errors", f"--junitxml={report}"],
             cwd=ROOT, env=env)
         if code not in (0, 1) or not report.exists():
