@@ -687,9 +687,19 @@ def coverage(tau: float, params: SystemParams, *,
     Without macro BSs (deployment (c), or ``lambda1 == 0``) the UE is
     uncovered whenever its cluster has no LoS member, so the result
     saturates below one even for tau -> 0.
+
+    The report counts the inter-cluster knots that the call built (none
+    on a warm ``_inter_cache``) with the integrals of the value itself.
     """
-    return _probability(_coverage(tau, link_budgets(params, scenario),
-                                  params.sigma_ue_m, spec), with_report)
+    budgets = link_budgets(params, scenario)
+    knots = [_inter_cache(b.cluster).tally for b in budgets
+             if b.cluster is not None]
+    start = [(t.evaluations, t.unconverged) for t in knots]
+    report = _coverage(tau, budgets, params.sigma_ue_m, spec)
+    for t, (evaluations, unconverged) in zip(knots, start):
+        report.evaluations += t.evaluations - evaluations
+        report.unconverged += t.unconverged - unconverged
+    return _probability(report, with_report)
 
 
 def coverage_no_nlos(tau: float, params: SystemParams) -> float:

@@ -219,13 +219,14 @@ class _Run(NamedTuple):
 
 
 class _Block(NamedTuple):
-    """What the associate stage drew for a block of trials."""
+    """What the associate stage drew for a block of trials.  Of the own
+    cluster only the LoS-labelled members are drawn: ``own`` holds their
+    distances in row-major order of the ``(n, members)`` label mask."""
 
     v0: np.ndarray
     r1: np.ndarray            # nearest macro distance, inf if none
-    own: np.ndarray           # (n, members) distances, NaN until drawn
-    own_u: np.ndarray | None  # (n, members) class uniforms (LoS labels)
-    cand: np.ndarray          # (n, members) candidate distances, else inf
+    own: np.ndarray           # labelled members' distances, row by row
+    own_u: np.ndarray | None  # (n, members) class uniforms, None: all LoS
     tier: np.ndarray
     x: np.ndarray             # serving distance, NaN when unserved
 
@@ -233,8 +234,10 @@ class _Block(NamedTuple):
 def _associate(run: _Run, n: int, rng: np.random.Generator) -> _Block:
     """Draw what association reads and pick each trial's serving tier.
     The own hotspot center sits at ``(v0, 0)``.  LoS labels come first
-    unless LoS is certain, then positions of the labelled members only:
-    the others wait until a trial needs them as interferers."""
+    unless LoS is certain, then positions of the labelled members only,
+    kept flat: the nearest candidate distance ``r2`` is their minimum per
+    trial, or inf when it lies outside the LoS ball (then so do all the
+    trial's labelled members)."""
     law = run.budgets[1].cluster
     v0 = rng.rayleigh(run.sigma_ue, n)
     r1 = np.full(n, np.inf)
@@ -242,20 +245,20 @@ def _associate(run: _Run, n: int, rng: np.random.Generator) -> _Block:
     if lam > 0:
         # the nearest point of a PPP: pi lambda r1^2 ~ Exp(1)
         r1 = np.sqrt(rng.standard_exponential(n) / (math.pi * lam))
-    own_u, drawn = None, np.ones((n, law.members), dtype=bool)
+    own_u, labels = None, np.ones((n, law.members), dtype=bool)
     if law.los_prob < 1:
-        own_u = rng.random(drawn.shape)
-        drawn = own_u < law.los_prob
-    own = np.full(drawn.shape, np.nan)
-    rows = np.flatnonzero(drawn) // law.members  # nonzero()[0], faster
-    own[drawn] = _member_distances(v0[rows], law.spread, rng)
-    cand = np.where(own < law.los_ball, own, np.inf)
-    r2 = cand.min(axis=1, initial=np.inf)
+        own_u = rng.random(labels.shape)
+        labels = own_u < law.los_prob
+    rows = np.flatnonzero(labels) // law.members  # nonzero()[0], faster
+    own = _member_distances(v0[rows], law.spread, rng)
+    r2 = np.full(n, np.inf)
+    np.minimum.at(r2, rows, own)
+    r2[r2 >= law.los_ball] = np.inf
     tier = choose(run.budgets, r1, r2)
     x = np.maximum(np.where(tier == int(Tier.MMWAVE), r2, r1),
                    MIN_LINK_DISTANCE_M)
     x[tier == TIER_NONE] = np.nan
-    return _Block(v0, r1, own, own_u, cand, tier, x)
+    return _Block(v0, r1, own, own_u, tier, x)
 
 
 def _macro_interference(run: _Run, block: _Block, idx: np.ndarray,
@@ -284,15 +287,21 @@ def _macro_interference(run: _Run, block: _Block, idx: np.ndarray,
 def _own_cluster(law: ClusterLaw, block: _Block, idx: np.ndarray,
                  serves: bool, rng: np.random.Generator) -> np.ndarray:
     """Interference of the own cluster at the trials ``idx``, less its
-    nearest candidate when that ``serves``: every member, wherever it
-    lies."""
-    own = block.own[idx]
+    nearest candidate (labelled, inside the LoS ball) when that
+    ``serves``: every member, wherever it lies."""
+    labels = (np.ones((len(block.v0), law.members), dtype=bool)
+              if block.own_u is None else block.own_u < law.los_prob)
+    own = np.full(labels.shape, np.nan)
+    own[labels] = block.own
+    own = own[idx]
+    keep = np.ones(own.shape, dtype=bool)
+    if serves:
+        # the served member, found before the unlabelled ones are drawn
+        cand = np.where(own < law.los_ball, own, np.inf)
+        keep[np.arange(len(idx)), cand.argmin(axis=1)] = False
     missing = np.isnan(own)
     own[missing] = _member_distances(block.v0[idx][missing.nonzero()[0]],
                                      law.spread, rng)
-    keep = np.ones(own.shape, dtype=bool)
-    if serves:
-        keep[np.arange(len(idx)), block.cand[idx].argmin(axis=1)] = False
     u = None if block.own_u is None else block.own_u[idx][keep]
     return _received(law.segments, own[keep], keep.nonzero()[0], len(idx),
                      rng, u)

@@ -823,6 +823,39 @@ def test_coverage_independent_of_evaluation_order(params, tau, before):
     assert analytic.coverage(tau, params) == fresh
 
 
+def test_coverage_report_counts_the_knots_it_builds(monkeypatch):
+    # on a cold knot cache and a starved panel budget every knot fails to
+    # converge, and the report counts each on top of the value's own
+    # integrals, which a second, warm call counts alone.  The cache is
+    # cleared after, so that no later test reads the starved knots
+    analytic._inter_cache.cache_clear()
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
+    try:
+        cold = analytic.coverage(1.0, P, with_report=True)
+        inter = analytic._inter_cache(cell_law(P))
+        knots = inter.knots
+        assert inter.tally.unconverged == knots > 0
+        warm = analytic.coverage(1.0, P, with_report=True)
+        assert inter.knots == knots
+        assert cold.unconverged == warm.unconverged + knots
+        assert cold.evaluations == warm.evaluations + inter.tally.evaluations
+    finally:
+        analytic._inter_cache.cache_clear()
+
+
+def test_warm_coverage_report_counts_no_knot_work():
+    # the knot values are a pure function of s, so the warm call's value
+    # integrals are the cold call's, less the knots that call built
+    analytic._inter_cache.cache_clear()
+    cold = analytic.coverage(1.0, P, with_report=True)
+    knots = analytic._inter_cache(cell_law(P)).tally
+    assert knots.evaluations > 0
+    warm = analytic.coverage(1.0, P, with_report=True)
+    assert warm.value == cold.value
+    assert warm.evaluations == cold.evaluations - knots.evaluations
+    assert warm.unconverged == cold.unconverged - knots.unconverged == 0
+
+
 def test_avg_rate_same_on_second_call():
     analytic._inter_cache.cache_clear()
     assert analytic.avg_rate(P) == analytic.avg_rate(P)

@@ -53,8 +53,16 @@ def test_los_probability_is_thinned_indicator():
     block = mc._associate(run, 4000, np.random.default_rng(3))
     los = block.own_u < P.p_los
     assert np.mean(los) == pytest.approx(P.p_los, abs=0.003)
-    np.testing.assert_array_equal(np.isfinite(block.cand),
-                                  los & (block.own < P.r_los_ball_m))
+    # only they are drawn, row by row; a trial is served on the mmWave
+    # tier only when one lies inside the ball, and then by the nearest
+    assert len(block.own) == np.count_nonzero(los)
+    own = np.full(los.shape, np.inf)
+    own[los] = block.own
+    cand = np.where(own < P.r_los_ball_m, own, np.inf)
+    mm = block.tier == 2
+    assert not np.any(mm & ~np.isfinite(cand).any(axis=1))
+    np.testing.assert_array_equal(
+        block.x[mm], np.maximum(cand[mm].min(axis=1), MIN_LINK_DISTANCE_M))
 
 
 def test_los_probability_boundary_is_open():

@@ -10,6 +10,7 @@ from conftest import TAU_GRID_DB
 from hotnet import analytic
 from hotnet import montecarlo as mc
 from hotnet.association import Tier, choose, link_budgets
+from hotnet.channel import MIN_LINK_DISTANCE_M
 from hotnet.geometry import (EXACT_DRAW_COUNT, center_disk, exact_draw_radii,
                              sample_ppp)
 from hotnet.params import ScenarioKind, SystemParams
@@ -143,8 +144,7 @@ def test_mm_sinr_exact_single_member():
     r1, r2 = np.array([5000.0]), np.array([50.0])
     tier = choose(budgets, r1, r2)
     assert tier[0] == 2
-    block = mc._Block(np.array([60.0]), r1, r2[:, None], np.zeros((1, 1)),
-                      r2[:, None], tier, r2)
+    block = mc._Block(np.array([60.0]), r1, r2, np.zeros((1, 1)), tier, r2)
     sinr, snr, _ = mc._interfere(run, block, np.random.default_rng(0))
     assert sinr[0] == snr[0]
     _, snr, _ = mc._sinr(budgets[1], r2, np.ones(1), np.zeros(1))
@@ -219,8 +219,8 @@ def test_macro_tail_starts_at_a_nearest_bs_beyond_the_disk():
                   center_disk(budgets[1].cluster, radii[1]))
     macro = budgets[0]
     r1 = np.array([1.2 * radii[0]])
-    block = mc._Block(np.zeros(1), r1, np.zeros((1, 1)), None,
-                      np.zeros((1, 1)), np.ones(1, dtype=np.int8), r1)
+    block = mc._Block(np.zeros(1), r1, np.zeros(1), None,
+                      np.ones(1, dtype=np.int8), r1)
     tail = mc._tail_mean(macro.segments, macro.density, r1[0])
     served = mc._macro_interference(run, block, np.array([0]), True,
                                     np.random.default_rng(0))
@@ -230,6 +230,72 @@ def test_macro_tail_starts_at_a_nearest_bs_beyond_the_disk():
     nearest = mc._received(macro.segments, r1, np.array([0]), 1,
                            np.random.default_rng(0))
     assert heard[0] == pytest.approx(tail + nearest[0], rel=1e-12)
+
+
+def dense_associate(run, n, rng):
+    """Labelled members' distances as an ``(n, members)`` array, NaN for
+    the others, and the nearest candidate distance ``r2`` by a row minimum
+    over the candidates: the dense reference of ``mc._associate``, on the
+    same draws."""
+    law, lam = run.budgets[1].cluster, run.budgets[0].density
+    v0 = rng.rayleigh(run.sigma_ue, n)
+    if lam > 0:
+        rng.standard_exponential(n)
+    drawn = np.ones((n, law.members), dtype=bool)
+    if law.los_prob < 1:
+        drawn = rng.random(drawn.shape) < law.los_prob
+    own = np.full(drawn.shape, np.nan)
+    own[drawn] = mc._member_distances(v0[drawn.nonzero()[0]], law.spread,
+                                      rng)
+    cand = np.where(own < law.los_ball, own, np.inf)
+    return own, cand.min(axis=1, initial=np.inf)
+
+
+@pytest.mark.parametrize("changes", [
+    {}, dict(p_los=0.0), dict(p_los=1.0), dict(n_bs=0), dict(n_bs=1),
+    dict(r_los_ball_m=1500.0), dict(lambda1_per_km2=0.0)],
+    ids=["defaults", "p_los-0", "p_los-1", "n_bs-0", "n_bs-1", "ball-1500",
+         "no-macro"])
+def test_associate_takes_the_dense_nearest_candidate(changes):
+    # the flat segmented minimum over the labelled members equals the row
+    # minimum of the dense candidate array: the same tiers and serving
+    # distances, and without macro BSs the same r2 wherever one exists
+    q = P.replace(**changes)
+    budgets = link_budgets(q)
+    radii = exact_draw_radii(budgets)
+    run = mc._Run(budgets, q.sigma_ue_m, radii,
+                  center_disk(budgets[1].cluster, radii[1]))
+    for seed in (3, 4):
+        block = mc._associate(run, 1500, np.random.default_rng(seed))
+        own, r2 = dense_associate(run, 1500, np.random.default_rng(seed))
+        np.testing.assert_array_equal(block.own, own[~np.isnan(own)])
+        np.testing.assert_array_equal(block.tier,
+                                      choose(budgets, block.r1, r2))
+        mm = block.tier == int(Tier.MMWAVE)
+        np.testing.assert_array_equal(
+            block.x[mm], np.maximum(r2[mm], MIN_LINK_DISTANCE_M))
+        if not budgets[0].density:
+            np.testing.assert_array_equal(mm, np.isfinite(r2))
+
+
+def test_served_member_is_the_nearest_labelled_one():
+    # member 0 is unlabelled and drawn within a few 10 m spreads of the
+    # center, far nearer than the labelled member 1 at 150 m that serves:
+    # the own cluster's interference is member 0's alone
+    q = P.replace(n_bs=2, sigma_bs_m=10.0)
+    law = link_budgets(q)[1].cluster
+    block = mc._Block(np.zeros(1), np.array([np.inf]), np.array([150.0]),
+                      np.array([[0.9, 0.0]]), np.full(1, 2, dtype=np.int8),
+                      np.array([150.0]))
+    assert 0.0 < law.los_prob <= 0.9
+    rng = np.random.default_rng(5)
+    d = mc._member_distances(np.zeros(1), law.spread, rng)
+    assert d[0] < 150.0
+    want = mc._received(law.segments, d, np.array([0]), 1, rng,
+                        np.array([0.9]))
+    got = mc._own_cluster(law, block, np.array([0]), True,
+                          np.random.default_rng(5))
+    assert got[0] == want[0] > 0.0
 
 
 def test_interfering_members_stop_at_truncation_radius():
