@@ -73,9 +73,9 @@ _Records = tuple[LinkBudget, LinkBudget]
 class AnalyticReport:
     """A value with its provenance: the outer integral's error estimate,
     the integrand evaluations of every integral behind the value (nested
-    ones included), and how many of those integrals reported
-    ``converged=False``.  An empty report tallies the integrals of a value
-    still being computed."""
+    ones included), and how many of those integrals ran out of panels
+    (``converged=False``).  An empty report tallies the integrals of a
+    value still being computed."""
     value: float = 0.0
     est_error: float = 0.0
     evaluations: int = 0

@@ -23,7 +23,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analytic, montecarlo
-from .geometry import EXACT_DRAW_COUNT
+from .association import link_budgets
+from .geometry import EXACT_DRAW_COUNT, exact_draw_radii
 from .params import ScenarioKind, SystemParams, linear_to_db
 from .quadrature import QuadSpec
 
@@ -386,8 +387,8 @@ def _draw_radii(cfg: RunConfig) -> list[str]:
     """The Monte Carlo truncation: the expected interferer count of each
     tier's exact-draw disk, and the disks' radii at each grid point, in
     ``sweep_grid`` order (0 for a tier without BSs)."""
-    radii = [montecarlo.draw_radii(_params_at(cfg.params, cfg.sweep, value),
-                                   cfg.sweep.scenario)
+    radii = [exact_draw_radii(link_budgets(
+                 _params_at(cfg.params, cfg.sweep, value), cfg.sweep.scenario))
              for value in cfg.sweep.grid]
     return [f"exact_draw_count = {EXACT_DRAW_COUNT}",
             *(f"exact_draw_radius_{tier}_m = "

@@ -16,7 +16,9 @@ panels, in order, until the panels left hold at most ``_LEFT_SHARE`` of
 its tolerance, so the split ones have the rest to shrink into (the rule
 of SciPy's ``quad_vec``).  That is one panel when one holds the excess,
 as in QUADPACK's QAG, and at most 16, so one integrand's new panels fill
-at most one ``_CHUNK`` call and its panel budget is overrun by at most 16.
+at most one ``_CHUNK`` call.  An integrand stops when it converges or
+holds ``_MAX_PANELS`` panels, its one budget, which its last sweep
+overruns by at most 16.
 """
 
 from __future__ import annotations
@@ -57,15 +59,14 @@ _CHUNK = 32
 # most this share of the tolerance.
 _LEFT_SHARE = 1.0 / 8.0
 # An integrand stops refining, converged or not, once it holds this many
-# panels or every panel it would split has been halved this many times.
+# panels.
 _MAX_PANELS = 4000
-_MAX_DEPTH = 60
 
 
 @dataclass(frozen=True)
 class QuadSpec:
     """Tolerances of an integration; every integration has the same
-    panel and depth budget, ``_MAX_PANELS`` and ``_MAX_DEPTH``."""
+    panel budget, ``_MAX_PANELS``."""
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
 
@@ -111,30 +112,26 @@ def _panel_batch(f: Callable, lo: np.ndarray, hi: np.ndarray,
     return k15, err
 
 
-def _settle(heap: list, evaluations: int, spec: QuadSpec
-            ) -> IntegrationResult:
-    """Result of an integrand whose refinement stopped on its budget."""
-    total = sum(p[3] for p in heap)
-    total_err = sum(p[4] for p in heap)
-    converged = total_err <= max(spec.abs_tol, spec.rel_tol * abs(total))
-    return IntegrationResult(float(total), float(total_err), evaluations,
-                             bool(converged))
-
-
 def integrate_batch(f: Callable, a, b, spec: QuadSpec = QuadSpec()
                     ) -> list[IntegrationResult]:
     """Integrate J integrands, integrand j over its own [a_j, b_j].
 
     ``f(x, j)`` evaluates integrand ``j[i]`` at node ``x[i]`` (two 1-D
     arrays of equal length).  Every integrand is refined on its own, by
-    recursive panel bisection: its own panel heap, its own depth and panel
-    budget (``_MAX_DEPTH``, ``_MAX_PANELS``) and stopping test
-    ``err <= max(abs_tol, rel_tol*|value|)``.  Each sweep bisects its worst panels until those left hold at most
-    ``_LEFT_SHARE`` of that tolerance: at least one panel, and at most 16,
-    which caps one sweep's new panels at one ``_CHUNK`` call and bounds
-    the waste when the error is spread over many panels.  Only the calls
-    of ``f`` are shared: each sweep passes the new panels of all
-    unfinished integrands through ``f`` together.
+    recursive panel bisection: its own panel heap and stopping test
+    ``err <= max(abs_tol, rel_tol*|value|)``.  Each sweep bisects its
+    worst panels until those left hold at most ``_LEFT_SHARE`` of that
+    tolerance: at least one panel, and at most 16, which caps one sweep's
+    new panels at one ``_CHUNK`` call and bounds the waste when the error
+    is spread over many panels.  Only the calls of ``f`` are shared: each
+    sweep passes the new panels of all unfinished integrands through
+    ``f`` together.
+
+    An integrand stops, converged or not, once it meets its tolerance or
+    holds ``_MAX_PANELS`` panels, its one budget.  Every sweep adds at
+    least one panel (a panel whose midpoint rounds onto an end leaves
+    itself and a zero-width half), so that is within ``_MAX_PANELS + 16``
+    panels.
 
     Returns one result per integrand, with ``converged=False`` (never
     raises) where the tolerance cannot be met within the budget.
@@ -152,9 +149,9 @@ def integrate_batch(f: Callable, a, b, spec: QuadSpec = QuadSpec()
                for lo, hi in zip(a.tolist(), b.tolist())]
     todo = np.flatnonzero(a < b)
     vals, errs = _panel_batch(f, a[todo], b[todo], todo)
-    # per unfinished integrand: [heap of (-err, lo, hi, val, err, depth),
-    # total, total error, evaluations]
-    state = {j: [[(-errs[i], a[j], b[j], vals[i], errs[i], 0)],
+    # per unfinished integrand: [heap of (-err, lo, hi, val, err), total,
+    # total error, evaluations]
+    state = {j: [[(-errs[i], a[j], b[j], vals[i], errs[i])],
                  vals[i], errs[i], 15]
              for i, j in enumerate(todo.tolist())}
 
@@ -164,13 +161,10 @@ def integrate_batch(f: Callable, a, b, spec: QuadSpec = QuadSpec()
         splits = []
         for j, (heap, total, total_err, evaluations) in list(state.items()):
             tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-            if total_err <= tol:
+            if total_err <= tol or len(heap) >= _MAX_PANELS:
                 results[j] = IntegrationResult(float(total), float(total_err),
-                                               evaluations, True)
-                del state[j]
-                continue
-            if len(heap) >= _MAX_PANELS:
-                results[j] = _settle(heap, evaluations, spec)
+                                               evaluations,
+                                               bool(total_err <= tol))
                 del state[j]
                 continue
             # split the worst panels: at least one, at most 16, and no
@@ -180,40 +174,29 @@ def integrate_batch(f: Callable, a, b, spec: QuadSpec = QuadSpec()
             while heap and len(batch) < 16 and left > _LEFT_SHARE * tol:
                 batch.append(heapq.heappop(heap))
                 left -= batch[-1][4]
-            splittable = [p for p in batch if p[5] < _MAX_DEPTH]
-            stuck = [p for p in batch if p[5] >= _MAX_DEPTH]
-            if not splittable:
-                for p in stuck:
-                    heapq.heappush(heap, p)
-                results[j] = _settle(heap, evaluations, spec)
-                del state[j]
-                continue
-            mids = [(0.5 * (p[1] + p[2])) for p in splittable]
-            splits.append((j, splittable, stuck, len(lo)))
-            lo += [p[1] for p in splittable] + mids
-            hi += mids + [p[2] for p in splittable]
+            mids = [0.5 * (p[1] + p[2]) for p in batch]
+            splits.append((j, batch, len(lo)))
+            lo += [p[1] for p in batch] + mids
+            hi += mids + [p[2] for p in batch]
         if not splits:
             break
-        owner = np.concatenate([np.full(2 * len(sp), j)
-                                for j, sp, _, _ in splits])
+        owner = np.concatenate([np.full(2 * len(batch), j)
+                                for j, batch, _ in splits])
         lo, hi = np.array(lo), np.array(hi)
         vals, errs = _panel_batch(f, lo, hi, owner)
-        for j, splittable, stuck, at in splits:
+        for j, batch, at in splits:
             st = state[j]
             heap = st[0]
-            n = len(splittable)
-            for i, p in enumerate(splittable):
+            n = len(batch)
+            for i, p in enumerate(batch):
                 left, right = at + i, at + n + i
                 st[1] += vals[left] + vals[right] - p[3]
                 st[2] += errs[left] + errs[right] - p[4]
-                depth = p[5] + 1
                 heapq.heappush(heap, (-errs[left], lo[left], hi[left],
-                                      vals[left], errs[left], depth))
+                                      vals[left], errs[left]))
                 heapq.heappush(heap, (-errs[right], lo[right], hi[right],
-                                      vals[right], errs[right], depth))
+                                      vals[right], errs[right]))
             st[3] += 30 * n
-            for p in stuck:
-                heapq.heappush(heap, p)
     return results
 
 
@@ -223,7 +206,7 @@ def integrate_adaptive(f: Callable, a: float, b: float,
     one-integrand case of ``integrate_batch``.
 
     Returns the best estimate with ``converged=False`` (never raises) when
-    the tolerance cannot be met within the panel/depth budget.
+    the tolerance cannot be met within the panel budget.
     """
     return integrate_batch(lambda x, j: f(x), a, b, spec)[0]
 

@@ -111,11 +111,29 @@ def test_zero_width_interval():
 def test_nonconvergence_is_reported_not_raised(monkeypatch):
     # integrable singularity x**-0.99 at 0 defeats a tiny panel budget
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
     spec = QuadSpec(rel_tol=1e-14, abs_tol=1e-300)
     res = integrate_adaptive(lambda x: np.abs(x) ** -0.99, 1e-12, 1.0, spec)
     assert not res.converged
     assert np.isfinite(res.value)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    # a unit step keeps its panel in error however often it is split;
+    # the sweeps split 16 panels each, so the last one overruns the budget
+    (lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0),
+    # the two rules' weights sum to 2 only to about 1e-14, so even a
+    # constant is in error; on a one-ulp interval every midpoint rounds
+    # onto an end, and each split leaves a zero-width half and the panel
+    (np.ones_like, 1.0, math.nextafter(1.0, 2.0)),
+])
+def test_budget_stops_an_integrand_that_never_converges(f, a, b):
+    res = integrate_adaptive(f, a, b, QuadSpec(rel_tol=1e-300,
+                                               abs_tol=1e-300))
+    assert not res.converged
+    assert np.isfinite(res.value) and res.est_error > 0
+    # 15 evaluations for the first panel, 30 for each panel a split adds
+    panels = 1 + (res.evaluations - 15) // 30
+    assert quadrature._MAX_PANELS <= panels <= quadrature._MAX_PANELS + 16
 
 
 def test_tighter_spec_scales_tolerances():
@@ -146,18 +164,16 @@ def loop_reference(f, a, b, spec, calls):
     hi = np.array([b], dtype=float)
     vals, errs = _panel_batch(f, lo, hi)
     evaluations = 15
-    # heap of (-err, lo, hi, val, err, depth)
-    heap = [(-errs[0], a, b, vals[0], errs[0], 0)]
+    # heap of (-err, lo, hi, val, err)
+    heap = [(-errs[0], a, b, vals[0], errs[0])]
     total = vals[0]
     total_err = errs[0]
 
     while True:
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= tol:
+        if total_err <= tol or len(heap) >= quadrature._MAX_PANELS:
             return IntegrationResult(float(total), float(total_err),
-                                     evaluations, True)
-        if len(heap) >= quadrature._MAX_PANELS:
-            break
+                                     evaluations, bool(total_err <= tol))
         # split the worst panels: at least one, at most 16, and no more
         # once the panels left hold at most an eighth of tol
         batch = [heapq.heappop(heap)]
@@ -165,39 +181,24 @@ def loop_reference(f, a, b, spec, calls):
         while heap and len(batch) < 16 and left > tol / 8:
             batch.append(heapq.heappop(heap))
             left -= batch[-1][4]
-        splittable = [p for p in batch if p[5] < quadrature._MAX_DEPTH]
-        stuck = [p for p in batch if p[5] >= quadrature._MAX_DEPTH]
-        if not splittable:
-            for p in stuck:
-                heapq.heappush(heap, p)
-            break
-        mids = [(0.5 * (p[1] + p[2])) for p in splittable]
-        lo = np.array([p[1] for p in splittable] + mids)
-        hi = np.array(mids + [p[2] for p in splittable])
+        mids = [0.5 * (p[1] + p[2]) for p in batch]
+        lo = np.array([p[1] for p in batch] + mids)
+        hi = np.array(mids + [p[2] for p in batch])
         vals, errs = _panel_batch(f, lo, hi)
         evaluations += 15 * len(lo)
-        n = len(splittable)
-        for i, p in enumerate(splittable):
+        n = len(batch)
+        for i, p in enumerate(batch):
             total += vals[i] + vals[n + i] - p[3]
             total_err += errs[i] + errs[n + i] - p[4]
-            depth = p[5] + 1
-            heapq.heappush(heap, (-errs[i], lo[i], hi[i], vals[i], errs[i], depth))
+            heapq.heappush(heap, (-errs[i], lo[i], hi[i], vals[i], errs[i]))
             heapq.heappush(heap, (-errs[n + i], lo[n + i], hi[n + i],
-                                  vals[n + i], errs[n + i], depth))
-        for p in stuck:
-            heapq.heappush(heap, p)
-
-    total = sum(p[3] for p in heap)
-    total_err = sum(p[4] for p in heap)
-    converged = total_err <= max(spec.abs_tol, spec.rel_tol * abs(total))
-    return IntegrationResult(float(total), float(total_err), evaluations,
-                             bool(converged))
+                                  vals[n + i], errs[n + i]))
 
 
 # (integrand, a, b): a zero-width interval, two oscillations that run out
 # of panels (together more than one 32-panel chunk pending per sweep), a
-# singularity that gets stuck at the depth limit, and smooth integrands
-# on unequal bounds
+# singularity that converges well inside the budget by refining toward
+# its end, and smooth integrands on unequal bounds
 BATCH_CASES = [
     (np.exp, 2.0, 2.0),
     (lambda x: np.sin(40.0 * x) * np.exp(-0.1 * x), 0.0, 30.0),
@@ -213,9 +214,8 @@ BATCH_PANELS = 300
 
 @pytest.fixture
 def batch_budget(monkeypatch):
-    """A budget of 300 panels and depth 10, which BATCH_CASES run out of."""
+    """A budget of 300 panels, which two of BATCH_CASES run out of."""
     monkeypatch.setattr(quadrature, "_MAX_PANELS", BATCH_PANELS)
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 10)
 
 
 def test_batch_matches_the_one_integrand_loop(batch_budget):
@@ -238,9 +238,8 @@ def test_batch_matches_the_one_integrand_loop(batch_budget):
     assert want[0] == IntegrationResult(0.0, 0.0, 0, True)
     assert want[1].evaluations >= 15 * BATCH_PANELS
     assert not want[1].converged and not want[2].converged
-    assert not want[3].converged
+    assert all(r.converged for r in want[3:])
     assert want[3].evaluations < 15 * BATCH_PANELS
-    assert all(r.converged for r in want[4:])
     # one call per sweep would be at most max(calls) calls: more means some
     # sweep was split into chunks, none larger than 32 panels
     assert len(sizes) > max(calls)
