@@ -444,8 +444,6 @@ class _InterLaplace:
         self._k0 = 0                    # lattice index of the run's first knot
         self._la: list[float] = []      # ln A on the run
         self._coef = np.zeros((1, 4))   # see _fit
-        self.knots = 0                  # knots computed, kept or not
-        self.tally = AnalyticReport()   # their integrals' work and failures
 
     def _integrals(self, s) -> list:
         """The PGFL integral behind A at each s, all in one batch: each is
@@ -476,12 +474,12 @@ class _InterLaplace:
         least = math.ceil(gap / self._LN_STEP) if gap < math.inf else 0
         return max(min(room, max(least, self._PASS)), 0)
 
-    def _walk(self, k_lo: int, k_hi: int) -> bool:
+    def _walk(self, k_lo: int, k_hi: int, tally: AnalyticReport) -> bool:
         """Extends the run over knots k_lo..k_hi, stopping at a clamp;
         returns whether it grew.  An empty run starts at
         (k_lo + k_hi) // 2.  Each pass computes the next knots of both
-        sides in one batch and keeps them up to each side's first clamp
-        knot."""
+        sides in one batch, counts their integrals into ``tally`` and
+        keeps them up to each side's first clamp knot."""
         la = self._la
         n = len(la)
         if not la:
@@ -498,8 +496,7 @@ class _InterLaplace:
             # math.exp, as a lone knot takes it: np.exp differs from it in
             # the last bit at some knots
             res = self._integrals([math.exp(k * self._LN_STEP) for k in ks])
-            self.knots += len(ks)
-            self.tally.add(res)
+            tally.add(res)
             knots = [math.log(max(self._exponent(r), 1e-300)) for r in res]
             for y in knots[:up]:
                 if la and la[-1] >= self._LN_A_MAX:
@@ -536,7 +533,7 @@ class _InterLaplace:
         self._coef = coef
         return self._k0 + lo, self._k0 + hi
 
-    def __call__(self, s):
+    def __call__(self, s, tally: AnalyticReport):
         s = np.asarray(s, dtype=float)
         out = np.ones(s.shape)
         pos = s > 0
@@ -545,7 +542,7 @@ class _InterLaplace:
             k = np.floor(u)
             k_min, k_max = int(k.min()), int(k.max())
             need = (k_min - 2, k_max + 3)
-            while self._walk(*need):
+            while self._walk(*need, tally):
                 lo, hi = self._fit()
                 if k_min < hi and k_max >= lo:
                     # next to a clamp the stencils reach 4 knots inward
@@ -563,11 +560,12 @@ def _inter_cache(law: ClusterLaw) -> _InterLaplace:
     return _InterLaplace(law)
 
 
-def laplace_I2_inter(s, law: ClusterLaw):
+def laplace_I2_inter(s, law: ClusterLaw, tally: AnalyticReport):
     """Laplace transform at s >= 0 of the interference of the clusters
     other than the typical one (PGFL over hotspot centers of the
-    per-cluster transform), interpolated by the cached ``_InterLaplace``."""
-    return _inter_cache(law)(s)
+    per-cluster transform), interpolated by the cached ``_InterLaplace``;
+    the integrals of the knots it builds count into ``tally``."""
+    return _inter_cache(law)(s, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +595,12 @@ def _alzer_tail(link: LinkBudget) -> _Tail:
     return _Tail(chi * n, (-1.0) ** (n + 1.0) * binom(n_l, n))
 
 
-def _coverage_integrand(k: int, budgets: _Records, tail: _Tail):
+def _coverage_integrand(k: int, budgets: _Records, tail: _Tail,
+                        tally: AnalyticReport):
     """Integrand ``f(x, tau, v0)`` over the serving distance x of
     A_k(v0) * C_k(tau; v0) (elementwise in x, tau and v0): the serving
     density times the fading tail ``tail`` averaged over the interference
-    fields tier k hears."""
+    fields tier k hears, counting the knots it builds into ``tally``."""
     serving = budgets[k - 1]
     density = _serving_density(k, budgets)
 
@@ -618,7 +617,7 @@ def _coverage_integrand(k: int, budgets: _Records, tail: _Tail):
                 lap = lap * laplace_I1(s, xj, heard)
             else:
                 lap = lap * (laplace_I2_intra(s, v0, xj, heard.cluster)
-                             * laplace_I2_inter(s, heard.cluster))
+                             * laplace_I2_inter(s, heard.cluster, tally))
         return density(x, v0) * np.sum(tail.weights[:, None] * lap, axis=0)
 
     return f
@@ -644,7 +643,7 @@ def _coverage_masses(k: int, tau, v0, budgets: _Records, tail: _Tail,
     cuts = np.stack([np.zeros(tau.shape), near, far, reach], axis=-1)
     pair = np.repeat(np.arange(tau.size), cuts.shape[1] - 1)
     seg_tau, seg_v0 = tau[pair], v0[pair]
-    f = _coverage_integrand(k, budgets, tail)
+    f = _coverage_integrand(k, budgets, tail, tally)
     res = integrate_batch(lambda x, j: f(x, seg_tau[j], seg_v0[j]),
                           cuts[:, :-1].ravel(), cuts[:, 1:].ravel(), spec)
     mass = np.zeros(tau.size)
@@ -691,15 +690,8 @@ def coverage(tau: float, params: SystemParams, *,
     The report counts the inter-cluster knots that the call built (none
     on a warm ``_inter_cache``) with the integrals of the value itself.
     """
-    budgets = link_budgets(params, scenario)
-    knots = [_inter_cache(b.cluster).tally for b in budgets
-             if b.cluster is not None]
-    start = [(t.evaluations, t.unconverged) for t in knots]
-    report = _coverage(tau, budgets, params.sigma_ue_m, spec)
-    for t, (evaluations, unconverged) in zip(knots, start):
-        report.evaluations += t.evaluations - evaluations
-        report.unconverged += t.unconverged - unconverged
-    return _probability(report, with_report)
+    return _probability(_coverage(tau, link_budgets(params, scenario),
+                                  params.sigma_ue_m, spec), with_report)
 
 
 def coverage_no_nlos(tau: float, params: SystemParams) -> float:

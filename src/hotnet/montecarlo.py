@@ -384,7 +384,11 @@ def _served_values(results: TrialTable, metric: str,
         raise ValueError("no trials to estimate from")
     if metric not in allowed:
         raise ValueError(f"unknown metric {metric!r}")
-    return np.where(results.served, getattr(results, metric), 0.0)
+    values = getattr(results, metric)
+    if np.isnan(values[results.served]).any():
+        raise ValueError(f"{metric!r} is NaN on served trials: an "
+                         f"assoc_only table holds association columns only")
+    return np.where(results.served, values, 0.0)
 
 
 def _mean(values: np.ndarray) -> EstimateWithCI:

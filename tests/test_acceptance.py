@@ -221,7 +221,8 @@ def test_laplace_transforms_at_zero(defaults):
     macro, cells = link_budgets(defaults)
     assert analytic.laplace_I1(0.0, 60.0, macro) == 1.0
     assert analytic.laplace_I2_intra(0.0, 100.0, 60.0, cells.cluster) == 1.0
-    assert analytic.laplace_I2_inter(0.0, cells.cluster) == 1.0
+    assert analytic.laplace_I2_inter(0.0, cells.cluster,
+                                     analytic.AnalyticReport()) == 1.0
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 5.0, 20.0])

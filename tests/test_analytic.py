@@ -298,8 +298,10 @@ def test_single_band_deployments_are_integrated_without_a_tier(scenario,
             == analytic.coverage(1.0, mapped))
     s = np.logspace(3.0, 9.0, 7)
     np.testing.assert_array_equal(
-        analytic.laplace_I2_inter(s, link_budgets(P, scenario)[1].cluster),
-        analytic.laplace_I2_inter(s, cell_law(mapped)))
+        analytic.laplace_I2_inter(s, link_budgets(P, scenario)[1].cluster,
+                                  analytic.AnalyticReport()),
+        analytic.laplace_I2_inter(s, cell_law(mapped),
+                                  analytic.AnalyticReport()))
 
 
 def test_sub6_only_deployment_has_no_mmwave_share():
@@ -365,7 +367,8 @@ def test_laplace_transforms_equal_one_at_zero():
     macro, cells = link_budgets(P)
     assert analytic.laplace_I1(0.0, 50.0, macro) == 1.0
     assert analytic.laplace_I2_intra(0.0, 100.0, 50.0, cells.cluster) == 1.0
-    assert analytic.laplace_I2_inter(0.0, cells.cluster) == 1.0
+    assert analytic.laplace_I2_inter(0.0, cells.cluster,
+                                     analytic.AnalyticReport()) == 1.0
 
 
 def test_laplace_transforms_decrease_in_s():
@@ -373,7 +376,7 @@ def test_laplace_transforms_decrease_in_s():
     macro, cells = link_budgets(P)
     l1 = analytic.laplace_I1(s, 50.0, macro)
     l2 = analytic.laplace_I2_intra(s, 100.0, 50.0, cells.cluster)
-    l3 = analytic.laplace_I2_inter(s, cells.cluster)
+    l3 = analytic.laplace_I2_inter(s, cells.cluster, analytic.AnalyticReport())
     for l in (l1, l2, l3):
         assert np.all(np.diff(l) <= 1e-12)
         assert np.all((l > 0.0) & (l <= 1.0))
@@ -485,7 +488,8 @@ def test_laplace_inter_matches_sampled_clusters(deployment):
         vals[i] = math.exp(-s * acc)
     emp = vals.mean()
     err = vals.std(ddof=1) / math.sqrt(n_draws)
-    got = float(analytic.laplace_I2_inter(s, cell_law(P, deployment)))
+    got = float(analytic.laplace_I2_inter(s, cell_law(P, deployment),
+                                          analytic.AnalyticReport()))
     assert abs(got - emp) < 4.0 * err + 5e-3
 
 
@@ -555,7 +559,8 @@ def tiled_coverage_integrand(k, params, scenario, include_nlos):
             x2 = xs if k == 2 else boundary_map(serving, other, xs)
             v0s = v0 if len(points) == 1 else np.tile(v0, len(points))
             lap = lap * (np.exp(-(law.members - 1) * tiled_cluster_exponent(
-                s, v0s, x2, law, include_nlos)) * inter(s))
+                s, v0s, x2, law, include_nlos))
+                * inter(s, analytic.AnalyticReport()))
         return density(x, v0) * np.sum(
             coeff[:, None] * lap.reshape(len(points), -1), axis=0)
 
@@ -606,7 +611,8 @@ def test_coverage_integrand_matches_tiled_reference(deployment,
     tau = np.resize([0.1, 1.0, 100.0], x.size)
     budgets = records(P, scenario, include_nlos)
     got = analytic._coverage_integrand(k, budgets,
-                                       analytic._alzer_tail(budgets[k - 1]))
+                                       analytic._alzer_tail(budgets[k - 1]),
+                                       analytic.AnalyticReport())
     want = tiled_coverage_integrand(k, P, scenario, include_nlos)
     np.testing.assert_array_equal(got(x, tau, v0), want(x, tau, v0))
 
@@ -622,10 +628,12 @@ def test_tail_row_sum_is_accurate_where_alzer_alternates(order):
     x, v0, tau = (a.ravel() for a in np.meshgrid(
         np.linspace(1.0, 199.0, 25), [0.0, 40.0, 150.0, 420.0],
         [0.1, 1.0, 100.0]))
-    got = analytic._coverage_integrand(2, budgets, tail)(x, tau, v0)
+    got = analytic._coverage_integrand(2, budgets, tail,
+                                       analytic.AnalyticReport())(x, tau, v0)
     terms = np.array([
         analytic._coverage_integrand(2, budgets, analytic._Tail(
-            tail.points[n:n + 1], tail.weights[n:n + 1]))(x, tau, v0)
+            tail.points[n:n + 1], tail.weights[n:n + 1]),
+            analytic.AnalyticReport())(x, tau, v0)
         for n in range(order)])
     want = np.array([math.fsum(column) for column in terms.T])
     magnitude = np.sum(np.abs(terms), axis=0)
@@ -697,7 +705,8 @@ def test_laplace_inter_spline_matches_exact_exponent():
     cache = analytic._inter_cache(cell_law(P))
     for s in (1e5, 1e7, 1e9):
         exact = math.exp(-exact_exponent(cache, s))
-        interp = float(analytic.laplace_I2_inter(s, cell_law(P)))
+        interp = float(analytic.laplace_I2_inter(s, cell_law(P),
+                                                 analytic.AnalyticReport()))
         assert interp == pytest.approx(exact, abs=2e-4)
 
 
@@ -710,7 +719,8 @@ def test_laplace_inter_interpolation_error_mid_cell(deployment):
     for s in np.exp(np.arange(2.25, 40.0, 0.5)):
         a = exact_exponent(inter, s)
         if 1e-9 <= a <= 46.0:
-            errors.append(abs(inter(s) - math.exp(-a)))
+            errors.append(abs(inter(s, analytic.AnalyticReport())
+                              - math.exp(-a)))
     assert len(errors) >= 20
     assert max(errors) <= 2e-5
 
@@ -731,7 +741,9 @@ def lone_exponent(law, s, include_nlos=True):
 
 class LoneKnotLaplace(analytic._InterLaplace):
     """The transform with the reference knot walk: one lone integral per
-    knot, walking outward one knot at a time and stopping at a clamp."""
+    knot, walking outward one knot at a time and stopping at a clamp.  Its
+    walk takes the caller's report and counts nothing into it: its knots
+    are the reference, not work of the engine."""
 
     def __init__(self, law, include_nlos=True):
         super().__init__(law)
@@ -742,7 +754,7 @@ class LoneKnotLaplace(analytic._InterLaplace):
         return math.log(max(lone_exponent(self._law, s, self._include_nlos),
                             1e-300))
 
-    def _walk(self, k_lo, k_hi):
+    def _walk(self, k_lo, k_hi, tally):
         la = self._la
         n = len(la)
         if not la:
@@ -756,11 +768,32 @@ class LoneKnotLaplace(analytic._InterLaplace):
         return len(la) > n
 
 
+class KnotSpy:
+    """Wraps ``_InterLaplace._integrals``: ``knots`` sums the knots of
+    every batch it computes and ``work`` counts their integrals."""
+
+    def __init__(self, monkeypatch):
+        self.knots = 0
+        self.work = analytic.AnalyticReport()
+        real = analytic._InterLaplace._integrals
+
+        def integrals(inter, s):
+            self.knots += len(s)
+            res = real(inter, s)
+            self.work.add(res)
+            return res
+
+        monkeypatch.setattr(analytic._InterLaplace, "_integrals", integrals)
+
+
 @pytest.mark.parametrize("deployment, include_nlos, eta", [
     ("a", True, None), ("d", True, None), ("a", False, None),
     ("a", True, 1.27)], ids=["a", "d", "a_no_nlos", "a_eta_1.27"])
-def test_batched_knot_walk_matches_lone_knots(deployment, include_nlos, eta):
+def test_batched_knot_walk_matches_lone_knots(deployment, include_nlos, eta,
+                                              monkeypatch):
     params = P if eta is None else P.replace(sigma_bs_m=eta * P.sigma_ue_m)
+    spy = KnotSpy(monkeypatch)
+    tally = analytic.AnalyticReport()
     scenario = MEMBER_LINKS[deployment]["scenario"]
     # the reference skips the NLoS segments; the kernel is fed the law
     # without them
@@ -771,7 +804,8 @@ def test_batched_knot_walk_matches_lone_knots(deployment, include_nlos, eta):
     # to the lower one only near s = 1e-4, as A ~ s^(2/3) comes from the
     # kernel's turnover within a meter of r = 0
     for s in (np.logspace(6.0, 8.0, 5), np.logspace(-6.0, 40.0, 93)):
-        np.testing.assert_array_equal(batched(s), lone(s))
+        np.testing.assert_array_equal(batched(s, tally),
+                                      lone(s, analytic.AnalyticReport()))
         assert (batched._k0, batched._la) == (lone._k0, lone._la)
     assert batched._la[0] <= batched._LN_A_MIN
     # without NLoS only clusters with LoS members in the ball interfere,
@@ -779,7 +813,8 @@ def test_batched_knot_walk_matches_lone_knots(deployment, include_nlos, eta):
     assert (batched._la[-1] >= batched._LN_A_MAX) == include_nlos
     # only a pass that finds a clamp computes knots past it: at most one
     # such pass of 8 knots a side
-    assert len(batched._la) <= batched.knots <= len(batched._la) + 16
+    assert len(batched._la) <= spy.knots <= len(batched._la) + 16
+    assert tally == spy.work
 
 
 @pytest.mark.parametrize("deployment", ["a", "d"])
@@ -792,20 +827,44 @@ def test_exponent_exact_is_the_lone_integral(deployment, s):
 
 @pytest.mark.parametrize("deployment", ["a", "d"])
 @pytest.mark.parametrize("eta", [None, 0.4, 0.7, 1.0, 1.3])
-def test_every_knot_converges(deployment, eta):
+def test_every_knot_converges(deployment, eta, monkeypatch):
     params = P if eta is None else P.replace(sigma_bs_m=eta * P.sigma_ue_m)
+    spy = KnotSpy(monkeypatch)
+    tally = analytic.AnalyticReport()
     inter = analytic._InterLaplace(cell_law(params, deployment))
-    inter(np.logspace(-2.0, 40.0, 85))
-    assert inter.knots >= len(inter._la) >= 20
-    assert inter.tally.evaluations >= 15 * inter.knots
-    assert inter.tally.unconverged == 0
+    inter(np.logspace(-2.0, 40.0, 85), tally)
+    assert spy.knots >= len(inter._la) >= 20
+    assert tally.evaluations >= 15 * spy.knots
+    assert tally.unconverged == 0
 
 
 def test_knot_counters_count_unconverged_knots(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
+    spy = KnotSpy(monkeypatch)
+    tally = analytic.AnalyticReport()
+    analytic._InterLaplace(cell_law(P))(np.logspace(4.0, 10.0, 7), tally)
+    assert 0 < tally.unconverged <= spy.knots
+
+
+def test_knot_work_counts_into_the_report_of_the_call_that_builds_it(
+        monkeypatch):
+    # the transform holds its knots and nothing else: a query's report
+    # counts the knots that query builds, and no others
+    spy = KnotSpy(monkeypatch)
     inter = analytic._InterLaplace(cell_law(P))
-    inter(np.logspace(4.0, 10.0, 7))
-    assert 0 < inter.tally.unconverged <= inter.knots
+    first = analytic.AnalyticReport()
+    inter(np.logspace(6.0, 8.0, 5), first)
+    assert spy.knots > 0 and first.evaluations > 0
+    assert first == spy.work
+    again = analytic.AnalyticReport()
+    inter(np.logspace(6.0, 8.0, 5), again)
+    assert again == analytic.AnalyticReport()
+    # a wider query builds the knots past the run, and counts only those
+    knots, spy.work = spy.knots, analytic.AnalyticReport()
+    wider = analytic.AnalyticReport()
+    inter(np.logspace(-6.0, 40.0, 93), wider)
+    assert spy.knots > knots
+    assert wider == spy.work
 
 
 @pytest.mark.parametrize("params, tau, before", [
@@ -830,25 +889,26 @@ def test_coverage_report_counts_the_knots_it_builds(monkeypatch):
     # cleared after, so that no later test reads the starved knots
     analytic._inter_cache.cache_clear()
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
+    spy = KnotSpy(monkeypatch)
     try:
         cold = analytic.coverage(1.0, P, with_report=True)
-        inter = analytic._inter_cache(cell_law(P))
-        knots = inter.knots
-        assert inter.tally.unconverged == knots > 0
+        knots = spy.knots
+        assert spy.work.unconverged == knots > 0
         warm = analytic.coverage(1.0, P, with_report=True)
-        assert inter.knots == knots
+        assert spy.knots == knots
         assert cold.unconverged == warm.unconverged + knots
-        assert cold.evaluations == warm.evaluations + inter.tally.evaluations
+        assert cold.evaluations == warm.evaluations + spy.work.evaluations
     finally:
         analytic._inter_cache.cache_clear()
 
 
-def test_warm_coverage_report_counts_no_knot_work():
+def test_warm_coverage_report_counts_no_knot_work(monkeypatch):
     # the knot values are a pure function of s, so the warm call's value
     # integrals are the cold call's, less the knots that call built
     analytic._inter_cache.cache_clear()
+    spy = KnotSpy(monkeypatch)
     cold = analytic.coverage(1.0, P, with_report=True)
-    knots = analytic._inter_cache(cell_law(P)).tally
+    knots = spy.work
     assert knots.evaluations > 0
     warm = analytic.coverage(1.0, P, with_report=True)
     assert warm.value == cold.value
@@ -929,7 +989,8 @@ def loop_coverage_mass(k, tau, v0, scenario, include_nlos, spec):
     budgets = records(P, scenario, include_nlos)
     serving = budgets[k - 1]
     tail = analytic._alzer_tail(serving)
-    f = analytic._coverage_integrand(k, budgets, tail)
+    f = analytic._coverage_integrand(k, budgets, tail,
+                                     analytic.AnalyticReport())
     reach = float(analytic._serving_reach(k, v0, budgets))
     x_noise = (serving.budget
                / (tau * tail.points.min() * serving.noise_w)) \
@@ -980,7 +1041,8 @@ def test_coverage_mass_at_high_threshold_matches_quad(tau_db, k):
     got = analytic._coverage_masses(k, tau, v0, budgets, tail,
                                     analytic.OUTER_SPEC.tighter(),
                                     analytic.AnalyticReport())
-    f = analytic._coverage_integrand(k, budgets, tail)
+    f = analytic._coverage_integrand(k, budgets, tail,
+                                     analytic.AnalyticReport())
     x_noise = (serving.budget / (tau * serving.noise_w)) \
         ** (1.0 / serving.alpha)
     for mass, v in zip(got, v0.tolist()):
@@ -1330,7 +1392,8 @@ def test_records_without_interference_segments_give_snr_coverage(
               replace(cells, cluster=replace(cells.cluster, segments=())))
     s = np.logspace(2.0, 12.0, 5)
     assert np.all(analytic.laplace_I1(s, 50.0, silent[0]) == 1.0)
-    assert np.all(analytic._InterLaplace(silent[1].cluster)(s) == 1.0)
+    assert np.all(analytic._InterLaplace(silent[1].cluster)(
+        s, analytic.AnalyticReport()) == 1.0)
     taus_db = [0.0, 10.0]
     curve = montecarlo.estimate_coverage(table_integrated, taus_db,
                                          metric="snr")

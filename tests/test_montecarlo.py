@@ -780,6 +780,26 @@ def test_estimate_rate_zeroes_unserved():
     assert est.value == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda t: mc.estimate_coverage(t, [0.0], metric="sinr"),
+    lambda t: mc.estimate_coverage(t, [0.0], metric="snr"),
+    lambda t: mc.estimate_quantile(t, "sinr", 0.5),
+    lambda t: mc.estimate_quantile(t, "rate", 0.5),
+    mc.estimate_rate,
+], ids=["coverage_sinr", "coverage_snr", "quantile_sinr", "quantile_rate",
+        "rate"])
+def test_link_estimators_refuse_an_assoc_only_table(estimate):
+    # an assoc_only table holds NaN link columns: read as values they
+    # would give coverage 0 +- 0 and a NaN rate.  The association
+    # estimators still read it
+    t = mc.run_trials(P, ScenarioKind.INTEGRATED, 2000, seed=3,
+                      assoc_only=True)
+    with pytest.raises(ValueError, match="assoc_only"):
+        estimate(t)
+    assert 0.0 < mc.estimate_assoc_prob(t, 2).value < 1.0
+    assert mc.estimate_serving_distance(t).value > 0.0
+
+
 def test_select_picks_the_trials_of_every_column():
     t = mc.run_trials(P, ScenarioKind.INTEGRATED, 20_000, seed=14,
                       assoc_only=True)

@@ -188,6 +188,27 @@ def test_package_root_re_exports_nothing():
         f"the submodule where it is used instead"
 
 
+def test_every_import_is_read():
+    # a name that an import binds and its module never reads is a
+    # dependency in name only (``from __future__ import annotations`` binds
+    # a compiler flag, not a name the module reads)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                bound = [(alias.asname or alias.name).split(".")[0]
+                         for alias in node.names]
+                unread += [f"{path.stem}.{name}" for name in bound
+                           if name not in read]
+    assert not unread, f"{unread} are imported and never read: delete " \
+        f"the import"
+
+
 def test_no_module_reads_the_environment():
     # a run is set by its config and its arguments alone: an environment
     # variable would be an option that neither the config nor the run
